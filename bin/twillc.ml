@@ -10,11 +10,14 @@
      twillc comm-report NAME      profile + optimize the DSWP channel graph
      twillc fuzz --seed N         differential fuzzing across the stack
      twillc dse [--grid SPEC]     design-space sweep -> Pareto frontier
+     twillc daemon ...            talk to a running twilld
 
-   Options: --stages K, --sw-frac F, --queue-depth D, --queue-latency L,
-   --aggressive-inline, --comm-opt PASSES, --no-auto. *)
+   Option flags come from the option table (Twill.Options): each command
+   names the knobs it exposes, and the table supplies the flag, its
+   documentation and its parser. *)
 
 open Cmdliner
+module O = Twill.Options
 
 let read_file path =
   let ic = open_in_bin path in
@@ -23,81 +26,46 @@ let read_file path =
   close_in ic;
   s
 
-let comm_of_spec spec =
-  match Twill.Comm.parse spec with
-  | Ok c -> c
-  | Error e ->
-      Fmt.epr "bad --comm-opt: %s@." e;
-      exit 2
+(* One flag per knob, folded over [base]; a value the knob's parser
+   rejects is a usage error carrying the table's message. *)
+let opts_term ?(base = Twill.default_options) (knobs : O.knob list) :
+    Twill.options Term.t =
+  let set (k : O.knob) v o =
+    match k.parse v o with Ok o -> o | Error e -> invalid_arg e
+  in
+  let arg (k : O.knob) =
+    let doc =
+      Arg.info [ Option.get k.flag ] ~docv:k.docv ~doc:k.doc
+        ~absent:(k.print base)
+    in
+    match k.wire with
+    | O.Bool ->
+        Term.(
+          const (fun b o -> if b then set k "true" o else o)
+          $ Arg.(value & flag doc))
+    | _ ->
+        let valid =
+          Arg.conv'
+            ( (fun v -> Result.map (fun _ -> v) (k.parse v base)),
+              Format.pp_print_string )
+        in
+        Term.(
+          const (fun v o -> Option.fold ~none:o ~some:(fun v -> set k v o) v)
+          $ Arg.(value & opt (some valid) None & doc))
+  in
+  List.fold_left
+    (fun acc k -> Term.(const (fun f o -> f o) $ arg k $ acc))
+    (Term.const base) knobs
 
-let mk_opts stages sw_frac queue_depth queue_latency aggressive comm_spec
-    backend mem_banks =
-  {
-    Twill.default_options with
-    partition =
-      {
-        Twill.Partition.default_config with
-        Twill.Partition.nstages = stages;
-        sw_fraction = sw_frac;
-      };
-    queue_depth;
-    queue_latency;
-    inline_aggressive = aggressive;
-    comm = comm_of_spec comm_spec;
-    backend;
-    mem_banks;
-  }
+(* the knobs of the compile-extract-simulate commands *)
+let flow_knobs =
+  O.
+    [
+      nstages; sw_frac; queue_depth; queue_latency; inline_aggressive; comm;
+      backend; mem_banks;
+    ]
 
-let stages =
-  Arg.(value & opt int 3 & info [ "stages" ] ~doc:"Pipeline stage count.")
-
-let sw_frac =
-  Arg.(
-    value
-    & opt float 0.002
-    & info [ "sw-frac" ] ~doc:"Targeted work share for the software master.")
-
-let queue_depth =
-  Arg.(value & opt int 8 & info [ "queue-depth" ] ~doc:"Queue depth (slots).")
-
-let queue_latency =
-  Arg.(
-    value & opt int 2
-    & info [ "queue-latency" ] ~doc:"Queue give->visible latency in cycles.")
-
-let aggressive =
-  Arg.(
-    value & flag
-    & info [ "aggressive-inline" ] ~doc:"Inline every call before DSWP.")
-
-let comm_opt =
-  Arg.(
-    value & opt string ""
-    & info [ "comm-opt" ] ~docv:"PASSES"
-        ~doc:
-          "Communication-pattern optimizer passes (comma-separated subset \
-           of $(b,licm),$(b,merge),$(b,size),$(b,burst), or $(b,all)); \
-           default: none.")
-
-let backend_arg =
-  Arg.(
-    value
-    & opt (enum Twill.Enums.backends) Twill.Schedule.Fsm
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "RTL lowering for the hardware partitions: $(b,fsm) (LegUp-style            monolithic FSM-with-datapath, the default) or $(b,dataflow)            (elastic stages with valid/ready handshake channels).  Unknown            values are rejected with the valid list.")
-
-let mem_banks_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "mem-banks" ] ~docv:"N"
-        ~doc:
-          "Shared-memory bank count.  Provably-disjoint arrays are \
-           partitioned across $(docv) banks by the dependence oracle; \
-           hardware threads then schedule with per-bank ordering chains, \
-           rtsim arbitrates one memory bus per bank, and the emitted RTL \
-           instantiates a banked memory.  $(b,1) (the default) is the \
-           single-port behaviour.")
+let flow_opts = opts_term flow_knobs
 
 let no_auto =
   Arg.(
@@ -105,6 +73,11 @@ let no_auto =
     & info [ "no-auto" ] ~doc:"Do not search stage counts; use --stages as-is.")
 
 let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
+
+(* a kernel name from the bundled CHStone registry, or a mini-C file *)
+let source_of (what : string) : string =
+  if Sys.file_exists what then read_file what
+  else (Twill_chstone.Chstone.find what).Twill_chstone.Chstone.source
 
 let print_report (r : Twill.report) =
   Fmt.pr "== %s ==@." r.Twill.name;
@@ -126,8 +99,7 @@ let print_report (r : Twill.report) =
     r.Twill.twill.Twill.nsems
 
 let run_cmd =
-  let run stages sw_frac qd ql aggr comm_spec backend mem_banks no_auto path =
-    let opts = mk_opts stages sw_frac qd ql aggr comm_spec backend mem_banks in
+  let run opts no_auto path =
     let src = read_file path in
     let r =
       Twill.evaluate ~opts ~auto_stages:(not no_auto)
@@ -137,23 +109,19 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Compile and evaluate a mini-C file")
     Term.(
-      const run $ stages $ sw_frac $ queue_depth $ queue_latency $ aggressive $ comm_opt $ backend_arg $ mem_banks_arg
-      $ no_auto $ file)
+      const run $ flow_opts $ no_auto $ file)
 
 let ir_cmd =
-  let run stages sw_frac qd ql aggr comm_spec backend mem_banks _ path =
-    let opts = mk_opts stages sw_frac qd ql aggr comm_spec backend mem_banks in
+  let run opts _ path =
     let m = Twill.compile ~opts (read_file path) in
     Fmt.pr "%s@." (Twill_ir.Printer.modul_to_string m)
   in
   Cmd.v (Cmd.info "ir" ~doc:"Dump the optimised IR")
     Term.(
-      const run $ stages $ sw_frac $ queue_depth $ queue_latency $ aggressive $ comm_opt $ backend_arg $ mem_banks_arg
-      $ no_auto $ file)
+      const run $ flow_opts $ no_auto $ file)
 
 let threads_cmd =
-  let run stages sw_frac qd ql aggr comm_spec backend mem_banks _ path =
-    let opts = mk_opts stages sw_frac qd ql aggr comm_spec backend mem_banks in
+  let run opts _ path =
     let m = Twill.compile ~opts (read_file path) in
     let t = Twill.extract ~opts m in
     Array.iteri
@@ -182,8 +150,7 @@ let threads_cmd =
   in
   Cmd.v (Cmd.info "threads" ~doc:"Dump the extracted pipeline threads")
     Term.(
-      const run $ stages $ sw_frac $ queue_depth $ queue_latency $ aggressive $ comm_opt $ backend_arg $ mem_banks_arg
-      $ no_auto $ file)
+      const run $ flow_opts $ no_auto $ file)
 
 let bench_cmd =
   let name_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME") in
@@ -205,8 +172,7 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List bundled benchmarks") Term.(const run $ const ())
 
 let emit_c_cmd =
-  let run stages sw_frac qd ql aggr comm_spec backend mem_banks _ path =
-    let opts = mk_opts stages sw_frac qd ql aggr comm_spec backend mem_banks in
+  let run opts _ path =
     let m = Twill.compile ~opts (read_file path) in
     let t = Twill.extract ~opts m in
     let master = t.Twill.Dswp.stages.(t.Twill.Dswp.master) in
@@ -216,8 +182,7 @@ let emit_c_cmd =
     (Cmd.info "emit-c"
        ~doc:"Emit the software master thread as C against the Twill runtime API")
     Term.(
-      const run $ stages $ sw_frac $ queue_depth $ queue_latency $ aggressive $ comm_opt $ backend_arg $ mem_banks_arg
-      $ no_auto $ file)
+      const run $ flow_opts $ no_auto $ file)
 
 let emit_verilog_cmd =
   let output =
@@ -235,12 +200,12 @@ let emit_verilog_cmd =
             "Run the structural checker over the emitted design and exit \
              nonzero on failure.")
   in
-  let run stages sw_frac qd ql aggr comm_spec backend mem_banks _ output check path =
-    let opts = mk_opts stages sw_frac qd ql aggr comm_spec backend mem_banks in
+  let run opts _ output check path =
     let m = Twill.compile ~opts (read_file path) in
     let t = Twill.extract ~opts m in
     let design =
-      Twill_vgen.Vruntime.emit_design ~backend ~mem_banks:opts.Twill.mem_banks t
+      Twill_vgen.Vruntime.emit_design ~backend:opts.Twill.backend
+        ~mem_banks:opts.Twill.mem_banks t
     in
     (match output with
     | None -> print_string design
@@ -262,8 +227,7 @@ let emit_verilog_cmd =
          "Emit the hardware threads and the runtime system as Verilog \
           (Figure 4.1)")
     Term.(
-      const run $ stages $ sw_frac $ queue_depth $ queue_latency $ aggressive $ comm_opt $ backend_arg $ mem_banks_arg
-      $ no_auto $ output $ check $ file)
+      const run $ flow_opts $ no_auto $ output $ check $ file)
 
 let cosim_cmd =
   let vcd =
@@ -279,7 +243,7 @@ let cosim_cmd =
       & opt
           (enum
              (("auto", None)
-             :: List.map (fun (s, e) -> (s, Some e)) Twill.Enums.vsim_engines))
+             :: List.map (fun (s, e) -> (s, Some e)) O.vsim_engines))
           None
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
@@ -291,13 +255,8 @@ let cosim_cmd =
   let name_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH_OR_FILE")
   in
-  let run stages sw_frac qd ql aggr comm_spec backend mem_banks _ vcd engine name =
-    let opts = mk_opts stages sw_frac qd ql aggr comm_spec backend mem_banks in
-    let src =
-      if Sys.file_exists name then read_file name
-      else (Twill_chstone.Chstone.find name).Twill_chstone.Chstone.source
-    in
-    let m = Twill.compile ~opts src in
+  let run opts _ vcd engine name =
+    let m = Twill.compile ~opts (source_of name) in
     let t = Twill.extract ~opts m in
     let r = Twill.cosim ~opts ?engine ?vcd t in
     Fmt.pr "== cosim %s ==@." (Filename.basename name);
@@ -321,21 +280,14 @@ let cosim_cmd =
          "Co-simulate the emitted RTL of a benchmark or mini-C file against \
           the rtsim reference")
     Term.(
-      const run $ stages $ sw_frac $ queue_depth $ queue_latency $ aggressive $ comm_opt $ backend_arg $ mem_banks_arg
-      $ no_auto $ vcd $ engine $ name_arg)
+      const run $ flow_opts $ no_auto $ vcd $ engine $ name_arg)
 
 let comm_report_cmd =
   let name_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH_OR_FILE")
   in
-  let run stages sw_frac qd ql aggr comm_spec backend mem_banks _ name =
-    let comm_spec = if comm_spec = "" then "all" else comm_spec in
-    let opts = mk_opts stages sw_frac qd ql aggr comm_spec backend mem_banks in
-    let src =
-      if Sys.file_exists name then read_file name
-      else (Twill_chstone.Chstone.find name).Twill_chstone.Chstone.source
-    in
-    let m = Twill.compile ~opts src in
+  let run opts _ name =
+    let m = Twill.compile ~opts (source_of name) in
     let s = Twill.comm_summarize ~opts m in
     Fmt.pr "== comm-report %s ==@." (Filename.basename name);
     List.iter (Fmt.pr "%s@.") (Twill.Comm.report_lines s.Twill.comm_rep);
@@ -369,8 +321,9 @@ let comm_report_cmd =
           $(b,all)) does to it: per-channel occupancy/stall/burst counters, \
           pass actions, and the base-vs-optimized cycle counts")
     Term.(
-      const run $ stages $ sw_frac $ queue_depth $ queue_latency $ aggressive
-      $ comm_opt $ backend_arg $ mem_banks_arg
+      const run
+      $ opts_term ~base:{ Twill.default_options with comm = Twill.Comm.all }
+          flow_knobs
       $ no_auto $ name_arg)
 
 let fuzz_cmd =
@@ -414,15 +367,6 @@ let fuzz_cmd =
             "Instead of generating cases, re-run every repro in $(docv) and \
              report which still diverge.")
   in
-  let break_pass =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "break-pass" ] ~docv:"PASS"
-          ~doc:
-            "Plant a deliberate miscompilation after the named pipeline \
-             stage (fault-injection demo; see $(b,--max-stage opt)).")
-  in
   let strict =
     Arg.(
       value & flag
@@ -447,17 +391,7 @@ let fuzz_cmd =
              RTL-reaching case co-simulates both backends and any \
              disagreement is a divergence).")
   in
-  let fuzz_mem_banks =
-    Arg.(
-      value & opt int 1
-      & info [ "mem-banks" ] ~docv:"N"
-          ~doc:
-            "Shared-memory bank count for the rtsim and co-simulation \
-             observation points (values > 1 also arm the runtime alias \
-             checker, so dependence-oracle optimism surfaces as a \
-             divergence instead of silent corruption).")
-  in
-  let run seed cases limit backends out replay break_pass strict mem_banks =
+  let run seed cases limit backends out replay opts strict =
     match replay with
     | Some dir ->
         let rs = F.Campaign.replay ~dir () in
@@ -474,27 +408,14 @@ let fuzz_cmd =
           (List.length stale);
         if strict && stale <> [] then exit 1
     | None ->
-        (match break_pass with
-        | Some p when not (List.mem p Twill.Pipeline.stage_names) ->
-            Fmt.epr "fuzz: unknown pass %S (stages: %s)@." p
-              (String.concat ", " Twill.Pipeline.stage_names);
-            exit 2
-        | _ -> ());
-        let opts =
-          {
-            Twill.default_options with
-            pipeline_break = break_pass;
-            mem_banks;
-            check_memdep = mem_banks > 1;
-          }
-        in
+        let opts = { opts with Twill.check_memdep = opts.Twill.mem_banks > 1 } in
         let t0 = Unix.gettimeofday () in
         let s = F.Campaign.run ~opts ~limit ~backends ~seed ~cases () in
         let dt = Unix.gettimeofday () -. t0 in
         print_string (F.Campaign.summary_to_string s);
         (match out with
         | Some dir ->
-            let files = F.Campaign.write_corpus ?break_pass ~dir s in
+            let files = F.Campaign.write_corpus ?break_pass:opts.Twill.pipeline_break ~dir s in
             Fmt.pr "  corpus: %d file(s) in %s@." (List.length files) dir
         | None -> ());
         (* timing goes to stderr so stdout stays reproducible *)
@@ -508,10 +429,13 @@ let fuzz_cmd =
          "Differentially fuzz the whole stack: random mini-C programs \
           through every observation point (AST, IR, each optimisation \
           prefix, rtsim, RTL co-simulation), with shrinking and pass \
-          bisection of any divergence")
+          bisection of any divergence.  Above one memory bank the runtime \
+          alias checker is armed, so dependence-oracle optimism surfaces \
+          as a divergence instead of silent corruption")
     Term.(
       const run $ seed $ cases $ max_stage $ fuzz_backend $ out $ replay
-      $ break_pass $ strict $ fuzz_mem_banks)
+      $ opts_term O.[ pipeline_break; mem_banks ]
+      $ strict)
 
 (* --- twilld client: `twillc daemon ...` --------------------------------- *)
 
@@ -645,11 +569,6 @@ let socket_arg =
     & opt string "/tmp/twilld.sock"
     & info [ "socket" ] ~docv:"PATH" ~doc:"twilld Unix-domain socket path.")
 
-(* a kernel name from the bundled CHStone registry, or a mini-C file *)
-let source_of (what : string) : string =
-  if Sys.file_exists what then read_file what
-  else (Twill_chstone.Chstone.find what).Twill_chstone.Chstone.source
-
 let with_client socket f =
   let c = Serve_client.connect ~retries:100 socket in
   Fun.protect ~finally:(fun () -> Serve_client.close c) (fun () -> f c)
@@ -683,47 +602,33 @@ let daemon_stop_cmd =
   Cmd.v (Cmd.info "stop" ~doc:"Shut a running twilld down")
     Term.(const run $ socket_arg)
 
-(* the daemon's "backend" request field, validated server-side too *)
-let daemon_backend =
-  Arg.(
-    value
-    & opt (enum Twill.Enums.backends) Twill.Schedule.Fsm
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "RTL lowering the simulation replays: $(b,fsm) (default) or \
-           $(b,dataflow).")
+(* the knobs twillc's simulate-style daemon commands send *)
+let simulate_knobs = O.[ nstages; queue_depth; queue_latency; backend; mem_banks ]
 
-let simulate_req stages qd ql backend mem_banks what =
+let request cmd knobs opts what =
   Serve_json.Obj
-    [
-      ("cmd", Serve_json.Str "simulate");
-      ("src", Serve_json.Str (source_of what));
-      ("nstages", Serve_json.Int stages);
-      ("queue_depth", Serve_json.Int qd);
-      ("queue_latency", Serve_json.Int ql);
-      ("backend", Serve_json.Str (Twill.Schedule.backend_name backend));
-      ("mem_banks", Serve_json.Int mem_banks);
-    ]
+    ((("cmd", Serve_json.Str cmd) :: ("src", Serve_json.Str (source_of what))
+     :: Serve_server.fields knobs opts))
+
+let print_response r =
+  Fmt.pr "%s@." (Serve_json.to_string r);
+  if Serve_json.bool_field "ok" r <> Some true then exit 1
 
 let daemon_simulate_cmd =
-  let run socket stages qd ql backend mem_banks what =
+  let run socket opts what =
     with_client socket (fun c ->
-        let r =
-          Serve_client.request c (simulate_req stages qd ql backend mem_banks what)
-        in
-        Fmt.pr "%s@." (Serve_json.to_string r);
-        if Serve_json.bool_field "ok" r <> Some true then exit 1)
+        print_response
+          (Serve_client.request c (request "simulate" simulate_knobs opts what)))
   in
   Cmd.v
     (Cmd.info "simulate"
        ~doc:"Simulate a kernel (bundled name or mini-C file) through twilld")
     Term.(
-      const run $ socket_arg $ stages $ queue_depth $ queue_latency
-      $ daemon_backend $ mem_banks_arg
+      const run $ socket_arg $ opts_term simulate_knobs
       $ Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME|FILE"))
 
 let daemon_check_cmd =
-  let run socket stages qd ql backend mem_banks whats =
+  let run socket opts whats =
     (* the CI smoke: every daemon response must be byte-identical to the
        same request handled in-process (zero-worker local server) *)
     let local = Serve_server.create ~workers:0 () in
@@ -731,7 +636,7 @@ let daemon_check_cmd =
     with_client socket (fun c ->
         List.iter
           (fun what ->
-            let req = simulate_req stages qd ql backend mem_banks what in
+            let req = request "simulate" simulate_knobs opts what in
             let remote = Serve_json.to_string (Serve_client.request c req) in
             let here = Serve_json.to_string (Serve_server.handle local req) in
             if remote = here then Fmt.pr "%-10s OK %s@." what remote
@@ -749,14 +654,13 @@ let daemon_check_cmd =
          "Simulate kernels through twilld and assert the responses are \
           byte-identical to in-process results (exit 1 on any mismatch)")
     Term.(
-      const run $ socket_arg $ stages $ queue_depth $ queue_latency
-      $ daemon_backend $ mem_banks_arg
+      const run $ socket_arg $ opts_term simulate_knobs
       $ Arg.(non_empty & pos_all string [] & info [] ~docv:"NAME|FILE..."))
 
 let daemon_bench_cmd =
-  let run socket stages qd ql backend mem_banks what iters =
+  let run socket opts what iters =
     with_client socket (fun c ->
-        let req = simulate_req stages qd ql backend mem_banks what in
+        let req = request "simulate" simulate_knobs opts what in
         let t0 = Unix.gettimeofday () in
         ignore (Serve_client.request c req);
         let cold = Unix.gettimeofday () -. t0 in
@@ -773,8 +677,7 @@ let daemon_bench_cmd =
     (Cmd.info "bench"
        ~doc:"Measure cold-vs-warm twilld request latency for one kernel")
     Term.(
-      const run $ socket_arg $ stages $ queue_depth $ queue_latency
-      $ daemon_backend $ mem_banks_arg
+      const run $ socket_arg $ opts_term simulate_knobs
       $ Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME|FILE")
       $ Arg.(value & opt int 20 & info [ "iters" ] ~doc:"Warm iterations."))
 
@@ -791,9 +694,7 @@ let daemon_dse_cmd =
               | Some n -> [ ("sample", Serve_json.Int n) ])
             @ [ ("seed", Serve_json.Int seed) ])
         in
-        let r = Serve_client.request c req in
-        Fmt.pr "%s@." (Serve_json.to_string r);
-        if Serve_json.bool_field "ok" r <> Some true then exit 1)
+        print_response (Serve_client.request c req))
   in
   Cmd.v
     (Cmd.info "dse"
@@ -803,25 +704,10 @@ let daemon_dse_cmd =
     Term.(const run $ socket_arg $ grid_arg $ sample_arg $ seed_arg)
 
 let daemon_comm_cmd =
-  let run socket stages qd ql comm_spec what =
-    let comm_spec = if comm_spec = "" then "all" else comm_spec in
-    (* validate locally for a friendly error before shipping the spec *)
-    ignore (comm_of_spec comm_spec);
+  let knobs = O.[ nstages; queue_depth; queue_latency; comm ] in
+  let run socket opts what =
     with_client socket (fun c ->
-        let req =
-          Serve_json.Obj
-            [
-              ("cmd", Serve_json.Str "comm");
-              ("src", Serve_json.Str (source_of what));
-              ("nstages", Serve_json.Int stages);
-              ("queue_depth", Serve_json.Int qd);
-              ("queue_latency", Serve_json.Int ql);
-              ("comm", Serve_json.Str comm_spec);
-            ]
-        in
-        let r = Serve_client.request c req in
-        Fmt.pr "%s@." (Serve_json.to_string r);
-        if Serve_json.bool_field "ok" r <> Some true then exit 1)
+        print_response (Serve_client.request c (request "comm" knobs opts what)))
   in
   Cmd.v
     (Cmd.info "comm"
@@ -829,7 +715,8 @@ let daemon_comm_cmd =
          "Run the communication-pattern report for a kernel through twilld \
           (digest-cached like every other daemon request)")
     Term.(
-      const run $ socket_arg $ stages $ queue_depth $ queue_latency $ comm_opt
+      const run $ socket_arg
+      $ opts_term ~base:{ Twill.default_options with comm = Twill.Comm.all } knobs
       $ Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME|FILE"))
 
 let daemon_cmd =

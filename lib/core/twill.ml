@@ -24,9 +24,9 @@ module Vparse = Twill_vsim.Vparse
 module Vsim = Twill_vsim.Vsim
 module Cosim = Twill_vsim.Cosim
 module Par = Par
-module Enums = Enums
+module Options = Options
 
-type options = {
+type options = Options.t = {
   partition : Partition.config;
   queue_depth : int;
   queue_depth_override : int option;
@@ -46,26 +46,7 @@ type options = {
   check_memdep : bool;  (* runtime alias checker (debug) *)
 }
 
-let default_options =
-  {
-    partition = Partition.default_config;
-    queue_depth = 8; (* the thesis runs everything with 8x32 queues *)
-    queue_depth_override = None;
-    queue_latency = 2;
-    inline_aggressive = false;
-    inline_threshold = 60;
-    unroll = false;
-    resources = Schedule.default_resources;
-    modulo = true;
-    bus_contention = true;
-    fuel = 300_000_000;
-    sim_engine = Sim.Compiled;
-    backend = Schedule.Fsm;
-    pipeline_break = None;
-    comm = Comm.none; (* seed behaviour: every pass off *)
-    mem_banks = 1;
-    check_memdep = false;
-  }
+let default_options = Options.default
 
 (* --- compilation -------------------------------------------------------- *)
 

@@ -30,12 +30,15 @@ module Cosim = Twill_vsim.Cosim
 
 (** Deterministic domain-parallel evaluation helpers (shared slot budget). *)
 module Par = Par
-module Enums = Enums
+
+(** The option table: each knob's spellings, printer, parser, range and
+    level, and the cache keys derived from them. *)
+module Options = Options
 
 (** Compilation and evaluation options; [default_options] matches the
     thesis's experimental setup (8-deep 32-bit queues, 2-cycle queue
     latency, one Microblaze, 100 MHz everywhere). *)
-type options = {
+type options = Options.t = {
   partition : Partition.config;  (** pipeline width and split target *)
   queue_depth : int;  (** slots per queue (thesis: 8) *)
   queue_depth_override : int option;
@@ -68,10 +71,9 @@ type options = {
       (** shared-memory banks ({!Twill_ir.Memdep.plan}, [twillc
           --mem-banks]): hardware threads schedule with per-bank
           ordering chains, rtsim arbitrates one bus per bank, and both
-          RTL backends emit banked memories.  Purely simulation-level —
-          extraction is banking-invariant, so twilld keys it only into
-          the sim cache.  1 (the default) is the single-port seed
-          behaviour *)
+          RTL backends emit banked memories.  A Sim-level knob of
+          {!Options}: the banking plan is a pure function of the
+          module.  1 (the default) is the single-port seed behaviour *)
   check_memdep : bool;
       (** runtime alias checker: trap if two accesses the dependence
           oracle declared independent touch the same address within a

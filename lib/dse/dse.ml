@@ -6,7 +6,7 @@
    sensitivity curves.  Three levels of incremental reuse keep the cost
    proportional to the number of *distinct suffixes*, not the grid size:
 
-     compile   one pass-pipeline run per (kernel, unroll).  Variants of
+     compile   one pass-pipeline run per kernel and compile key.  Variants of
                the same kernel share the pass prefix below the first
                option-dependent stage ("unroll"): the prefix runs once,
                the module is snapshotted, and only the remaining stages
@@ -14,9 +14,8 @@
                like that, so an incremental compile is identical to a
                cold one).
      extract   one profile + DSWP preparation per compile, one
-               extraction per (nstages, sw_frac, comm[, queue_depth])
-               on top of it (depth joins the key only when comm passes
-               rewrite extracted queue sizes; see [Grid.extract_key]).
+               extraction per [Twill.Options.extract_key] on top of it
+               (see [opts_of_point] for where the grid depth goes).
      simulate  every point pays only its own cycle-accurate simulation;
                depth/latency/engine live in [Sim.config], so a sim-level
                point is one [Twill.run_twill_threaded] call.
@@ -33,39 +32,19 @@ module C = Twill_chstone.Chstone
 
 let source_of_kernel (name : string) : string = (C.find name).C.source
 
+(* A point's grid depth is an extraction-level queue depth when comm
+   passes are on (they read and rewrite real queue depths: auto-sizing,
+   capacity-merging) and a simulation-time override otherwise, so
+   comm-off points of every depth share one extraction. *)
 let opts_of_point (p : Grid.point) : Twill.options =
-  let comm =
-    match Twill.Comm.parse p.Grid.comm with
-    | Ok c -> c
-    | Error e -> invalid_arg ("dse: comm axis: " ^ e)
-  in
-  let base =
+  let o = p.Grid.opts in
+  if Twill.Comm.enabled o.Twill.comm then o
+  else
     {
-      Twill.default_options with
-      partition =
-        {
-          Twill.Partition.default_config with
-          Twill.Partition.nstages = p.Grid.nstages;
-          sw_fraction = p.Grid.sw_frac;
-        };
-      unroll = p.Grid.unroll;
-      queue_latency = p.Grid.queue_latency;
-      sim_engine = p.Grid.engine;
-      backend = p.Grid.backend;
-      mem_banks = p.Grid.banks;
-      comm;
+      o with
+      Twill.queue_depth = Twill.default_options.Twill.queue_depth;
+      queue_depth_override = Some o.Twill.queue_depth;
     }
-  in
-  if Twill.Comm.enabled comm then
-    (* comm passes rewrite real queue depths at extraction (auto-sizing,
-       capacity-merging), so the depth axis moves to the extraction
-       level: no simulation-time override masking the rewritten sizes *)
-    {
-      base with
-      Twill.queue_depth = p.Grid.queue_depth;
-      queue_depth_override = None;
-    }
-  else { base with Twill.queue_depth_override = Some p.Grid.queue_depth }
 
 (* Simulation + objective projection of one already-extracted design
    under one point's simulator configuration. *)
@@ -104,32 +83,31 @@ type compiled = {
   c_prep : Twill.Dswp.prep;  (* profile + PDG/weights, shared by widths *)
 }
 
-(* Compiles every unroll variant of one kernel: the shared prefix runs
-   once on the base module, later variants run the remaining stages on a
-   snapshot, the first finishes the base module in place. *)
-let compile_kernel (kernel : string) (unrolls : bool list) :
-    ((string * bool) * compiled) list =
+(* Compiles every compile-level variant of one kernel: the shared prefix
+   runs once on the base module, later variants run the remaining stages
+   on a snapshot, the first finishes the base module in place. *)
+let compile_kernel (kernel : string) (variants : Twill.options list) :
+    ((string * string) * compiled) list =
   let src = source_of_kernel kernel in
   let base = Twill_minic.Minic.compile src in
   ignore (Pipeline.run_range 0 unroll_stage base);
   let modules =
-    match unrolls with
+    match variants with
     | [] -> []
     | first :: rest ->
         (* snapshot before the base is mutated by the first variant *)
-        let copies = List.map (fun u -> (u, copy_modul base)) rest in
+        let copies = List.map (fun o -> (o, copy_modul base)) rest in
         (first, base) :: copies
   in
   List.map
-    (fun (u, m) ->
-      let opts = { Twill.default_options with unroll = u } in
+    (fun (opts, m) ->
       ignore
         (Pipeline.run_range
            ~opts:(Twill.pipeline_options opts)
            unroll_stage Pipeline.nstages m);
       let profile = Twill.profile_blocks ~opts m in
       let prep = Twill.Dswp.prepare ~profile m in
-      ((kernel, u), { c_modul = m; c_prep = prep }))
+      ((kernel, Twill.Options.compile_key opts), { c_modul = m; c_prep = prep }))
     modules
 
 (* --- the sweep ------------------------------------------------------------- *)
@@ -190,38 +168,52 @@ let round_robin n xs =
   List.iteri (fun i x -> buckets.(i mod n) <- x :: buckets.(i mod n)) xs;
   Array.to_list (Array.map List.rev buckets)
 
+let compile_key (p : Grid.point) : string * string =
+  (p.Grid.kernel, Twill.Options.compile_key p.Grid.opts)
+
+(* Points indexed by grid position, one group per extracted design: the
+   kernel plus the extraction key of the point's evaluation options. *)
+let extraction_groups (pts : Grid.point list) : (int * Grid.point) list list =
+  List.mapi (fun i p -> (i, p)) pts
+  |> group_by (fun (_, p) ->
+         (p.Grid.kernel, Twill.Options.extract_key (opts_of_point p)))
+  |> List.map snd
+
+let eval_group (extract : Grid.point -> Twill.Dswp.threaded)
+    (ipts : (int * Grid.point) list) : (int * Pareto.result) list =
+  let t = extract (snd (List.hd ipts)) in
+  List.map
+    (fun (i, p) ->
+      (i, { Pareto.point = p; metrics = eval_threaded (opts_of_point p) t }))
+    ipts
+
+let in_grid_order (evaluated : (int * Pareto.result) list) : Pareto.result list =
+  List.sort (fun (i, _) (j, _) -> compare i j) evaluated |> List.map snd
+
 let run ?shards ?(seed = 42) ?sample (g : Grid.t) : sweep =
   let pts =
     let all = Grid.points g in
     match sample with None -> all | Some n -> Grid.sample ~seed n all
   in
-  (* level 1, parallel over kernels: each kernel compiles its unroll
-     variants off one shared pass prefix *)
+  (* level 1, parallel over kernels: each kernel compiles its
+     compile-level variants off one shared pass prefix *)
   let kernels = dedup (List.map (fun p -> p.Grid.kernel) pts) in
-  let unrolls_of k =
-    dedup
-      (List.filter_map
-         (fun p -> if p.Grid.kernel = k then Some p.Grid.unroll else None)
-         pts)
+  let variants k =
+    List.filter (fun p -> p.Grid.kernel = k) pts
+    |> group_by compile_key
+    |> List.map (fun (_, ps) -> opts_of_point (List.hd ps))
   in
   let compiles =
     List.concat
-      (Twill.Par.map (fun k -> compile_kernel k (unrolls_of k)) kernels)
+      (Twill.Par.map (fun k -> compile_kernel k (variants k)) kernels)
   in
   (* levels 2+3, parallel over extraction groups (or [shards] bundles of
      groups): extract once per group, then simulate each point *)
-  let indexed = List.mapi (fun i p -> (i, p)) pts in
-  let groups = group_by (fun (_, p) -> Grid.extract_key p) indexed in
-  let eval_group (_, ipts) =
-    let _, p0 = List.hd ipts in
-    let c = List.assoc (Grid.compile_key p0) compiles in
-    let t =
-      Twill.extract ~opts:(opts_of_point p0) ~prep:c.c_prep c.c_modul
-    in
-    List.map
-      (fun (i, p) ->
-        (i, { Pareto.point = p; metrics = eval_threaded (opts_of_point p) t }))
-      ipts
+  let groups = extraction_groups pts in
+  let eval_group =
+    eval_group (fun p0 ->
+        let c = List.assoc (compile_key p0) compiles in
+        Twill.extract ~opts:(opts_of_point p0) ~prep:c.c_prep c.c_modul)
   in
   let evaluated =
     match shards with
@@ -232,10 +224,8 @@ let run ?shards ?(seed = 42) ?sample (g : Grid.t) : sweep =
              (Twill.Par.map (List.map eval_group)
                 (round_robin (max 1 n) groups)))
   in
-  let results =
-    List.sort (fun (i, _) (j, _) -> compare i j) evaluated |> List.map snd
-  in
-  let compile_keys = dedup (List.map Grid.compile_key pts) in
+  let results = in_grid_order evaluated in
+  let compile_keys = dedup (List.map compile_key pts) in
   let reuse =
     {
       points = List.length pts;
@@ -301,22 +291,23 @@ let run_cold ?(seed = 42) ?sample (g : Grid.t) : sweep =
    floats from +,*,/ only, fixed-point formatting). *)
 
 let result_line (r : Pareto.result) : string =
-  let p = r.Pareto.point and m = r.Pareto.metrics in
-  Printf.sprintf
-    "{\"kernel\": %S, \"unroll\": %b, \"nstages\": %d, \"sw_frac\": %s, \
-     \"queue_depth\": %d, \"queue_latency\": %d, \"engine\": %S, \
-     \"comm\": %S, \"backend\": %S, \"banks\": %d, \"cycles\": %d, \
-     \"luts\": %d, \"dsps\": %d, \"brams\": %d, \"power_mw\": %.6f, \
-     \"executed\": %d}"
-    p.Grid.kernel p.Grid.unroll p.Grid.nstages
-    (Grid.float_str p.Grid.sw_frac)
-    p.Grid.queue_depth p.Grid.queue_latency
-    (Grid.engine_str p.Grid.engine)
-    p.Grid.comm
-    (Twill.Schedule.backend_name p.Grid.backend)
-    p.Grid.banks
-    m.Pareto.cycles m.Pareto.luts m.Pareto.dsps m.Pareto.brams
-    m.Pareto.power_mw m.Pareto.executed
+  let m = r.Pareto.metrics in
+  let metrics =
+    [
+      ("cycles", string_of_int m.Pareto.cycles);
+      ("luts", string_of_int m.Pareto.luts);
+      ("dsps", string_of_int m.Pareto.dsps);
+      ("brams", string_of_int m.Pareto.brams);
+      ("power_mw", Printf.sprintf "%.6f" m.Pareto.power_mw);
+      ("executed", string_of_int m.Pareto.executed);
+    ]
+  in
+  "{"
+  ^ String.concat ", "
+      (List.map
+         (fun (k, v) -> Printf.sprintf "%S: %s" k v)
+         (Grid.fields r.Pareto.point @ metrics))
+  ^ "}"
 
 (* one digest covers the full result set, so the committed file pins
    every evaluated point without carrying thousands of rows *)

@@ -1,14 +1,29 @@
 (** The design-space exploration engine: evaluates every point of a
     {!Grid.t} with three levels of incremental reuse (pass-prefix
-    sharing via [Pipeline.run_range], one DSWP extraction per
-    (kernel, unroll, nstages, sw_frac), per-point simulation only) and
+    sharing via [Pipeline.run_range], one DSWP extraction per kernel and
+    {!Twill.Options.extract_key}, per-point simulation only) and
     reduces the sweep to a Pareto frontier plus per-axis sensitivity
     summaries.  Evaluation fans out over [Par] domains; results are
     identical however the sweep is sharded. *)
 
 val opts_of_point : Grid.point -> Twill.options
-(** The full option set one point evaluates under (partition width and
-    split, unrolling, queue depth override, queue latency, engine). *)
+(** The options one point evaluates under: its coordinates, with the
+    grid depth moved to the simulation-time override unless comm passes
+    are on (they rewrite extracted queue depths). *)
+
+val extraction_groups : Grid.point list -> (int * Grid.point) list list
+(** Points indexed by grid position, grouped by kernel and
+    {!Twill.Options.extract_key} of their {!opts_of_point}: each group
+    shares one extracted design.  First-occurrence order. *)
+
+val eval_group :
+  (Grid.point -> Twill.Dswp.threaded) ->
+  (int * Grid.point) list ->
+  (int * Pareto.result) list
+(** [eval_group extract g] extracts [g]'s first point once and
+    simulates every point of [g] on that design. *)
+
+val in_grid_order : (int * Pareto.result) list -> Pareto.result list
 
 val eval_threaded : Twill.options -> Twill.Dswp.threaded -> Pareto.metrics
 (** Simulate an already-extracted design under [opts] and project the
@@ -61,6 +76,9 @@ val json_of_sweep : sweep -> string
     spec, reuse counters, a digest pinning every evaluated point, the
     frontier and per-axis sensitivities.  Deterministic — no wall-clock
     or machine-dependent fields. *)
+
+val result_line : Pareto.result -> string
+(** One result row as a JSON object: {!Grid.fields} then the metrics. *)
 
 val results_digest : Pareto.result list -> string
 (** Hex digest over the canonical rendering of every result row. *)

@@ -1,178 +1,73 @@
 (* Design-space grid: the axes of the Chapter-6 sensitivity studies as
-   one first-class value.  A grid is the cartesian product of
+   one first-class value.  A grid is the cartesian product of its
+   kernels (bundled CHStone benchmarks) and one value list per option
+   axis, the table knobs in [knobs]:
 
-     kernel        x  (bundled CHStone benchmark)
-     unroll        x  (compile-level: LegUp-style full unrolling)
-     nstages       x  (partition: targeted pipeline width)
-     sw_frac       x  (partition: software master work share)
-     queue_depth   x  (simulation-level depth override, Figure 6.6)
-     queue_latency x  (give->visible latency, Figure 6.5)
-     engine        x  (rtsim engine)
-     comm          x  (communication-optimizer pass set, lib/comm)
-     backend       x  (RTL lowering: monolithic FSM or elastic dataflow)
-     banks            (shared-memory bank count, lib/ir/memdep)
+     unroll, nstages, sw_frac, queue_depth, queue_latency, engine,
+     comm, backend, banks
 
-   enumerated in exactly that nesting order, innermost last, so a
-   point list is deterministic and stable across runs, machines and
-   shardings.  Axes are grouped by evaluation level: [unroll] changes
-   compilation, [nstages]/[sw_frac]/[comm] change extraction, the rest
-   only re-simulate — the DSE engine exploits that grouping for
-   incremental reuse (see dse.ml).  [backend] is sim-level too: both
-   lowerings share one extraction and differ only in the schedule
-   flavour rtsim replays and the area model applied.  So is [banks]:
-   the banking plan is a pure function of the module, so every bank
-   count re-simulates (and re-prices) one shared extraction.  One wrinkle:
-   when [comm] enables profile-guided passes, [queue_depth] becomes an
-   extraction-level axis (the auto-sizing pass must see real per-queue
-   depths, not the simulation-time override), which [extract_key]
-   accounts for. *)
+   enumerated in exactly that nesting order, kernels outermost and banks
+   innermost, so a point list is deterministic and stable across runs,
+   machines and shardings.  A point is a kernel plus the options record
+   its coordinates set; each knob's level in the option table says which
+   points share a compilation or an extraction (see dse.ml). *)
 
-module Sim = Twill_rtsim.Sim
-module Comm = Twill_comm.Comm
-module Schedule = Twill_hls.Schedule
+module O = Twill.Options
 
-type t = {
-  kernels : string list;
-  unrolls : bool list;
-  nstages : int list;
-  sw_fracs : float list;
-  queue_depths : int list;
-  queue_latencies : int list;
-  engines : Sim.engine list;
-  comms : string list;
-  backends : Schedule.backend list;
-  banks : int list;
-}
+type t = { kernels : string list; axes : (O.knob * string list) list }
+type point = { kernel : string; opts : Twill.options }
 
-type point = {
-  kernel : string;
-  unroll : bool;
-  nstages : int;
-  sw_frac : float;
-  queue_depth : int;
-  queue_latency : int;
-  engine : Sim.engine;
-  comm : string;
-  backend : Schedule.backend;
-  banks : int;
-}
+let knobs =
+  O.
+    [
+      unroll; nstages; sw_frac; queue_depth; queue_latency; engine; comm;
+      backend; mem_banks;
+    ]
 
-(* The committed-benchmark grid (BENCH_dse.json): four kernels, both
-   compile variants, three pipeline widths, the thesis's queue depth and
-   latency sweeps — 600 points over 24 extractions and 8 compiles. *)
-let default =
-  {
-    kernels = [ "mips"; "sha"; "gsm"; "motion" ];
-    unrolls = [ false; true ];
-    nstages = [ 2; 3; 4 ];
-    sw_fracs = [ 0.002 ];
-    queue_depths = [ 1; 2; 4; 8; 32 ];
-    queue_latencies = [ 2; 4; 8; 32; 128 ];
-    engines = [ Sim.Compiled ];
-    comms = [ "none" ];
-    backends = [ Schedule.Fsm ];
-    banks = [ 1 ];
-  }
+let values (g : t) (k : O.knob) : string list =
+  snd (List.find (fun ((k' : O.knob), _) -> k'.name = k.name) g.axes)
+
+let set (k : O.knob) (v : string) (o : Twill.options) : Twill.options =
+  match k.parse v o with Ok o -> o | Error e -> invalid_arg ("grid: " ^ e)
 
 let npoints (g : t) : int =
-  List.length g.kernels * List.length g.unrolls * List.length g.nstages
-  * List.length g.sw_fracs * List.length g.queue_depths
-  * List.length g.queue_latencies * List.length g.engines
-  * List.length g.comms * List.length g.backends * List.length g.banks
+  List.fold_left
+    (fun n (_, vs) -> n * List.length vs)
+    (List.length g.kernels) g.axes
 
 let points (g : t) : point list =
-  List.concat_map
-    (fun kernel ->
-      List.concat_map
-        (fun unroll ->
-          List.concat_map
-            (fun nstages ->
-              List.concat_map
-                (fun sw_frac ->
-                  List.concat_map
-                    (fun queue_depth ->
-                      List.concat_map
-                        (fun queue_latency ->
-                          List.concat_map
-                            (fun engine ->
-                              List.concat_map
-                                (fun comm ->
-                                  List.concat_map
-                                    (fun backend ->
-                                      List.map
-                                        (fun banks ->
-                                          {
-                                            kernel;
-                                            unroll;
-                                            nstages;
-                                            sw_frac;
-                                            queue_depth;
-                                            queue_latency;
-                                            engine;
-                                            comm;
-                                            backend;
-                                            banks;
-                                          })
-                                        g.banks)
-                                    g.backends)
-                                g.comms)
-                            g.engines)
-                        g.queue_latencies)
-                    g.queue_depths)
-                g.sw_fracs)
-            g.nstages)
-        g.unrolls)
-    g.kernels
+  let opts =
+    List.fold_left
+      (fun acc (k, vs) ->
+        List.concat_map (fun o -> List.map (fun v -> set k v o) vs) acc)
+      [ Twill.default_options ] g.axes
+  in
+  List.concat_map (fun kernel -> List.map (fun opts -> { kernel; opts }) opts) g.kernels
 
 (* --- spec strings -------------------------------------------------------- *)
 
 (* "kernels=mips,sha;nstages=2,3;queue_latency=2,8,32" — unnamed axes
-   keep their [default] values, so a spec only says what it sweeps. *)
-
-let float_str (f : float) : string =
-  (* shortest decimal form that round-trips; %g never emits exponents in
-     the sw_frac range we use and parses back exactly *)
-  Printf.sprintf "%g" f
-
-let engine_str = Sim.engine_name
-
-(* spellings live in one place: Twill.Enums *)
-let engine_of_string = Twill.Enums.sim_engine_of_string
-
-(* comm axis values are canonicalized pass-set spec strings ("none",
-   "merge", "licm,merge,size,burst", ...): parse then re-show, so two
-   spellings of the same set are one grid value. *)
-let comm_of_string (s : string) : (string, string) result =
-  Result.map Comm.show (Comm.parse s)
+   keep their base values, so a spec only says what it sweeps.  ","
+   separates axis values, so a value's own commas (comm pass sets) are
+   written "+". *)
 
 let to_spec (g : t) : string =
-  let ints = List.map string_of_int in
   let axis name vals = name ^ "=" ^ String.concat "," vals in
   String.concat ";"
-    [
-      axis "kernels" g.kernels;
-      axis "unroll" (List.map string_of_bool g.unrolls);
-      axis "nstages" (ints g.nstages);
-      axis "sw_frac" (List.map float_str g.sw_fracs);
-      axis "queue_depth" (ints g.queue_depths);
-      axis "queue_latency" (ints g.queue_latencies);
-      axis "engine" (List.map engine_str g.engines);
-      (* "+" joins passes inside one value; "," separates axis values *)
-      axis "comm"
-        (List.map
-           (String.map (fun c -> if c = ',' then '+' else c))
-           g.comms);
-      axis "backend" (List.map Schedule.backend_name g.backends);
-      axis "banks" (ints g.banks);
-    ]
+    (axis "kernels" g.kernels
+    :: List.map
+         (fun ((k : O.knob), vs) ->
+           axis k.grid
+             (List.map (String.map (fun c -> if c = ',' then '+' else c)) vs))
+         g.axes)
 
 let split_commas (s : string) : string list =
   String.split_on_char ',' s
   |> List.map String.trim
   |> List.filter (fun x -> x <> "")
 
-let parse_axis (type a) (name : string) (parse1 : string -> (a, string) result)
-    (raw : string) : (a list, string) result =
+let parse_axis (name : string) (parse1 : string -> (string, string) result)
+    (raw : string) : (string list, string) result =
   let rec go acc = function
     | [] ->
         if acc = [] then Error (Printf.sprintf "axis %s: empty" name)
@@ -184,22 +79,12 @@ let parse_axis (type a) (name : string) (parse1 : string -> (a, string) result)
   in
   go [] (split_commas raw)
 
-let int1 s =
-  match int_of_string_opt s with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "bad integer %S" s)
+(* a value in its canonical spelling: parsed, then printed back *)
+let canonical (k : O.knob) (s : string) : (string, string) result =
+  let s = String.map (fun c -> if c = '+' then ',' else c) s in
+  Result.map k.print (k.parse s Twill.default_options)
 
-let float1 s =
-  match float_of_string_opt s with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "bad float %S" s)
-
-let bool1 s =
-  match bool_of_string_opt s with
-  | Some b -> Ok b
-  | None -> Error (Printf.sprintf "bad bool %S" s)
-
-let parse ?(base = default) (spec : string) : (t, string) result =
+let parse_with ~(base : t) (spec : string) : (t, string) result =
   let ( let* ) = Result.bind in
   let entries =
     String.split_on_char ';' spec
@@ -213,51 +98,45 @@ let parse ?(base = default) (spec : string) : (t, string) result =
       | None -> Error (Printf.sprintf "bad axis %S (want name=v1,v2,...)" entry)
       | Some i -> (
           let name = String.trim (String.sub entry 0 i) in
-          let raw =
-            String.sub entry (i + 1) (String.length entry - i - 1)
-          in
-          match name with
-          | "kernels" | "kernel" ->
-              let* ks = parse_axis "kernels" (fun s -> Ok s) raw in
+          let raw = String.sub entry (i + 1) (String.length entry - i - 1) in
+          match (name, O.find knobs name) with
+          | ("kernels" | "kernel"), _ ->
+              let* ks = parse_axis "kernels" Result.ok raw in
               Ok { g with kernels = ks }
-          | "unroll" ->
-              let* us = parse_axis "unroll" bool1 raw in
-              Ok { g with unrolls = us }
-          | "nstages" | "stages" ->
-              let* ns = parse_axis "nstages" int1 raw in
-              Ok { g with nstages = ns }
-          | "sw_frac" | "sw-frac" ->
-              let* fs = parse_axis "sw_frac" float1 raw in
-              Ok { g with sw_fracs = fs }
-          | "queue_depth" | "queue-depth" | "depth" ->
-              let* ds = parse_axis "queue_depth" int1 raw in
-              Ok { g with queue_depths = ds }
-          | "queue_latency" | "queue-latency" | "latency" ->
-              let* ls = parse_axis "queue_latency" int1 raw in
-              Ok { g with queue_latencies = ls }
-          | "engine" | "engines" ->
-              let* es = parse_axis "engine" engine_of_string raw in
-              Ok { g with engines = es }
-          | "comm" | "comms" | "comm_opt" | "comm-opt" ->
-              (* comma is the list separator here, so one axis value is
-                 one pass name; multi-pass sets use "+": "merge+size" *)
-              let comm1 s =
-                comm_of_string
-                  (String.concat ","
-                     (String.split_on_char '+' s |> List.map String.trim))
-              in
-              let* cs = parse_axis "comm" comm1 raw in
-              Ok { g with comms = cs }
-          | "backend" | "backends" ->
-              let* bs =
-                parse_axis "backend" Twill.Enums.backend_of_string raw
-              in
-              Ok { g with backends = bs }
-          | "banks" | "mem_banks" | "mem-banks" ->
-              let* ks = parse_axis "banks" int1 raw in
-              Ok { g with banks = ks }
-          | other -> Error (Printf.sprintf "unknown axis %S" other)))
+          | _, Some k ->
+              let* vs = parse_axis k.grid (canonical k) raw in
+              Ok
+                {
+                  g with
+                  axes =
+                    List.map
+                      (fun ((k' : O.knob), old) ->
+                        (k', if k'.name = k.name then vs else old))
+                      g.axes;
+                }
+          | _, None -> Error (Printf.sprintf "unknown axis %S" name)))
     (Ok base) entries
+
+(* The committed-benchmark grid (BENCH_dse.json): four kernels, both
+   compile variants, three pipeline widths, the thesis's queue depth and
+   latency sweeps — 600 points over 24 extractions and 8 compiles.  Axes
+   it does not name hold the default option value. *)
+let default =
+  let base =
+    {
+      kernels = [];
+      axes = List.map (fun (k : O.knob) -> (k, [ k.print Twill.default_options ])) knobs;
+    }
+  in
+  match
+    parse_with ~base
+      "kernels=mips,sha,gsm,motion;unroll=false,true;nstages=2,3,4;\
+       queue_depth=1,2,4,8,32;queue_latency=2,4,8,32,128"
+  with
+  | Ok g -> g
+  | Error e -> failwith e
+
+let parse ?(base = default) spec = parse_with ~base spec
 
 (* --- deterministic sampling ---------------------------------------------- *)
 
@@ -282,39 +161,24 @@ let sample ~seed n (ps : point list) : point list =
     Array.to_list (Array.map (fun i -> arr.(i)) keep)
   end
 
-(* --- keys and labels ------------------------------------------------------ *)
+(* --- rendering ------------------------------------------------------------ *)
 
-(* Axes grouped by evaluation level: points sharing a [compile_key]
-   share one pass-pipeline run, points sharing an [extract_key] share
-   one DSWP extraction; only the remaining (sim-level) axes force a
-   fresh cycle-accurate simulation. *)
+(* (field, JSON literal) per coordinate, kernel first *)
+let fields (p : point) : (string * string) list =
+  ("kernel", Printf.sprintf "%S" p.kernel)
+  :: List.map
+       (fun (k : O.knob) ->
+         let v = k.print p.opts in
+         (k.grid, if k.wire = O.Str then Printf.sprintf "%S" v else v))
+       knobs
 
-let compile_key (p : point) : string * bool = (p.kernel, p.unroll)
-
-(* When profile-guided comm passes run, queue depth is baked into the
-   extraction (the sizing pass reads and rewrites real queue depths), so
-   it joins the extraction key; plain points keep depth sim-level (0
-   here) and sweep it via the simulation-time override. *)
-let comm_extracts (comm : string) : bool =
-  match Comm.parse comm with
-  | Ok c -> Comm.enabled c
-  | Error _ -> false
-
-let extract_key (p : point) : string * bool * int * float * string * int =
-  ( p.kernel,
-    p.unroll,
-    p.nstages,
-    p.sw_frac,
-    p.comm,
-    if comm_extracts p.comm then p.queue_depth else 0 )
-
+(* the kernel plus every coordinate off its default value *)
 let point_label (p : point) : string =
-  Printf.sprintf "%s%s k=%d f=%s d=%d l=%d %s%s%s" p.kernel
-    (if p.unroll then "+unroll" else "")
-    p.nstages (float_str p.sw_frac) p.queue_depth p.queue_latency
-    (engine_str p.engine)
-    (if p.comm = "none" then "" else " comm=" ^ p.comm)
-    (match p.backend with
-    | Schedule.Fsm -> ""
-    | Schedule.Dataflow -> " dataflow")
-    ^ (if p.banks = 1 then "" else Printf.sprintf " b=%d" p.banks)
+  String.concat " "
+    (p.kernel
+    :: List.filter_map
+         (fun (k : O.knob) ->
+           let v = k.print p.opts in
+           if v = k.print Twill.default_options then None
+           else Some (k.grid ^ "=" ^ v))
+         knobs)

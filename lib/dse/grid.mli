@@ -1,49 +1,27 @@
 (** Design-space grids: the axes of the thesis's Chapter-6 sensitivity
     studies as one first-class value, enumerated in a deterministic
     order so sweeps are reproducible across runs, machines and
-    shardings. *)
-
-module Sim = Twill_rtsim.Sim
-module Comm = Twill_comm.Comm
-module Schedule = Twill_hls.Schedule
+    shardings.  Every axis but the kernel is a knob of the option table
+    ({!Twill.Options}), which supplies its spellings, values and
+    range. *)
 
 type t = {
   kernels : string list;  (** bundled CHStone benchmark names *)
-  unrolls : bool list;  (** compile level: full loop unrolling *)
-  nstages : int list;  (** partition level: targeted pipeline width *)
-  sw_fracs : float list;  (** partition level: master work share *)
-  queue_depths : int list;  (** sim level: depth override (Fig. 6.6) *)
-  queue_latencies : int list;  (** sim level: queue latency (Fig. 6.5) *)
-  engines : Sim.engine list;  (** sim level: rtsim engine *)
-  comms : string list;
-      (** extraction level: canonical comm-optimizer pass-set specs
-          ({!Comm.show} forms, e.g. ["none"], ["merge"],
-          ["licm,merge,size,burst"]) *)
-  backends : Schedule.backend list;
-      (** sim level: RTL lowering of the hardware partitions (the
-          monolithic FSM or the elastic dataflow template); both share
-          one extraction and differ only in replayed schedule flavour
-          and area model *)
-  banks : int list;
-      (** sim level: shared-memory bank counts
-          ({!Twill_ir.Memdep.plan}); the banking plan is a pure
-          function of the module, so every bank count re-simulates one
-          shared extraction *)
+  axes : (Twill.Options.knob * string list) list;
+      (** one entry per {!knobs} element, in that order, holding the
+          canonical spellings of the axis's values *)
 }
 
-(** One evaluated configuration. *)
-type point = {
-  kernel : string;
-  unroll : bool;
-  nstages : int;
-  sw_frac : float;
-  queue_depth : int;
-  queue_latency : int;
-  engine : Sim.engine;
-  comm : string;
-  backend : Schedule.backend;
-  banks : int;
-}
+(** One evaluated configuration: a kernel and the options its grid
+    coordinates set (everything else at {!Twill.default_options}). *)
+type point = { kernel : string; opts : Twill.options }
+
+val knobs : Twill.Options.knob list
+(** The option axes, outermost first: unroll, nstages, sw_frac,
+    queue_depth, queue_latency, engine, comm, backend, mem_banks. *)
+
+val values : t -> Twill.Options.knob -> string list
+(** The values swept on one axis. *)
 
 val default : t
 (** The committed-benchmark grid: 4 kernels x 2 unroll x 3 widths x
@@ -57,14 +35,13 @@ val points : t -> point list
 
 val parse : ?base:t -> string -> (t, string) result
 (** ["kernels=mips,sha;queue_latency=2,8,32"] — axes absent from the
-    spec keep their [base] (default: {!default}) values.  Accepted axis
-    names: [kernels], [unroll], [nstages], [sw_frac], [queue_depth],
-    [queue_latency], [engine], [comm], [backend], [banks] (plus common
-    aliases).  Unknown axis names and unknown engine/backend values
-    are rejected with an error naming the offender.  Comm
-    values join passes with ["+"] (["comm=none,merge+size,all"]) since
-    [","] separates axis values; each is canonicalized via
-    {!Comm.parse}/{!Comm.show}. *)
+    spec keep their [base] (default: {!default}) values.  An axis is
+    [kernels] or any spelling of a {!knobs} entry; each value goes
+    through the knob's parser, so unknown names and out-of-range values
+    are rejected with the table's message.  Values containing commas
+    (comm pass sets) join their parts with ["+"]
+    (["comm=none,merge+size,all"]); every value is stored in its
+    canonical spelling. *)
 
 val to_spec : t -> string
 (** Canonical spec string listing every axis; [parse (to_spec g)]
@@ -74,19 +51,11 @@ val sample : seed:int -> int -> point list -> point list
 (** Deterministic grid-order-preserving subset of size [n] (identity
     when [n] covers the list). *)
 
-val compile_key : point -> string * bool
-(** Axes that change compilation; points sharing it share one pass
-    pipeline run. *)
-
-val extract_key : point -> string * bool * int * float * string * int
-(** Axes that change DSWP extraction; points sharing it share one
-    extraction and differ only in simulator configuration.  The final
-    component is [queue_depth] when the point's comm passes are enabled
-    (auto-sizing bakes depth into the extraction) and [0] otherwise
-    (depth stays a sim-level override). *)
+val fields : point -> (string * string) list
+(** Each coordinate's field name and JSON literal, kernel first: the
+    one rendering of a point, shared by [BENCH_dse.json] rows and
+    twilld's dse responses. *)
 
 val point_label : point -> string
-
-val float_str : float -> string
-val engine_str : Sim.engine -> string
-val engine_of_string : string -> (Sim.engine, string) result
+(** The kernel followed by [axis=value] for every coordinate off its
+    default. *)

@@ -66,90 +66,26 @@ type sensitivity = {
   max_slowdown : float;
 }
 
-(* accessor per sweepable axis: value-as-string + the group key of the
-   remaining coordinates *)
-let backend_str (pt : Grid.point) : string =
-  Grid.Schedule.backend_name pt.Grid.backend
-
-let axes : (string * (Grid.point -> string) * (Grid.point -> string)) list =
-  let p = Printf.sprintf in
-  [
-    ( "queue_latency",
-      (fun pt -> string_of_int pt.Grid.queue_latency),
-      fun pt ->
-        p "%s|%b|%d|%s|%d|%s|%s|%s|%d" pt.Grid.kernel pt.Grid.unroll
-          pt.Grid.nstages
-          (Grid.float_str pt.Grid.sw_frac) pt.Grid.queue_depth
-          (Grid.engine_str pt.Grid.engine)
-          pt.Grid.comm (backend_str pt) pt.Grid.banks );
-    ( "queue_depth",
-      (fun pt -> string_of_int pt.Grid.queue_depth),
-      fun pt ->
-        p "%s|%b|%d|%s|%d|%s|%s|%s|%d" pt.Grid.kernel pt.Grid.unroll
-          pt.Grid.nstages
-          (Grid.float_str pt.Grid.sw_frac) pt.Grid.queue_latency
-          (Grid.engine_str pt.Grid.engine)
-          pt.Grid.comm (backend_str pt) pt.Grid.banks );
-    ( "nstages",
-      (fun pt -> string_of_int pt.Grid.nstages),
-      fun pt ->
-        p "%s|%b|%s|%d|%d|%s|%s|%s|%d" pt.Grid.kernel pt.Grid.unroll
-          (Grid.float_str pt.Grid.sw_frac) pt.Grid.queue_depth
-          pt.Grid.queue_latency
-          (Grid.engine_str pt.Grid.engine)
-          pt.Grid.comm (backend_str pt) pt.Grid.banks );
-    ( "unroll",
-      (fun pt -> string_of_bool pt.Grid.unroll),
-      fun pt ->
-        p "%s|%d|%s|%d|%d|%s|%s|%s|%d" pt.Grid.kernel pt.Grid.nstages
-          (Grid.float_str pt.Grid.sw_frac) pt.Grid.queue_depth
-          pt.Grid.queue_latency
-          (Grid.engine_str pt.Grid.engine)
-          pt.Grid.comm (backend_str pt) pt.Grid.banks );
-    ( "comm",
-      (fun pt -> pt.Grid.comm),
-      fun pt ->
-        p "%s|%b|%d|%s|%d|%d|%s|%s|%d" pt.Grid.kernel pt.Grid.unroll
-          pt.Grid.nstages
-          (Grid.float_str pt.Grid.sw_frac)
-          pt.Grid.queue_depth pt.Grid.queue_latency
-          (Grid.engine_str pt.Grid.engine)
-          (backend_str pt) pt.Grid.banks );
-    ( "backend",
-      backend_str,
-      fun pt ->
-        p "%s|%b|%d|%s|%d|%d|%s|%s|%d" pt.Grid.kernel pt.Grid.unroll
-          pt.Grid.nstages
-          (Grid.float_str pt.Grid.sw_frac)
-          pt.Grid.queue_depth pt.Grid.queue_latency
-          (Grid.engine_str pt.Grid.engine)
-          pt.Grid.comm pt.Grid.banks );
-    ( "banks",
-      (fun pt -> string_of_int pt.Grid.banks),
-      fun pt ->
-        p "%s|%b|%d|%s|%d|%d|%s|%s|%s" pt.Grid.kernel pt.Grid.unroll
-          pt.Grid.nstages
-          (Grid.float_str pt.Grid.sw_frac)
-          pt.Grid.queue_depth pt.Grid.queue_latency
-          (Grid.engine_str pt.Grid.engine)
-          pt.Grid.comm (backend_str pt) );
-  ]
-
-let axis_values (g : Grid.t) (axis : string) : string list =
-  match axis with
-  | "queue_latency" -> List.map string_of_int g.Grid.queue_latencies
-  | "queue_depth" -> List.map string_of_int g.Grid.queue_depths
-  | "nstages" -> List.map string_of_int g.Grid.nstages
-  | "unroll" -> List.map string_of_bool g.Grid.unrolls
-  | "comm" -> g.Grid.comms
-  | "backend" -> List.map Grid.Schedule.backend_name g.Grid.backends
-  | "banks" -> List.map string_of_int g.Grid.banks
-  | _ -> []
+(* the axes summarised, in report order *)
+let axes =
+  Twill.Options.
+    [ queue_latency; queue_depth; nstages; unroll; comm; backend; mem_banks ]
 
 let sensitivities (g : Grid.t) (rs : result list) : sensitivity list =
   List.concat_map
-    (fun (axis, value_of, group_of) ->
-      match axis_values g axis with
+    (fun (k : Twill.Options.knob) ->
+      let axis = k.grid in
+      let value_of (pt : Grid.point) = k.print pt.opts in
+      (* the remaining coordinates *)
+      let group_of (pt : Grid.point) =
+        String.concat "|"
+          (pt.kernel
+          :: List.filter_map
+               (fun (k' : Twill.Options.knob) ->
+                 if k'.name = k.name then None else Some (k'.print pt.opts))
+               Grid.knobs)
+      in
+      match Grid.values g k with
       | [] | [ _ ] -> [] (* nothing swept on this axis *)
       | baseline :: _ as values ->
           (* cycles of each group's baseline point *)

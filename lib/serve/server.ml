@@ -10,24 +10,25 @@
      stop                          shut the daemon down
      compile  src [opts]           parse + optimise + extract; summary
      schedule src [opts]           HLS schedules of every HW stage
-     simulate src [opts] [engine]  cycle-accurate stats of the design
-     comm     src [opts] [comm]    communication-optimizer report
+     simulate src [opts]           cycle-accurate stats of the design
+     comm     src [opts]           communication-optimizer report
+                                   (comm defaults to all passes)
      dse      [grid] [sample,seed] design-space sweep over the cache
      batch    reqs:[...]           fan the sub-requests over the pool
 
-   opts (all optional): nstages, sw_frac, unroll, queue_depth,
-   queue_depth_override, queue_latency, fuel, comm (a pass spec like
-   "merge,size").
+   opts (all optional) are the table knobs in [request_knobs], under
+   their {!Twill.Options} names ("nstages", "queue_latency", "comm", ...);
+   each value goes through the knob's parser, so an out-of-range or
+   misspelled value answers ok:false with the table's message.
 
    Requests are cached by content hash at two levels mirroring the
    evaluation pipeline: the elaboration cache is keyed by the source
-   text plus the options extraction depends on (nstages, sw_frac,
-   unroll, queue_depth, comm), while simulation-level knobs (engine,
-   latency, depth override, fuel) only key the response cache — so
-   requests that differ in simulator configuration alone share one
-   extracted design.  That split is what makes the `dse` command cheap:
-   a sweep touches each distinct extraction once and re-simulates it per
-   point, and a repeated sweep finds every extraction already cached.
+   text plus {!Twill.Options.extract_key} — the knobs extraction reads —
+   while the response cache is keyed by every knob, so requests that
+   differ in simulator configuration alone share one extracted design.
+   That split is what makes the `dse` command cheap: a sweep touches
+   each distinct extraction once and re-simulates it per point, and a
+   repeated sweep finds every extraction already cached.
    Cache hits and misses are also counted per request kind *and cache
    level* — "simulate:elab" vs "simulate:sim" — so `stats` shows which
    level a request kind actually hit instead of lumping both bumps under
@@ -45,7 +46,6 @@ module Schedule = Twill_hls.Schedule
 type elab = {
   e_modul : Twill.Ir.modul;
   e_threaded : Twill.Dswp.threaded;
-  e_opts : Twill.options;
   e_comm : Twill.Comm.report; (* what the comm optimizer did at extraction *)
 }
 
@@ -100,83 +100,56 @@ let cache_miss t ~kind =
 
 (* --- request decoding ---------------------------------------------------- *)
 
-let options_of_req (j : Json.t) : Twill.options =
-  let base = Twill.default_options in
-  let get k d = Option.value (Json.int_field k j) ~default:d in
-  {
-    base with
-    partition =
-      {
-        Twill.Partition.default_config with
-        Twill.Partition.nstages =
-          get "nstages" base.Twill.partition.Twill.Partition.nstages;
-        sw_fraction =
-          Option.value
-            (Json.float_field "sw_frac" j)
-            ~default:
-              base.Twill.partition.Twill.Partition.sw_fraction;
-      };
-    unroll = Option.value (Json.bool_field "unroll" j) ~default:base.Twill.unroll;
-    queue_depth = get "queue_depth" base.Twill.queue_depth;
-    queue_depth_override =
-      (match Json.int_field "queue_depth_override" j with
-      | Some d -> Some d
-      | None -> base.Twill.queue_depth_override);
-    queue_latency = get "queue_latency" base.Twill.queue_latency;
-    fuel = get "fuel" base.Twill.fuel;
-    mem_banks = get "mem_banks" base.Twill.mem_banks;
-    comm =
-      (match Json.str_field "comm" j with
-      | None -> base.Twill.comm
-      | Some spec -> (
-          match Twill.Comm.parse spec with
-          | Ok c -> c
-          | Error e -> failwith ("comm: " ^ e)));
-    backend =
-      (match Json.str_field "backend" j with
-      | None -> base.Twill.backend
-      | Some name -> (
-          match Twill.Enums.backend_of_string name with
-          | Ok b -> b
-          | Error e -> failwith e));
-  }
+module O = Twill.Options
 
-(* elaboration cache key: source text + every option extraction depends
-   on.  Simulation-level knobs (engine, latency, depth override, fuel,
-   memory banks) deliberately excluded — they key the response cache
-   instead, so requests differing only in simulator configuration share
-   one design.  Banking in particular is virtual: the plan is a pure
-   function of the module, so extraction is banking-invariant. *)
+(* the knobs a request may set *)
+let request_knobs =
+  O.
+    [
+      nstages; sw_frac; unroll; queue_depth; queue_depth_override;
+      queue_latency; fuel; engine; comm; backend; mem_banks;
+    ]
+
+let options_of_req ?(base = Twill.default_options) (j : Json.t) :
+    Twill.options =
+  List.fold_left
+    (fun o (k : O.knob) ->
+      let text =
+        match Json.find k.name j with
+        | None -> None
+        | Some (Json.Int i) -> Some (string_of_int i)
+        | Some (Json.Float f) -> Some (O.float_to_string f)
+        | Some (Json.Bool b) -> Some (string_of_bool b)
+        | Some (Json.Str s) -> Some s
+        | Some _ -> failwith (k.name ^ ": not a scalar")
+      in
+      match Option.map (fun s -> k.parse s o) text with
+      | None -> o
+      | Some (Ok o) -> o
+      | Some (Error e) -> failwith e)
+    base request_knobs
+
+(* the request fields that carry [knobs] of [o] *)
+let fields (knobs : O.knob list) (o : Twill.options) : (string * Json.t) list =
+  List.map
+    (fun (k : O.knob) ->
+      let v = k.print o in
+      ( k.name,
+        match k.wire with
+        | O.Int -> (
+            match int_of_string_opt v with
+            | Some i -> Json.Int i
+            | None -> Json.Str v (* an absent optional value: "none" *))
+        | O.Float -> Json.Float (float_of_string v)
+        | O.Bool -> Json.Bool (bool_of_string v)
+        | O.Str -> Json.Str v ))
+    knobs
+
 let elab_digest (src : string) (opts : Twill.options) : string =
-  Digest.to_hex
-    (Digest.string
-       (Printf.sprintf "%s\x00n=%d;f=%h;u=%b;qd=%d;comm=%s" src
-          opts.Twill.partition.Twill.Partition.nstages
-          opts.Twill.partition.Twill.Partition.sw_fraction
-          opts.Twill.unroll opts.Twill.queue_depth
-          (Twill.Comm.show opts.Twill.comm)))
+  Digest.to_hex (Digest.string (src ^ "\x00" ^ O.extract_key opts))
 
-(* simulation response cache key: the elaboration plus every knob that
-   only changes the simulator run (the RTL backend is one: both
-   lowerings replay the same extraction under different schedules) *)
-let sim_key (digest : string) (opts : Twill.options) (engine : Sim.engine) :
-    string =
-  Printf.sprintf "%s:%s;ql=%d;qdo=%s;fuel=%d;bk=%s;mb=%d" digest
-    (Sim.engine_name engine) opts.Twill.queue_latency
-    (match opts.Twill.queue_depth_override with
-    | None -> "-"
-    | Some d -> string_of_int d)
-    opts.Twill.fuel
-    (Twill.Schedule.backend_name opts.Twill.backend)
-    opts.Twill.mem_banks
-
-let engine_of_req (j : Json.t) : Sim.engine =
-  match Json.str_field "engine" j with
-  | None -> Sim.Compiled
-  | Some name -> (
-      match Twill.Enums.sim_engine_of_string name with
-      | Ok e -> e
-      | Error e -> failwith e)
+let sim_key (digest : string) (opts : Twill.options) : string =
+  digest ^ ":" ^ O.key opts
 
 let elaborate_src (t : t) ~(kind : string) ~(src : string)
     ~(opts : Twill.options) : string * elab =
@@ -194,7 +167,7 @@ let elaborate_src (t : t) ~(kind : string) ~(src : string)
       let m = Twill.compile ~opts src in
       let threaded, report = Twill.extract_comm ~opts m in
       let e =
-        { e_modul = m; e_threaded = threaded; e_opts = opts; e_comm = report }
+        { e_modul = m; e_threaded = threaded; e_comm = report }
       in
       locked t (fun () ->
           (* a concurrent request may have raced us here; keep the first
@@ -204,31 +177,18 @@ let elaborate_src (t : t) ~(kind : string) ~(src : string)
           | None -> Hashtbl.replace t.elabs digest e);
       (digest, locked t (fun () -> Hashtbl.find t.elabs digest))
 
-let elaborate (t : t) ~(kind : string) (j : Json.t) : string * elab =
-  let src =
-    match Json.str_field "src" j with
-    | Some s -> s
-    | None -> failwith "missing src"
-  in
-  elaborate_src t ~kind ~src ~opts:(options_of_req j)
+let source_of_req (j : Json.t) : string =
+  match Json.str_field "src" j with
+  | Some s -> s
+  | None -> failwith "missing src"
 
 (* --- command handlers ----------------------------------------------------- *)
 
-let thread_specs (td : Twill.Dswp.threaded) : Sim.thread_spec array =
-  Array.mapi
-    (fun s name ->
-      {
-        Sim.tname = name;
-        trole =
-          (match td.Twill.Dswp.roles.(s) with
-          | Twill.Partition.Sw -> Sim.Sw
-          | Twill.Partition.Hw -> Sim.Hw);
-        local_memory = false;
-      })
-    td.Twill.Dswp.stages
-
 let handle_compile (t : t) (j : Json.t) : Json.t =
-  let digest, e = elaborate t ~kind:"compile" j in
+  let digest, e =
+    elaborate_src t ~kind:"compile" ~src:(source_of_req j)
+      ~opts:(options_of_req j)
+  in
   let td = e.e_threaded in
   let funcs = List.length e.e_modul.Twill.Ir.funcs in
   let insts =
@@ -248,8 +208,13 @@ let handle_compile (t : t) (j : Json.t) : Json.t =
     ]
 
 let handle_schedule (t : t) (j : Json.t) : Json.t =
-  let digest, e = elaborate t ~kind:"schedule" j in
-  let scheds = Twill.schedules_for e.e_opts e.e_modul in
+  (* the schedules follow this request's backend, which the shared
+     elaboration does not record *)
+  let opts = options_of_req j in
+  let digest, e =
+    elaborate_src t ~kind:"schedule" ~src:(source_of_req j) ~opts
+  in
+  let scheds = Twill.schedules_for opts e.e_modul in
   Json.Obj
     [
       ("ok", Json.Bool true);
@@ -271,49 +236,52 @@ let handle_schedule (t : t) (j : Json.t) : Json.t =
              scheds) );
     ]
 
+let simulate (opts : Twill.options) (e : elab) : Sim.stats =
+  let td = e.e_threaded in
+  Sim.simulate ~config:(Twill.sim_config opts) ~master:td.Twill.Dswp.master
+    td.Twill.Dswp.modul ~threads:(Twill.thread_specs td)
+    ~queues:td.Twill.Dswp.queues ~nsems:td.Twill.Dswp.nsems ()
+
+(* A response-cached handler: [body] runs on a miss of [key]. *)
+let cached_response (t : t) ~(kind : string) (key : string)
+    (body : unit -> Json.t) : Json.t =
+  match locked t (fun () -> Hashtbl.find_opt t.sims key) with
+  | Some body ->
+      cache_hit t ~kind:(kind ^ ":sim");
+      body
+  | None ->
+      cache_miss t ~kind:(kind ^ ":sim");
+      let body = body () in
+      locked t (fun () -> Hashtbl.replace t.sims key body);
+      body
+
 let handle_simulate (t : t) (j : Json.t) : Json.t =
-  let engine = engine_of_req j in
   (* sim-level options come from *this* request, not from whichever
      request first elaborated the design *)
   let opts = options_of_req j in
-  let digest, e = elaborate t ~kind:"simulate" j in
-  let key = sim_key digest opts engine in
-  match locked t (fun () -> Hashtbl.find_opt t.sims key) with
-  | Some body ->
-      cache_hit t ~kind:"simulate:sim";
-      body
-  | None ->
-      cache_miss t ~kind:"simulate:sim";
-      let td = e.e_threaded in
-      let config = Twill.sim_config opts in
-      let s =
-        Sim.simulate ~config ~master:td.Twill.Dswp.master ~engine
-          td.Twill.Dswp.modul ~threads:(thread_specs td)
-          ~queues:td.Twill.Dswp.queues ~nsems:td.Twill.Dswp.nsems ()
-      in
-      let body =
-        Json.Obj
-          [
-            ("ok", Json.Bool true);
-            ("digest", Json.Str digest);
-            ("engine", Json.Str (Sim.engine_name engine));
-            ("ret", Json.Int (Int32.to_int s.Sim.ret));
-            ("cycles", Json.Int s.Sim.cycles);
-            ("executed", Json.Int s.Sim.executed);
-            ( "prints",
-              Json.List
-                (List.map (fun p -> Json.Int (Int32.to_int p)) s.Sim.prints)
-            );
-            ( "queue_peaks",
-              Json.List
-                (Array.to_list
-                   (Array.map (fun p -> Json.Int p) s.Sim.queue_peaks)) );
-            ("module_bus_waits", Json.Int s.Sim.module_bus_waits);
-            ("memory_bus_waits", Json.Int s.Sim.memory_bus_waits);
-          ]
-      in
-      locked t (fun () -> Hashtbl.replace t.sims key body);
-      body
+  let digest, e =
+    elaborate_src t ~kind:"simulate" ~src:(source_of_req j) ~opts
+  in
+  cached_response t ~kind:"simulate" (sim_key digest opts) (fun () ->
+      let s = simulate opts e in
+      Json.Obj
+        [
+          ("ok", Json.Bool true);
+          ("digest", Json.Str digest);
+          ("engine", Json.Str (Sim.engine_name opts.Twill.sim_engine));
+          ("ret", Json.Int (Int32.to_int s.Sim.ret));
+          ("cycles", Json.Int s.Sim.cycles);
+          ("executed", Json.Int s.Sim.executed);
+          ( "prints",
+            Json.List
+              (List.map (fun p -> Json.Int (Int32.to_int p)) s.Sim.prints) );
+          ( "queue_peaks",
+            Json.List
+              (Array.to_list (Array.map (fun p -> Json.Int p) s.Sim.queue_peaks))
+          );
+          ("module_bus_waits", Json.Int s.Sim.module_bus_waits);
+          ("memory_bus_waits", Json.Int s.Sim.memory_bus_waits);
+        ])
 
 (* The communication-optimizer report: elaborates the design twice
    through the persistent cache — once with every pass off (the
@@ -323,84 +291,40 @@ let handle_simulate (t : t) (j : Json.t) : Json.t =
    are digest-keyed, so a repeated report (or a simulate request for the
    same design) is a pure cache hit. *)
 let handle_comm (t : t) (j : Json.t) : Json.t =
-  let engine = engine_of_req j in
   let opts =
-    let o = options_of_req j in
-    if Json.str_field "comm" j = None then { o with comm = Twill.Comm.all }
-    else o
+    options_of_req ~base:{ Twill.default_options with comm = Twill.Comm.all } j
   in
-  let src =
-    match Json.str_field "src" j with
-    | Some s -> s
-    | None -> failwith "missing src"
-  in
+  let src = source_of_req j in
   let base_opts = { opts with comm = Twill.Comm.none } in
   let digest, e = elaborate_src t ~kind:"comm" ~src ~opts in
   let base_digest, base_e = elaborate_src t ~kind:"comm" ~src ~opts:base_opts in
-  let key = "comm:" ^ sim_key digest opts engine in
-  match locked t (fun () -> Hashtbl.find_opt t.sims key) with
-  | Some body ->
-      cache_hit t ~kind:"comm:sim";
-      body
-  | None ->
-      cache_miss t ~kind:"comm:sim";
-      let run (e : elab) sim_opts =
-        let td = e.e_threaded in
-        Sim.simulate
-          ~config:(Twill.sim_config sim_opts)
-          ~master:td.Twill.Dswp.master ~engine td.Twill.Dswp.modul
-          ~threads:(thread_specs td) ~queues:td.Twill.Dswp.queues
-          ~nsems:td.Twill.Dswp.nsems ()
-      in
-      let sb = run base_e base_opts in
-      let so = run e opts in
+  cached_response t ~kind:"comm" ("comm:" ^ sim_key digest opts) (fun () ->
+      let sb = simulate base_opts base_e in
+      let so = simulate opts e in
       let r = e.e_comm in
-      let body =
-        Json.Obj
-          [
-            ("ok", Json.Bool true);
-            ("digest", Json.Str digest);
-            ("base_digest", Json.Str base_digest);
-            ("comm", Json.Str (Twill.Comm.show r.Twill.Comm.rconfig));
-            ( "ran",
-              Json.List
-                (List.map (fun p -> Json.Str p) r.Twill.Comm.ran) );
-            ("licm_hoists", Json.Int r.Twill.Comm.licm_hoists);
-            ("merged", Json.Int (List.length r.Twill.Comm.merges));
-            ("resized", Json.Int (List.length r.Twill.Comm.resizes));
-            ("bursts", Json.Int (List.length r.Twill.Comm.burst_qids));
-            ("ret", Json.Int (Int32.to_int so.Sim.ret));
-            ("base_ret", Json.Int (Int32.to_int sb.Sim.ret));
-            ("base_cycles", Json.Int sb.Sim.cycles);
-            ("cycles", Json.Int so.Sim.cycles);
-            ("delta", Json.Int (so.Sim.cycles - sb.Sim.cycles));
-          ]
-      in
-      locked t (fun () -> Hashtbl.replace t.sims key body);
-      body
+      Json.Obj
+        [
+          ("ok", Json.Bool true);
+          ("digest", Json.Str digest);
+          ("base_digest", Json.Str base_digest);
+          ("comm", Json.Str (Twill.Comm.show r.Twill.Comm.rconfig));
+          ("ran", Json.List (List.map (fun p -> Json.Str p) r.Twill.Comm.ran));
+          ("licm_hoists", Json.Int r.Twill.Comm.licm_hoists);
+          ("merged", Json.Int (List.length r.Twill.Comm.merges));
+          ("resized", Json.Int (List.length r.Twill.Comm.resizes));
+          ("bursts", Json.Int (List.length r.Twill.Comm.burst_qids));
+          ("ret", Json.Int (Int32.to_int so.Sim.ret));
+          ("base_ret", Json.Int (Int32.to_int sb.Sim.ret));
+          ("base_cycles", Json.Int sb.Sim.cycles);
+          ("cycles", Json.Int so.Sim.cycles);
+          ("delta", Json.Int (so.Sim.cycles - sb.Sim.cycles));
+        ])
 
 (* --- dse: a design-space sweep over the daemon's caches ------------------- *)
 
 module Grid = Twill_dse.Grid
 module Pareto = Twill_dse.Pareto
 module Dse = Twill_dse.Dse
-
-let result_json (r : Pareto.result) : Json.t =
-  let p = r.Pareto.point and m = r.Pareto.metrics in
-  Json.Obj
-    [
-      ("kernel", Json.Str p.Grid.kernel);
-      ("unroll", Json.Bool p.Grid.unroll);
-      ("nstages", Json.Int p.Grid.nstages);
-      ("sw_frac", Json.Float p.Grid.sw_frac);
-      ("queue_depth", Json.Int p.Grid.queue_depth);
-      ("queue_latency", Json.Int p.Grid.queue_latency);
-      ("engine", Json.Str (Grid.engine_str p.Grid.engine));
-      ("comm", Json.Str p.Grid.comm);
-      ("cycles", Json.Int m.Pareto.cycles);
-      ("luts", Json.Int m.Pareto.luts);
-      ("power_mw", Json.Float m.Pareto.power_mw);
-    ]
 
 let sensitivity_json (s : Pareto.sensitivity) : Json.t =
   Json.Obj
@@ -413,31 +337,12 @@ let sensitivity_json (s : Pareto.sensitivity) : Json.t =
       ("max_slowdown", Json.Float s.Pareto.max_slowdown);
     ]
 
-(* stable grouping by key, preserving first-occurrence order *)
-let group_by key xs =
-  let tbl = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun x ->
-      let k = key x in
-      match Hashtbl.find_opt tbl k with
-      | Some cell -> cell := x :: !cell
-      | None ->
-          Hashtbl.replace tbl k (ref [ x ]);
-          order := k :: !order)
-    xs;
-  List.rev_map (fun k -> (k, List.rev !(Hashtbl.find tbl k))) !order
-  |> List.rev
-
-(* One sweep request: each extraction group resolves through the
-   persistent elaboration cache (so a repeated or overlapping sweep
-   re-simulates without re-extracting), groups fan out over the pool,
-   and the response carries the frontier, per-axis sensitivities and the
-   reuse counters.  Grid axes that change extraction line up with
-   [elab_digest] by construction: a comm-off point leaves [queue_depth]
-   at its default and sweeps depth via the simulation-level override,
-   while a comm-enabled point bakes depth into the extraction (and so
-   into the digest) because the sizing pass rewrites queue depths. *)
+(* One sweep request: each extraction group ({!Dse.extraction_groups},
+   keyed like [elab_digest]) resolves through the persistent
+   elaboration cache, so a repeated or overlapping sweep re-simulates
+   without re-extracting; groups fan out over the pool, and the response
+   carries the frontier, per-axis sensitivities and the reuse
+   counters. *)
 let handle_dse (t : t) (j : Json.t) : Json.t =
   let grid =
     match Json.str_field "grid" j with
@@ -455,26 +360,15 @@ let handle_dse (t : t) (j : Json.t) : Json.t =
     | Some n -> Grid.sample ~seed n all
   in
   let cached0 = locked t (fun () -> Hashtbl.length t.elabs) in
-  let indexed = List.mapi (fun i p -> (i, p)) pts in
-  let groups = group_by (fun (_, p) -> Grid.extract_key p) indexed in
-  let eval_group (_, ipts) =
-    let _, p0 = List.hd ipts in
-    let opts0 = Dse.opts_of_point p0 in
-    let src = Dse.source_of_kernel p0.Grid.kernel in
-    let _, e = elaborate_src t ~kind:"dse" ~src ~opts:opts0 in
-    List.map
-      (fun (i, p) ->
-        ( i,
-          {
-            Pareto.point = p;
-            metrics = Dse.eval_threaded (Dse.opts_of_point p) e.e_threaded;
-          } ))
-      ipts
+  let groups = Dse.extraction_groups pts in
+  let extract (p : Grid.point) =
+    let src = Dse.source_of_kernel p.Grid.kernel in
+    (snd (elaborate_src t ~kind:"dse" ~src ~opts:(Dse.opts_of_point p)))
+      .e_threaded
   in
   let results =
-    List.concat (Twill.Par.pool_map t.pool eval_group groups)
-    |> List.sort (fun (i, _) (j, _) -> compare i j)
-    |> List.map snd
+    Dse.in_grid_order
+      (List.concat (Twill.Par.pool_map t.pool (Dse.eval_group extract) groups))
   in
   let cached1 = locked t (fun () -> Hashtbl.length t.elabs) in
   Json.Obj
@@ -483,7 +377,11 @@ let handle_dse (t : t) (j : Json.t) : Json.t =
       ("points", Json.Int (List.length results));
       ("extractions", Json.Int (List.length groups));
       ("elabs_reused", Json.Int (List.length groups - (cached1 - cached0)));
-      ("frontier", Json.List (List.map result_json (Pareto.frontier results)));
+      ( "frontier",
+        Json.List
+          (List.map
+             (fun r -> Json.of_string (Dse.result_line r))
+             (Pareto.frontier results)) );
       ( "sensitivity",
         Json.List (List.map sensitivity_json (Pareto.sensitivities grid results))
       );
@@ -632,9 +530,17 @@ let serve_connection (t : t) fd =
   (try loop () with _ -> ());
   (try Unix.close fd with _ -> ());
   if t.stopping then
-    (* wake the accept loop so the daemon can exit *)
+    (* wake the accept loop so the daemon can exit: closing the listening
+       socket does not interrupt a blocked [accept] on Linux, a
+       connection does *)
     match t.listen_fd with
-    | Some lfd -> ( try Unix.close lfd with _ -> ())
+    | Some lfd -> (
+        try
+          let s = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () -> Unix.close s)
+            (fun () -> Unix.connect s (Unix.getsockname lfd))
+        with _ -> ())
     | None -> ()
 
 let serve (t : t) ~(socket : string) : unit =
@@ -645,9 +551,10 @@ let serve (t : t) ~(socket : string) : unit =
   t.listen_fd <- Some lfd;
   let rec accept_loop () =
     match Unix.accept lfd with
+    | fd, _ when t.stopping -> Unix.close fd
     | fd, _ ->
         ignore (Thread.create (fun () -> serve_connection t fd) ());
-        if not t.stopping then accept_loop ()
+        accept_loop ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
     | exception Unix.Unix_error (_, _, _) when t.stopping -> ()
   in

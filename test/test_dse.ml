@@ -9,6 +9,10 @@ module Grid = Twill_dse.Grid
 module Pareto = Twill_dse.Pareto
 module Dse = Twill_dse.Dse
 module Sim = Twill_rtsim.Sim
+module O = Twill.Options
+
+let grid spec =
+  match Grid.parse spec with Ok g -> g | Error e -> Alcotest.failf "%s: %s" spec e
 
 (* --- grids ---------------------------------------------------------------- *)
 
@@ -33,10 +37,13 @@ let test_parse_partial () =
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok g ->
       Alcotest.(check (list string)) "kernels" [ "mips"; "sha" ] g.Grid.kernels;
-      Alcotest.(check (list int)) "latencies" [ 2; 8 ] g.Grid.queue_latencies;
-      Alcotest.(check (list int))
-        "depths kept from default" Grid.default.Grid.queue_depths
-        g.Grid.queue_depths
+      Alcotest.(check (list string))
+        "latencies" [ "2"; "8" ]
+        (Grid.values g O.queue_latency);
+      Alcotest.(check (list string))
+        "depths kept from default"
+        (Grid.values Grid.default O.queue_depth)
+        (Grid.values g O.queue_depth)
 
 let test_parse_errors () =
   let bad s =
@@ -46,7 +53,8 @@ let test_parse_errors () =
   Alcotest.(check bool) "bad int" true (bad "nstages=two");
   Alcotest.(check bool) "bad engine" true (bad "engine=quantum");
   Alcotest.(check bool) "bad comm pass" true (bad "comm=merge+wat");
-  Alcotest.(check bool) "empty axis" true (bad "nstages=")
+  Alcotest.(check bool) "empty axis" true (bad "nstages=");
+  Alcotest.(check bool) "depth out of range" true (bad "queue_depth=0")
 
 (* comm axis values: "+"-joined pass sets, canonicalized through
    Comm.parse/show so spelling and order don't multiply grid values *)
@@ -57,42 +65,122 @@ let test_parse_comm_axis () =
       Alcotest.(check (list string))
         "canonical comm values"
         [ "none"; "merge,size"; "licm,merge,size,burst" ]
-        g.Grid.comms);
+        (Grid.values g O.comm));
   (* order-insensitive canonicalization: one grid value either way *)
   match (Grid.parse "comm=size+merge", Grid.parse "comm=merge+size") with
   | Ok a, Ok b ->
-      Alcotest.(check (list string)) "order canonical" a.Grid.comms b.Grid.comms
+      Alcotest.(check (list string))
+        "order canonical" (Grid.values a O.comm) (Grid.values b O.comm)
   | _ -> Alcotest.fail "comm specs failed to parse"
 
+let pt =
+  {
+    Grid.kernel = "x";
+    opts =
+      {
+        Twill.default_options with
+        partition = { Twill.Partition.default_config with nstages = 2 };
+      };
+  }
+
+let with_opts f (p : Grid.point) = { p with Grid.opts = f p.Grid.opts }
+let key p = O.extract_key (Dse.opts_of_point p)
+
 (* depth joins the extraction key exactly when comm passes are enabled
-   (the sizing pass bakes depth into the extraction) *)
+   (they bake depth into the extraction), and under the profile-guided
+   passes so does every simulation knob *)
 let test_comm_extract_key () =
-  let base =
-    {
-      Grid.kernel = "x";
-      unroll = false;
-      nstages = 2;
-      sw_frac = 0.002;
-      queue_depth = 4;
-      queue_latency = 2;
-      engine = Sim.Compiled;
-      comm = "none";
-      backend = Twill.Schedule.Fsm;
-      banks = 1;
-    }
-  in
-  let deeper = { base with Grid.queue_depth = 32 } in
+  let depth d = with_opts (fun o -> { o with queue_depth = d }) in
+  let comm c = with_opts (fun o -> { o with comm = c }) in
+  let latency l = with_opts (fun o -> { o with queue_latency = l }) in
+  let base = depth 4 pt and deeper = depth 32 pt in
   Alcotest.(check bool)
     "comm-off points share extraction across depths" true
-    (Grid.extract_key base = Grid.extract_key deeper);
-  let cbase = { base with Grid.comm = "merge,size" } in
-  let cdeeper = { deeper with Grid.comm = "merge,size" } in
+    (key base = key deeper);
+  Alcotest.(check bool)
+    "comm-off points share extraction across latencies" true
+    (key base = key (latency 32 base));
+  let merge = { Twill.Comm.none with merge = true } in
   Alcotest.(check bool)
     "comm-on points split extraction by depth" true
-    (Grid.extract_key cbase <> Grid.extract_key cdeeper);
+    (key (comm merge base) <> key (comm merge deeper));
   Alcotest.(check bool)
     "comm value itself splits extraction" true
-    (Grid.extract_key base <> Grid.extract_key cbase)
+    (key base <> key (comm merge base));
+  Alcotest.(check bool)
+    "merge alone reads no simulator knob" true
+    (key (comm merge base) = key (comm merge (latency 32 base)));
+  let size = { Twill.Comm.none with size = true } in
+  Alcotest.(check bool)
+    "profile-guided comm splits extraction by latency" true
+    (key (comm size base) <> key (comm size (latency 32 base)))
+
+(* --- the option table ------------------------------------------------------ *)
+
+(* Random options: each knob set from candidate spellings its parser
+   accepts (the rest are rejected and leave the knob alone). *)
+let candidates (k : O.knob) : string QCheck.Gen.t =
+  let open QCheck.Gen in
+  match k.wire with
+  | O.Int -> map string_of_int (int_range (-2) 300)
+  | O.Float -> map O.float_to_string (float_range (-0.5) 1.5)
+  | O.Bool -> map string_of_bool bool
+  | O.Str ->
+      oneofl
+        ([ "none"; "all"; "merge,size"; "licm,burst"; "size"; "fsm";
+           "dataflow"; "compiled"; "interpreted"; "verilator"; "4" ]
+        @ Twill.Pipeline.stage_names)
+
+let gen_options : Twill.options QCheck.Gen.t =
+  let open QCheck.Gen in
+  List.fold_left
+    (fun acc (k : O.knob) ->
+      acc >>= fun o ->
+      map
+        (fun s -> match k.parse s o with Ok o -> o | Error _ -> o)
+        (candidates k))
+    (return Twill.default_options) O.table
+
+let arb_options = QCheck.make ~print:(O.key ~knobs:O.table) gen_options
+
+let test_knob_roundtrip =
+  QCheck.Test.make ~name:"every knob round-trips through print and parse"
+    ~count:200 arb_options (fun o ->
+      List.for_all
+        (fun (k : O.knob) ->
+          k.parse (k.print o) o = Ok o
+          && Result.map k.print (k.parse (k.print o) Twill.default_options)
+             = Ok (k.print o))
+        O.table)
+
+let test_extract_key_separates =
+  QCheck.Test.make
+    ~name:"a Compile or Extract knob change changes the extraction key"
+    ~count:200
+    QCheck.(pair arb_options arb_options)
+    (fun (a, b) ->
+      List.for_all
+        (fun (k : O.knob) ->
+          match k.parse (k.print b) a with
+          | Ok a' when k.level <> O.Sim && k.print a' <> k.print a ->
+              O.extract_key a' <> O.extract_key a
+          | _ -> true)
+        O.table)
+
+let test_sim_knobs_under_profile =
+  QCheck.Test.make
+    ~name:"under profile-guided comm a Sim knob change changes the key"
+    ~count:200
+    QCheck.(pair arb_options arb_options)
+    (fun (a, b) ->
+      let a = { a with comm = { a.Twill.comm with size = true } } in
+      List.for_all
+        (fun (k : O.knob) ->
+          match k.parse (k.print b) a with
+          | Ok a' when k.level = O.Sim && k.print a' <> k.print a ->
+              O.extract_key a' <> O.extract_key a
+          | _ -> true)
+        O.table)
 
 let test_sample_deterministic () =
   let pts = Grid.points Grid.default in
@@ -121,20 +209,6 @@ let m ?(luts = 100) ?(power = 10.0) cycles =
     brams = 0;
     power_mw = power;
     executed = 0;
-  }
-
-let pt =
-  {
-    Grid.kernel = "x";
-    unroll = false;
-    nstages = 2;
-    sw_frac = 0.002;
-    queue_depth = 8;
-    queue_latency = 2;
-    engine = Sim.Compiled;
-    comm = "none";
-    backend = Twill.Schedule.Fsm;
-    banks = 1;
   }
 
 let r metrics = { Pareto.point = pt; metrics }
@@ -182,7 +256,7 @@ let test_frontier_nondominated =
 (* --- options plumbing (satellite: depth override / latency / engine) ------ *)
 
 let test_options_plumbing () =
-  let p = { pt with Grid.queue_depth = 3; queue_latency = 17 } in
+  let p = with_opts (fun o -> { o with queue_depth = 3; queue_latency = 17 }) pt in
   let opts = Dse.opts_of_point p in
   let cfg = Twill.sim_config opts in
   Alcotest.(check (option int))
@@ -193,7 +267,9 @@ let test_options_plumbing () =
     (cfg.Twill.Sim.engine = Sim.Compiled);
   (* a comm-enabled point moves depth to the extraction level so the
      sizing pass's rewritten queue depths aren't masked at sim time *)
-  let copts = Dse.opts_of_point { p with Grid.comm = "licm,merge,size,burst" } in
+  let copts =
+    Dse.opts_of_point (with_opts (fun o -> { o with comm = Twill.Comm.all }) p)
+  in
   Alcotest.(check bool) "comm passes enabled" true
     (Twill.Comm.enabled copts.Twill.comm);
   Alcotest.(check int) "extraction-level depth" 3 copts.Twill.queue_depth;
@@ -218,14 +294,7 @@ let test_engines_agree () =
 
 (* small but multi-level: 2 kernels x 2 widths x 2 depths x 2 latencies *)
 let small_grid =
-  {
-    Grid.default with
-    Grid.kernels = [ "mips"; "sha" ];
-    unrolls = [ false ];
-    nstages = [ 2; 3 ];
-    queue_depths = [ 1; 8 ];
-    queue_latencies = [ 2; 32 ];
-  }
+  grid "kernels=mips,sha;unroll=false;nstages=2,3;queue_depth=1,8;queue_latency=2,32"
 
 let test_sweep_deterministic () =
   let a = Dse.run ~seed:5 small_grid in
@@ -247,7 +316,7 @@ let test_sweep_sharded_equal () =
 (* incremental reuse must not change results: the cold path recompiles
    everything per point, the warm path shares prefixes and extractions *)
 let test_sweep_warm_equals_cold () =
-  let g = { small_grid with Grid.kernels = [ "mips" ]; unrolls = [ false; true ] } in
+  let g = Result.get_ok (Grid.parse ~base:small_grid "kernels=mips;unroll=false,true") in
   let warm = Dse.run g and cold = Dse.run_cold g in
   Alcotest.(check string)
     "identical results" (Dse.results_digest warm.Dse.results)
@@ -306,23 +375,16 @@ let test_server_dse () =
    carry the axis end-to-end (results, sensitivities, JSON) *)
 let test_sweep_comm_axis () =
   let g =
-    {
-      Grid.default with
-      Grid.kernels = [ "sha" ];
-      unrolls = [ false ];
-      nstages = [ 3 ];
-      queue_depths = [ 2 ];
-      queue_latencies = [ 2 ];
-      comms = [ "none"; "licm,merge,size,burst" ];
-    }
+    grid "kernels=sha;unroll=false;nstages=3;queue_depth=2;queue_latency=2;comm=none,all"
   in
   let s = Dse.run g in
   (match s.Dse.results with
   | [ base; opt ] ->
       Alcotest.(check string)
-        "grid order: comm-off first" "none" base.Pareto.point.Grid.comm;
+        "grid order: comm-off first" "none" (O.comm.print base.Pareto.point.Grid.opts);
       Alcotest.(check string)
-        "comm-on second" "licm,merge,size,burst" opt.Pareto.point.Grid.comm;
+        "comm-on second" "licm,merge,size,burst"
+        (O.comm.print opt.Pareto.point.Grid.opts);
       Alcotest.(check bool)
         "comm passes do not regress cycles" true
         (opt.Pareto.metrics.Pareto.cycles <= base.Pareto.metrics.Pareto.cycles)
@@ -373,6 +435,12 @@ let suites =
         Alcotest.test_case "comm axis parsing" `Quick test_parse_comm_axis;
         Alcotest.test_case "comm extract key" `Quick test_comm_extract_key;
         Alcotest.test_case "sampling" `Quick test_sample_deterministic;
+      ] );
+    ( "dse.options",
+      [
+        QCheck_alcotest.to_alcotest test_knob_roundtrip;
+        QCheck_alcotest.to_alcotest test_extract_key_separates;
+        QCheck_alcotest.to_alcotest test_sim_knobs_under_profile;
       ] );
     ( "dse.pareto",
       [

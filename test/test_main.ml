@@ -18,4 +18,5 @@ let () =
          Test_fuzz.suites;
          Test_dse.suites;
          Test_comm.suites;
+         Test_serve.suites;
        ])

@@ -1,0 +1,134 @@
+(* twilld through the option table: cache keys that cover every knob
+   extraction reads, table-checked request values, table-rendered dse
+   points, and a [stop] request that really ends [Server.serve]. *)
+
+module Server = Twill_serve.Server
+module Client = Twill_serve.Client
+module Json = Twill_serve.Json
+module O = Twill.Options
+
+let contains ~sub s =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let sha = (Twill_chstone.Chstone.find "sha").Twill_chstone.Chstone.source
+
+let comm_req latency =
+  Json.Obj
+    [
+      ("cmd", Json.Str "comm");
+      ("src", Json.Str sha);
+      ("queue_depth", Json.Int 2);
+      ("queue_latency", Json.Int latency);
+      ("comm", Json.Str "all");
+    ]
+
+(* the size pass reads a seed simulation at the request's latency, so a
+   warm server must not hand back the design extracted at another one *)
+let test_warm_equals_fresh () =
+  let warm = Server.create ~workers:0 () in
+  ignore (Server.handle warm (comm_req 2));
+  let body t = Json.to_string (Server.handle t (comm_req 128)) in
+  Alcotest.(check string)
+    "warm = fresh" (body (Server.create ~workers:0 ())) (body warm)
+
+let range_message = Result.get_error (O.mem_banks.parse "0" Twill.default_options)
+
+let test_range_message () =
+  (match Twill_dse.Grid.parse "kernels=sha;banks=0" with
+  | Ok _ -> Alcotest.fail "grid accepted banks=0"
+  | Error e ->
+      Alcotest.(check bool) ("grid: " ^ e) true (contains ~sub:range_message e));
+  let t = Server.create ~workers:0 () in
+  let r =
+    Server.handle t
+      (Json.Obj
+         [
+           ("cmd", Json.Str "simulate");
+           ("src", Json.Str "int main() { return 1; }");
+           ("mem_banks", Json.Int 0);
+         ])
+  in
+  Alcotest.(check (option bool)) "twilld refuses" (Some false)
+    (Json.bool_field "ok" r);
+  let e = Option.value (Json.str_field "error" r) ~default:"" in
+  Alcotest.(check bool) ("twilld: " ^ e) true (contains ~sub:range_message e);
+  Alcotest.(check (option bool)) "twilld stays up" (Some true)
+    (Json.bool_field "ok" (Server.handle t (Json.Obj [ ("cmd", Json.Str "ping") ])));
+  let twillc =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/twillc.exe"
+  in
+  let ic =
+    Unix.open_process_in
+      (Filename.quote twillc ^ " cosim sha --mem-banks 0 2>&1")
+  in
+  let out = In_channel.input_all ic in
+  Alcotest.(check bool) "CLI exits nonzero" true
+    (Unix.close_process_in ic <> Unix.WEXITED 0);
+  Alcotest.(check bool) ("CLI: " ^ out) true (contains ~sub:range_message out)
+
+let test_dse_names_backend () =
+  let t = Server.create ~workers:0 () in
+  let r =
+    Server.handle t
+      (Json.Obj
+         [
+           ("cmd", Json.Str "dse");
+           ( "grid",
+             Json.Str
+               "kernels=mips;unroll=false;nstages=3;queue_depth=8;\
+                queue_latency=2;backend=fsm,dataflow" );
+         ])
+  in
+  match Json.list_field "frontier" r with
+  | None | Some [] -> Alcotest.failf "no frontier: %s" (Json.to_string r)
+  | Some entries ->
+      List.iter
+        (fun e ->
+          Alcotest.(check bool)
+            ("backend named: " ^ Json.to_string e)
+            true
+            (List.mem (Json.str_field "backend" e) [ Some "fsm"; Some "dataflow" ]);
+          Alcotest.(check bool) "banks named" true (Json.mem "banks" e))
+        entries
+
+let test_stop_ends_serve () =
+  (* next to the test binary, i.e. under _build *)
+  let socket =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Printf.sprintf "twilld-test-%d.sock" (Unix.getpid ()))
+  in
+  let t = Server.create ~workers:0 () in
+  let returned = Atomic.make false in
+  let _ =
+    Thread.create
+      (fun () ->
+        Server.serve t ~socket;
+        Atomic.set returned true)
+      ()
+  in
+  let c = Client.connect ~retries:200 ~retry_delay:0.005 socket in
+  Client.send_line c {|{"cmd":"stop"}|};
+  ignore (Client.recv_line c);
+  Client.close c;
+  let deadline = Unix.gettimeofday () +. 1.0 in
+  while (not (Atomic.get returned)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  Alcotest.(check bool) "serve returned within 1 s" true (Atomic.get returned)
+
+let suites =
+  [
+    ( "serve.options",
+      [
+        Alcotest.test_case "warm and fresh servers agree" `Quick
+          test_warm_equals_fresh;
+        Alcotest.test_case "one range message everywhere" `Quick
+          test_range_message;
+        Alcotest.test_case "dse frontier names the backend" `Quick
+          test_dse_names_backend;
+        Alcotest.test_case "stop ends serve" `Quick test_stop_ends_serve;
+      ] );
+  ]

@@ -561,7 +561,7 @@ let negative_tests =
         match Grid.parse "backend=fsm,dataflow" with
         | Ok g ->
             Alcotest.(check int) "both backends parsed" 2
-              (List.length g.Grid.backends)
+              (List.length (Grid.values g Twill.Options.backend))
         | Error e -> Alcotest.fail e);
     Alcotest.test_case "twilld rejects unknown backend and engine" `Quick
       (fun () ->
