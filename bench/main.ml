@@ -4,7 +4,6 @@
 
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- table-6.1    # one artifact
-     dune exec bench/main.exe -- --bechamel   # Bechamel micro-benchmarks
 
    Absolute numbers come from the cycle-accurate simulator; the
    paper-reported values are printed alongside where the thesis gives
@@ -234,23 +233,13 @@ let forced_pipeline_opts =
 (* Replays one extraction under a different simulator configuration —
    the latency/depth sweeps vary only the runtime, so the compile,
    profile and extraction are shared across the sweep points. *)
+let rtsim_stats ?engine (t : Twill.Dswp.threaded) config : Twill.Sim.stats =
+  Twill.Sim.simulate ~config ~master:t.Twill.Dswp.master ?engine
+    t.Twill.Dswp.modul ~threads:(Twill.thread_specs t)
+    ~queues:t.Twill.Dswp.queues ~nsems:t.Twill.Dswp.nsems ()
+
 let simulate_threaded (t : Twill.Dswp.threaded) config =
-  let threads =
-    Array.mapi
-      (fun s name ->
-        {
-          Twill.Sim.tname = name;
-          trole =
-            (match t.Twill.Dswp.roles.(s) with
-            | Twill.Partition.Sw -> Twill.Sim.Sw
-            | Twill.Partition.Hw -> Twill.Sim.Hw);
-          local_memory = false;
-        })
-      t.Twill.Dswp.stages
-  in
-  (Twill.Sim.simulate ~config ~master:t.Twill.Dswp.master t.Twill.Dswp.modul
-     ~threads ~queues:t.Twill.Dswp.queues ~nsems:t.Twill.Dswp.nsems ())
-    .Twill.Sim.cycles
+  (rtsim_stats t config).Twill.Sim.cycles
 
 let fig_6_5 () =
   header
@@ -330,113 +319,34 @@ let fig_6_6 () =
 (* RTL co-simulation: emitted Verilog vs the rtsim reference           *)
 (* ------------------------------------------------------------------ *)
 
-let cosim_rows ?engine () =
-  let opts = forced_pipeline_opts in
-  Twill.Par.map
-    (fun (b : C.benchmark) ->
-      let s = Unix.gettimeofday () in
-      let m = Twill.compile ~opts b.C.source in
-      let t = Twill.extract ~opts m in
-      let r = Twill.cosim ~opts ?engine t in
-      (b.C.name, r, Unix.gettimeofday () -. s))
-    C.all
-
-(* per-engine rows over one extraction per kernel (fanned out across the
-   Par domain pool): the compile+extract cost is paid once, so the
-   per-engine walls measure the simulators alone; a pair of engines
-   disagreeing on cycle counts fails the artifact *)
-let cosim_engines =
-  [ ("compiled", Twill.Vsim.Compiled); ("levelized", Twill.Vsim.Levelized) ]
-
-let cosim_engine_rows () =
-  let opts = forced_pipeline_opts in
-  Twill.Par.map
-    (fun (b : C.benchmark) ->
-      let m = Twill.compile ~opts b.C.source in
-      let t = Twill.extract ~opts m in
-      ( b.C.name,
-        List.map
-          (fun (en, e) ->
-            let s = Unix.gettimeofday () in
-            let r = Twill.cosim ~opts ~engine:e t in
-            (en, r, Unix.gettimeofday () -. s))
-          cosim_engines ))
-    C.all
-
-let cosim_cross_check rows =
-  (* verdict per kernel: every engine must agree with the model AND
-     report the same harness cycle count as every other engine *)
-  List.map
-    (fun (name, per) ->
-      let _, (r0 : Twill.Cosim.report), _ = List.hd per in
-      let cycles_agree =
-        List.for_all
-          (fun (_, (r : Twill.Cosim.report), _) ->
-            r.Twill.Cosim.rtl_cycles = r0.Twill.Cosim.rtl_cycles)
-          per
-      in
-      let model_agree =
-        List.for_all
-          (fun (_, (r : Twill.Cosim.report), _) -> r.Twill.Cosim.agree)
-          per
-      in
-      (name, per, cycles_agree, model_agree))
-    rows
-
 let cosim () =
   header
     "Co-simulation — emitted RTL (vsim) vs rtsim reference (3-stage \
-     pipeline); AGREE = same return value, print trace, and per-engine \
-     cycle counts";
-  Printf.printf "%-10s | %12s %12s %8s |" "benchmark" "RTL cycles"
-    "model cycles" "ratio";
+     pipeline); AGREE = same return value and print trace";
+  Printf.printf "%-10s | %12s %12s %8s | %s\n" "benchmark" "RTL cycles"
+    "model cycles" "ratio" "verdict";
+  let opts = forced_pipeline_opts in
+  let rows =
+    Twill.Par.map
+      (fun (b : C.benchmark) ->
+        let t = Twill.extract ~opts (Twill.compile ~opts b.C.source) in
+        (b.C.name, Twill.cosim ~opts t))
+      C.all
+  in
   List.iter
-    (fun (en, _) -> Printf.printf " %12s" (en ^ "(s)"))
-    cosim_engines;
-  Printf.printf " %8s | %s\n" "speedup" "verdict";
-  let rows = cosim_cross_check (cosim_engine_rows ()) in
-  List.iter
-    (fun (name, per, cycles_agree, model_agree) ->
-      let _, (r0 : Twill.Cosim.report), w0 = List.hd per in
-      Printf.printf "%-10s | %12d %12d %8.2f |" name r0.Twill.Cosim.rtl_cycles
-        r0.Twill.Cosim.model_cycles
-        (float_of_int r0.Twill.Cosim.rtl_cycles
-        /. float_of_int (max 1 r0.Twill.Cosim.model_cycles));
-      List.iter (fun (_, _, w) -> Printf.printf " %12.3f" w) per;
-      let _, _, wlast = List.nth per (List.length per - 1) in
-      Printf.printf " %7.2fx | %s\n" (wlast /. w0)
-        (if not model_agree then "DISAGREE"
-         else if not cycles_agree then "CYCLES-DIFFER"
-         else "AGREE"))
+    (fun (name, (r : Twill.Cosim.report)) ->
+      Printf.printf "%-10s | %12d %12d %8.2f | %s\n" name r.Twill.Cosim.rtl_cycles
+        r.Twill.Cosim.model_cycles
+        (float_of_int r.Twill.Cosim.rtl_cycles
+        /. float_of_int (max 1 r.Twill.Cosim.model_cycles))
+        (if r.Twill.Cosim.agree then "AGREE" else "DISAGREE"))
     rows;
-  if
-    List.exists
-      (fun (_, _, cycles_agree, model_agree) ->
-        not (cycles_agree && model_agree))
-      rows
-  then failwith "cosim: engines disagree"
+  if List.exists (fun (_, (r : Twill.Cosim.report)) -> not r.Twill.Cosim.agree) rows
+  then failwith "cosim: RTL disagrees with rtsim"
 
 (* ------------------------------------------------------------------ *)
 (* rtsim engines: interpreted oracle vs compiled (BENCH_rtsim.json)    *)
 (* ------------------------------------------------------------------ *)
-
-let rtsim_stats (t : Twill.Dswp.threaded) config engine : Twill.Sim.stats =
-  let threads =
-    Array.mapi
-      (fun s name ->
-        {
-          Twill.Sim.tname = name;
-          trole =
-            (match t.Twill.Dswp.roles.(s) with
-            | Twill.Partition.Sw -> Twill.Sim.Sw
-            | Twill.Partition.Hw -> Twill.Sim.Hw);
-          local_memory = false;
-        })
-      t.Twill.Dswp.stages
-  in
-  Twill.Sim.simulate ~config ~master:t.Twill.Dswp.master ~engine
-    t.Twill.Dswp.modul ~threads ~queues:t.Twill.Dswp.queues
-    ~nsems:t.Twill.Dswp.nsems ()
 
 (* Per-kernel interpreted-vs-compiled rtsim: stats must be identical
    (structural equality over the whole record); walls are the min of
@@ -449,12 +359,12 @@ let rtsim_engine_rows ?(reps = 3) () =
       let m, profile = compiled ~opts b in
       let t = Twill.extract ~opts ~profile m in
       let config = Twill.sim_config opts in
-      ignore (rtsim_stats t config Twill.Sim.Interpreted);
+      ignore (rtsim_stats ~engine:Twill.Sim.Interpreted t config);
       let time engine =
         let best_stats = ref None and best = ref infinity in
         for _ = 1 to reps do
           let s0 = Unix.gettimeofday () in
-          let st = rtsim_stats t config engine in
+          let st = rtsim_stats ~engine t config in
           let w = Unix.gettimeofday () -. s0 in
           if w < !best then best := w;
           best_stats := Some st
@@ -562,8 +472,8 @@ let json_rtsim () =
 (* Oracle throughput at each --max-stage limit: how many random
    programs per second the whole-stack differential oracle sustains.
    The case counts shrink as the stages deepen — one vsim case
-   elaborates and co-simulates the full emitted RTL twice (the compiled
-   engine plus its levelized differential oracle). *)
+   elaborates and co-simulates the full emitted RTL of both backends
+   (the FSM and the elastic dataflow lowering). *)
 let fuzz () =
   header
     "Differential fuzzing — oracle throughput per --max-stage (seed 11); a \
@@ -646,47 +556,6 @@ let ablation () =
     C.all
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the toolchain itself                   *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  let b = C.find "motion" in
-  let tests =
-    Test.make_grouped ~name:"twill" ~fmt:"%s %s"
-      [
-        Test.make ~name:"compile"
-          (Staged.stage (fun () -> ignore (Twill.compile b.C.source)));
-        Test.make ~name:"dswp-extract"
-          (let m = Twill.compile b.C.source in
-           Staged.stage (fun () -> ignore (Twill.extract m)));
-        Test.make ~name:"simulate-twill"
-          (let m = Twill.compile b.C.source in
-           Staged.stage (fun () -> ignore (Twill.run_twill m)));
-        Test.make ~name:"simulate-pure-sw"
-          (let m = Twill.compile b.C.source in
-           Staged.stage (fun () -> ignore (Twill.run_pure_sw m)));
-      ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  List.iter
-    (fun instance ->
-      let tbl = Analyze.all ols instance raw in
-      Hashtbl.iter
-        (fun name res ->
-          match Analyze.OLS.estimates res with
-          | Some [ est ] -> Printf.printf "%-42s %14.0f ns/run\n" name est
-          | _ -> Printf.printf "%-42s (no estimate)\n" name)
-        tbl)
-    instances
-
-(* ------------------------------------------------------------------ *)
 (* Machine-readable mode for CI and regression tracking                *)
 (* ------------------------------------------------------------------ *)
 
@@ -714,86 +583,6 @@ let json_mode (names : string list) =
       ("results", Artifact.arr rows);
       ("total_wall_time_s", Printf.sprintf "%.3f" total);
     ]
-
-let cosim_row_json name (r : Twill.Cosim.report) wall =
-  Printf.sprintf
-    "    {\"benchmark\": %S, \"engine\": %S, \"rtl_cycles\": %d, \
-     \"model_cycles\": %d, \"agree\": %b, \"wall_time_s\": %.3f}"
-    name r.Twill.Cosim.rtl_engine r.Twill.Cosim.rtl_cycles
-    r.Twill.Cosim.model_cycles r.Twill.Cosim.agree wall
-
-(* BENCH_cosim.json: per-engine cosim walls with the cross-engine cycle
-   check, plus the vsim-stage fuzz throughput, so the perf trajectory is
-   machine-readable.  Exits nonzero if any engine pair disagrees. *)
-let json_cosim (engine : Twill.Vsim.engine option) =
-  let t0 = Unix.gettimeofday () in
-  match engine with
-  | Some _ ->
-      (* single forced engine: plain per-kernel rows *)
-      let rows =
-        List.map
-          (fun (name, r, wall) -> cosim_row_json name r wall)
-          (cosim_rows ?engine ())
-      in
-      let total = Unix.gettimeofday () -. t0 in
-      Artifact.emit
-        [
-          ("results", Artifact.arr rows);
-          ("total_wall_time_s", Printf.sprintf "%.3f" total);
-        ]
-  | None ->
-      let rows = cosim_cross_check (cosim_engine_rows ()) in
-      let row_json =
-        List.concat_map
-          (fun (name, per, _, _) ->
-            List.map (fun (_, r, w) -> cosim_row_json name r w) per)
-          rows
-      in
-      let all_ok =
-        List.for_all (fun (_, _, c, m) -> c && m) rows
-      in
-      let wall_of en =
-        List.fold_left
-          (fun acc (_, per, _, _) ->
-            List.fold_left
-              (fun acc (e, _, w) -> if e = en then acc +. w else acc)
-              acc per)
-          0.0 rows
-      in
-      let w_compiled = wall_of "compiled" and w_lev = wall_of "levelized" in
-      let fs = Unix.gettimeofday () in
-      let fuzz_cases = 6 in
-      let s =
-        Twill_fuzz.Campaign.run ~limit:Twill_fuzz.Oracle.L_vsim ~seed:11
-          ~cases:fuzz_cases ()
-      in
-      let fw = Unix.gettimeofday () -. fs in
-      let diverged = List.length s.Twill_fuzz.Campaign.s_repros in
-      let total = Unix.gettimeofday () -. t0 in
-      Artifact.emit
-        [
-          ("results", Artifact.arr row_json);
-          ("cycles_agree", Printf.sprintf "%b" all_ok);
-          ("wall_compiled_s", Printf.sprintf "%.3f" w_compiled);
-          ("wall_levelized_s", Printf.sprintf "%.3f" w_lev);
-          ( "speedup_levelized_over_compiled",
-            Printf.sprintf "%.2f"
-              (if w_compiled > 0.0 then w_lev /. w_compiled else 0.0) );
-          ( "fuzz",
-            Printf.sprintf
-              "{\"max_stage\": \"vsim\", \"seed\": 11, \"cases\": %d, \
-               \"wall_time_s\": %.3f, \"cases_per_s\": %.2f, \"diverged\": \
-               %d}"
-              fuzz_cases fw
-              (float_of_int fuzz_cases /. fw)
-              diverged );
-          ("total_wall_time_s", Printf.sprintf "%.3f" total);
-        ];
-      Artifact.check
-        [
-          Artifact.gate all_ok "cosim: engines disagree";
-          Artifact.gate (diverged = 0) "cosim: vsim fuzz diverged";
-        ]
 
 (* BENCH_dse.json: the committed design-space sweep — default grid,
    fixed seed, rendered by the deterministic lib/dse printer, so the
@@ -1102,8 +891,8 @@ let json_mem () =
                   in
                   let r = Twill.run_twill_threaded ~opts t in
                   let si =
-                    rtsim_stats t (Twill.sim_config opts)
-                      Twill.Sim.Interpreted
+                    rtsim_stats ~engine:Twill.Sim.Interpreted t
+                      (Twill.sim_config opts)
                   in
                   (backend, banks, r, si = r.Twill.stats))
                 banks_axis)
@@ -1214,20 +1003,12 @@ let artifacts =
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   match args with
-  | [ "--bechamel" ] -> bechamel ()
   | "--json" :: names -> json_mode names
-  | [ "--json-cosim" ] -> json_cosim None
   | [ "--json-rtsim" ] -> json_rtsim ()
   | [ "--json-dse" ] -> json_dse ()
   | [ "--json-comm" ] -> json_comm ()
   | [ "--json-backend" ] -> json_backend ()
   | [ "--json-mem" ] -> json_mem ()
-  | [ "--json-cosim"; "--engine"; "compiled" ] ->
-      json_cosim (Some Twill.Vsim.Compiled)
-  | [ "--json-cosim"; "--engine"; "levelized" ] ->
-      json_cosim (Some Twill.Vsim.Levelized)
-  | [ "--json-cosim"; "--engine"; "fixpoint" ] ->
-      json_cosim (Some Twill.Vsim.Fixpoint)
   | [] ->
       Printf.printf "Twill reproduction — regenerating all Chapter 6 artifacts\n";
       List.iter (fun (_, f) -> f ()) artifacts

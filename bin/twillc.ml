@@ -237,28 +237,13 @@ let cosim_cmd =
       & info [ "vcd" ] ~docv:"PREFIX"
           ~doc:"Dump one VCD waveform per RTL instance under $(docv).")
   in
-  let engine =
-    Arg.(
-      value
-      & opt
-          (enum
-             (("auto", None)
-             :: List.map (fun (s, e) -> (s, Some e)) O.vsim_engines))
-          None
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Vsim scheduling engine: $(b,compiled), $(b,levelized), \
-             $(b,fixpoint), or $(b,auto) (compiled with fixpoint fallback \
-             on combinational loops).  The run report shows the engine \
-             actually used.")
-  in
   let name_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH_OR_FILE")
   in
-  let run opts _ vcd engine name =
+  let run opts _ vcd name =
     let m = Twill.compile ~opts (source_of name) in
     let t = Twill.extract ~opts m in
-    let r = Twill.cosim ~opts ?engine ?vcd t in
+    let r = Twill.cosim ~opts ?vcd t in
     Fmt.pr "== cosim %s ==@." (Filename.basename name);
     Fmt.pr "engine         : %s@." r.Twill.Cosim.rtl_engine;
     Fmt.pr "RTL (vsim)     : ret=%ld  %8d harness cycles@."
@@ -280,7 +265,7 @@ let cosim_cmd =
          "Co-simulate the emitted RTL of a benchmark or mini-C file against \
           the rtsim reference")
     Term.(
-      const run $ flow_opts $ no_auto $ vcd $ engine $ name_arg)
+      const run $ flow_opts $ no_auto $ vcd $ name_arg)
 
 let comm_report_cmd =
   let name_arg =
@@ -543,7 +528,7 @@ let dse_cmd =
   Cmd.v
     (Cmd.info "dse"
        ~doc:
-         "Sweep a design-space grid (kernel x partition x queue x engine) \
+         "Sweep a design-space grid (kernel x partition x queue x backend) \
           with incremental compile/extract reuse and report the Pareto \
           frontier over (cycles, LUTs, power)")
     Term.(

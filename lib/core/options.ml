@@ -10,9 +10,7 @@
 module Partition = Twill_dswp.Partition
 module Pipeline = Twill_passes.Pipeline
 module Schedule = Twill_hls.Schedule
-module Sim = Twill_rtsim.Sim
 module Comm = Twill_comm.Comm
-module Vsim = Twill_vsim.Vsim
 
 type t = {
   partition : Partition.config;
@@ -26,7 +24,6 @@ type t = {
   modulo : bool;
   bus_contention : bool;
   fuel : int;
-  sim_engine : Sim.engine;
   backend : Schedule.backend;
   pipeline_break : string option;
   comm : Comm.config;
@@ -47,7 +44,6 @@ let default =
     modulo = true;
     bus_contention = true;
     fuel = 300_000_000;
-    sim_engine = Sim.Compiled;
     backend = Schedule.Fsm;
     pipeline_break = None;
     comm = Comm.none; (* seed behaviour: every pass off *)
@@ -235,13 +231,6 @@ let queue_latency =
     (fun o -> o.queue_latency)
     (fun v o -> { o with queue_latency = v })
 
-let engine =
-  knob ~name:"engine" ~aliases:[ "engines" ] ~docv:"ENGINE" ~level:Sim
-    ~wire:Str ~doc:"rtsim execution engine."
-    (enum ~what:"engine" Sim.engine_name [ Sim.Compiled; Sim.Interpreted ])
-    (fun o -> o.sim_engine)
-    (fun v o -> { o with sim_engine = v })
-
 let backend =
   knob ~name:"backend" ~aliases:[ "backends" ] ~flag:"backend"
     ~docv:"BACKEND" ~level:Sim ~wire:Str
@@ -269,8 +258,7 @@ let mem_banks =
 let table =
   [
     unroll; inline_aggressive; pipeline_break; nstages; sw_frac; queue_depth;
-    fuel; comm; queue_depth_override; queue_latency; engine; backend;
-    mem_banks;
+    fuel; comm; queue_depth_override; queue_latency; backend; mem_banks;
   ]
 
 let find (knobs : knob list) (spelling : string) : knob option =
@@ -291,11 +279,3 @@ let compile_key (o : t) : string =
 let extract_key (o : t) : string =
   if Comm.needs_profile o.comm then key o
   else key ~knobs:(List.filter (fun k -> k.level <> Sim) table) o
-
-(* --- enums outside the options record ------------------------------------ *)
-
-(* Verilog-simulator scheduling engine ([twillc cosim --engine]). *)
-let vsim_engines : (string * Vsim.engine) list =
-  List.map
-    (fun e -> (Vsim.engine_name e, e))
-    [ Vsim.Compiled; Vsim.Levelized; Vsim.Fixpoint ]

@@ -10,9 +10,7 @@
 
 module Partition = Twill_dswp.Partition
 module Schedule = Twill_hls.Schedule
-module Sim = Twill_rtsim.Sim
 module Comm = Twill_comm.Comm
-module Vsim = Twill_vsim.Vsim
 
 (** The record re-exported (and documented) as {!Twill.options}. *)
 type t = {
@@ -27,7 +25,6 @@ type t = {
   modulo : bool;
   bus_contention : bool;
   fuel : int;
-  sim_engine : Sim.engine;
   backend : Schedule.backend;
   pipeline_break : string option;
   comm : Comm.config;
@@ -69,7 +66,6 @@ val fuel : knob
 val comm : knob
 val queue_depth_override : knob
 val queue_latency : knob
-val engine : knob
 val backend : knob
 val mem_banks : knob
 
@@ -95,7 +91,3 @@ val extract_key : t -> string
 
 val float_to_string : float -> string
 (** Shortest decimal form that reads back as the same float. *)
-
-val vsim_engines : (string * Vsim.engine) list
-(** Verilog-simulator scheduling engines by name ([twillc cosim
-    --engine]); not an options field. *)

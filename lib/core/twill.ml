@@ -38,7 +38,6 @@ type options = Options.t = {
   modulo : bool;
   bus_contention : bool;
   fuel : int;
-  sim_engine : Sim.engine;
   backend : Schedule.backend;  (* RTL lowering for hardware partitions *)
   pipeline_break : string option;
   comm : Comm.config;  (* communication-pattern optimizer passes *)
@@ -91,7 +90,6 @@ let sim_config (opts : options) : Sim.config =
     backend = opts.backend;
     bus_contention = opts.bus_contention;
     fuel = opts.fuel;
-    engine = opts.sim_engine;
     mem_banks = opts.mem_banks;
     check_memdep = opts.check_memdep;
   }
@@ -410,7 +408,7 @@ type backends_report = {
   bk_agree : bool;  (* all three observers agree *)
 }
 
-let cosim_backends ?(opts = default_options) ?engine (t : Dswp.threaded) :
+let cosim_backends ?(opts = default_options) (t : Dswp.threaded) :
     backends_report =
   let run backend =
     let opts = { opts with backend } in
@@ -418,7 +416,7 @@ let cosim_backends ?(opts = default_options) ?engine (t : Dswp.threaded) :
       Vparse.parse
         (Vruntime.emit_design ~backend ~mem_banks:opts.mem_banks t)
     in
-    Cosim.run_threaded ~config:(sim_config opts) ?engine ~trace:true ~design t
+    Cosim.run_threaded ~config:(sim_config opts) ~trace:true ~design t
   in
   let bk_fsm = run Schedule.Fsm in
   let bk_dataflow = run Schedule.Dataflow in
@@ -569,11 +567,9 @@ let evaluate ?(opts = default_options) ?(auto_stages = true) ~(name : string)
    the source program is one observation point: the typed-AST reference
    interpreter, both IR interpreter engines on the raw module, the
    module after each prefix of the pass pipeline, the partitioned
-   cycle-accurate rtsim execution, and vsim RTL co-simulation under a
-   chosen scheduling engine (the default fuzz set pits the compiled
-   engine against its levelized oracle).  [observe] runs one point over
-   one source
-   string and reduces the run to the observables the thesis's
+   cycle-accurate rtsim execution, and vsim RTL co-simulation of each
+   RTL lowering.  [observe] runs one point over one source string and
+   reduces the run to the observables the thesis's
    correctness argument is about: return value + print trace. *)
 
 type observation = { obs_ret : int32; obs_prints : int32 list }
@@ -590,7 +586,7 @@ type observation = { obs_ret : int32; obs_prints : int32 list }
      [Interp.run] builds its decode context per call without mutating
      the module (interp.ml header).
    - [obs_prep] holds the optimised-and-extracted pipeline shared by
-     the last three stages (rtsim, then one cosim per vsim engine).
+     the last three stages (rtsim, then one cosim per RTL lowering).
 
    Per-domain because the fuzz campaign fans cases out over a [Par]
    pool; one entry because each case's stages are scanned
@@ -645,8 +641,7 @@ type obs_prep = {
   prep_design : Vparse.design Lazy.t;
       (* emitted+parsed Verilog of [prep_t] under [prep_opts.backend];
          lazy because the rtsim stage populates the memo without
-         needing it, shared because elaboration only reads it (one
-         parse serves both engines) *)
+         needing it *)
   prep_design_df : Vparse.design Lazy.t;
       (* the same pipeline under the elastic dataflow lowering — the
          cross-backend observation point ([Obs_velastic]) *)
@@ -699,8 +694,8 @@ type obs_stage =
   | Obs_ir of Interp.engine  (* raw (unoptimised) IR *)
   | Obs_opt of int * Interp.engine  (* after the first k pipeline stages *)
   | Obs_rtsim  (* partitioned cycle-accurate simulation *)
-  | Obs_vsim of Vsim.engine  (* RTL co-simulation of the emitted design *)
-  | Obs_velastic of Vsim.engine
+  | Obs_vsim  (* RTL co-simulation of the emitted design *)
+  | Obs_velastic
     (* RTL co-simulation of the elastic dataflow lowering of the same
        pipeline (the cross-backend differential observation point) *)
 
@@ -721,15 +716,14 @@ let obs_stage_name = function
       in
       Printf.sprintf "opt[%s]%s" pass (engine_suffix e)
   | Obs_rtsim -> "rtsim"
-  | Obs_vsim e -> "vsim-" ^ Vsim.engine_name e
-  | Obs_velastic e -> "vsim-df-" ^ Vsim.engine_name e
+  | Obs_vsim -> "vsim"
+  | Obs_velastic -> "vsim-df"
 
 let obs_stages : obs_stage list =
   [ Obs_ast; Obs_ir Interp.Tree; Obs_ir Interp.Decoded ]
   @ List.init Pipeline.nstages (fun k -> Obs_opt (k + 1, Interp.Decoded))
-  @ [ Obs_opt (Pipeline.nstages, Interp.Tree); Obs_rtsim;
-      Obs_vsim Vsim.Compiled; Obs_vsim Vsim.Levelized;
-      Obs_velastic Vsim.Compiled ]
+  @ [ Obs_opt (Pipeline.nstages, Interp.Tree); Obs_rtsim; Obs_vsim;
+      Obs_velastic ]
 
 let contains_substr ~sub s =
   let n = String.length s and m = String.length sub in
@@ -757,23 +751,23 @@ let observe ?(opts = default_options) ~(stage : obs_stage) (src : string) :
         let p = obs_prep ~opts src in
         let r = run_twill_threaded ~opts p.prep_t in
         Obs_ok { obs_ret = r.scenario.ret; obs_prints = r.scenario.prints }
-    | Obs_vsim engine ->
+    | Obs_vsim ->
         let p = obs_prep ~opts src in
         (* [~model:false]: the oracle compares every stage against the
            AST reference itself, and rtsim is its own observation point
            — re-running the reference inside the cosim would only
            duplicate work the chain already did. *)
         let r =
-          Cosim.run_threaded ~config:(sim_config opts) ~engine ~model:false
+          Cosim.run_threaded ~config:(sim_config opts) ~model:false
             ~design:(Lazy.force p.prep_design) p.prep_t
         in
         Obs_ok { obs_ret = r.Cosim.rtl_ret; obs_prints = r.Cosim.rtl_prints }
-    | Obs_velastic engine ->
+    | Obs_velastic ->
         let p = obs_prep ~opts src in
         let r =
           Cosim.run_threaded
             ~config:(sim_config { opts with backend = Schedule.Dataflow })
-            ~engine ~model:false
+            ~model:false
             ~design:(Lazy.force p.prep_design_df)
             p.prep_t
         in

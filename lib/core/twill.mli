@@ -53,7 +53,6 @@ type options = Options.t = {
   modulo : bool;  (** enable the modulo scheduler *)
   bus_contention : bool;  (** model 1-message-per-cycle buses *)
   fuel : int;  (** simulation instruction budget *)
-  sim_engine : Sim.engine;  (** rtsim engine used by every flow *)
   backend : Schedule.backend;
       (** RTL lowering for the hardware partitions: the LegUp-style
           monolithic FSM or the elastic dataflow template.  Drives the
@@ -183,7 +182,8 @@ val comm_summarize : ?opts:options -> Ir.modul -> comm_summary
     and runtime primitives elaborated under {!Vsim}) against the
     cycle-accurate [rtsim] reference, checking that both observe the same
     return value and print trace.  [engine] forces the Vsim scheduling
-    engine (default: levelized with automatic fixpoint fallback).  [vcd]
+    engine (default: levelized with automatic fixpoint fallback); tests
+    pass [Fixpoint] to run the oracle.  [vcd]
     dumps one waveform per RTL instance under that path prefix.
     @raise Twill_vsim.Cosim.Cosim_error on a stuck co-simulation. *)
 val cosim :
@@ -216,7 +216,7 @@ type backends_report = {
     call-port issue streams between the RTL backends).
     @raise Twill_vsim.Cosim.Cosim_error on a stuck co-simulation. *)
 val cosim_backends :
-  ?opts:options -> ?engine:Vsim.engine -> Dswp.threaded -> backends_report
+  ?opts:options -> Dswp.threaded -> backends_report
 
 (** Tries several pipeline widths and keeps the best (the analogue of the
     thesis's iterated partitioning, §5.2); ties go to deeper pipelines. *)
@@ -256,8 +256,8 @@ type obs_stage =
   | Obs_opt of int * Interp.engine
       (** after the first [k] stages of {!Pipeline.stage_names} *)
   | Obs_rtsim  (** partitioned cycle-accurate simulation *)
-  | Obs_vsim of Vsim.engine  (** RTL co-simulation of the emitted design *)
-  | Obs_velastic of Vsim.engine
+  | Obs_vsim  (** RTL co-simulation of the emitted design *)
+  | Obs_velastic
       (** RTL co-simulation of the elastic dataflow lowering of the
           same pipeline — every RTL-reaching fuzz case exercises both
           backends through this stage *)

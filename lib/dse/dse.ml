@@ -1,7 +1,7 @@
 (* The design-space exploration engine.
 
    Evaluates every point of a {!Grid.t} — thousands of (kernel x
-   partition x queue x engine) configurations — and reduces the sweep to
+   partition x queue x backend) configurations — and reduces the sweep to
    a Pareto frontier over (cycles, LUTs, power) plus per-axis
    sensitivity curves.  Three levels of incremental reuse keep the cost
    proportional to the number of *distinct suffixes*, not the grid size:
@@ -17,7 +17,7 @@
                extraction per [Twill.Options.extract_key] on top of it
                (see [opts_of_point] for where the grid depth goes).
      simulate  every point pays only its own cycle-accurate simulation;
-               depth/latency/engine live in [Sim.config], so a sim-level
+               depth/latency/banks live in [Sim.config], so a sim-level
                point is one [Twill.run_twill_threaded] call.
 
    Sharding: extraction groups fan out over [Par] domains — either one

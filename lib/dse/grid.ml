@@ -3,8 +3,8 @@
    kernels (bundled CHStone benchmarks) and one value list per option
    axis, the table knobs in [knobs]:
 
-     unroll, nstages, sw_frac, queue_depth, queue_latency, engine,
-     comm, backend, banks
+     unroll, nstages, sw_frac, queue_depth, queue_latency, comm,
+     backend, banks
 
    enumerated in exactly that nesting order, kernels outermost and banks
    innermost, so a point list is deterministic and stable across runs,
@@ -20,8 +20,8 @@ type point = { kernel : string; opts : Twill.options }
 let knobs =
   O.
     [
-      unroll; nstages; sw_frac; queue_depth; queue_latency; engine; comm;
-      backend; mem_banks;
+      unroll; nstages; sw_frac; queue_depth; queue_latency; comm; backend;
+      mem_banks;
     ]
 
 let values (g : t) (k : O.knob) : string list =

@@ -18,7 +18,7 @@ type point = { kernel : string; opts : Twill.options }
 
 val knobs : Twill.Options.knob list
 (** The option axes, outermost first: unroll, nstages, sw_frac,
-    queue_depth, queue_latency, engine, comm, backend, mem_banks. *)
+    queue_depth, queue_latency, comm, backend, mem_banks. *)
 
 val values : t -> Twill.Options.knob -> string list
 (** The values swept on one axis. *)

@@ -15,9 +15,8 @@
 open Twill
 
 (* How far down the stack to go.  Later stages are much slower (vsim
-   co-simulation elaborates and simulates the emitted RTL — under the
-   compiled engine and its levelized differential oracle), so the
-   campaign driver exposes this as [--max-stage]. *)
+   co-simulation elaborates and simulates the emitted RTL of each
+   backend), so the campaign driver exposes this as [--max-stage]. *)
 type limit = L_ast | L_ir | L_opt | L_rtsim | L_vsim
 
 let limit_to_string = function
@@ -41,7 +40,7 @@ let all_limits = [ L_ast; L_ir; L_opt; L_rtsim; L_vsim ]
    default) makes every RTL-reaching case a cross-backend differential:
    the FSM cosims and the elastic dataflow cosim all observe the same
    program and any disagreement with the AST reference is a divergence
-   attributed to its stage name ("vsim-..." vs "vsim-df-..."). *)
+   attributed to its stage name ("vsim" vs "vsim-df"). *)
 type backends = B_fsm | B_dataflow | B_both
 
 let backends_to_string = function
@@ -62,8 +61,7 @@ let rank_of_stage = function
   | Obs_ir _ -> 1
   | Obs_opt _ -> 2
   | Obs_rtsim -> 3
-  | Obs_vsim _ -> 4
-  | Obs_velastic _ -> 4
+  | Obs_vsim | Obs_velastic -> 4
 
 let rank_of_limit = function
   | L_ast -> 0
@@ -74,8 +72,8 @@ let rank_of_limit = function
 
 let stages_for ?(backends = B_both) (limit : limit) : obs_stage list =
   let wanted = function
-    | Obs_vsim _ -> backends <> B_dataflow
-    | Obs_velastic _ -> backends <> B_fsm
+    | Obs_vsim -> backends <> B_dataflow
+    | Obs_velastic -> backends <> B_fsm
     | _ -> true
   in
   List.filter

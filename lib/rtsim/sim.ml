@@ -86,7 +86,6 @@ type config = {
   backend : Schedule.backend; (* RTL lowering whose timing hw threads replay *)
   bus_contention : bool;
   fuel : int;
-  engine : engine; (* default engine; [simulate ?engine] overrides *)
   (* memory banks (Memdep.plan): each bank gets its own bus arbiter, and
      hardware threads replay schedules with per-bank ordering chains.
      1 = the single shared memory port (identical to pre-banking) *)
@@ -105,7 +104,6 @@ let default_config =
     backend = Schedule.Fsm;
     bus_contention = true;
     fuel = 300_000_000;
-    engine = Compiled;
     mem_banks = 1;
     check_memdep = false;
   }
@@ -358,10 +356,9 @@ let profile_of (st : queue_state) : queue_profile =
     qp_cons_bursts = Array.copy st.cons_bursts;
   }
 
-let simulate ?(config = default_config) ?(master = 0) ?engine
+let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
     (m : modul) ~(threads : thread_spec array)
     ~(queues : Threadgen.queue_info array) ~(nsems : int) () : stats =
-  let engine = match engine with Some e -> e | None -> config.engine in
   let layout, mem = Interp.fresh_memory m in
   let module_bus = Bus.create "module" in
   let nbanks = max 1 config.mem_banks in

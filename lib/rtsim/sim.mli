@@ -61,10 +61,6 @@ type config = {
           ASAP schedule *)
   bus_contention : bool;
   fuel : int;  (** per-thread instruction budget *)
-  engine : engine;
-      (** engine used when {!simulate} is not given [?engine] explicitly,
-          so sweeps (the DSE subsystem, the bench harness) configure one
-          record instead of threading a separate engine argument *)
   mem_banks : int;
       (** shared-memory banks ({!Twill_ir.Memdep.plan}): each bank gets
           its own bus arbiter and hardware threads replay schedules with
@@ -132,7 +128,7 @@ val simulate :
 (** Runs every thread to completion over one shared memory image and
     returns the timing/behaviour statistics.  [master] selects the thread
     whose return value is the program result (default 0).  [engine]
-    defaults to [config.engine] ([Compiled] in {!default_config}).
+    defaults to [Compiled]; [Interpreted] is the oracle.
     @raise Deadlock when no thread can make progress.
     @raise Out_of_fuel when a thread exceeds [config.fuel]. *)
 

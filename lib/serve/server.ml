@@ -19,7 +19,10 @@
    opts (all optional) are the table knobs in [request_knobs], under
    their {!Twill.Options} names ("nstages", "queue_latency", "comm", ...);
    each value goes through the knob's parser, so an out-of-range or
-   misspelled value answers ok:false with the table's message.
+   misspelled value answers ok:false with the table's message.  A field
+   that is neither a knob nor one of the protocol fields in
+   [request_fields] answers ok:false naming the field, so a typo is
+   never silently ignored.
 
    Requests are cached by content hash at two levels mirroring the
    evaluation pipeline: the elaboration cache is keyed by the source
@@ -52,7 +55,7 @@ type elab = {
 type t = {
   mu : Mutex.t;
   elabs : (string, elab) Hashtbl.t; (* digest -> elaborated design *)
-  sims : (string, Json.t) Hashtbl.t; (* digest+engine -> response body *)
+  sims : (string, Json.t) Hashtbl.t; (* digest+options -> response body *)
   mutable requests : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
@@ -107,8 +110,23 @@ let request_knobs =
   O.
     [
       nstages; sw_frac; unroll; queue_depth; queue_depth_override;
-      queue_latency; fuel; engine; comm; backend; mem_banks;
+      queue_latency; fuel; comm; backend; mem_banks;
     ]
+
+(* every field a request may carry: the protocol's own plus the knobs *)
+let request_fields =
+  [ "cmd"; "id"; "src"; "grid"; "sample"; "seed"; "reqs" ]
+  @ List.map (fun (k : O.knob) -> k.name) request_knobs
+
+let check_fields (j : Json.t) =
+  match j with
+  | Json.Obj kvs ->
+      List.iter
+        (fun (f, _) ->
+          if not (List.mem f request_fields) then
+            failwith ("unknown request field: " ^ f))
+        kvs
+  | _ -> ()
 
 let options_of_req ?(base = Twill.default_options) (j : Json.t) :
     Twill.options =
@@ -268,7 +286,6 @@ let handle_simulate (t : t) (j : Json.t) : Json.t =
         [
           ("ok", Json.Bool true);
           ("digest", Json.Str digest);
-          ("engine", Json.Str (Sim.engine_name opts.Twill.sim_engine));
           ("ret", Json.Int (Int32.to_int s.Sim.ret));
           ("cycles", Json.Int s.Sim.cycles);
           ("executed", Json.Int s.Sim.executed);
@@ -423,6 +440,7 @@ let rec handle (t : t) (j : Json.t) : Json.t =
   locked t (fun () -> t.requests <- t.requests + 1);
   let resp =
     try
+      check_fields j;
       match Json.str_field "cmd" j with
       | Some "ping" ->
           Json.Obj

@@ -204,25 +204,23 @@ let diff_arbiter ~seed ~n ~cycles () : int =
   done;
   cycles
 
-(* ---- engine differential: compiled vs levelized vs fixpoint ------------- *)
+(* ---- engine differential: levelized vs fixpoint ------------------------- *)
 
 let diff_engines ?(overrides = []) ?(cycles = 500) ~seed
     (design : Vparse.design) (top : string) : int =
-  (* all three engines under the same stimulus: the compiled engine's
-     optimiser is checked against the naive levelized closures, and both
-     against the fixpoint semantic oracle — state, raised errors, and
-     VCD bytes must agree pairwise every cycle *)
+  (* both engines under the same stimulus: the levelized scheduler is
+     checked against the fixpoint semantic oracle — state, raised
+     errors, and VCD bytes must agree every cycle *)
   let sims =
     Array.map
       (fun e -> (Vsim.engine_name e, Vsim.instantiate ~engine:e ~overrides design top))
-      [| Vsim.Compiled; Vsim.Levelized; Vsim.Fixpoint |]
+      [| Vsim.Levelized; Vsim.Fixpoint |]
   in
-  let _, s0 = sims.(0) in
+  let (n0, s0), (n1, s1) = (sims.(0), sims.(1)) in
   let rng = Random.State.make [| seed |] in
   let inputs =
     List.map
-      (fun nm ->
-        (Array.map (fun (_, s) -> Vsim.handle s nm) sims, Vsim.net_width s0 nm))
+      (fun nm -> (Vsim.handle s0 nm, Vsim.handle s1 nm, Vsim.net_width s0 nm))
       (Vsim.top_inputs s0)
   in
   let rand_bits w =
@@ -247,45 +245,32 @@ let diff_engines ?(overrides = []) ?(cycles = 500) ~seed
   (try
      for cyc = 1 to cycles do
        List.iter
-         (fun (hs, w) ->
+         (fun (h0, h1, w) ->
            let v = rand_bits w in
-           Array.iteri (fun k h -> Vsim.poke_h (snd sims.(k)) h v) hs)
+           Vsim.poke_h s0 h0 v;
+           Vsim.poke_h s1 h1 v)
          inputs;
        (* runtime failures (out-of-range writes under random stimulus)
-          are part of the contract too: every engine must raise the same
+          are part of the contract too: both engines must raise the same
           error at the same cycle *)
-       let outcome =
-         Array.map
-           (fun (_, s) -> try Vsim.step s; None with Vsim.Sim_error m -> Some m)
-           sims
-       in
-       let check_pair i j =
-         let ni, _ = sims.(i) and nj, _ = sims.(j) in
-         match (outcome.(i), outcome.(j)) with
-         | None, None -> ()
-         | Some mi, Some mj ->
-             if mi <> mj then
-               fail "%s cycle %d: %s/%s raise differently: %S vs %S" top cyc
-                 ni nj mi mj
-         | Some m, None ->
-             fail "%s cycle %d: only the %s engine raised: %s" top cyc ni m
-         | None, Some m ->
-             fail "%s cycle %d: only the %s engine raised: %s" top cyc nj m
-       in
-       check_pair 0 1;
-       check_pair 1 2;
-       check_pair 0 2;
-       if outcome.(0) <> None then raise Exit;
+       let step s = try Vsim.step s; None with Vsim.Sim_error m -> Some m in
+       let o0 = step s0 in
+       let o1 = step s1 in
+       (match (o0, o1) with
+       | None, None -> ()
+       | Some m0, Some m1 ->
+           if m0 <> m1 then
+             fail "%s cycle %d: %s/%s raise differently: %S vs %S" top cyc n0
+               n1 m0 m1;
+           raise Exit
+       | Some m, None ->
+           fail "%s cycle %d: only the %s engine raised: %s" top cyc n0 m
+       | None, Some m ->
+           fail "%s cycle %d: only the %s engine raised: %s" top cyc n1 m);
        Array.iter Vsim.Vcd.sample dumpers;
-       for i = 0 to Array.length sims - 1 do
-         for j = i + 1 to Array.length sims - 1 do
-           let ni, si = sims.(i) and nj, sj = sims.(j) in
-           match Vsim.compare_state si sj with
-           | Some d ->
-               fail "%s cycle %d: %s/%s engines diverge: %s" top cyc ni nj d
-           | None -> ()
-         done
-       done;
+       (match Vsim.compare_state s0 s1 with
+       | Some d -> fail "%s cycle %d: %s/%s engines diverge: %s" top cyc n0 n1 d
+       | None -> ());
        completed := cyc
      done
    with
@@ -302,11 +287,8 @@ let diff_engines ?(overrides = []) ?(cycles = 500) ~seed
   in
   let waves = Array.map read_all paths in
   Array.iter Sys.remove paths;
-  for k = 1 to Array.length waves - 1 do
-    if waves.(k) <> waves.(0) then
-      fail "%s: VCD dumps differ between %s and %s engines" top (fst sims.(0))
-        (fst sims.(k))
-  done;
+  if waves.(0) <> waves.(1) then
+    fail "%s: VCD dumps differ between %s and %s engines" top n0 n1;
   !completed
 
 (* ---- whole-design co-simulation ----------------------------------------- *)
@@ -316,9 +298,9 @@ type report = {
   rtl_prints : int32 list;
   rtl_cycles : int;
   rtl_engine : string;
-      (* "compiled" | "levelized" | "fixpoint" | "mixed", plus a
-         " (comb-loop fallback)" suffix when a compiled/default request
-         had to drop to the fixpoint engine *)
+      (* "levelized" | "fixpoint" | "mixed", plus a " (comb-loop
+         fallback)" suffix when a levelized request had to drop to the
+         fixpoint engine *)
   model_ret : int32;
   model_prints : int32 list;
   model_cycles : int;
@@ -430,8 +412,8 @@ let run_threaded ?config ?engine ?(fuel_cycles = 2_000_000) ?vcd
   (* --- the RTL side --- *)
   let design =
     (* instantiation only reads the parsed AST (primitives_design above
-       is elaborated many times over), so a caller running the same
-       threaded program under several engines can parse once and share *)
+       is elaborated many times over), so a caller that already parsed
+       the emitted design can share it *)
     match design with
     | Some d -> d
     | None -> Vparse.parse (Vruntime.emit_design t)
@@ -527,9 +509,7 @@ let run_threaded ?config ?engine ?(fuel_cycles = 2_000_000) ?vcd
   in
   let instances = List.rev !instances in
   let rtl_engine =
-    let requested =
-      match engine with Some e -> e | None -> Vsim.Compiled
-    in
+    let requested = Option.value engine ~default:Vsim.Levelized in
     match List.map (fun (_, i) -> Vsim.engine_of i) instances with
     | [] -> Vsim.engine_name requested
     | engs ->

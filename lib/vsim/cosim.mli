@@ -58,14 +58,13 @@ val diff_engines :
   Vparse.design ->
   string ->
   int
-(** [diff_engines ~seed design top] elaborates [top] three times — with
-    the compiled engine, its naive levelized oracle, and the fixpoint
-    semantic oracle — drives all of them with the same seeded random
-    values on every top-level input each cycle, and asserts pairwise
-    identical net and memory state after every step plus byte-identical
-    VCD dumps at the end.  A runtime [Sim_error] under random stimulus
-    must be raised identically by every engine (the run then stops
-    early).  Returns the number of cycles compared.
+(** [diff_engines ~seed design top] elaborates [top] twice — with the
+    levelized engine and with the fixpoint semantic oracle — drives both
+    with the same seeded random values on every top-level input each
+    cycle, and asserts identical net and memory state after every step
+    plus byte-identical VCD dumps at the end.  A runtime [Sim_error]
+    under random stimulus must be raised identically by both engines
+    (the run then stops early).  Returns the number of cycles compared.
     @raise Cosim_error on any divergence. *)
 
 (** {1 Whole-design co-simulation} *)
@@ -75,10 +74,10 @@ type report = {
   rtl_prints : int32 list;
   rtl_cycles : int;  (** harness clock cycles until every thread halted *)
   rtl_engine : string;
-      (** scheduling engine the RTL instances ran under: ["compiled"],
-          ["levelized"], ["fixpoint"] or ["mixed"], with a
-          [" (comb-loop fallback)"] suffix when a compiled/default
-          request had to drop to the fixpoint engine *)
+      (** scheduling engine the RTL instances ran under: ["levelized"],
+          ["fixpoint"] or ["mixed"], with a [" (comb-loop fallback)"]
+          suffix when a levelized request had to drop to the fixpoint
+          engine *)
   model_ret : int32;
   model_prints : int32 list;
   model_cycles : int;  (** rtsim hybrid makespan *)
@@ -105,8 +104,9 @@ val run_threaded :
 (** Runs the rtsim hybrid simulation (software/hardware roles from the
     partition) and the RTL co-simulation of the same design, and
     compares them.  [engine] forces the {!Vsim} scheduling engine for
-    every RTL instance (default: compiled, with automatic comb-loop
-    fallback).  [vcd], when given, dumps
+    every RTL instance (default: levelized, with automatic comb-loop
+    fallback); tests pass [Fixpoint] to run the oracle.  [vcd], when
+    given, dumps
     one waveform file per RTL instance under that path prefix.
     [model] (default true) controls the rtsim reference run: with
     [~model:false] only the RTL side executes — for callers that
@@ -117,7 +117,7 @@ val run_threaded :
     issue stream in the report's [rtl_ops] — the per-cycle observation
     points of the cross-backend differential oracle.
     [design], when given, must be the parsed emitted Verilog of [t] —
-    elaboration only reads it, so a caller observing the same program
-    under several engines can parse once and share.
+    elaboration only reads it, so a caller that already parsed it can
+    share it.
     @raise Cosim_error if the co-simulation gets stuck (no progress) or
     exceeds [fuel_cycles]. *)

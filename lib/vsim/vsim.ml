@@ -15,23 +15,16 @@
    operand widths, signedness is the conjunction, shifts take the left
    operand's type, concatenation is self-determined and unsigned.
 
-   Three scheduling engines share the two stores.  The compiled engine
-   (default) runs the levelized schedule over closures produced by an
-   optimising compiler: constant subexpressions are folded at
-   elaboration (the fold evaluates the very closure it replaces, so a
-   folded value can never disagree with the unfolded one), canonical
-   conversions become pre-masked closures instead of recomputing
-   [(1 lsl w) - 1] per evaluation, constant indices resolve their
-   bounds checks at compile time, dense constant-label case statements
-   dispatch through a flat thunk array instead of a hashtable, and
-   destination writers are specialised per net.  The levelized engine
-   uses the same rank-order/dirty-worklist scheduler but keeps the
-   naive closure compiler, so it doubles as the differential oracle
-   for the optimising compiler.  The fixpoint engine re-evaluates
-   every assign to convergence; it is the semantic oracle and the
-   automatic fallback for designs whose assign graph has a
-   combinational cycle (an explicitly requested [Compiled] engine
-   falls back too; [Levelized] raises instead).
+   One closure compiler feeds two scheduling engines over the two
+   stores.  The compiler is deliberately naive: every node canonicalises
+   its result with one [canon] call and nothing is folded or specialised
+   at elaboration, because constant folding, pre-masked conversions and
+   specialised writers buy only about 1.1x in whole-design
+   co-simulation (EXPERIMENTS.md).  The levelized engine (default) runs
+   the closures in rank order off a dirty worklist; the fixpoint engine
+   re-evaluates every assign to convergence.  Fixpoint is the semantic
+   oracle and the automatic fallback for designs whose assign graph has
+   a combinational cycle.
 
    The levelized scheduler topologically sorts the continuous assigns
    by their read/write net sets at elaboration and keeps a dirty
@@ -121,10 +114,9 @@ let pq_push (q : pqueue) kind i j v =
   b.(off + 3) <- v;
   q.plen <- q.plen + 1
 
-type engine = Compiled | Levelized | Fixpoint
+type engine = Levelized | Fixpoint
 
 let engine_name = function
-  | Compiled -> "compiled"
   | Levelized -> "levelized"
   | Fixpoint -> "fixpoint"
 
@@ -331,36 +323,10 @@ let flatten (design : P.design) (top : string) (overrides : (string * int) list)
 
 (* ---- pass 2: compile everything to closures ----------------------------- *)
 
-(* [cst] is the compile-time value of a constant subexpression (always
-   exactly what [ev ()] returns); only the optimising compiler consults
-   it.  The naive compiler still records it at the leaves so the two
-   compilers share one expression type. *)
-type cexpr = { cw : int; cs : bool; ev : unit -> int; cst : int option }
+type cexpr = { cw : int; cs : bool; ev : unit -> int }
 
-(* specialised canonicalisers: the mask, sign bit and 2^w are computed
-   once per compile site instead of once per evaluation *)
-let canon_fn w sg : int -> int =
-  if w >= 62 then Fun.id
-  else begin
-    let m = (1 lsl w) - 1 in
-    if sg then begin
-      let sb = 1 lsl (w - 1) and top = 1 lsl w in
-      fun v ->
-        let x = v land m in
-        if x land sb <> 0 then x - top else x
-    end
-    else fun v -> v land m
-  end
-
-let mask_fn w : int -> int =
-  if w >= 62 then Fun.id
-  else begin
-    let m = (1 lsl w) - 1 in
-    fun v -> v land m
-  end
-
-let instantiate ?engine ?(overrides = []) (design : P.design) (top : string) :
-    t =
+let instantiate ?(engine = Levelized) ?(overrides = []) (design : P.design)
+    (top : string) : t =
   let nets, index, cassigns, procs, tinputs = flatten design top overrides in
   let n = Array.length nets in
   let vals = Array.make n 0 in
@@ -370,13 +336,6 @@ let instantiate ?engine ?(overrides = []) (design : P.design) (top : string) :
       nets
   in
   let pq = { pbuf = Array.make 1024 0; plen = 0 } in
-  (* which closure compiler to use: the optimising one for [Compiled]
-     (the default), the naive one for the two oracle engines *)
-  let copt =
-    match engine with
-    | Some (Levelized | Fixpoint) -> false
-    | Some Compiled | None -> true
-  in
   (* the scheduling hooks are tied after the engine is built; until then
      the closures below see a no-op worklist *)
   let sdirty = ref true in
@@ -389,168 +348,73 @@ let instantiate ?engine ?(overrides = []) (design : P.design) (top : string) :
   (* conversion into a context type: canonical in, canonical out *)
   let conv wr sr (x : cexpr) =
     let ev = x.ev in
-    if x.cw = wr && x.cs = sr then ev
-    else if copt then
-      match x.cst with
-      | Some c ->
-          let c = canon wr sr c in
-          fun () -> c
-      | None ->
-          let cf = canon_fn wr sr in
-          fun () -> cf (ev ())
-    else fun () -> canon wr sr (ev ())
-  in
-  let cconst cw cs c = { cw; cs; ev = (fun () -> c); cst = Some c } in
-  (* Fold an operator node whose operands are all constants by
-     evaluating, at elaboration, the very closure it would otherwise
-     become at runtime: expression closures are pure (net reads are the
-     only effects, and a node with all-constant operands reads no nets),
-     so the folded value cannot disagree with the unfolded engine. *)
-  let fold (ops : cexpr list) (ce : cexpr) : cexpr =
-    if copt && List.for_all (fun o -> o.cst <> None) ops then
-      cconst ce.cw ce.cs (ce.ev ())
-    else ce
+    if x.cw = wr && x.cs = sr then ev else fun () -> canon wr sr (ev ())
   in
   let rec comp (sc : scope) (e : P.expr) : cexpr =
     match e with
     | P.Num (v, w, sg) ->
-        if w = 0 then { cw = 32; cs = true; ev = (fun () -> v); cst = Some v }
+        if w = 0 then { cw = 32; cs = true; ev = (fun () -> v) }
         else
           let c = canon w sg v in
-          { cw = w; cs = sg; ev = (fun () -> c); cst = Some c }
+          { cw = w; cs = sg; ev = (fun () -> c) }
     | P.Id x -> (
         match Hashtbl.find_opt sc.senv x with
-        | Some v -> { cw = 32; cs = true; ev = (fun () -> v); cst = Some v }
+        | Some v -> { cw = 32; cs = true; ev = (fun () -> v) }
         | None ->
             let i = resolve sc x 0 in
             let nt = nets.(i) in
             if nt.asize > 0 then
               raise (Elab_error ("memory read without index: " ^ nt.nname, 0));
-            { cw = nt.w; cs = nt.sg; ev = (fun () -> vals.(i)); cst = None })
-    | P.Index (x, ie) -> (
+            { cw = nt.w; cs = nt.sg; ev = (fun () -> vals.(i)) })
+    | P.Index (x, ie) ->
         let i = resolve sc x 0 in
         let nt = nets.(i) in
-        let ci = comp sc ie in
-        let iev = ci.ev in
+        let iev = (comp sc ie).ev in
         if nt.asize > 0 then begin
           let mem = mems.(i) and asize = nt.asize in
-          match (copt, ci.cst) with
-          | true, Some j ->
-              (* constant element index: bounds resolved at compile *)
-              if j < 0 || j >= asize then cconst nt.w nt.sg 0
-              else
-                { cw = nt.w; cs = nt.sg; ev = (fun () -> mem.(j)); cst = None }
-          | _ ->
-              {
-                cw = nt.w;
-                cs = nt.sg;
-                ev =
-                  (fun () ->
-                    let j = iev () in
-                    if j < 0 || j >= asize then 0 else mem.(j));
-                cst = None;
-              }
+          {
+            cw = nt.w;
+            cs = nt.sg;
+            ev =
+              (fun () ->
+                let j = iev () in
+                if j < 0 || j >= asize then 0 else mem.(j));
+          }
         end
         else begin
           let w = nt.w in
-          match (copt, ci.cst) with
-          | true, Some b ->
-              if b < 0 || b >= w then cconst 1 false 0
-              else if not nt.sg then
-                (* unsigned canonical values are already masked *)
-                {
-                  cw = 1;
-                  cs = false;
-                  ev = (fun () -> (vals.(i) lsr b) land 1);
-                  cst = None;
-                }
-              else
-                let mf = mask_fn w in
-                {
-                  cw = 1;
-                  cs = false;
-                  ev = (fun () -> (mf vals.(i) lsr b) land 1);
-                  cst = None;
-                }
-          | true, None ->
-              let mf = mask_fn w in
-              {
-                cw = 1;
-                cs = false;
-                ev =
-                  (fun () ->
-                    let b = iev () in
-                    if b < 0 || b >= w then 0 else (mf vals.(i) lsr b) land 1);
-                cst = None;
-              }
-          | false, _ ->
-              {
-                cw = 1;
-                cs = false;
-                ev =
-                  (fun () ->
-                    let b = iev () in
-                    if b < 0 || b >= w then 0
-                    else (mask_bits w vals.(i) lsr b) land 1);
-                cst = None;
-              }
-        end)
+          {
+            cw = 1;
+            cs = false;
+            ev =
+              (fun () ->
+                let b = iev () in
+                if b < 0 || b >= w then 0
+                else (mask_bits w vals.(i) lsr b) land 1);
+          }
+        end
     | P.Unop ("-", a) ->
         let ca = comp sc a in
         let wr = max ca.cw 32 and sr = ca.cs in
         let e = conv wr sr ca in
-        let ce =
-          if copt then begin
-            let cf = canon_fn wr sr in
-            { cw = wr; cs = sr; ev = (fun () -> cf (-e ())); cst = None }
-          end
-          else
-            {
-              cw = wr;
-              cs = sr;
-              ev = (fun () -> canon wr sr (-e ()));
-              cst = None;
-            }
-        in
-        fold [ ca ] ce
+        { cw = wr; cs = sr; ev = (fun () -> canon wr sr (-e ())) }
     | P.Unop ("!", a) ->
-        let ca = comp sc a in
-        let e = ca.ev in
-        fold [ ca ]
-          {
-            cw = 1;
-            cs = false;
-            ev = (fun () -> if e () = 0 then 1 else 0);
-            cst = None;
-          }
+        let e = (comp sc a).ev in
+        { cw = 1; cs = false; ev = (fun () -> if e () = 0 then 1 else 0) }
     | P.Unop ("~", a) ->
         let ca = comp sc a in
         let wr = ca.cw and sr = ca.cs in
         let e = ca.ev in
-        let ce =
-          if copt then begin
-            let cf = canon_fn wr sr in
-            { cw = wr; cs = sr; ev = (fun () -> cf (lnot (e ()))); cst = None }
-          end
-          else
-            {
-              cw = wr;
-              cs = sr;
-              ev = (fun () -> canon wr sr (lnot (e ())));
-              cst = None;
-            }
-        in
-        fold [ ca ] ce
+        { cw = wr; cs = sr; ev = (fun () -> canon wr sr (lnot (e ()))) }
     | P.Unop (op, _) -> raise (Elab_error ("unknown operator " ^ op, 0))
     | P.Binop ((("&&" | "||") as op), a, b) ->
-        let ca = comp sc a and cb = comp sc b in
-        let ea = ca.ev and eb = cb.ev in
+        let ea = (comp sc a).ev and eb = (comp sc b).ev in
         let ev =
           if op = "&&" then fun () ->
             if ea () <> 0 && eb () <> 0 then 1 else 0
           else fun () -> if ea () <> 0 || eb () <> 0 then 1 else 0
         in
-        fold [ ca; cb ] { cw = 1; cs = false; ev; cst = None }
+        { cw = 1; cs = false; ev }
     | P.Binop ((("<" | "<=" | ">" | ">=" | "==" | "!=") as op), a, b) ->
         let ca = comp sc a and cb = comp sc b in
         let wr = max ca.cw cb.cw and sr = ca.cs && cb.cs in
@@ -564,235 +428,85 @@ let instantiate ?engine ?(overrides = []) (design : P.design) (top : string) :
           | "==" -> ( = )
           | _ -> ( <> )
         in
-        fold [ ca; cb ]
-          {
-            cw = 1;
-            cs = false;
-            ev = (fun () -> if cmp (ea ()) (eb ()) then 1 else 0);
-            cst = None;
-          }
+        {
+          cw = 1;
+          cs = false;
+          ev = (fun () -> if cmp (ea ()) (eb ()) then 1 else 0);
+        }
     | P.Binop ((("<<" | ">>" | ">>>") as op), a, b) ->
         let ca = comp sc a and cb = comp sc b in
         let wr = ca.cw and sr = ca.cs in
         let ea = ca.ev and eb = cb.ev in
-        let mk ev = { cw = wr; cs = sr; ev; cst = None } in
-        let ce =
-          if copt then begin
-            let cf = canon_fn wr sr and mf = mask_fn wr in
-            match (op, cb.cst) with
-            | "<<", Some amt ->
-                if amt < 0 || amt >= 62 then mk (fun () -> 0)
-                else mk (fun () -> cf (mf (ea ()) lsl amt))
-            | "<<", None ->
-                mk (fun () ->
-                    let amt = eb () in
-                    if amt < 0 || amt >= 62 then 0
-                    else cf (mf (ea ()) lsl amt))
-            | ">>", Some amt ->
-                if amt < 0 || amt >= wr then mk (fun () -> 0)
-                else mk (fun () -> cf (mf (ea ()) lsr amt))
-            | ">>", None ->
-                mk (fun () ->
-                    let amt = eb () in
-                    if amt < 0 || amt >= wr then 0
-                    else cf (mf (ea ()) lsr amt))
-            | _, Some amt ->
+        let ev =
+          match op with
+          | "<<" ->
+              fun () ->
+                let amt = eb () in
+                if amt < 0 || amt >= 62 then 0
+                else canon wr sr (mask_bits wr (ea ()) lsl amt)
+          | ">>" ->
+              fun () ->
+                let amt = eb () in
+                if amt < 0 || amt >= wr then 0
+                else canon wr sr (mask_bits wr (ea ()) lsr amt)
+          | _ ->
+              (* >>> arithmetic only matters for signed operands *)
+              fun () ->
+                let amt = eb () in
                 let amt = if amt < 0 then 62 else min amt 62 in
-                if sr then mk (fun () -> cf (ea () asr amt))
-                else if amt >= wr then mk (fun () -> 0)
-                else mk (fun () -> cf (mf (ea ()) lsr amt))
-            | _, None ->
-                mk (fun () ->
-                    let amt = eb () in
-                    let amt = if amt < 0 then 62 else min amt 62 in
-                    if sr then cf (ea () asr amt)
-                    else if amt >= wr then 0
-                    else cf (mf (ea ()) lsr amt))
-          end
-          else
-            mk
-              (match op with
-              | "<<" ->
-                  fun () ->
-                    let amt = eb () in
-                    if amt < 0 || amt >= 62 then 0
-                    else canon wr sr (mask_bits wr (ea ()) lsl amt)
-              | ">>" ->
-                  fun () ->
-                    let amt = eb () in
-                    if amt < 0 || amt >= wr then 0
-                    else canon wr sr (mask_bits wr (ea ()) lsr amt)
-              | _ ->
-                  (* >>> arithmetic only matters for signed operands *)
-                  fun () ->
-                    let amt = eb () in
-                    let amt = if amt < 0 then 62 else min amt 62 in
-                    if sr then canon wr sr (ea () asr amt)
-                    else if amt >= wr then 0
-                    else canon wr sr (mask_bits wr (ea ()) lsr amt))
+                if sr then canon wr sr (ea () asr amt)
+                else if amt >= wr then 0
+                else canon wr sr (mask_bits wr (ea ()) lsr amt)
         in
-        fold [ ca; cb ] ce
+        { cw = wr; cs = sr; ev }
     | P.Binop (op, a, b) ->
         let ca = comp sc a and cb = comp sc b in
         let wr = max ca.cw cb.cw and sr = ca.cs && cb.cs in
         let ea = conv wr sr ca and eb = conv wr sr cb in
-        let ce =
-          if copt then begin
-            let cf = canon_fn wr sr in
-            let ev =
-              match op with
-              | "+" -> fun () -> cf (ea () + eb ())
-              | "-" -> fun () -> cf (ea () - eb ())
-              | "*" -> fun () -> cf (ea () * eb ())
-              | "/" ->
-                  fun () ->
-                    let y = eb () in
-                    if y = 0 then 0 else cf (ea () / y)
-              | "%" ->
-                  fun () ->
-                    let y = eb () in
-                    if y = 0 then 0 else cf (ea () mod y)
-              | "&" -> fun () -> cf (ea () land eb ())
-              | "|" -> fun () -> cf (ea () lor eb ())
-              | "^" -> fun () -> cf (ea () lxor eb ())
-              | op -> raise (Elab_error ("unknown operator " ^ op, 0))
-            in
-            { cw = wr; cs = sr; ev; cst = None }
-          end
-          else begin
-            let f : int -> int -> int =
-              match op with
-              | "+" -> ( + )
-              | "-" -> ( - )
-              | "*" -> ( * )
-              | "/" -> fun x y -> if y = 0 then 0 else x / y
-              | "%" -> fun x y -> if y = 0 then 0 else x mod y
-              | "&" -> ( land )
-              | "|" -> ( lor )
-              | "^" -> ( lxor )
-              | op -> raise (Elab_error ("unknown operator " ^ op, 0))
-            in
-            {
-              cw = wr;
-              cs = sr;
-              ev = (fun () -> canon wr sr (f (ea ()) (eb ())));
-              cst = None;
-            }
-          end
+        let f : int -> int -> int =
+          match op with
+          | "+" -> ( + )
+          | "-" -> ( - )
+          | "*" -> ( * )
+          | "/" -> fun x y -> if y = 0 then 0 else x / y
+          | "%" -> fun x y -> if y = 0 then 0 else x mod y
+          | "&" -> ( land )
+          | "|" -> ( lor )
+          | "^" -> ( lxor )
+          | op -> raise (Elab_error ("unknown operator " ^ op, 0))
         in
-        fold [ ca; cb ] ce
+        { cw = wr; cs = sr; ev = (fun () -> canon wr sr (f (ea ()) (eb ()))) }
     | P.Ternary (c, a, b) ->
-        let cc = comp sc c in
-        let ec = cc.ev in
+        let ec = (comp sc c).ev in
         let ca = comp sc a and cb = comp sc b in
         let wr = max ca.cw cb.cw and sr = ca.cs && cb.cs in
         let ea = conv wr sr ca and eb = conv wr sr cb in
-        if copt && cc.cst <> None then begin
-          (* statically taken branch; both branches are pure *)
-          let taken = Option.get cc.cst <> 0 in
-          fold
-            [ (if taken then ca else cb) ]
-            {
-              cw = wr;
-              cs = sr;
-              ev = (if taken then ea else eb);
-              cst = None;
-            }
-        end
-        else
-          {
-            cw = wr;
-            cs = sr;
-            ev = (fun () -> if ec () <> 0 then ea () else eb ());
-            cst = None;
-          }
+        { cw = wr; cs = sr; ev = (fun () -> if ec () <> 0 then ea () else eb ()) }
     | P.Concat es ->
-        let cs_ = List.map (comp sc) es in
-        let wr = List.fold_left (fun acc c -> acc + c.cw) 0 cs_ in
-        let ce =
-          if copt then begin
-            let parts =
-              Array.of_list (List.map (fun c -> (c.cw, mask_fn c.cw, c.ev)) cs_)
-            in
-            match parts with
-            | [| (_, mfa, ea); (wb, mfb, eb) |] ->
-                {
-                  cw = wr;
-                  cs = false;
-                  ev = (fun () -> (mfa (ea ()) lsl wb) lor mfb (eb ()));
-                  cst = None;
-                }
-            | _ ->
-                {
-                  cw = wr;
-                  cs = false;
-                  ev =
-                    (fun () ->
-                      let acc = ref 0 in
-                      Array.iter
-                        (fun (w, mf, ev) -> acc := (!acc lsl w) lor mf (ev ()))
-                        parts;
-                      !acc);
-                  cst = None;
-                }
-          end
-          else begin
-            let parts = Array.of_list cs_ in
-            {
-              cw = wr;
-              cs = false;
-              ev =
-                (fun () ->
-                  let acc = ref 0 in
-                  Array.iter
-                    (fun c ->
-                      acc := (!acc lsl c.cw) lor mask_bits c.cw (c.ev ()))
-                    parts;
-                  !acc);
-              cst = None;
-            }
-          end
-        in
-        fold cs_ ce
+        let parts = Array.of_list (List.map (comp sc) es) in
+        let wr = Array.fold_left (fun acc c -> acc + c.cw) 0 parts in
+        {
+          cw = wr;
+          cs = false;
+          ev =
+            (fun () ->
+              let acc = ref 0 in
+              Array.iter
+                (fun c -> acc := (!acc lsl c.cw) lor mask_bits c.cw (c.ev ()))
+                parts;
+              !acc);
+        }
     | P.Sysfun ("$unsigned", a) ->
         let ca = comp sc a in
         let ev = ca.ev and w = ca.cw in
-        let ce =
-          if copt then begin
-            let mf = mask_fn w in
-            { cw = w; cs = false; ev = (fun () -> mf (ev ())); cst = None }
-          end
-          else
-            {
-              cw = w;
-              cs = false;
-              ev = (fun () -> mask_bits w (ev ()));
-              cst = None;
-            }
-        in
-        fold [ ca ] ce
+        { cw = w; cs = false; ev = (fun () -> mask_bits w (ev ())) }
     | P.Sysfun ("$signed", a) ->
         let ca = comp sc a in
         let ev = ca.ev and w = ca.cw in
-        let ce =
-          if copt then begin
-            let cf = canon_fn w true in
-            { cw = w; cs = true; ev = (fun () -> cf (ev ())); cst = None }
-          end
-          else
-            {
-              cw = w;
-              cs = true;
-              ev = (fun () -> canon w true (ev ()));
-              cst = None;
-            }
-        in
-        fold [ ca ] ce
+        { cw = w; cs = true; ev = (fun () -> canon w true (ev ())) }
     | P.Sysfun ("$clog2", a) ->
-        let ca = comp sc a in
-        let ev = ca.ev in
-        fold [ ca ]
-          { cw = 32; cs = true; ev = (fun () -> clog2 (ev ())); cst = None }
+        let ev = (comp sc a).ev in
+        { cw = 32; cs = true; ev = (fun () -> clog2 (ev ())) }
     | P.Sysfun (f, _) -> raise (Elab_error ("unknown system function " ^ f, 0))
   in
   (* destination helpers: blocking write-through and nonblocking schedule;
@@ -844,69 +558,34 @@ let instantiate ?engine ?(overrides = []) (design : P.design) (top : string) :
         raise (Elab_error ("memory write without index: " ^ nt.nname, line))
     | None, false ->
         let ev = rhs.ev in
-        if blocking then
-          if copt then begin
-            (* specialized writer: canon closure + net fields resolved *)
-            let cf = canon_fn nt.w nt.sg in
-            fun () ->
-              let v = cf (ev ()) in
-              if vals.(i) <> v then begin
-                vals.(i) <- v;
-                sdirty := true;
-                !touch_ref i
-              end
-          end
-          else fun () -> write_scalar i (ev ())
+        if blocking then fun () -> write_scalar i (ev ())
         else fun () -> pq_push pq 0 i 0 (ev ())
     | Some ie, true ->
         let iev = (comp dsc ie).ev and ev = rhs.ev in
-        if blocking then
-          if copt then begin
-            let cf = canon_fn nt.w nt.sg in
-            let asize = nt.asize and mem = mems.(i) and nname = nt.nname in
-            fun () ->
-              let j = iev () in
-              if j < 0 || j >= asize then
-                raise
-                  (Sim_error
-                     (Printf.sprintf "line %d: %s[%d] out of range" line nname j));
-              let v = cf (ev ()) in
-              if mem.(j) <> v then begin
-                mem.(j) <- v;
-                sdirty := true;
-                !touch_ref i
-              end
-          end
-          else fun () -> write_elem i (iev ()) (ev ()) line
+        if blocking then fun () -> write_elem i (iev ()) (ev ()) line
         else fun () -> pq_push pq 1 i (iev ()) (ev ())
     | Some ie, false ->
         let iev = (comp dsc ie).ev and ev = rhs.ev in
         if blocking then fun () -> write_bit i (iev ()) (ev ()) line
         else fun () -> pq_push pq 2 i (iev ()) (ev ())
   in
-  let rec cstmt (sc : scope) (s : P.stmt) : unit -> unit =
+  let rec comp_stmt (sc : scope) (s : P.stmt) : unit -> unit =
     match s with
     | P.Block ss ->
-        let cs_ = Array.of_list (List.map (cstmt sc) ss) in
+        let cs_ = Array.of_list (List.map (comp_stmt sc) ss) in
         fun () -> Array.iter (fun f -> f ()) cs_
     | P.If (c, th, el) -> (
-        let cc = comp sc c in
-        let ec = cc.ev in
-        let ct = cstmt sc th in
+        let ec = (comp sc c).ev in
+        let ct = comp_stmt sc th in
         match el with
-        | None ->
-            if copt && cc.cst <> None then
-              if Option.get cc.cst <> 0 then ct else fun () -> ()
-            else fun () -> if ec () <> 0 then ct ()
+        | None -> fun () -> if ec () <> 0 then ct ()
         | Some e ->
-            let ce = cstmt sc e in
-            if copt && cc.cst <> None then
-              if Option.get cc.cst <> 0 then ct else ce
-            else fun () -> if ec () <> 0 then ct () else ce ())
+            let ce = comp_stmt sc e in
+            fun () -> if ec () <> 0 then ct () else ce ())
     | P.Case (scrut, arms, dflt) -> (
         let cscrut = comp sc scrut in
         let cdflt =
-          match dflt with Some d -> cstmt sc d | None -> fun () -> ()
+          match dflt with Some d -> comp_stmt sc d | None -> fun () -> ()
         in
         (* the emitted cases use constant labels: dispatch through a table *)
         let const_label l =
@@ -939,7 +618,7 @@ let instantiate ?engine ?(overrides = []) (design : P.design) (top : string) :
           let entries = ref [] and seen = Hashtbl.create 64 in
           List.iter
             (fun (ls, st) ->
-              let f = cstmt sc st in
+              let f = comp_stmt sc st in
               List.iter
                 (fun l ->
                   match const_label l with
@@ -952,29 +631,13 @@ let instantiate ?engine ?(overrides = []) (design : P.design) (top : string) :
                   | None -> ())
                 ls)
             arms;
-          let entries = List.rev !entries in
           let escr = conv wr sr cscrut in
-          let lo = List.fold_left (fun a (k, _) -> min a k) max_int entries
-          and hi = List.fold_left (fun a (k, _) -> max a k) min_int entries in
-          if
-            copt && entries <> []
-            && hi - lo < (4 * List.length entries) + 64
-          then begin
-            (* dense constant labels (FSM state dispatch): flat thunk table *)
-            let tbl = Array.make (hi - lo + 1) cdflt in
-            List.iter (fun (k, f) -> tbl.(k - lo) <- f) entries;
-            fun () ->
-              let v = escr () in
-              if v >= lo && v <= hi then tbl.(v - lo) () else cdflt ()
-          end
-          else begin
-            let tbl = Hashtbl.create 64 in
-            List.iter (fun (k, f) -> Hashtbl.replace tbl k f) entries;
-            fun () ->
-              match Hashtbl.find_opt tbl (escr ()) with
-              | Some f -> f ()
-              | None -> cdflt ()
-          end
+          let tbl = Hashtbl.create 64 in
+          List.iter (fun (k, f) -> Hashtbl.replace tbl k f) !entries;
+          fun () ->
+            match Hashtbl.find_opt tbl (escr ()) with
+            | Some f -> f ()
+            | None -> cdflt ()
         end
         else
           (* general fallback: linear scan with == semantics *)
@@ -990,7 +653,7 @@ let instantiate ?engine ?(overrides = []) (design : P.design) (top : string) :
                       fun () -> es () = el ())
                     ls
                 in
-                (lcs, cstmt sc st))
+                (lcs, comp_stmt sc st))
               arms
           in
           fun () ->
@@ -1004,7 +667,7 @@ let instantiate ?engine ?(overrides = []) (design : P.design) (top : string) :
         let init = compile_assign ~blocking:true sc ilv (comp sc ie) in
         let ec = (comp sc cond).ev in
         let stepf = compile_assign ~blocking:true sc slv (comp sc se) in
-        let cbody = cstmt sc body in
+        let cbody = comp_stmt sc body in
         fun () ->
           init ();
           let iters = ref 0 in
@@ -1025,61 +688,31 @@ let instantiate ?engine ?(overrides = []) (design : P.design) (top : string) :
     match (fa.dlv.P.index, nt.asize > 0) with
     | None, false ->
         let ev = rhs.ev in
-        if copt then begin
-          let cf = canon_fn nt.w nt.sg in
-          fun () ->
-            let v = cf (ev ()) in
-            if vals.(i) <> v then begin
-              vals.(i) <- v;
-              true
-            end
-            else false
-        end
-        else begin
-          let w = nt.w and sg = nt.sg in
-          fun () ->
-            let v = canon w sg (ev ()) in
-            if vals.(i) <> v then begin
-              vals.(i) <- v;
-              true
-            end
-            else false
-        end
+        let w = nt.w and sg = nt.sg in
+        fun () ->
+          let v = canon w sg (ev ()) in
+          if vals.(i) <> v then begin
+            vals.(i) <- v;
+            true
+          end
+          else false
     | Some ie, true ->
         let iev = (comp fa.dsc ie).ev and ev = rhs.ev in
         let line = fa.aline in
-        if copt then begin
-          let cf = canon_fn nt.w nt.sg in
-          let asize = nt.asize and mem = mems.(i) and nname = nt.nname in
-          fun () ->
-            let j = iev () in
-            if j < 0 || j >= asize then
-              raise
-                (Sim_error
-                   (Printf.sprintf "line %d: assign %s[%d] out of range" line
-                      nname j));
-            let v = cf (ev ()) in
-            if mem.(j) <> v then begin
-              mem.(j) <- v;
-              true
-            end
-            else false
-        end
-        else
-          fun () ->
-            let j = iev () in
-            let nt = nets.(i) in
-            if j < 0 || j >= nt.asize then
-              raise
-                (Sim_error
-                   (Printf.sprintf "line %d: assign %s[%d] out of range" line
-                      nt.nname j));
-            let v = canon nt.w nt.sg (ev ()) in
-            if mems.(i).(j) <> v then begin
-              mems.(i).(j) <- v;
-              true
-            end
-            else false
+        fun () ->
+          let j = iev () in
+          let nt = nets.(i) in
+          if j < 0 || j >= nt.asize then
+            raise
+              (Sim_error
+                 (Printf.sprintf "line %d: assign %s[%d] out of range" line
+                    nt.nname j));
+          let v = canon nt.w nt.sg (ev ()) in
+          if mems.(i).(j) <> v then begin
+            mems.(i).(j) <- v;
+            true
+          end
+          else false
     | Some ie, false ->
         let iev = (comp fa.dsc ie).ev and ev = rhs.ev in
         let line = fa.aline in
@@ -1095,7 +728,7 @@ let instantiate ?engine ?(overrides = []) (design : P.design) (top : string) :
   let na = Array.length cass_arr in
   let closures = Array.map compile_cassign cass_arr in
   let proc_srcs = Array.of_list procs in
-  let procs = Array.map (fun (sc, body) -> cstmt sc body) proc_srcs in
+  let procs = Array.map (fun (sc, body) -> comp_stmt sc body) proc_srcs in
   let nprocs = Array.length procs in
   (* ---- levelization: read/write net sets, ranks, fanout lists ---- *)
   let expr_reads (sc : scope) (line : int) (acc : int list ref) =
@@ -1242,19 +875,12 @@ let instantiate ?engine ?(overrides = []) (design : P.design) (top : string) :
   in
   let eng, engv =
     match engine with
-    | Some Fixpoint -> (Efix closures, Fixpoint)
-    | Some Levelized -> (
+    | Fixpoint -> (Efix closures, Fixpoint)
+    | Levelized -> (
+        (* comb-loop fallback: fixpoint over the same closures;
+           engine_of reports the engine actually running *)
         match build_lev () with
         | Some l -> (Elev l, Levelized)
-        | None ->
-            raise
-              (Sim_error
-                 ("combinational loop: " ^ top ^ " cannot be levelized")))
-    | Some Compiled | None -> (
-        (* comb-loop fallback: fixpoint over the same (optimised)
-           closures; engine_of reports the engine actually running *)
-        match build_lev () with
-        | Some l -> (Elev l, Compiled)
         | None -> (Efix closures, Fixpoint))
   in
   let touch =

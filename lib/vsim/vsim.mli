@@ -25,26 +25,21 @@ exception Sim_error of string
 
 type t
 
-(** Scheduling/compilation engine for the design.
+(** Scheduling engine for the design.  Both run the same closures.
 
-    [Compiled] (the default) runs the levelized dirty-net worklist over
-    closures built by an optimising compiler: operand trees with only
-    constant leaves are folded at elaboration, canonicalisation masks
-    and array bounds with constant indices are precomputed, dense
-    constant [case] labels dispatch through a flat thunk table, and
-    destination writers are specialised per net.  [Levelized] is the
-    same scheduler over naively-compiled closures (one [canon] call per
-    node) — kept as the differential oracle for the optimiser.
-    [Fixpoint] is the original engine: re-evaluate every assign until
-    quiescence; kept as the semantic oracle and as the automatic
-    fallback when the assign graph has a combinational cycle (which
-    the levelized rank order cannot express).  All three engines
-    produce identical per-cycle net values and VCD bytes on the
-    single-driver designs the emitters produce. *)
-type engine = Compiled | Levelized | Fixpoint
+    [Levelized] (the default) evaluates the continuous assigns in rank
+    order off a dirty-net worklist and runs an always body only when a
+    net it reads has changed.  [Fixpoint] re-evaluates every assign
+    until quiescence and fires every always body on every edge; it is
+    the semantic oracle and the automatic fallback when the assign
+    graph has a combinational cycle (which the levelized rank order
+    cannot express).  Both engines produce identical per-cycle net
+    values and VCD bytes on the single-driver designs the emitters
+    produce. *)
+type engine = Levelized | Fixpoint
 
 val engine_name : engine -> string
-(** ["compiled"], ["levelized"], ["fixpoint"]. *)
+(** ["levelized"], ["fixpoint"]. *)
 
 val instantiate :
   ?engine:engine -> ?overrides:(string * int) list -> Vparse.design ->
@@ -55,11 +50,9 @@ val instantiate :
     outputs with {!peek}.  All registers start at 0; drive the design's
     reset input high for a cycle to apply declared reset values.
 
-    Without [engine] (or with [~engine:Compiled]) the compiled engine
+    Without [engine] (or with [~engine:Levelized]) the levelized engine
     is chosen, falling back to the fixpoint oracle if the assign graph
-    is cyclic — {!engine_of} reports the fallback; passing
-    [~engine:Levelized] explicitly instead raises [Sim_error] on a
-    cyclic design. *)
+    is cyclic — {!engine_of} reports the fallback. *)
 
 val engine_of : t -> engine
 (** The engine actually in use (reports the fallback). *)
@@ -114,8 +107,8 @@ val compare_state : t -> t -> string option
 (** [compare_state a b] compares every net (and memory element) of two
     instances elaborated from the same design; [None] if identical,
     otherwise a description of the first mismatch.  Used by the
-    engine-differential suite to pit the three engines against each
-    other pairwise, cycle by cycle. *)
+    engine-differential suite to lock the two engines together cycle
+    by cycle. *)
 
 (** VCD waveform dumping for debugging: scalar nets only (memories are
     skipped), one timestep per {!step}. *)

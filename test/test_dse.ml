@@ -1,6 +1,6 @@
 (* The design-space exploration subsystem: grid enumeration and spec
    round-trips, deterministic sampling, Pareto dominance/frontier
-   properties, options plumbing (queue depth override, latency, engine),
+   properties, options plumbing (queue depth override, latency),
    and the two headline determinism guarantees — same seed means a
    byte-identical rendered sweep, and a sharded sweep is identical to a
    sequential one. *)
@@ -51,7 +51,7 @@ let test_parse_errors () =
   in
   Alcotest.(check bool) "unknown axis" true (bad "wat=1");
   Alcotest.(check bool) "bad int" true (bad "nstages=two");
-  Alcotest.(check bool) "bad engine" true (bad "engine=quantum");
+  Alcotest.(check bool) "engine is not an axis" true (bad "engine=compiled");
   Alcotest.(check bool) "bad comm pass" true (bad "comm=merge+wat");
   Alcotest.(check bool) "empty axis" true (bad "nstages=");
   Alcotest.(check bool) "depth out of range" true (bad "queue_depth=0")
@@ -253,7 +253,7 @@ let test_frontier_nondominated =
             f)
         f)
 
-(* --- options plumbing (satellite: depth override / latency / engine) ------ *)
+(* --- options plumbing (depth override / latency) --------------------------- *)
 
 let test_options_plumbing () =
   let p = with_opts (fun o -> { o with queue_depth = 3; queue_latency = 17 }) pt in
@@ -263,8 +263,6 @@ let test_options_plumbing () =
     "depth override plumbed" (Some 3)
     cfg.Twill.Sim.queue_depth_override;
   Alcotest.(check int) "latency plumbed" 17 cfg.Twill.Sim.queue_latency;
-  Alcotest.(check bool) "engine plumbed" true
-    (cfg.Twill.Sim.engine = Sim.Compiled);
   (* a comm-enabled point moves depth to the extraction level so the
      sizing pass's rewritten queue depths aren't masked at sim time *)
   let copts =
@@ -276,19 +274,6 @@ let test_options_plumbing () =
   Alcotest.(check (option int))
     "no sim-time override under comm" None
     (Twill.sim_config copts).Twill.Sim.queue_depth_override
-
-(* The two engines must agree through the new config-level default. *)
-let test_engines_agree () =
-  let src = Dse.source_of_kernel "mips" in
-  let opts e = { Twill.default_options with Twill.sim_engine = e } in
-  let run e =
-    let o = opts e in
-    let t = Twill.extract ~opts:o (Twill.compile ~opts:o src) in
-    (Twill.run_twill_threaded ~opts:o t).Twill.scenario
-  in
-  let a = run Sim.Compiled and b = run Sim.Interpreted in
-  Alcotest.(check int) "same cycles" a.Twill.cycles b.Twill.cycles;
-  Alcotest.(check int32) "same result" a.Twill.ret b.Twill.ret
 
 (* --- sweeps --------------------------------------------------------------- *)
 
@@ -451,7 +436,6 @@ let suites =
     ( "dse.sweep",
       [
         Alcotest.test_case "options plumbing" `Quick test_options_plumbing;
-        Alcotest.test_case "engines agree" `Slow test_engines_agree;
         Alcotest.test_case "deterministic" `Slow test_sweep_deterministic;
         Alcotest.test_case "sharded = sequential" `Slow test_sweep_sharded_equal;
         Alcotest.test_case "warm = cold" `Slow test_sweep_warm_equals_cold;

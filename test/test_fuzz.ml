@@ -126,6 +126,17 @@ let test_stack_agrees () =
     "most cases produced a verdict" true
     (2 * List.length s.Campaign.s_skipped <= s.Campaign.s_cases)
 
+(* one vsim observation point per RTL backend: a case elaborates each
+   backend's emitted design once *)
+let test_one_vsim_point_per_backend () =
+  let names backends =
+    List.map Twill.obs_stage_name (Oracle.stages_for ~backends Oracle.L_vsim)
+    |> List.filter (fun n -> String.starts_with ~prefix:"vsim" n)
+  in
+  Alcotest.(check (list string)) "both" [ "vsim"; "vsim-df" ] (names Oracle.B_both);
+  Alcotest.(check (list string)) "fsm" [ "vsim" ] (names Oracle.B_fsm);
+  Alcotest.(check (list string)) "dataflow" [ "vsim-df" ] (names Oracle.B_dataflow)
+
 (* --- communication-optimizer soak --------------------------------------- *)
 
 (* all four comm passes, forced 3-stage pipeline, shallow queues: the
@@ -296,6 +307,8 @@ let suites =
           `Quick test_prefix_memo_matches_fresh;
         Alcotest.test_case "whole stack agrees on a clean build" `Quick
           test_stack_agrees;
+        Alcotest.test_case "one vsim point per backend" `Quick
+          test_one_vsim_point_per_backend;
         Alcotest.test_case "comm passes preserve behaviour (200-case soak)"
           `Slow test_comm_soak;
         Alcotest.test_case "comm passes fire on the corpus" `Slow

@@ -1,6 +1,7 @@
 (* twilld through the option table: cache keys that cover every knob
-   extraction reads, table-checked request values, table-rendered dse
-   points, and a [stop] request that really ends [Server.serve]. *)
+   extraction reads, table-checked request values and field names,
+   table-rendered dse points, and a [stop] request that really ends
+   [Server.serve]. *)
 
 module Server = Twill_serve.Server
 module Client = Twill_serve.Client
@@ -68,6 +69,54 @@ let test_range_message () =
     (Unix.close_process_in ic <> Unix.WEXITED 0);
   Alcotest.(check bool) ("CLI: " ^ out) true (contains ~sub:range_message out)
 
+(* A field twilld does not know is an error naming the field, not a
+   silently ignored typo; every field the benchmark's session sends
+   (benchmark/session.ml) is still accepted. *)
+let test_unknown_fields () =
+  let t = Server.create ~workers:0 () in
+  let tiny = ("src", Json.Str "int main() { return 1; }") in
+  let simulate extra =
+    Server.handle t (Json.Obj ([ ("cmd", Json.Str "simulate"); tiny ] @ extra))
+  in
+  List.iter
+    (fun (field, v) ->
+      let r = simulate [ (field, v) ] in
+      Alcotest.(check (option bool)) (field ^ " refused") (Some false)
+        (Json.bool_field "ok" r);
+      let e = Option.value (Json.str_field "error" r) ~default:"" in
+      Alcotest.(check bool) ("names " ^ field ^ ": " ^ e) true
+        (contains ~sub:field e))
+    [ ("engine", Json.Str "compiled"); ("queue_latncy", Json.Int 4) ];
+  Alcotest.(check (option bool)) "a batch checks its sub-requests" (Some false)
+    (match
+       Json.list_field "results"
+         (Server.handle t
+            (Json.Obj
+               [
+                 ("cmd", Json.Str "batch");
+                 ( "reqs",
+                   Json.List [ Json.Obj [ ("cmd", Json.Str "ping"); ("x", Json.Int 1) ] ]
+                 );
+               ]))
+     with
+    | Some [ r ] -> Json.bool_field "ok" r
+    | _ -> None);
+  let o = Twill.default_options in
+  let sim_knobs = Server.fields O.[ nstages; queue_depth; queue_latency; backend; mem_banks ] o in
+  List.iter
+    (fun (what, kvs) ->
+      let r = Server.handle t (Json.Obj (("id", Json.Int 7) :: kvs)) in
+      Alcotest.(check (option bool)) (what ^ ": " ^ Json.to_string r) (Some true)
+        (Json.bool_field "ok" r))
+    [
+      ("simulate", (("cmd", Json.Str "simulate") :: tiny :: sim_knobs));
+      ("dse", [ ("cmd", Json.Str "dse"); ("sample", Json.Int 1); ("seed", Json.Int 3) ]);
+      ( "comm",
+        ("cmd", Json.Str "comm") :: tiny :: ("comm", Json.Str "all")
+        :: Server.fields O.[ nstages; queue_depth; queue_latency ] o );
+      ("stats", [ ("cmd", Json.Str "stats") ]);
+    ]
+
 let test_dse_names_backend () =
   let t = Server.create ~workers:0 () in
   let r =
@@ -127,6 +176,8 @@ let suites =
           test_warm_equals_fresh;
         Alcotest.test_case "one range message everywhere" `Quick
           test_range_message;
+        Alcotest.test_case "unknown request fields are refused" `Quick
+          test_unknown_fields;
         Alcotest.test_case "dse frontier names the backend" `Quick
           test_dse_names_backend;
         Alcotest.test_case "stop ends serve" `Quick test_stop_ends_serve;

@@ -253,7 +253,7 @@ let diff_tests =
           [ (1, 1); (2, 3); (5, 6) ]);
   ]
 
-(* --- three-way engine differential: compiled / levelized / fixpoint ------ *)
+(* --- engine differential: levelized / fixpoint ---------------------------- *)
 
 let emitted_design src =
   let m = Twill.compile ~opts:opts3 src in
@@ -319,7 +319,7 @@ let engine_tests =
         Vsim.step i;
         Alcotest.(check int) "peek_h" 42 (Vsim.peek_h i hy);
         Alcotest.(check int) "peek" 42 (Vsim.peek i "y"));
-    Alcotest.test_case "whole-design cosim identical under all three engines"
+    Alcotest.test_case "whole-design cosim identical under both engines"
       `Quick (fun () ->
         let src =
           "int main() { int acc = 0; for (int i = 0; i < 80; i++) { int a = \
@@ -327,24 +327,17 @@ let engine_tests =
         in
         let m = Twill.compile ~opts:opts3 src in
         let t = Twill.extract ~opts:opts3 m in
-        let rc = Twill.cosim ~opts:opts3 ~engine:Vsim.Compiled t in
-        let rl = Twill.cosim ~opts:opts3 ~engine:Vsim.Levelized t in
-        let rf = Twill.cosim ~opts:opts3 ~engine:Vsim.Fixpoint t in
-        Alcotest.(check string) "compiled ran" "compiled" rc.Cosim.rtl_engine;
-        Alcotest.(check string) "levelized ran" "levelized" rl.Cosim.rtl_engine;
-        Alcotest.(check string) "fixpoint ran" "fixpoint" rf.Cosim.rtl_engine;
         let rd = Twill.cosim ~opts:opts3 t in
-        Alcotest.(check string) "default is compiled" "compiled"
+        let rf = Twill.cosim ~opts:opts3 ~engine:Vsim.Fixpoint t in
+        Alcotest.(check string) "default is levelized" "levelized"
           rd.Cosim.rtl_engine;
-        List.iter
-          (fun (r : Cosim.report) ->
-            Alcotest.(check int32) "same return" rc.Cosim.rtl_ret
-              r.Cosim.rtl_ret;
-            Alcotest.(check int) "same cycle count" rc.Cosim.rtl_cycles
-              r.Cosim.rtl_cycles;
-            Alcotest.(check bool) "agrees with rtsim" true r.Cosim.agree)
-          [ rc; rl; rf; rd ]);
-    Alcotest.test_case "combinational cycle raises / falls back" `Quick
+        Alcotest.(check string) "fixpoint ran" "fixpoint" rf.Cosim.rtl_engine;
+        Alcotest.(check int32) "same return" rd.Cosim.rtl_ret rf.Cosim.rtl_ret;
+        Alcotest.(check int) "same cycle count" rd.Cosim.rtl_cycles
+          rf.Cosim.rtl_cycles;
+        Alcotest.(check bool) "default agrees with rtsim" true rd.Cosim.agree;
+        Alcotest.(check bool) "fixpoint agrees with rtsim" true rf.Cosim.agree);
+    Alcotest.test_case "combinational cycle falls back to fixpoint" `Quick
       (fun () ->
         let d =
           Vparse.parse
@@ -353,23 +346,21 @@ let engine_tests =
             \  assign a = ~b;\n\
             \  assign b = a & x;\nendmodule"
         in
-        (* forcing the levelized engine on a cyclic graph is an error *)
-        (match Vsim.instantiate ~engine:Vsim.Levelized d "m" with
-        | exception Vsim.Sim_error _ -> ()
-        | _ -> Alcotest.fail "cyclic design levelized");
-        (* the default and the explicit compiled engine fall back to the
-           fixpoint oracle, visibly via engine_of... *)
-        let i = Vsim.instantiate d "m" in
-        Alcotest.(check bool) "default fell back" true
-          (Vsim.engine_of i = Vsim.Fixpoint);
-        let ic = Vsim.instantiate ~engine:Vsim.Compiled d "m" in
-        Alcotest.(check bool) "compiled fell back" true
-          (Vsim.engine_of ic = Vsim.Fixpoint);
-        (* ...which still detects the oscillation at runtime *)
-        Vsim.poke i "x" 1;
-        match Vsim.step i with
-        | exception Vsim.Sim_error _ -> ()
-        | () -> Alcotest.fail "oscillating loop settled");
+        (* the default and the explicit levelized engine both fall back to
+           the fixpoint oracle, visibly via engine_of, and the fallback
+           still detects the oscillation at runtime *)
+        List.iter
+          (fun (what, i) ->
+            Alcotest.(check bool) (what ^ " fell back") true
+              (Vsim.engine_of i = Vsim.Fixpoint);
+            Vsim.poke i "x" 1;
+            match Vsim.step i with
+            | exception Vsim.Sim_error _ -> ()
+            | () -> Alcotest.fail (what ^ ": oscillating loop settled"))
+          [
+            ("default", Vsim.instantiate d "m");
+            ("levelized", Vsim.instantiate ~engine:Vsim.Levelized d "m");
+          ]);
   ]
 
 let chstone_engine_tests =
