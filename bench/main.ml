@@ -344,64 +344,10 @@ let cosim () =
   if List.exists (fun (_, (r : Twill.Cosim.report)) -> not r.Twill.Cosim.agree) rows
   then failwith "cosim: RTL disagrees with rtsim"
 
-(* ------------------------------------------------------------------ *)
-(* rtsim engines: interpreted oracle vs compiled (BENCH_rtsim.json)    *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-kernel interpreted-vs-compiled rtsim: stats must be identical
-   (structural equality over the whole record); walls are the min of
-   [reps] runs after one untimed warm-up, so the process-wide schedule
-   cache and decode work are paid before either engine is timed. *)
-let rtsim_engine_rows ?(reps = 3) () =
-  let opts = forced_pipeline_opts in
-  List.map
-    (fun (b : C.benchmark) ->
-      let m, profile = compiled ~opts b in
-      let t = Twill.extract ~opts ~profile m in
-      let config = Twill.sim_config opts in
-      ignore (rtsim_stats ~engine:Twill.Sim.Interpreted t config);
-      let time engine =
-        let best_stats = ref None and best = ref infinity in
-        for _ = 1 to reps do
-          let s0 = Unix.gettimeofday () in
-          let st = rtsim_stats ~engine t config in
-          let w = Unix.gettimeofday () -. s0 in
-          if w < !best then best := w;
-          best_stats := Some st
-        done;
-        (Option.get !best_stats, !best)
-      in
-      let si, wi = time Twill.Sim.Interpreted in
-      let sc, wc = time Twill.Sim.Compiled in
-      (b.C.name, si, wi, sc, wc, si = sc))
-    C.all
-
-let rtsim_engines () =
-  header
-    "rtsim engines — interpreted oracle vs compiled (3-stage pipeline); \
-     IDENTICAL = every stats field equal (ret, cycles, queue peaks, bus \
-     waits)";
-  Printf.printf "%-10s | %10s | %12s %12s %8s | %s\n" "benchmark" "cycles"
-    "interp(s)" "compiled(s)" "speedup" "verdict";
-  let rows = rtsim_engine_rows () in
-  let twi = ref 0.0 and twc = ref 0.0 in
-  List.iter
-    (fun (name, (si : Twill.Sim.stats), wi, _, wc, same) ->
-      twi := !twi +. wi;
-      twc := !twc +. wc;
-      Printf.printf "%-10s | %10d | %12.4f %12.4f %7.2fx | %s\n" name
-        si.Twill.Sim.cycles wi wc (wi /. wc)
-        (if same then "IDENTICAL" else "DIFFER"))
-    rows;
-  Printf.printf "total: interpreted %.3fs, compiled %.3fs, speedup %.2fx\n"
-    !twi !twc (!twi /. !twc);
-  if List.exists (fun (_, _, _, _, _, same) -> not same) rows then
-    failwith "rtsim: engines disagree"
-
 (* Committed-artifact writer: every BENCH_*.json emitter follows one
    discipline — a deterministic JSON object on stdout (values straight
-   from the simulator and models; wall-clock only where the artifact is
-   not byte-diffed), diagnostics on stderr, and a nonzero exit after
+   from the simulator and models, no wall-clock), diagnostics on stderr,
+   and a nonzero exit after
    the artifact is fully printed when a gate fails, so CI can both diff
    the file and read the verdict.  [emit] renders the object with the
    two-space/close-brace layout the committed files use; [arr] renders
@@ -428,79 +374,6 @@ module Artifact = struct
     List.iter (fun g -> Printf.eprintf "%s\n" g.msg) bad;
     if bad <> [] then exit 1
 end
-
-(* BENCH_rtsim.json: per-kernel cycles and walls for both engines, so
-   future PRs diff the rtsim perf trajectory.  Exits nonzero if any
-   stats field differs between the engines. *)
-let json_rtsim () =
-  let t0 = Unix.gettimeofday () in
-  let rows = rtsim_engine_rows () in
-  let row_json =
-    List.map
-      (fun (name, (si : Twill.Sim.stats), wi, (_ : Twill.Sim.stats), wc, same) ->
-        Printf.sprintf
-          "    {\"benchmark\": %S, \"cycles\": %d, \"executed\": %d, \
-           \"wall_interpreted_s\": %.4f, \"wall_compiled_s\": %.4f, \
-           \"speedup\": %.2f, \"stats_identical\": %b}"
-          name si.Twill.Sim.cycles si.Twill.Sim.executed wi wc (wi /. wc) same)
-      rows
-  in
-  let twi =
-    List.fold_left (fun acc (_, _, wi, _, _, _) -> acc +. wi) 0.0 rows
-  in
-  let twc =
-    List.fold_left (fun acc (_, _, _, _, wc, _) -> acc +. wc) 0.0 rows
-  in
-  let all_same = List.for_all (fun (_, _, _, _, _, same) -> same) rows in
-  let total = Unix.gettimeofday () -. t0 in
-  Artifact.emit
-    [
-      ("results", Artifact.arr row_json);
-      ("stats_identical", Printf.sprintf "%b" all_same);
-      ("wall_interpreted_s", Printf.sprintf "%.3f" twi);
-      ("wall_compiled_s", Printf.sprintf "%.3f" twc);
-      ( "speedup_compiled_over_interpreted",
-        Printf.sprintf "%.2f" (if twc > 0.0 then twi /. twc else 0.0) );
-      ("total_wall_time_s", Printf.sprintf "%.3f" total);
-    ];
-  Artifact.check [ Artifact.gate all_same "rtsim: engines disagree" ]
-
-(* ------------------------------------------------------------------ *)
-(* Differential fuzzing throughput (EXPERIMENTS.md)                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Oracle throughput at each --max-stage limit: how many random
-   programs per second the whole-stack differential oracle sustains.
-   The case counts shrink as the stages deepen — one vsim case
-   elaborates and co-simulates the full emitted RTL of both backends
-   (the FSM and the elastic dataflow lowering). *)
-let fuzz () =
-  header
-    "Differential fuzzing — oracle throughput per --max-stage (seed 11); a \
-     divergence anywhere here is a miscompilation";
-  Printf.printf "%-9s | %6s %8s %8s | %s\n" "max-stage" "cases" "wall(s)"
-    "cases/s" "result";
-  List.iter
-    (fun (limit, cases) ->
-      let s0 = Unix.gettimeofday () in
-      let s = Twill_fuzz.Campaign.run ~limit ~seed:11 ~cases () in
-      let dt = Unix.gettimeofday () -. s0 in
-      Printf.printf "%-9s | %6d %8.2f %8.1f | agreed %d, skipped %d, diverged %d\n"
-        (Twill_fuzz.Oracle.limit_to_string limit)
-        cases dt
-        (float_of_int cases /. dt)
-        s.Twill_fuzz.Campaign.s_agreed
-        (List.length s.Twill_fuzz.Campaign.s_skipped)
-        (List.length s.Twill_fuzz.Campaign.s_repros);
-      if s.Twill_fuzz.Campaign.s_repros <> [] then
-        failwith "fuzz: differential oracle found a divergence")
-    [
-      (Twill_fuzz.Oracle.L_ast, 100);
-      (Twill_fuzz.Oracle.L_ir, 100);
-      (Twill_fuzz.Oracle.L_opt, 60);
-      (Twill_fuzz.Oracle.L_rtsim, 60);
-      (Twill_fuzz.Oracle.L_vsim, 6);
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablations called out in DESIGN.md                                   *)
@@ -555,50 +428,15 @@ let ablation () =
         refine static_wt k2 unrolled)
     C.all
 
-(* ------------------------------------------------------------------ *)
-(* Machine-readable mode for CI and regression tracking                *)
-(* ------------------------------------------------------------------ *)
-
-let json_mode (names : string list) =
-  let bs = match names with [] -> C.all | ns -> List.map C.find ns in
-  let t0 = Unix.gettimeofday () in
-  let rows =
-    List.map
-      (fun (b : C.benchmark) ->
-        let s = Unix.gettimeofday () in
-        let r = report_of b in
-        let e = Unix.gettimeofday () in
-        Printf.sprintf
-          "    {\"benchmark\": %S, \"sw_cycles\": %d, \"hw_cycles\": %d, \
-           \"twill_cycles\": %d, \"speedup_vs_sw\": %.4f, \"wall_time_s\": \
-           %.3f}"
-          b.C.name r.Twill.sw.Twill.cycles r.Twill.hw.Twill.cycles
-          r.Twill.twill.Twill.scenario.Twill.cycles r.Twill.speedup_vs_sw
-          (e -. s))
-      bs
-  in
-  let total = Unix.gettimeofday () -. t0 in
-  Artifact.emit
-    [
-      ("results", Artifact.arr rows);
-      ("total_wall_time_s", Printf.sprintf "%.3f" total);
-    ]
-
 (* BENCH_dse.json: the committed design-space sweep — default grid,
    fixed seed, rendered by the deterministic lib/dse printer, so the
-   file must reproduce byte-for-byte on any machine.  Wall-clock goes to
-   stderr only. *)
+   file must reproduce byte-for-byte on any machine. *)
 let json_dse () =
-  let t0 = Unix.gettimeofday () in
   let s = Twill_dse.Dse.run Twill_dse.Grid.default in
-  let wall = Unix.gettimeofday () -. t0 in
   print_string (Twill_dse.Dse.json_of_sweep s);
   let r = s.Twill_dse.Dse.reuse in
-  Printf.eprintf
-    "dse: %d points, %d compiles (%d prefix-reused), %d extractions, \
-     %.1fs wall\n"
-    r.Twill_dse.Dse.points r.Twill_dse.Dse.compiles
-    r.Twill_dse.Dse.prefix_reused r.Twill_dse.Dse.extractions wall
+  Printf.eprintf "dse: %d points, %d extractions\n" r.Twill_dse.Dse.points
+    r.Twill_dse.Dse.extractions
 
 (* BENCH_comm.json: the committed communication-optimizer study — every
    bundled kernel at the paper's queue-sensitivity operating point
@@ -606,11 +444,10 @@ let json_dse () =
    against each comm pass alone and all four together, so per-pass cycle
    attribution is machine-readable.  Everything on stdout is an integer
    from the simulator or the pass reports, so the file reproduces
-   byte-for-byte on any machine; wall-clock goes to stderr.  Exits
+   byte-for-byte on any machine.  Exits
    nonzero if any variant changes observable behaviour or the full pass
    set regresses the aggregate cycle count. *)
 let json_comm () =
-  let t0 = Unix.gettimeofday () in
   let opts0 = { forced_pipeline_opts with Twill.queue_depth = 2 } in
   let variants =
     ("none", Twill.Comm.none)
@@ -717,10 +554,9 @@ let json_comm () =
       ("behaviour_identical", Printf.sprintf "%b" behaviour_ok);
     ];
   Printf.eprintf "comm: %d kernels x %d variants, aggregate %d -> %d \
-                  (%+d cycles), %.1fs wall\n"
+                  (%+d cycles)\n"
     (List.length rows) (List.length variants) base_total all_total
-    (all_total - base_total)
-    (Unix.gettimeofday () -. t0);
+    (all_total - base_total);
   Artifact.check
     [
       Artifact.gate behaviour_ok "comm: behaviour diverged under a comm pass";
@@ -735,12 +571,11 @@ let json_comm () =
    three-way differential co-simulation verdict (rtsim vs FSM-RTL vs
    dataflow-RTL, including the per-stage call-port issue streams).
    Everything on stdout is an integer or bool from the simulator and
-   models, so the file reproduces byte-for-byte on any machine;
-   wall-clock goes to stderr.  Exits nonzero if any kernel's backends
+   models, so the file reproduces byte-for-byte on any machine.  Exits
+   nonzero if any kernel's backends
    disagree on behaviour, any call-port stream differs, or no kernel is
    Pareto-dominated by the dataflow lowering on (cycles, LUTs). *)
 let json_backend () =
-  let t0 = Unix.gettimeofday () in
   let backends = [ Twill.Schedule.Fsm; Twill.Schedule.Dataflow ] in
   let rows =
     Twill.Par.map
@@ -839,9 +674,8 @@ let json_backend () =
           (List.length rows) dominant all_agree );
     ];
   Printf.eprintf
-    "backend: %d kernels, %d dataflow-dominant, agree=%b, %.1fs wall\n"
-    (List.length rows) dominant all_agree
-    (Unix.gettimeofday () -. t0);
+    "backend: %d kernels, %d dataflow-dominant, agree=%b\n"
+    (List.length rows) dominant all_agree;
   Artifact.check
     [
       Artifact.gate all_agree "backend: three-way cosim diverged";
@@ -860,11 +694,10 @@ let json_backend () =
    (rtsim vs FSM RTL vs dataflow RTL, with per-bank call-port
    projections) must also agree.  Everything on stdout is an integer or
    bool from the simulator and models, so the file reproduces
-   byte-for-byte on any machine; wall-clock goes to stderr.  Exits
+   byte-for-byte on any machine.  Exits
    nonzero unless every engine pair and backend agrees and at least one
    kernel's cycle count improves at 4 banks. *)
 let json_mem () =
-  let t0 = Unix.gettimeofday () in
   let banks_axis = [ 1; 2; 4 ] in
   let backends = [ Twill.Schedule.Fsm; Twill.Schedule.Dataflow ] in
   let rows =
@@ -970,10 +803,9 @@ let json_mem () =
     ];
   Printf.eprintf
     "mem: %d kernels x %d banks x %d backends, %d improved at 4 banks, \
-     engines=%b cosim=%b, %.1fs wall\n"
+     engines=%b cosim=%b\n"
     (List.length rows) (List.length banks_axis) (List.length backends)
-    n_improved engines_ok cosim_ok
-    (Unix.gettimeofday () -. t0);
+    n_improved engines_ok cosim_ok;
   Artifact.check
     [
       Artifact.gate engines_ok
@@ -996,15 +828,11 @@ let artifacts =
     ("fig-6.6", fig_6_6);
     ("ablation", ablation);
     ("cosim", cosim);
-    ("rtsim", rtsim_engines);
-    ("fuzz", fuzz);
   ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   match args with
-  | "--json" :: names -> json_mode names
-  | [ "--json-rtsim" ] -> json_rtsim ()
   | [ "--json-dse" ] -> json_dse ()
   | [ "--json-comm" ] -> json_comm ()
   | [ "--json-backend" ] -> json_backend ()

@@ -450,16 +450,8 @@ let sample_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Sampling seed.")
 
-let shards_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "shards" ] ~docv:"K"
-        ~doc:
-          "Round-robin the sweep into K domain-parallel shards (0: one task \
-           per extraction group).  Results are identical either way.")
-
 let dse_cmd =
-  let run grid_spec sample seed shards json out cold =
+  let run grid_spec sample seed json out cold =
     let grid =
       if grid_spec = "" then Dse_grid.default
       else
@@ -470,18 +462,15 @@ let dse_cmd =
             exit 2
     in
     let t0 = Unix.gettimeofday () in
-    let s = Dse.run ~shards ~seed ?sample grid in
+    let s = Dse.run ~seed ?sample grid in
     let wall = Unix.gettimeofday () -. t0 in
     let r = s.Dse.reuse in
     Fmt.epr
-      "%d points in %.2fs (%.0f/s): %d compiles (%d full, %d prefix-reused), \
-       %d extractions, %d simulations; compile hit-rate %.1f%%, extract \
+      "%d points in %.2fs (%.0f/s): %d extractions, %d simulations; extract \
        hit-rate %.1f%%@."
       r.Dse.points wall
       (float_of_int r.Dse.points /. wall)
-      r.Dse.compiles r.Dse.full_compiles r.Dse.prefix_reused r.Dse.extractions
-      r.Dse.simulations
-      (100.0 *. Dse.hit_rate ~paid:r.Dse.compiles ~total:r.Dse.points)
+      r.Dse.extractions r.Dse.simulations
       (100.0 *. Dse.hit_rate ~paid:r.Dse.extractions ~total:r.Dse.points);
     if cold then begin
       let t1 = Unix.gettimeofday () in
@@ -489,7 +478,7 @@ let dse_cmd =
       let cold_wall = Unix.gettimeofday () -. t1 in
       let same = Dse.results_digest c.Dse.results = Dse.results_digest s.Dse.results in
       Fmt.epr
-        "cold (no reuse): %.2fs — incremental speedup %.1fx, results %s@."
+        "cold (no grouping): %.2fs — grouped speedup %.1fx, results %s@."
         cold_wall (cold_wall /. wall)
         (if same then "identical" else "DIVERGED");
       if not same then exit 1
@@ -529,10 +518,10 @@ let dse_cmd =
     (Cmd.info "dse"
        ~doc:
          "Sweep a design-space grid (kernel x partition x queue x backend) \
-          with incremental compile/extract reuse and report the Pareto \
-          frontier over (cycles, LUTs, power)")
+          with one extraction per group of points that share it, and report \
+          the Pareto frontier over (cycles, LUTs, power)")
     Term.(
-      const run $ grid_arg $ sample_arg $ seed_arg $ shards_arg
+      const run $ grid_arg $ sample_arg $ seed_arg
       $ Arg.(value & flag & info [ "json" ] ~doc:"Emit the sweep as JSON.")
       $ Arg.(
           value
@@ -542,8 +531,8 @@ let dse_cmd =
           value & flag
           & info [ "cold" ]
               ~doc:
-                "Also run the sweep without any reuse and report the \
-                 incremental engine's speedup (exits 1 if results differ)."))
+                "Also run the sweep with one extraction per point and report \
+                 the grouped sweep's speedup (exits 1 if results differ)."))
 
 module Serve_client = Twill_serve.Client
 module Serve_server = Twill_serve.Server
@@ -642,30 +631,6 @@ let daemon_check_cmd =
       const run $ socket_arg $ opts_term simulate_knobs
       $ Arg.(non_empty & pos_all string [] & info [] ~docv:"NAME|FILE..."))
 
-let daemon_bench_cmd =
-  let run socket opts what iters =
-    with_client socket (fun c ->
-        let req = request "simulate" simulate_knobs opts what in
-        let t0 = Unix.gettimeofday () in
-        ignore (Serve_client.request c req);
-        let cold = Unix.gettimeofday () -. t0 in
-        let t1 = Unix.gettimeofday () in
-        for _ = 1 to iters do
-          ignore (Serve_client.request c req)
-        done;
-        let warm = (Unix.gettimeofday () -. t1) /. float_of_int iters in
-        Fmt.pr
-          "first request %.1f ms, warm request %.3f ms (x%d), speedup %.0fx@."
-          (cold *. 1e3) (warm *. 1e3) iters (cold /. warm))
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:"Measure cold-vs-warm twilld request latency for one kernel")
-    Term.(
-      const run $ socket_arg $ opts_term simulate_knobs
-      $ Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME|FILE")
-      $ Arg.(value & opt int 20 & info [ "iters" ] ~doc:"Warm iterations."))
-
 let daemon_dse_cmd =
   let run socket grid_spec sample seed =
     with_client socket (fun c ->
@@ -712,7 +677,7 @@ let daemon_cmd =
           start one with the twilld executable")
     [
       daemon_ping_cmd; daemon_stats_cmd; daemon_stop_cmd; daemon_simulate_cmd;
-      daemon_check_cmd; daemon_bench_cmd; daemon_dse_cmd; daemon_comm_cmd;
+      daemon_check_cmd; daemon_dse_cmd; daemon_comm_cmd;
     ]
 
 let () =

@@ -57,11 +57,11 @@ let map (f : 'a -> 'b) (xs : 'a list) : 'b list =
 (* A long-lived pool for servers (twilld): worker domains are spawned
    once — against the same process-wide slot budget as the one-shot
    combinators, so a pool plus nested [map]/[pair] calls still cannot
-   oversubscribe — and jobs are fed through a shared queue.  Keeping the
-   domains alive is what makes per-domain state (the driver's
-   Domain.DLS-keyed preparation memos) survive across requests, which is
-   the entire point: a warm worker re-serves a repeated request from its
-   memo instead of re-elaborating.
+   oversubscribe — and jobs are fed through a shared queue, so a server
+   pays for spawning domains once rather than per request.  Per-domain
+   state (Domain.DLS, e.g. [Twill.observe]'s preparation memos) also
+   survives across jobs; twilld's handlers use none of it and keep their
+   caches in the server, shared by every worker.
 
    The caller of [pool_map] always participates — it runs the first item
    inline and then helps drain the queue — so a pool with zero workers

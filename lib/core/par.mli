@@ -24,8 +24,7 @@ type pool
 (** A persistent worker pool for long-lived servers: domains are spawned
     once (against the same process-wide slot budget, so a pool plus
     nested {!map}/{!pair} calls cannot oversubscribe) and kept alive
-    across jobs, which preserves per-domain state — the driver's
-    [Domain.DLS]-keyed preparation memos — between requests. *)
+    across jobs, so a server pays for spawning them once. *)
 
 val pool : ?workers:int -> unit -> pool
 (** Spawns up to [workers] (default: the full remaining slot budget)

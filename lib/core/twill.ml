@@ -12,7 +12,6 @@ module Pipeline = Twill_passes.Pipeline
 module Partition = Twill_dswp.Partition
 module Threadgen = Twill_dswp.Threadgen
 module Dswp = Twill_dswp.Dswp
-module Parexec = Twill_dswp.Parexec
 module Schedule = Twill_hls.Schedule
 module Area = Twill_hls.Area
 module Power = Twill_hls.Power
@@ -655,9 +654,10 @@ let obs_prep ~opts (src : string) : obs_prep =
   match !memo with
   | Some p when String.equal p.prep_src src && p.prep_opts = opts -> p
   | _ ->
-      (* extraction mutates the module in place, so once the prefix
-         memo's module is promoted to the full pipeline and handed
-         over, the prefix memo must stop serving it *)
+      (* promoting the prefix memo's module to the full pipeline runs
+         the remaining stages on it in place, so the memo's [odone] and
+         [oruns] no longer describe it; hand the module over and drop
+         the memo rather than let it serve a later prefix *)
       let m =
         let popts = pipeline_options opts in
         let omemo = Domain.DLS.get opt_prep_memo in

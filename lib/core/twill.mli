@@ -16,7 +16,6 @@ module Pipeline = Twill_passes.Pipeline
 module Partition = Twill_dswp.Partition
 module Threadgen = Twill_dswp.Threadgen
 module Dswp = Twill_dswp.Dswp
-module Parexec = Twill_dswp.Parexec
 module Schedule = Twill_hls.Schedule
 module Area = Twill_hls.Area
 module Power = Twill_hls.Power

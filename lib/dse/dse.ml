@@ -3,31 +3,23 @@
    Evaluates every point of a {!Grid.t} — thousands of (kernel x
    partition x queue x backend) configurations — and reduces the sweep to
    a Pareto frontier over (cycles, LUTs, power) plus per-axis
-   sensitivity curves.  Three levels of incremental reuse keep the cost
-   proportional to the number of *distinct suffixes*, not the grid size:
+   sensitivity curves.  Two levels of reuse keep the cost proportional
+   to the number of distinct extractions, not the grid size:
 
-     compile   one pass-pipeline run per kernel and compile key.  Variants of
-               the same kernel share the pass prefix below the first
-               option-dependent stage ("unroll"): the prefix runs once,
-               the module is snapshotted, and only the remaining stages
-               re-run per variant ([Pipeline.run_range] splits exactly
-               like that, so an incremental compile is identical to a
-               cold one).
-     extract   one profile + DSWP preparation per compile, one
-               extraction per [Twill.Options.extract_key] on top of it
-               (see [opts_of_point] for where the grid depth goes).
+     extract   one compile + DSWP extraction per extraction group: the
+               kernel plus [Twill.Options.extract_key] of the point's
+               evaluation options (see [opts_of_point] for where the
+               grid depth goes).
      simulate  every point pays only its own cycle-accurate simulation;
                depth/latency/banks live in [Sim.config], so a sim-level
                point is one [Twill.run_twill_threaded] call.
 
-   Sharding: extraction groups fan out over [Par] domains — either one
-   task per group (default) or [~shards:n] round-robin bundles for the
-   determinism tests.  Every evaluation is a pure function of its point,
-   so the result list, the frontier and the rendered JSON are identical
-   however the sweep is sharded. *)
+   [evaluate] is the one sweep path.  [run] drives it with [Par.map] and
+   a from-source extraction; twilld's dse handler drives it with its
+   worker pool and its persistent elaboration cache.  Every evaluation
+   is a pure function of its point, so the results, the frontier and the
+   rendered JSON do not depend on how the groups are scheduled. *)
 
-module Ir = Twill_ir.Ir
-module Pipeline = Twill_passes.Pipeline
 module C = Twill_chstone.Chstone
 
 let source_of_kernel (name : string) : string = (C.find name).C.source
@@ -61,62 +53,10 @@ let eval_threaded (opts : Twill.options) (t : Twill.Dswp.threaded) :
     executed = r.Twill.scenario.Twill.executed;
   }
 
-(* --- level 1: incremental compilation ------------------------------------- *)
-
-(* The IR is pure data (no closures, no custom blocks), so a pass-prefix
-   snapshot is a Marshal round-trip. *)
-let copy_modul (m : Ir.modul) : Ir.modul =
-  Marshal.from_string (Marshal.to_string m []) 0
-
-(* First pipeline stage whose behaviour depends on compile-level grid
-   axes; everything before it is option-independent and shareable. *)
-let unroll_stage =
-  let rec idx i = function
-    | [] -> failwith "dse: pipeline has no unroll stage"
-    | "unroll" :: _ -> i
-    | _ :: rest -> idx (i + 1) rest
-  in
-  idx 0 Pipeline.stage_names
-
-type compiled = {
-  c_modul : Ir.modul;
-  c_prep : Twill.Dswp.prep;  (* profile + PDG/weights, shared by widths *)
-}
-
-(* Compiles every compile-level variant of one kernel: the shared prefix
-   runs once on the base module, later variants run the remaining stages
-   on a snapshot, the first finishes the base module in place. *)
-let compile_kernel (kernel : string) (variants : Twill.options list) :
-    ((string * string) * compiled) list =
-  let src = source_of_kernel kernel in
-  let base = Twill_minic.Minic.compile src in
-  ignore (Pipeline.run_range 0 unroll_stage base);
-  let modules =
-    match variants with
-    | [] -> []
-    | first :: rest ->
-        (* snapshot before the base is mutated by the first variant *)
-        let copies = List.map (fun o -> (o, copy_modul base)) rest in
-        (first, base) :: copies
-  in
-  List.map
-    (fun (opts, m) ->
-      ignore
-        (Pipeline.run_range
-           ~opts:(Twill.pipeline_options opts)
-           unroll_stage Pipeline.nstages m);
-      let profile = Twill.profile_blocks ~opts m in
-      let prep = Twill.Dswp.prepare ~profile m in
-      ((kernel, Twill.Options.compile_key opts), { c_modul = m; c_prep = prep }))
-    modules
-
 (* --- the sweep ------------------------------------------------------------- *)
 
 type reuse = {
   points : int;
-  compiles : int;  (* distinct (kernel, unroll) pipelines run *)
-  full_compiles : int;  (* ... of which paid the full pass prefix *)
-  prefix_reused : int;  (* ... of which started from a prefix snapshot *)
   extractions : int;  (* distinct DSWP extractions *)
   simulations : int;  (* = points: every point simulates *)
 }
@@ -136,7 +76,7 @@ type sweep = {
 }
 
 (* stable grouping by key, preserving first-occurrence order *)
-let group_by (type k) (key : 'a -> k) (xs : 'a list) : (k * 'a list) list =
+let group_by (type k) (key : 'a -> k) (xs : 'a list) : 'a list list =
   let tbl : (k, 'a list ref) Hashtbl.t = Hashtbl.create 64 in
   let order = ref [] in
   List.iter
@@ -148,28 +88,7 @@ let group_by (type k) (key : 'a -> k) (xs : 'a list) : (k * 'a list) list =
           Hashtbl.replace tbl k (ref [ x ]);
           order := k :: !order)
     xs;
-  List.rev_map (fun k -> (k, List.rev !(Hashtbl.find tbl k))) !order
-  |> List.rev
-
-let dedup xs =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun x ->
-      if Hashtbl.mem seen x then false
-      else begin
-        Hashtbl.replace seen x ();
-        true
-      end)
-    xs
-
-(* round-robin [xs] into [n] bundles, preserving order inside a bundle *)
-let round_robin n xs =
-  let buckets = Array.make n [] in
-  List.iteri (fun i x -> buckets.(i mod n) <- x :: buckets.(i mod n)) xs;
-  Array.to_list (Array.map List.rev buckets)
-
-let compile_key (p : Grid.point) : string * string =
-  (p.Grid.kernel, Twill.Options.compile_key p.Grid.opts)
+  List.rev_map (fun k -> List.rev !(Hashtbl.find tbl k)) !order
 
 (* Points indexed by grid position, one group per extracted design: the
    kernel plus the extraction key of the point's evaluation options. *)
@@ -177,111 +96,59 @@ let extraction_groups (pts : Grid.point list) : (int * Grid.point) list list =
   List.mapi (fun i p -> (i, p)) pts
   |> group_by (fun (_, p) ->
          (p.Grid.kernel, Twill.Options.extract_key (opts_of_point p)))
+
+(* the evaluated points: the whole grid, or a deterministic sample *)
+let points ~seed ?sample (g : Grid.t) : Grid.point list =
+  let all = Grid.points g in
+  match sample with None -> all | Some n -> Grid.sample ~seed n all
+
+let sweep_of g ~seed ?sample ~extractions results =
+  let n = List.length results in
+  {
+    grid = g;
+    seed;
+    sampled = sample;
+    results;
+    frontier = Pareto.frontier results;
+    sensitivities = Pareto.sensitivities g results;
+    reuse = { points = n; extractions; simulations = n };
+  }
+
+let evaluate ~map ~extract ?(seed = 42) ?sample (g : Grid.t) : sweep =
+  let groups = extraction_groups (points ~seed ?sample g) in
+  (* extract each group's first point once, simulate every point on it *)
+  let eval_group ipts =
+    let t = extract (snd (List.hd ipts)) in
+    List.map
+      (fun (i, p) ->
+        (i, { Pareto.point = p; metrics = eval_threaded (opts_of_point p) t }))
+      ipts
+  in
+  List.concat (map eval_group groups)
+  |> List.sort (fun (i, _) (j, _) -> compare i j)
   |> List.map snd
+  |> sweep_of g ~seed ?sample ~extractions:(List.length groups)
 
-let eval_group (extract : Grid.point -> Twill.Dswp.threaded)
-    (ipts : (int * Grid.point) list) : (int * Pareto.result) list =
-  let t = extract (snd (List.hd ipts)) in
-  List.map
-    (fun (i, p) ->
-      (i, { Pareto.point = p; metrics = eval_threaded (opts_of_point p) t }))
-    ipts
+(* compile from source and extract: what twilld's elaboration cache does
+   on a miss *)
+let extract_point (p : Grid.point) : Twill.Dswp.threaded =
+  let opts = opts_of_point p in
+  Twill.extract ~opts (Twill.compile ~opts (source_of_kernel p.Grid.kernel))
 
-let in_grid_order (evaluated : (int * Pareto.result) list) : Pareto.result list =
-  List.sort (fun (i, _) (j, _) -> compare i j) evaluated |> List.map snd
+let run ?seed ?sample (g : Grid.t) : sweep =
+  evaluate ~map:Twill.Par.map ~extract:extract_point ?seed ?sample g
 
-let run ?shards ?(seed = 42) ?sample (g : Grid.t) : sweep =
-  let pts =
-    let all = Grid.points g in
-    match sample with None -> all | Some n -> Grid.sample ~seed n all
-  in
-  (* level 1, parallel over kernels: each kernel compiles its
-     compile-level variants off one shared pass prefix *)
-  let kernels = dedup (List.map (fun p -> p.Grid.kernel) pts) in
-  let variants k =
-    List.filter (fun p -> p.Grid.kernel = k) pts
-    |> group_by compile_key
-    |> List.map (fun (_, ps) -> opts_of_point (List.hd ps))
-  in
-  let compiles =
-    List.concat
-      (Twill.Par.map (fun k -> compile_kernel k (variants k)) kernels)
-  in
-  (* levels 2+3, parallel over extraction groups (or [shards] bundles of
-     groups): extract once per group, then simulate each point *)
-  let groups = extraction_groups pts in
-  let eval_group =
-    eval_group (fun p0 ->
-        let c = List.assoc (compile_key p0) compiles in
-        Twill.extract ~opts:(opts_of_point p0) ~prep:c.c_prep c.c_modul)
-  in
-  let evaluated =
-    match shards with
-    | None | Some 0 -> List.concat (Twill.Par.map eval_group groups)
-    | Some n ->
-        List.concat
-          (List.concat
-             (Twill.Par.map (List.map eval_group)
-                (round_robin (max 1 n) groups)))
-  in
-  let results = in_grid_order evaluated in
-  let compile_keys = dedup (List.map compile_key pts) in
-  let reuse =
-    {
-      points = List.length pts;
-      compiles = List.length compile_keys;
-      full_compiles = List.length kernels;
-      prefix_reused = List.length compile_keys - List.length kernels;
-      extractions = List.length groups;
-      simulations = List.length pts;
-    }
-  in
-  {
-    grid = g;
-    seed;
-    sampled = sample;
-    results;
-    frontier = Pareto.frontier results;
-    sensitivities = Pareto.sensitivities g results;
-    reuse;
-  }
-
-(* The no-reuse baseline the incremental engine is measured against:
-   every point recompiles and re-extracts from source.  By the
-   [Pipeline.run_range] splitting contract the results are identical to
-   {!run} — the determinism suite checks that too. *)
+(* The ungrouped baseline: every point compiles and extracts on its own.
+   Its results must equal {!run}'s, which is what shows that grouping by
+   [Twill.Options.extract_key] is sound. *)
 let run_cold ?(seed = 42) ?sample (g : Grid.t) : sweep =
-  let pts =
-    let all = Grid.points g in
-    match sample with None -> all | Some n -> Grid.sample ~seed n all
+  let pts = points ~seed ?sample g in
+  let eval p =
+    let metrics = eval_threaded (opts_of_point p) (extract_point p) in
+    { Pareto.point = p; metrics }
   in
-  let eval_point p =
-    let opts = opts_of_point p in
-    let m = Twill.compile ~opts (source_of_kernel p.Grid.kernel) in
-    let t = Twill.extract ~opts m in
-    { Pareto.point = p; metrics = eval_threaded opts t }
-  in
-  let results = Twill.Par.map eval_point pts in
-  let n = List.length pts in
-  let reuse =
-    {
-      points = n;
-      compiles = n;
-      full_compiles = n;
-      prefix_reused = 0;
-      extractions = n;
-      simulations = n;
-    }
-  in
-  {
-    grid = g;
-    seed;
-    sampled = sample;
-    results;
-    frontier = Pareto.frontier results;
-    sensitivities = Pareto.sensitivities g results;
-    reuse;
-  }
+  Twill.Par.map eval pts
+  |> sweep_of g ~seed ?sample ~extractions:(List.length pts)
 
 (* --- deterministic JSON rendering (BENCH_dse.json) ------------------------- *)
 
@@ -333,12 +200,9 @@ let json_of_sweep (s : sweep) : string =
   | Some n -> add "  \"sampled\": %d,\n" n);
   add "  \"points\": %d,\n" (List.length s.results);
   add
-    "  \"reuse\": {\"points\": %d, \"compiles\": %d, \"full_compiles\": %d, \
-     \"prefix_reused\": %d, \"extractions\": %d, \"simulations\": %d, \
-     \"compile_hit_rate\": %.4f, \"extract_hit_rate\": %.4f},\n"
-    s.reuse.points s.reuse.compiles s.reuse.full_compiles
-    s.reuse.prefix_reused s.reuse.extractions s.reuse.simulations
-    (hit_rate ~paid:s.reuse.compiles ~total:s.reuse.points)
+    "  \"reuse\": {\"points\": %d, \"extractions\": %d, \"simulations\": \
+     %d, \"extract_hit_rate\": %.4f},\n"
+    s.reuse.points s.reuse.extractions s.reuse.simulations
     (hit_rate ~paid:s.reuse.extractions ~total:s.reuse.points);
   add "  \"results_digest\": %S,\n" (results_digest s.results);
   add "  \"frontier\": [\n";

@@ -1,10 +1,9 @@
 (** The design-space exploration engine: evaluates every point of a
-    {!Grid.t} with three levels of incremental reuse (pass-prefix
-    sharing via [Pipeline.run_range], one DSWP extraction per kernel and
-    {!Twill.Options.extract_key}, per-point simulation only) and
-    reduces the sweep to a Pareto frontier plus per-axis sensitivity
-    summaries.  Evaluation fans out over [Par] domains; results are
-    identical however the sweep is sharded. *)
+    {!Grid.t} with two levels of reuse (one compile + DSWP extraction per
+    kernel and {!Twill.Options.extract_key}, then per-point simulation
+    only) and reduces the sweep to a Pareto frontier plus per-axis
+    sensitivity summaries.  {!evaluate} is the one sweep path, shared by
+    {!run} and the [twilld] dse handler. *)
 
 val opts_of_point : Grid.point -> Twill.options
 (** The options one point evaluates under: its coordinates, with the
@@ -16,31 +15,14 @@ val extraction_groups : Grid.point list -> (int * Grid.point) list list
     {!Twill.Options.extract_key} of their {!opts_of_point}: each group
     shares one extracted design.  First-occurrence order. *)
 
-val eval_group :
-  (Grid.point -> Twill.Dswp.threaded) ->
-  (int * Grid.point) list ->
-  (int * Pareto.result) list
-(** [eval_group extract g] extracts [g]'s first point once and
-    simulates every point of [g] on that design. *)
-
-val in_grid_order : (int * Pareto.result) list -> Pareto.result list
-
-val eval_threaded : Twill.options -> Twill.Dswp.threaded -> Pareto.metrics
-(** Simulate an already-extracted design under [opts] and project the
-    objectives.  This is the sim-level inner loop, also used by the
-    [twilld] dse handler against its persistent elaboration cache. *)
-
 val source_of_kernel : string -> string
 (** Mini-C source of a bundled CHStone kernel ([Chstone.find]). *)
 
-(** Analytic reuse accounting, derived from the key structure of the
-    evaluated points (not from cache events), so it is independent of
-    sharding and timing. *)
+(** Reuse accounting, derived from the grouping of the evaluated points
+    (not from cache events), so it is independent of scheduling and
+    timing. *)
 type reuse = {
   points : int;
-  compiles : int;  (** distinct (kernel, unroll) pipelines run *)
-  full_compiles : int;  (** ... of which paid the full pass prefix *)
-  prefix_reused : int;  (** ... of which started from a prefix snapshot *)
   extractions : int;  (** distinct DSWP extractions *)
   simulations : int;  (** = points: every point simulates *)
 }
@@ -59,17 +41,30 @@ type sweep = {
   reuse : reuse;
 }
 
-val run : ?shards:int -> ?seed:int -> ?sample:int -> Grid.t -> sweep
-(** Evaluate the grid (optionally a deterministic [sample] of it).
-    [shards = 0] or omitted: one [Par] task per extraction group;
-    [shards = n]: groups round-robin into [n] bundles.  The sweep is
-    byte-identical either way. *)
+val evaluate :
+  map:
+    (((int * Grid.point) list -> (int * Pareto.result) list) ->
+    (int * Grid.point) list list ->
+    (int * Pareto.result) list list) ->
+  extract:(Grid.point -> Twill.Dswp.threaded) ->
+  ?seed:int ->
+  ?sample:int ->
+  Grid.t ->
+  sweep
+(** The sweep: select the grid's points (a deterministic [sample] of
+    them under [seed], when given), group them by {!extraction_groups},
+    [extract] each group's first point once, simulate every point on
+    that design under its {!opts_of_point}, and return the results in
+    grid order.  [map] fans the groups out (a parallel [List.map]). *)
+
+val run : ?seed:int -> ?sample:int -> Grid.t -> sweep
+(** {!evaluate} over [Par] domains; each group compiles its kernel from
+    source under {!opts_of_point} and extracts. *)
 
 val run_cold : ?seed:int -> ?sample:int -> Grid.t -> sweep
-(** No-reuse baseline: every point recompiles and re-extracts from
-    source.  Produces identical results to {!run} (the
-    [Pipeline.run_range] splitting contract), at full cost — the
-    reference the incremental engine's hit rates are measured against. *)
+(** Ungrouped baseline: every point compiles and extracts on its own.
+    Produces identical results to {!run} — the reference that shows
+    grouping by {!Twill.Options.extract_key} is sound. *)
 
 val json_of_sweep : sweep -> string
 (** The committed BENCH_dse.json rendering: schema [twill-dse-v1], grid

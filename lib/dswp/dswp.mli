@@ -6,8 +6,8 @@
     non-inlined callees inside their owning stage, and guards callees
     reachable from several stages with mutual-exclusion semaphores
     (§5.2.1).  The result is directly executable by
-    {!Twill_dswp.Parexec} (untimed) and {!Twill_rtsim.Sim} (cycle
-    accurate), and emittable by the C/Verilog backends. *)
+    {!Twill_rtsim.Sim} (cycle accurate) and emittable by the C/Verilog
+    backends. *)
 
 open Twill_ir.Ir
 

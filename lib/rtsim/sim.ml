@@ -679,7 +679,7 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
             busys.(ti) <- busys.(ti) + c;
             c
         in
-        (* cooperative scheduler (as in Parexec) *)
+        (* cooperative scheduler: one effect-handler fiber per thread *)
         let runq : (unit -> unit) Queue.t = Queue.create () in
         let start_fiber (body : unit -> unit) () =
           match_with body ()

@@ -8,13 +8,10 @@
      ping                          liveness probe
      stats                         cache/request counters
      stop                          shut the daemon down
-     compile  src [opts]           parse + optimise + extract; summary
-     schedule src [opts]           HLS schedules of every HW stage
      simulate src [opts]           cycle-accurate stats of the design
      comm     src [opts]           communication-optimizer report
                                    (comm defaults to all passes)
      dse      [grid] [sample,seed] design-space sweep over the cache
-     batch    reqs:[...]           fan the sub-requests over the pool
 
    opts (all optional) are the table knobs in [request_knobs], under
    their {!Twill.Options} names ("nstages", "queue_latency", "comm", ...);
@@ -35,19 +32,16 @@
    Cache hits and misses are also counted per request kind *and cache
    level* — "simulate:elab" vs "simulate:sim" — so `stats` shows which
    level a request kind actually hit instead of lumping both bumps under
-   one key (a `bench` loop that misses elaboration once and then hits
-   the response cache reads as 1 elab miss + N sim hits).  Two batching
-   paths: an explicit `batch` request fans its sub-requests over the
-   {!Par.pool} workers, and the per-connection reader drains every
-   complete line already buffered on the socket and processes them as
-   one implicit batch, so a client that pipelines N requests without
-   waiting gets pool parallelism for free. *)
+   one key (a repeated simulate request that misses elaboration once and
+   then hits the response cache reads as 1 elab miss + N sim hits).
+   Batching: the per-connection reader drains every complete line
+   already buffered on the socket and processes them as one batch over
+   the {!Par.pool} workers, so a client that pipelines N requests
+   without waiting gets pool parallelism for free. *)
 
 module Sim = Twill_rtsim.Sim
-module Schedule = Twill_hls.Schedule
 
 type elab = {
-  e_modul : Twill.Ir.modul;
   e_threaded : Twill.Dswp.threaded;
   e_comm : Twill.Comm.report; (* what the comm optimizer did at extraction *)
 }
@@ -115,7 +109,7 @@ let request_knobs =
 
 (* every field a request may carry: the protocol's own plus the knobs *)
 let request_fields =
-  [ "cmd"; "id"; "src"; "grid"; "sample"; "seed"; "reqs" ]
+  [ "cmd"; "id"; "src"; "grid"; "sample"; "seed" ]
   @ List.map (fun (k : O.knob) -> k.name) request_knobs
 
 let check_fields (j : Json.t) =
@@ -182,11 +176,10 @@ let elaborate_src (t : t) ~(kind : string) ~(src : string)
       (digest, e)
   | None ->
       cache_miss t ~kind;
-      let m = Twill.compile ~opts src in
-      let threaded, report = Twill.extract_comm ~opts m in
-      let e =
-        { e_modul = m; e_threaded = threaded; e_comm = report }
+      let threaded, report =
+        Twill.extract_comm ~opts (Twill.compile ~opts src)
       in
+      let e = { e_threaded = threaded; e_comm = report } in
       locked t (fun () ->
           (* a concurrent request may have raced us here; keep the first
              entry so every later request shares one design *)
@@ -201,58 +194,6 @@ let source_of_req (j : Json.t) : string =
   | None -> failwith "missing src"
 
 (* --- command handlers ----------------------------------------------------- *)
-
-let handle_compile (t : t) (j : Json.t) : Json.t =
-  let digest, e =
-    elaborate_src t ~kind:"compile" ~src:(source_of_req j)
-      ~opts:(options_of_req j)
-  in
-  let td = e.e_threaded in
-  let funcs = List.length e.e_modul.Twill.Ir.funcs in
-  let insts =
-    List.fold_left
-      (fun acc (f : Twill.Ir.func) -> acc + Twill.Ir.num_live_insts f)
-      0 e.e_modul.Twill.Ir.funcs
-  in
-  Json.Obj
-    [
-      ("ok", Json.Bool true);
-      ("digest", Json.Str digest);
-      ("funcs", Json.Int funcs);
-      ("insts", Json.Int insts);
-      ("stages", Json.Int (Array.length td.Twill.Dswp.stages));
-      ("queues", Json.Int (Array.length td.Twill.Dswp.queues));
-      ("sems", Json.Int td.Twill.Dswp.nsems);
-    ]
-
-let handle_schedule (t : t) (j : Json.t) : Json.t =
-  (* the schedules follow this request's backend, which the shared
-     elaboration does not record *)
-  let opts = options_of_req j in
-  let digest, e =
-    elaborate_src t ~kind:"schedule" ~src:(source_of_req j) ~opts
-  in
-  let scheds = Twill.schedules_for opts e.e_modul in
-  Json.Obj
-    [
-      ("ok", Json.Bool true);
-      ("digest", Json.Str digest);
-      ( "schedules",
-        Json.List
-          (List.map
-             (fun (name, (s : Schedule.t)) ->
-               Json.Obj
-                 [
-                   ("func", Json.Str name);
-                   ("states", Json.Int s.Schedule.total_states);
-                   ( "min_ii",
-                     Json.Int
-                       (Array.fold_left
-                          (fun acc ii -> if ii > 0 then min acc ii else acc)
-                          0 s.Schedule.ii) );
-                 ])
-             scheds) );
-    ]
 
 let simulate (opts : Twill.options) (e : elab) : Sim.stats =
   let td = e.e_threaded in
@@ -354,9 +295,9 @@ let sensitivity_json (s : Pareto.sensitivity) : Json.t =
       ("max_slowdown", Json.Float s.Pareto.max_slowdown);
     ]
 
-(* One sweep request: each extraction group ({!Dse.extraction_groups},
-   keyed like [elab_digest]) resolves through the persistent
-   elaboration cache, so a repeated or overlapping sweep re-simulates
+(* One sweep request through {!Dse.evaluate}: each extraction group
+   resolves through the persistent elaboration cache (keyed like
+   [elab_digest]), so a repeated or overlapping sweep re-simulates
    without re-extracting; groups fan out over the pool, and the response
    carries the frontier, per-axis sensitivities and the reuse
    counters. *)
@@ -369,39 +310,29 @@ let handle_dse (t : t) (j : Json.t) : Json.t =
         | Ok g -> g
         | Error e -> failwith ("grid: " ^ e))
   in
-  let seed = Option.value (Json.int_field "seed" j) ~default:42 in
-  let pts =
-    let all = Grid.points grid in
-    match Json.int_field "sample" j with
-    | None -> all
-    | Some n -> Grid.sample ~seed n all
-  in
-  let cached0 = locked t (fun () -> Hashtbl.length t.elabs) in
-  let groups = Dse.extraction_groups pts in
   let extract (p : Grid.point) =
     let src = Dse.source_of_kernel p.Grid.kernel in
     (snd (elaborate_src t ~kind:"dse" ~src ~opts:(Dse.opts_of_point p)))
       .e_threaded
   in
-  let results =
-    Dse.in_grid_order
-      (List.concat (Twill.Par.pool_map t.pool (Dse.eval_group extract) groups))
+  let cached0 = locked t (fun () -> Hashtbl.length t.elabs) in
+  let s =
+    Dse.evaluate ~map:(Twill.Par.pool_map t.pool) ~extract
+      ?seed:(Json.int_field "seed" j) ?sample:(Json.int_field "sample" j) grid
   in
   let cached1 = locked t (fun () -> Hashtbl.length t.elabs) in
+  let extractions = s.Dse.reuse.Dse.extractions in
   Json.Obj
     [
       ("ok", Json.Bool true);
-      ("points", Json.Int (List.length results));
-      ("extractions", Json.Int (List.length groups));
-      ("elabs_reused", Json.Int (List.length groups - (cached1 - cached0)));
+      ("points", Json.Int (List.length s.Dse.results));
+      ("extractions", Json.Int extractions);
+      ("elabs_reused", Json.Int (extractions - (cached1 - cached0)));
       ( "frontier",
         Json.List
-          (List.map
-             (fun r -> Json.of_string (Dse.result_line r))
-             (Pareto.frontier results)) );
-      ( "sensitivity",
-        Json.List (List.map sensitivity_json (Pareto.sensitivities grid results))
+          (List.map (fun r -> Json.of_string (Dse.result_line r)) s.Dse.frontier)
       );
+      ("sensitivity", Json.List (List.map sensitivity_json s.Dse.sensitivities));
     ]
 
 let handle_stats (t : t) : Json.t =
@@ -436,7 +367,7 @@ let handle_stats (t : t) : Json.t =
           ("uptime_s", Json.Float (Unix.gettimeofday () -. t.started));
         ])
 
-let rec handle (t : t) (j : Json.t) : Json.t =
+let handle (t : t) (j : Json.t) : Json.t =
   locked t (fun () -> t.requests <- t.requests + 1);
   let resp =
     try
@@ -453,18 +384,9 @@ let rec handle (t : t) (j : Json.t) : Json.t =
       | Some "stop" ->
           locked t (fun () -> t.stopping <- true);
           Json.Obj [ ("ok", Json.Bool true); ("stopping", Json.Bool true) ]
-      | Some "compile" -> handle_compile t j
-      | Some "schedule" -> handle_schedule t j
       | Some "simulate" -> handle_simulate t j
       | Some "comm" -> handle_comm t j
       | Some "dse" -> handle_dse t j
-      | Some "batch" -> (
-          match Json.list_field "reqs" j with
-          | Some reqs ->
-              let results = Twill.Par.pool_map t.pool (handle t) reqs in
-              Json.Obj
-                [ ("ok", Json.Bool true); ("results", Json.List results) ]
-          | None -> failwith "batch: missing reqs")
       | Some other -> failwith ("unknown cmd: " ^ other)
       | None -> failwith "missing cmd"
     with e ->

@@ -1,6 +1,6 @@
 (* CHStone integration: every kernel self-checks, matches its pinned
    checksum, and observes identical behaviour under the AST interpreter,
-   the IR interpreter, the untimed parallel executor and all three
+   the IR interpreter, the extracted threads under rtsim and all three
    cycle-accurate flows. *)
 
 open Twill_chstone
@@ -22,13 +22,13 @@ let kernel_tests =
           let r1 = Twill_ir.Interp.run ~fuel:500_000_000 m0 in
           Alcotest.(check check_i32) "IR interp" r0.ret r1.Twill_ir.Interp.ret;
           Alcotest.(check (list check_i32)) "IR prints" r0.prints r1.Twill_ir.Interp.prints;
-          (* layer 2: optimised + thread-extracted, untimed parallel run *)
+          (* layer 2: optimised + thread-extracted, run under rtsim *)
           let m = Twill.compile b.Chstone.source in
           let t = Twill.extract m in
-          let r2 = Twill.Parexec.execute t in
-          Alcotest.(check check_i32) "parallel executor" r0.ret r2.Twill.Parexec.ret;
-          Alcotest.(check (list check_i32)) "parallel prints" r0.prints
-            r2.Twill.Parexec.prints;
+          let r2 = (Twill.run_twill_threaded t).Twill.scenario in
+          Alcotest.(check check_i32) "extracted threads" r0.ret r2.Twill.ret;
+          Alcotest.(check (list check_i32)) "extracted prints" r0.prints
+            r2.Twill.prints;
           (* layer 3: the three cycle-accurate flows (evaluate raises if
              they disagree) *)
           let r = Twill.evaluate ~auto_stages:false ~name:b.Chstone.name b.Chstone.source in

@@ -1,9 +1,9 @@
 (* The design-space exploration subsystem: grid enumeration and spec
    round-trips, deterministic sampling, Pareto dominance/frontier
    properties, options plumbing (queue depth override, latency),
-   and the two headline determinism guarantees — same seed means a
-   byte-identical rendered sweep, and a sharded sweep is identical to a
-   sequential one. *)
+   and the headline guarantees — same seed means a byte-identical
+   rendered sweep, grouping points by extraction key changes no result,
+   and [Dse.run] and twilld's dse request agree. *)
 
 module Grid = Twill_dse.Grid
 module Pareto = Twill_dse.Pareto
@@ -288,31 +288,21 @@ let test_sweep_deterministic () =
     "same seed, byte-identical JSON" (Dse.json_of_sweep a)
     (Dse.json_of_sweep b)
 
-let test_sweep_sharded_equal () =
-  let a = Dse.run small_grid in
-  let b = Dse.run ~shards:3 small_grid in
-  let c = Dse.run ~shards:7 small_grid in
-  Alcotest.(check string)
-    "3 shards = sequential" (Dse.json_of_sweep a) (Dse.json_of_sweep b);
-  Alcotest.(check string)
-    "7 shards (more than groups) = sequential" (Dse.json_of_sweep a)
-    (Dse.json_of_sweep c)
-
-(* incremental reuse must not change results: the cold path recompiles
-   everything per point, the warm path shares prefixes and extractions *)
+(* grouping must not change results: the cold path compiles and extracts
+   per point, the warm path once per extraction group *)
 let test_sweep_warm_equals_cold () =
   let g = Result.get_ok (Grid.parse ~base:small_grid "kernels=mips;unroll=false,true") in
   let warm = Dse.run g and cold = Dse.run_cold g in
   Alcotest.(check string)
     "identical results" (Dse.results_digest warm.Dse.results)
     (Dse.results_digest cold.Dse.results);
+  (* comm off: depth and latency are sim-level, so one extraction per
+     (unroll, nstages) *)
+  Alcotest.(check int) "warm extracts once per group" 4
+    warm.Dse.reuse.Dse.extractions;
   Alcotest.(check int)
-    "warm shares compiles" 2 warm.Dse.reuse.Dse.compiles;
-  Alcotest.(check int)
-    "warm pays one full prefix" 1 warm.Dse.reuse.Dse.full_compiles;
-  Alcotest.(check int)
-    "cold pays everything" warm.Dse.reuse.Dse.points
-    cold.Dse.reuse.Dse.compiles
+    "cold extracts every point" warm.Dse.reuse.Dse.points
+    cold.Dse.reuse.Dse.extractions
 
 (* the twilld handler, in-process: a dse request answers with a frontier
    and a repeated one reuses every cached elaboration *)
@@ -354,6 +344,41 @@ let test_server_dse () =
     "identical results modulo reuse counter"
     (Json.to_string (strip r1))
     (Json.to_string (strip r2))
+
+(* the CLI sweep and the twilld request are one evaluator: the same
+   grid, sample and seed give the same frontier rows (two here, from 12
+   points over 7 extractions) *)
+let test_run_equals_server () =
+  let module Server = Twill_serve.Server in
+  let module Json = Twill_serve.Json in
+  let spec =
+    "kernels=mips,sha;unroll=false;queue_latency=2,32;comm=none,size;\
+     backend=fsm,dataflow"
+  in
+  let s = Dse.run ~sample:12 ~seed:9 (grid spec) in
+  let t = Server.create ~workers:0 () in
+  let r =
+    Server.handle t
+      (Json.Obj
+         [
+           ("cmd", Json.Str "dse");
+           ("grid", Json.Str spec);
+           ("sample", Json.Int 12);
+           ("seed", Json.Int 9);
+         ])
+  in
+  Twill.Par.pool_shutdown t.Server.pool;
+  Alcotest.(check (option int)) "points" (Some 12) (Json.int_field "points" r);
+  Alcotest.(check (option int))
+    "extractions" (Some s.Dse.reuse.Dse.extractions)
+    (Json.int_field "extractions" r);
+  Alcotest.(check (list string))
+    "frontier rows"
+    (List.map
+       (fun r -> Json.to_string (Json.of_string (Dse.result_line r)))
+       s.Dse.frontier)
+    (List.map Json.to_string
+       (Option.value (Json.list_field "frontier" r) ~default:[]))
 
 (* one kernel, one operating point, comm off vs all four passes: the
    optimizer must not regress the kernel, and the sweep machinery must
@@ -437,9 +462,9 @@ let suites =
       [
         Alcotest.test_case "options plumbing" `Quick test_options_plumbing;
         Alcotest.test_case "deterministic" `Slow test_sweep_deterministic;
-        Alcotest.test_case "sharded = sequential" `Slow test_sweep_sharded_equal;
         Alcotest.test_case "warm = cold" `Slow test_sweep_warm_equals_cold;
         Alcotest.test_case "server dse request" `Slow test_server_dse;
+        Alcotest.test_case "run = server request" `Slow test_run_equals_server;
         Alcotest.test_case "comm axis sweep" `Slow test_sweep_comm_axis;
         Alcotest.test_case "shape" `Slow test_sweep_shape;
       ] );

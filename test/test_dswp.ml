@@ -1,6 +1,7 @@
 (* DSWP tests: partition invariants, thread-extraction structure, and the
-   headline end-to-end soundness property — the partitioned parallel
-   execution of any program observably equals its sequential execution. *)
+   headline end-to-end soundness property — the partitioned pipeline of
+   any program, run on rtsim with its bounded queues, observably equals
+   its sequential execution. *)
 
 open Twill_ir
 open Twill_passes
@@ -19,9 +20,9 @@ let compile_and_partition ?(config = Partition.default_config) src =
 let assert_parallel_matches ?config src =
   let r0 = Twill_minic.Minic.run_reference ~fuel:20_000_000 src in
   let t = compile_and_partition ?config src in
-  let r1 = Parexec.execute t in
-  Alcotest.(check check_i32) "ret" r0.ret r1.Parexec.ret;
-  Alcotest.(check (list check_i32)) "prints" r0.prints r1.Parexec.prints;
+  let r1 = (Twill.run_twill_threaded t).Twill.scenario in
+  Alcotest.(check check_i32) "ret" r0.ret r1.Twill.ret;
+  Alcotest.(check (list check_i32)) "prints" r0.prints r1.Twill.prints;
   t
 
 let sound name ?config src =
@@ -200,9 +201,9 @@ let prop_dswp_sound =
           let m = Twill_minic.Minic.compile src in
           Pipeline.run ~opts:Pipeline.default m;
           let t = Dswp.run m in
-          match Parexec.execute t with
-          | r1 -> r0.ret = r1.Parexec.ret && r0.prints = r1.Parexec.prints
-          | exception Parexec.Deadlock msg ->
+          match (Twill.run_twill_threaded t).Twill.scenario with
+          | r1 -> r0.ret = r1.Twill.ret && r0.prints = r1.Twill.prints
+          | exception Twill.Sim.Deadlock msg ->
               QCheck.Test.fail_report ("deadlock: " ^ msg)))
 
 let prop_dswp_sound_varied_stages =
@@ -219,9 +220,9 @@ let prop_dswp_sound_varied_stages =
             { Partition.default_config with Partition.nstages; sw_fraction = float_of_int frac10 /. 10.0 }
           in
           let t = Dswp.run ~config m in
-          match Parexec.execute t with
-          | r1 -> r0.ret = r1.Parexec.ret && r0.prints = r1.Parexec.prints
-          | exception Parexec.Deadlock msg ->
+          match (Twill.run_twill_threaded t).Twill.scenario with
+          | r1 -> r0.ret = r1.Twill.ret && r0.prints = r1.Twill.prints
+          | exception Twill.Sim.Deadlock msg ->
               QCheck.Test.fail_report ("deadlock: " ^ msg)))
 
 let property_tests =

@@ -87,20 +87,6 @@ let test_unknown_fields () =
       Alcotest.(check bool) ("names " ^ field ^ ": " ^ e) true
         (contains ~sub:field e))
     [ ("engine", Json.Str "compiled"); ("queue_latncy", Json.Int 4) ];
-  Alcotest.(check (option bool)) "a batch checks its sub-requests" (Some false)
-    (match
-       Json.list_field "results"
-         (Server.handle t
-            (Json.Obj
-               [
-                 ("cmd", Json.Str "batch");
-                 ( "reqs",
-                   Json.List [ Json.Obj [ ("cmd", Json.Str "ping"); ("x", Json.Int 1) ] ]
-                 );
-               ]))
-     with
-    | Some [ r ] -> Json.bool_field "ok" r
-    | _ -> None);
   let o = Twill.default_options in
   let sim_knobs = Server.fields O.[ nstages; queue_depth; queue_latency; backend; mem_banks ] o in
   List.iter
@@ -115,6 +101,23 @@ let test_unknown_fields () =
         ("cmd", Json.Str "comm") :: tiny :: ("comm", Json.Str "all")
         :: Server.fields O.[ nstages; queue_depth; queue_latency ] o );
       ("stats", [ ("cmd", Json.Str "stats") ]);
+    ]
+
+(* twilld answers only the commands its clients send; the others are
+   refused like any unknown command, naming it *)
+let test_unknown_cmds () =
+  let t = Server.create ~workers:0 () in
+  List.iter
+    (fun (cmd, extra) ->
+      let r = Server.handle t (Json.Obj (("cmd", Json.Str cmd) :: extra)) in
+      Alcotest.(check (option bool)) (cmd ^ " refused") (Some false)
+        (Json.bool_field "ok" r);
+      let e = Option.value (Json.str_field "error" r) ~default:"" in
+      Alcotest.(check bool) ("names " ^ cmd ^ ": " ^ e) true (contains ~sub:cmd e))
+    [
+      ("compile", [ ("src", Json.Str "int main() { return 1; }") ]);
+      ("schedule", [ ("src", Json.Str "int main() { return 1; }") ]);
+      ("batch", []);
     ]
 
 let test_dse_names_backend () =
@@ -178,6 +181,8 @@ let suites =
           test_range_message;
         Alcotest.test_case "unknown request fields are refused" `Quick
           test_unknown_fields;
+        Alcotest.test_case "unused commands are refused" `Quick
+          test_unknown_cmds;
         Alcotest.test_case "dse frontier names the backend" `Quick
           test_dse_names_backend;
         Alcotest.test_case "stop ends serve" `Quick test_stop_ends_serve;
