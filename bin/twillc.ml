@@ -649,8 +649,9 @@ let daemon_dse_cmd =
   Cmd.v
     (Cmd.info "dse"
        ~doc:
-         "Run a design-space sweep on twilld; repeated sweeps reuse the \
-          daemon's persistent elaboration cache")
+         "Run a design-space sweep on twilld; the daemon caches every \
+          extraction and point result, so a sweep simulates only the points \
+          no earlier request simulated")
     Term.(const run $ socket_arg $ grid_arg $ sample_arg $ seed_arg)
 
 let daemon_comm_cmd =

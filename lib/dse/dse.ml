@@ -14,11 +14,15 @@
                depth/latency/banks live in [Sim.config], so a sim-level
                point is one [Twill.run_twill_threaded] call.
 
-   [evaluate] is the one sweep path.  [run] drives it with [Par.map] and
-   a from-source extraction; twilld's dse handler drives it with its
-   worker pool and its persistent elaboration cache.  Every evaluation
-   is a pure function of its point, so the results, the frontier and the
-   rendered JSON do not depend on how the groups are scheduled. *)
+   [evaluate] is the one sweep path; its [extract] hook turns a group's
+   first point into the evaluator of every point in the group.  [run]
+   drives it with [Par.map] and a from-source extraction that simulates
+   each point; twilld's dse handler drives it with its worker pool, its
+   persistent elaboration cache and a cache of point results, so there a
+   point that an earlier request simulated is not simulated again.
+   Every evaluation is a pure function of its point, so the results, the
+   frontier and the rendered JSON do not depend on how the groups are
+   scheduled or which points were cached. *)
 
 module C = Twill_chstone.Chstone
 
@@ -58,7 +62,7 @@ let eval_threaded (opts : Twill.options) (t : Twill.Dswp.threaded) :
 type reuse = {
   points : int;
   extractions : int;  (* distinct DSWP extractions *)
-  simulations : int;  (* = points: every point simulates *)
+  simulations : int;  (* = points: evaluated points *)
 }
 
 let hit_rate ~paid ~total =
@@ -116,13 +120,11 @@ let sweep_of g ~seed ?sample ~extractions results =
 
 let evaluate ~map ~extract ?(seed = 42) ?sample (g : Grid.t) : sweep =
   let groups = extraction_groups (points ~seed ?sample g) in
-  (* extract each group's first point once, simulate every point on it *)
+  (* resolve each group's evaluator once, from its first point, and
+     evaluate every point of the group with it *)
   let eval_group ipts =
-    let t = extract (snd (List.hd ipts)) in
-    List.map
-      (fun (i, p) ->
-        (i, { Pareto.point = p; metrics = eval_threaded (opts_of_point p) t }))
-      ipts
+    let eval = extract (snd (List.hd ipts)) in
+    List.map (fun (i, p) -> (i, { Pareto.point = p; metrics = eval p })) ipts
   in
   List.concat (map eval_group groups)
   |> List.sort (fun (i, _) (j, _) -> compare i j)
@@ -136,7 +138,11 @@ let extract_point (p : Grid.point) : Twill.Dswp.threaded =
   Twill.extract ~opts (Twill.compile ~opts (source_of_kernel p.Grid.kernel))
 
 let run ?seed ?sample (g : Grid.t) : sweep =
-  evaluate ~map:Twill.Par.map ~extract:extract_point ?seed ?sample g
+  let extract p =
+    let t = extract_point p in
+    fun q -> eval_threaded (opts_of_point q) t
+  in
+  evaluate ~map:Twill.Par.map ~extract ?seed ?sample g
 
 (* The ungrouped baseline: every point compiles and extracts on its own.
    Its results must equal {!run}'s, which is what shows that grouping by

@@ -24,7 +24,10 @@ val source_of_kernel : string -> string
 type reuse = {
   points : int;
   extractions : int;  (** distinct DSWP extractions *)
-  simulations : int;  (** = points: every point simulates *)
+  simulations : int;
+      (** = points: the points evaluated.  {!run} simulates each of them;
+          twilld answers a point it simulated before from its cache, and
+          its [stats] counts the real simulations as [dse:sim] misses. *)
 }
 
 val hit_rate : paid:int -> total:int -> float
@@ -46,20 +49,27 @@ val evaluate :
     (((int * Grid.point) list -> (int * Pareto.result) list) ->
     (int * Grid.point) list list ->
     (int * Pareto.result) list list) ->
-  extract:(Grid.point -> Twill.Dswp.threaded) ->
+  extract:(Grid.point -> Grid.point -> Pareto.metrics) ->
   ?seed:int ->
   ?sample:int ->
   Grid.t ->
   sweep
 (** The sweep: select the grid's points (a deterministic [sample] of
     them under [seed], when given), group them by {!extraction_groups},
-    [extract] each group's first point once, simulate every point on
-    that design under its {!opts_of_point}, and return the results in
-    grid order.  [map] fans the groups out (a parallel [List.map]). *)
+    call [extract] once per group on its first point, evaluate every
+    point of the group with the evaluator it returns, and return the
+    results in grid order.  [map] fans the groups out (a parallel
+    [List.map]).  The evaluator must give what {!eval_threaded} gives on
+    the group's extracted design under the point's {!opts_of_point}. *)
+
+val eval_threaded : Twill.options -> Twill.Dswp.threaded -> Pareto.metrics
+(** Simulate one extracted design under one point's evaluation options
+    and project the objectives. *)
 
 val run : ?seed:int -> ?sample:int -> Grid.t -> sweep
 (** {!evaluate} over [Par] domains; each group compiles its kernel from
-    source under {!opts_of_point} and extracts. *)
+    source under {!opts_of_point} and extracts, and every point
+    simulates on that design. *)
 
 val run_cold : ?seed:int -> ?sample:int -> Grid.t -> sweep
 (** Ungrouped baseline: every point compiles and extracts on its own.

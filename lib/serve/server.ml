@@ -27,8 +27,9 @@
    while the response cache is keyed by every knob, so requests that
    differ in simulator configuration alone share one extracted design.
    That split is what makes the `dse` command cheap: a sweep touches
-   each distinct extraction once and re-simulates it per point, and a
-   repeated sweep finds every extraction already cached.
+   each distinct extraction once, and a point result is cached under its
+   elaboration digest plus every knob, like a simulate response, so a
+   sweep simulates only the points no earlier request simulated.
    Cache hits and misses are also counted per request kind *and cache
    level* — "simulate:elab" vs "simulate:sim" — so `stats` shows which
    level a request kind actually hit instead of lumping both bumps under
@@ -46,10 +47,13 @@ type elab = {
   e_comm : Twill.Comm.report; (* what the comm optimizer did at extraction *)
 }
 
+module Pareto = Twill_dse.Pareto
+
 type t = {
   mu : Mutex.t;
   elabs : (string, elab) Hashtbl.t; (* digest -> elaborated design *)
   sims : (string, Json.t) Hashtbl.t; (* digest+options -> response body *)
+  points : (string, Pareto.metrics) Hashtbl.t; (* digest+options -> dse point *)
   mutable requests : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
@@ -66,6 +70,7 @@ let create ?workers () : t =
     mu = Mutex.create ();
     elabs = Hashtbl.create 64;
     sims = Hashtbl.create 64;
+    points = Hashtbl.create 64;
     requests = 0;
     cache_hits = 0;
     cache_misses = 0;
@@ -163,8 +168,10 @@ let elab_digest (src : string) (opts : Twill.options) : string =
 let sim_key (digest : string) (opts : Twill.options) : string =
   digest ^ ":" ^ O.key opts
 
+(* The design extracted from [src] under [opts], its digest, and whether
+   the lookup hit. *)
 let elaborate_src (t : t) ~(kind : string) ~(src : string)
-    ~(opts : Twill.options) : string * elab =
+    ~(opts : Twill.options) : string * elab * bool =
   let digest = elab_digest src opts in
   (* the per-kind counter names the cache level too: an elaboration
      hit/miss for a simulate request is "simulate:elab", distinct from
@@ -173,7 +180,7 @@ let elaborate_src (t : t) ~(kind : string) ~(src : string)
   match locked t (fun () -> Hashtbl.find_opt t.elabs digest) with
   | Some e ->
       cache_hit t ~kind;
-      (digest, e)
+      (digest, e, true)
   | None ->
       cache_miss t ~kind;
       let threaded, report =
@@ -186,7 +193,7 @@ let elaborate_src (t : t) ~(kind : string) ~(src : string)
           match Hashtbl.find_opt t.elabs digest with
           | Some e0 -> Hashtbl.replace t.elabs digest e0
           | None -> Hashtbl.replace t.elabs digest e);
-      (digest, locked t (fun () -> Hashtbl.find t.elabs digest))
+      (digest, locked t (fun () -> Hashtbl.find t.elabs digest), false)
 
 let source_of_req (j : Json.t) : string =
   match Json.str_field "src" j with
@@ -201,27 +208,28 @@ let simulate (opts : Twill.options) (e : elab) : Sim.stats =
     td.Twill.Dswp.modul ~threads:(Twill.thread_specs td)
     ~queues:td.Twill.Dswp.queues ~nsems:td.Twill.Dswp.nsems ()
 
-(* A response-cached handler: [body] runs on a miss of [key]. *)
-let cached_response (t : t) ~(kind : string) (key : string)
-    (body : unit -> Json.t) : Json.t =
-  match locked t (fun () -> Hashtbl.find_opt t.sims key) with
-  | Some body ->
+(* A response-level cache lookup: [tbl]'s entry for [key], counted under
+   [kind ^ ":sim"]; [body] runs on a miss. *)
+let cached (t : t) tbl ~(kind : string) (key : string) (body : unit -> 'a) : 'a
+    =
+  match locked t (fun () -> Hashtbl.find_opt tbl key) with
+  | Some v ->
       cache_hit t ~kind:(kind ^ ":sim");
-      body
+      v
   | None ->
       cache_miss t ~kind:(kind ^ ":sim");
-      let body = body () in
-      locked t (fun () -> Hashtbl.replace t.sims key body);
-      body
+      let v = body () in
+      locked t (fun () -> Hashtbl.replace tbl key v);
+      v
 
 let handle_simulate (t : t) (j : Json.t) : Json.t =
   (* sim-level options come from *this* request, not from whichever
      request first elaborated the design *)
   let opts = options_of_req j in
-  let digest, e =
+  let digest, e, _ =
     elaborate_src t ~kind:"simulate" ~src:(source_of_req j) ~opts
   in
-  cached_response t ~kind:"simulate" (sim_key digest opts) (fun () ->
+  cached t t.sims ~kind:"simulate" (sim_key digest opts) (fun () ->
       let s = simulate opts e in
       Json.Obj
         [
@@ -254,9 +262,11 @@ let handle_comm (t : t) (j : Json.t) : Json.t =
   in
   let src = source_of_req j in
   let base_opts = { opts with comm = Twill.Comm.none } in
-  let digest, e = elaborate_src t ~kind:"comm" ~src ~opts in
-  let base_digest, base_e = elaborate_src t ~kind:"comm" ~src ~opts:base_opts in
-  cached_response t ~kind:"comm" ("comm:" ^ sim_key digest opts) (fun () ->
+  let digest, e, _ = elaborate_src t ~kind:"comm" ~src ~opts in
+  let base_digest, base_e, _ =
+    elaborate_src t ~kind:"comm" ~src ~opts:base_opts
+  in
+  cached t t.sims ~kind:"comm" ("comm:" ^ sim_key digest opts) (fun () ->
       let sb = simulate base_opts base_e in
       let so = simulate opts e in
       let r = e.e_comm in
@@ -281,7 +291,6 @@ let handle_comm (t : t) (j : Json.t) : Json.t =
 (* --- dse: a design-space sweep over the daemon's caches ------------------- *)
 
 module Grid = Twill_dse.Grid
-module Pareto = Twill_dse.Pareto
 module Dse = Twill_dse.Dse
 
 let sensitivity_json (s : Pareto.sensitivity) : Json.t =
@@ -297,10 +306,12 @@ let sensitivity_json (s : Pareto.sensitivity) : Json.t =
 
 (* One sweep request through {!Dse.evaluate}: each extraction group
    resolves through the persistent elaboration cache (keyed like
-   [elab_digest]), so a repeated or overlapping sweep re-simulates
-   without re-extracting; groups fan out over the pool, and the response
-   carries the frontier, per-axis sensitivities and the reuse
-   counters. *)
+   [elab_digest]), and each point through the point cache, keyed like a
+   simulate response ("dse:" ^ [sim_key]) and counted as "dse:sim"; so
+   a repeated or overlapping sweep neither re-extracts a group nor
+   re-simulates a point.  Groups fan out over the pool, and the response
+   carries the frontier, per-axis sensitivities and the reuse counters;
+   [elabs_reused] counts this request's own elaboration hits. *)
 let handle_dse (t : t) (j : Json.t) : Json.t =
   let grid =
     match Json.str_field "grid" j with
@@ -310,24 +321,30 @@ let handle_dse (t : t) (j : Json.t) : Json.t =
         | Ok g -> g
         | Error e -> failwith ("grid: " ^ e))
   in
+  let reused = Atomic.make 0 in
   let extract (p : Grid.point) =
     let src = Dse.source_of_kernel p.Grid.kernel in
-    (snd (elaborate_src t ~kind:"dse" ~src ~opts:(Dse.opts_of_point p)))
-      .e_threaded
+    let digest, e, hit =
+      elaborate_src t ~kind:"dse" ~src ~opts:(Dse.opts_of_point p)
+    in
+    if hit then Atomic.incr reused;
+    (* every point of the group shares [p]'s extraction key, so
+       [digest] is also the point's own [elab_digest] *)
+    fun (q : Grid.point) ->
+      let opts = Dse.opts_of_point q in
+      cached t t.points ~kind:"dse" ("dse:" ^ sim_key digest opts) (fun () ->
+          Dse.eval_threaded opts e.e_threaded)
   in
-  let cached0 = locked t (fun () -> Hashtbl.length t.elabs) in
   let s =
     Dse.evaluate ~map:(Twill.Par.pool_map t.pool) ~extract
       ?seed:(Json.int_field "seed" j) ?sample:(Json.int_field "sample" j) grid
   in
-  let cached1 = locked t (fun () -> Hashtbl.length t.elabs) in
-  let extractions = s.Dse.reuse.Dse.extractions in
   Json.Obj
     [
       ("ok", Json.Bool true);
       ("points", Json.Int (List.length s.Dse.results));
-      ("extractions", Json.Int extractions);
-      ("elabs_reused", Json.Int (extractions - (cached1 - cached0)));
+      ("extractions", Json.Int s.Dse.reuse.Dse.extractions);
+      ("elabs_reused", Json.Int (Atomic.get reused));
       ( "frontier",
         Json.List
           (List.map (fun r -> Json.of_string (Dse.result_line r)) s.Dse.frontier)

@@ -1,6 +1,7 @@
 (* twilld through the option table: cache keys that cover every knob
    extraction reads, table-checked request values and field names,
-   table-rendered dse points, and a [stop] request that really ends
+   table-rendered dse points, a dse point cache whose answers equal a
+   fresh server's, and a [stop] request that really ends
    [Server.serve]. *)
 
 module Server = Twill_serve.Server
@@ -145,6 +146,96 @@ let test_dse_names_backend () =
           Alcotest.(check bool) "banks named" true (Json.mem "banks" e))
         entries
 
+(* --- the dse point cache ---------------------------------------------------- *)
+
+(* both [Dse.opts_of_point] branches (comm off: depth is a sim-time
+   override; comm on: an extraction-level depth) and, through the size
+   pass, an extraction key that takes in every sim knob:
+   2 unroll x 3 nstages x 2 comm x 2 depths x 2 latencies = 48 points
+   over 6 + 24 extractions *)
+let point_grid = "kernels=mips;comm=none,size;queue_depth=1,8;queue_latency=2,32"
+
+let dse_req ?sample ?seed spec =
+  let opt name = Option.map (fun v -> (name, Json.Int v)) in
+  Json.Obj
+    ([ ("cmd", Json.Str "dse"); ("grid", Json.Str spec) ]
+    @ List.filter_map Fun.id [ opt "sample" sample; opt "seed" seed ])
+
+(* the response with its one cache-dependent field dropped *)
+let without_reused = function
+  | Json.Obj kvs ->
+      Json.to_string (Json.Obj (List.filter (fun (k, _) -> k <> "elabs_reused") kvs))
+  | j -> Json.to_string j
+
+(* (hits, misses) of the "dse:sim" level in [stats] *)
+let dse_sim t =
+  let stats = Server.handle t (Json.Obj [ ("cmd", Json.Str "stats") ]) in
+  let count field =
+    Option.bind (Json.find "by_kind" stats) (Json.find "dse:sim")
+    |> Fun.flip Option.bind (Json.int_field field)
+    |> Option.value ~default:0
+  in
+  (count "hits", count "misses")
+
+let test_point_cache_repeat () =
+  let t = Server.create ~workers:0 () in
+  let r1 = Server.handle t (dse_req point_grid) in
+  Alcotest.(check (option int)) "points" (Some 48) (Json.int_field "points" r1);
+  Alcotest.(check (option int)) "extractions" (Some 30) (Json.int_field "extractions" r1);
+  Alcotest.(check (pair int int)) "first sweep simulates every point" (0, 48) (dse_sim t);
+  let r2 = Server.handle t (dse_req point_grid) in
+  Alcotest.(check (option int)) "repeat reuses every elaboration" (Some 30)
+    (Json.int_field "elabs_reused" r2);
+  Alcotest.(check string) "same response" (without_reused r1) (without_reused r2);
+  Alcotest.(check (pair int int)) "repeat simulates nothing" (48, 48) (dse_sim t)
+
+(* overlapping samples on a warm server: a mix of cached and new points
+   gives the answer a fresh server gives, and each distinct point
+   simulates once *)
+let test_point_cache_overlap () =
+  let grid = Result.get_ok (Twill_dse.Grid.parse point_grid) in
+  let sampled seed = Twill_dse.Grid.sample ~seed 8 (Twill_dse.Grid.points grid) in
+  let warm = Server.create ~workers:0 () in
+  ignore (Server.handle warm (dse_req ~sample:8 ~seed:1 point_grid));
+  List.iter
+    (fun seed ->
+      let req = dse_req ~sample:8 ~seed point_grid in
+      let hits0, _ = dse_sim warm in
+      let w = Server.handle warm req in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d overlaps earlier sweeps" seed)
+        true
+        (fst (dse_sim warm) > hits0);
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d: warm = fresh" seed)
+        (without_reused (Server.handle (Server.create ~workers:0 ()) req))
+        (without_reused w))
+    [ 2; 3; 4 ];
+  let distinct =
+    List.concat_map sampled [ 1; 2; 3; 4 ]
+    |> List.map Twill_dse.Grid.point_label
+    |> List.sort_uniq compare |> List.length
+  in
+  Alcotest.(check (pair int int))
+    "each distinct point simulates once"
+    ((4 * 8) - distinct, distinct)
+    (dse_sim warm)
+
+(* [elabs_reused] is this request's own count: two first-time sweeps on
+   disjoint kernels, in flight together, reuse nothing *)
+let test_concurrent_elabs_reused () =
+  let t = Server.create ~workers:2 () in
+  let line k =
+    Json.to_string (dse_req ~sample:8 ("kernels=" ^ k ^ ";queue_latency=2,32"))
+  in
+  let rs = Twill.Par.pool_map t.Server.pool (Server.handle_line t) [ line "sha"; line "motion" ] in
+  Twill.Par.pool_shutdown t.Server.pool;
+  List.iter
+    (fun r ->
+      Alcotest.(check (option int)) ("elabs_reused: " ^ r) (Some 0)
+        (Json.int_field "elabs_reused" (Json.of_string r)))
+    rs
+
 let test_stop_ends_serve () =
   (* next to the test binary, i.e. under _build *)
   let socket =
@@ -186,5 +277,14 @@ let suites =
         Alcotest.test_case "dse frontier names the backend" `Quick
           test_dse_names_backend;
         Alcotest.test_case "stop ends serve" `Quick test_stop_ends_serve;
+      ] );
+    ( "serve.dse",
+      [
+        Alcotest.test_case "a repeated sweep simulates nothing" `Quick
+          test_point_cache_repeat;
+        Alcotest.test_case "overlapping sweeps: warm = fresh" `Quick
+          test_point_cache_overlap;
+        Alcotest.test_case "elabs_reused under concurrent sweeps" `Quick
+          test_concurrent_elabs_reused;
       ] );
   ]
