@@ -816,6 +816,46 @@ let json_mem () =
         "mem: no kernel's cycle count improved at 4 banks";
     ]
 
+(* BENCH_paper.json: the thesis's headline numbers per bundled kernel —
+   the pure-software and pure-hardware baselines and the Twill hybrid
+   (cycles, instructions executed, area, power) plus the extraction
+   shape of Table 6.1.  Every column is an integer or a fixed-precision
+   float from the simulator and models, so the file reproduces
+   byte-for-byte on any machine.  [Twill.evaluate] (through
+   [report_of]) already fails on a checksum regression or on flows that
+   disagree. *)
+let json_paper () =
+  let area (a : Twill.Area.t) =
+    Printf.sprintf "\"luts\": %d, \"dsps\": %d, \"brams\": %d" a.Twill.Area.luts
+      a.Twill.Area.dsps a.Twill.Area.brams
+  in
+  let flow (s : Twill.scenario) =
+    Printf.sprintf "\"cycles\": %d, \"executed\": %d, \"power_mw\": %.6f"
+      s.Twill.cycles s.Twill.executed s.Twill.power_mw
+  in
+  let row_json ((b : C.benchmark), (r : Twill.report)) =
+    let tw = r.Twill.twill in
+    Printf.sprintf
+      "    {\"benchmark\": %S, \"ret\": %ld,\n\
+      \     \"sw\": {%s},\n\
+      \     \"hw\": {%s, %s},\n\
+      \     \"twill\": {%s, %s, \"hw_thread_luts\": %d, \"runtime_luts\": \
+       %d, \"nqueues\": %d, \"nsems\": %d, \"n_hw_threads\": %d}}"
+      b.C.name r.Twill.sw.Twill.ret (flow r.Twill.sw) (flow r.Twill.hw)
+      (area r.Twill.hw.Twill.area) (flow tw.Twill.scenario)
+      (area tw.Twill.scenario.Twill.area)
+      tw.Twill.hw_threads_area.Twill.Area.luts
+      tw.Twill.runtime_area.Twill.Area.luts tw.Twill.nqueues tw.Twill.nsems
+      tw.Twill.n_hw_threads
+  in
+  let rows = all_reports () in
+  Artifact.emit
+    [
+      ("schema", "\"twill-paper-v1\"");
+      ("results", Artifact.arr (List.map row_json rows));
+    ];
+  Printf.eprintf "paper: %d kernels\n" (List.length rows)
+
 let artifacts =
   [
     ("table-6.1", table_6_1);
@@ -837,6 +877,7 @@ let () =
   | [ "--json-comm" ] -> json_comm ()
   | [ "--json-backend" ] -> json_backend ()
   | [ "--json-mem" ] -> json_mem ()
+  | [ "--json-paper" ] -> json_paper ()
   | [] ->
       Printf.printf "Twill reproduction — regenerating all Chapter 6 artifacts\n";
       List.iter (fun (_, f) -> f ()) artifacts

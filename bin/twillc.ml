@@ -1,9 +1,8 @@
 (* twillc — the Twill command-line driver.
 
-     twillc run FILE.c            execute under all three flows + report
+     twillc run NAME|FILE.c       execute under all three flows + report
      twillc ir FILE.c             dump optimised IR
      twillc threads FILE.c        dump extracted pipeline-stage functions
-     twillc bench NAME            run one bundled CHStone benchmark
      twillc list                  list bundled benchmarks
      twillc emit-verilog FILE.c   emit the design's RTL (-o FILE, --check)
      twillc cosim NAME|FILE.c     co-simulate the emitted RTL vs rtsim
@@ -77,7 +76,13 @@ let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
 (* a kernel name from the bundled CHStone registry, or a mini-C file *)
 let source_of (what : string) : string =
   if Sys.file_exists what then read_file what
-  else (Twill_chstone.Chstone.find what).Twill_chstone.Chstone.source
+  else
+    match Twill_chstone.Chstone.find what with
+    | b -> b.Twill_chstone.Chstone.source
+    | exception Failure _ ->
+        Fmt.epr "twillc: %s is neither a file nor a bundled kernel (see \
+                 twillc list)@." what;
+        exit 1
 
 let print_report (r : Twill.report) =
   Fmt.pr "== %s ==@." r.Twill.name;
@@ -99,17 +104,20 @@ let print_report (r : Twill.report) =
     r.Twill.twill.Twill.nsems
 
 let run_cmd =
-  let run opts no_auto path =
-    let src = read_file path in
+  let what =
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME|FILE")
+  in
+  let run opts no_auto what =
     let r =
       Twill.evaluate ~opts ~auto_stages:(not no_auto)
-        ~name:(Filename.basename path) src
+        ~name:(Filename.basename what) (source_of what)
     in
     print_report r
   in
-  Cmd.v (Cmd.info "run" ~doc:"Compile and evaluate a mini-C file")
-    Term.(
-      const run $ flow_opts $ no_auto $ file)
+  Cmd.v
+    (Cmd.info "run"
+       ~doc:"Compile and evaluate a bundled CHStone kernel or a mini-C file")
+    Term.(const run $ flow_opts $ no_auto $ what)
 
 let ir_cmd =
   let run opts _ path =
@@ -151,15 +159,6 @@ let threads_cmd =
   Cmd.v (Cmd.info "threads" ~doc:"Dump the extracted pipeline threads")
     Term.(
       const run $ flow_opts $ no_auto $ file)
-
-let bench_cmd =
-  let name_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME") in
-  let run name =
-    let b = Twill_chstone.Chstone.find name in
-    print_report (Twill.evaluate ~name b.Twill_chstone.Chstone.source)
-  in
-  Cmd.v (Cmd.info "bench" ~doc:"Run a bundled CHStone benchmark")
-    Term.(const run $ name_arg)
 
 let list_cmd =
   let run () =
@@ -687,7 +686,7 @@ let () =
     (Cmd.eval
        (Cmd.group (Cmd.info "twillc" ~doc)
           [
-            run_cmd; ir_cmd; threads_cmd; bench_cmd; list_cmd; emit_c_cmd;
+            run_cmd; ir_cmd; threads_cmd; list_cmd; emit_c_cmd;
             emit_verilog_cmd; cosim_cmd; comm_report_cmd; fuzz_cmd; dse_cmd;
             daemon_cmd;
           ]))

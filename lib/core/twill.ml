@@ -69,14 +69,11 @@ let compile ?(opts = default_options) (src : string) : Ir.modul =
 let profile_blocks ?(opts = default_options) (m : Ir.modul) : int array =
   let main = Ir.find_func m "main" in
   let counts = Array.make (Twill_ir.Vec.length main.Ir.blocks) 0 in
-  let term_cost (f : Ir.func) (b : Ir.block) =
+  let block_cost (f : Ir.func) (b : Ir.block) =
     if f == main then counts.(b.Ir.bid) <- counts.(b.Ir.bid) + 1;
     0
   in
-  (try
-     ignore
-       (Interp.run ~fuel:opts.fuel ~cost:Interp.zero_cost ~term_cost
-          ~charge_cycles:true m)
+  (try ignore (Interp.run ~fuel:opts.fuel ~block_cost m)
    with Interp.Out_of_fuel | Interp.Trap _ -> ());
   counts
 
@@ -541,6 +538,12 @@ let evaluate ?(opts = default_options) ?(auto_stages = true) ~(name : string)
       (fun () ->
         if auto_stages then run_twill_auto ~opts m else run_twill ~opts m)
   in
+  (* The three flows run one interpreter under three timing hooks
+     (Microblaze costs, a hardware thread's block costs, the threaded
+     hybrid), so this agreement tests the simulator's plumbing — handlers,
+     scheduling, queues — not independent semantics.  The independent
+     checks are the typed-AST reference ([Minic.run_reference]), RTL
+     co-simulation and the emitted C under gcc. *)
   if
     sw.ret <> hw.ret || sw.ret <> tw.scenario.ret || sw.prints <> hw.prints
     || sw.prints <> tw.scenario.prints

@@ -4,8 +4,14 @@
    against, the "pure software on Microblaze" baseline timing model (a
    sequential program performs no runtime-primitive operations, so summing
    per-instruction Microblaze costs is exact), and — parameterised with
-   queue/semaphore handlers — the execution core of software threads inside
-   the runtime simulator.
+   queue/semaphore handlers and a block-cost hook — the execution core of
+   software and hardware threads inside the runtime simulator.
+
+   Timing has exactly two modes, matching the two kinds of thread: without
+   a block-cost hook every instruction and terminator costs its Microblaze
+   cycles; with one, instructions are free and the hook prices each block
+   at its exit (a hardware thread's scheduled state count, or a profiler
+   that only counts).
 
    Two execution engines share one semantics:
 
@@ -17,9 +23,8 @@
      instructions: operands become direct constant/register/argument
      accessors (globals fold to their layout addresses), phis are split
      into per-predecessor parallel-move tables, call targets resolve to
-     function handles once, and the default Microblaze cost of every
-     instruction is pre-computed so the common cost hook is a table
-     lookup instead of a closure dispatch.
+     function handles once, and the Microblaze cost of every instruction
+     and terminator is pre-computed.
 
    Both engines must agree bit-for-bit on [ret]/[prints]/[executed]/
    [cycles]; test/test_diff.ml checks this property on random programs.
@@ -36,40 +41,16 @@ open Ir
 exception Trap of string
 exception Out_of_fuel
 
+(* Runtime-primitive handlers: one closure per queue/semaphore id,
+   indexed by the ids appearing in the IR.  A caller binds its channel
+   state (and, in the runtime simulator, the thread's clock) into each
+   closure once, so an operation is one array read and one call. *)
 type handlers = {
-  produce : int -> int32 -> unit;
-  consume : int -> int32;
-  sem_give : int -> int -> unit;
-  sem_take : int -> int -> unit;
+  produce : (int32 -> unit) array; (* per queue *)
+  consume : (unit -> int32) array; (* per queue *)
+  sem_give : (int -> unit) array; (* per semaphore; arg = count *)
+  sem_take : (int -> unit) array; (* per semaphore; arg = count *)
 }
-
-let no_handlers =
-  let no _ = raise (Trap "queue/semaphore op outside the runtime simulator") in
-  {
-    produce = (fun _ _ -> no ());
-    consume = (fun _ -> no ());
-    sem_give = (fun _ _ -> no ());
-    sem_take = (fun _ _ -> no ());
-  }
-
-(* Pre-bound runtime-primitive handlers: one closure per queue/semaphore
-   id instead of one closure taking the id.  A caller that has already
-   specialised its handler state per channel (the compiled rtsim engine)
-   skips the id dispatch and the per-op channel-state lookup entirely;
-   the arrays are indexed by the ids appearing in the IR. *)
-type fast_handlers = {
-  fproduce : (int32 -> unit) array; (* per queue *)
-  fconsume : (unit -> int32) array; (* per queue *)
-  fsem_give : (int -> unit) array; (* per semaphore; arg = count *)
-  fsem_take : (int -> unit) array; (* per semaphore; arg = count *)
-}
-
-(* How the decoded engine charges per-instruction cycles: [Cm_table] uses
-   the pre-computed default Microblaze costs, [Cm_zero] charges nothing
-   (the {!zero_cost} sentinel — hardware threads, profiling), [Cm_hook]
-   dispatches to the caller's closure.  Detected by physical equality of
-   the [cost] hook with the exported defaults. *)
-type cost_mode = Cm_table | Cm_zero | Cm_hook
 
 type state = {
   m : modul;
@@ -79,14 +60,10 @@ type state = {
   mutable executed : int;
   mutable fuel : int;
   mutable prints : int32 list; (* reversed *)
-  handlers : handlers;
-  fast : fast_handlers option; (* pre-bound per-channel closures, if any *)
-  cost : func -> inst -> int;
-  term_cost : func -> block -> int;
-  charge_cycles : bool;
-  cost_mode : cost_mode;
-  (* true when the terminator hook is physically the default *)
-  fast_term : bool;
+  handlers : handlers option; (* None: runtime primitives trap *)
+  (* None: Microblaze costs per instruction and per terminator; Some h:
+     no per-instruction cost, [h] charged at every block exit *)
+  block_cost : (func -> block -> int) option;
   (* invoked on every Load/Store at charge time (before operand
      evaluation) — the simulator's memory-bus contention point *)
   mem_hook : (func -> inst -> unit) option;
@@ -96,6 +73,19 @@ type state = {
      static disambiguation claims against the actual trace. *)
   mem_trace : (func -> inst -> int32 -> unit) option;
 }
+
+(* The caller's channel handlers; a sequential program has none, and a
+   runtime primitive outside the simulator is a trap. *)
+let handlers_of st =
+  match st.handlers with
+  | Some h -> h
+  | None -> raise (Trap "queue/semaphore op outside the runtime simulator")
+
+(* Microblaze branch/return cost of a block's terminator. *)
+let sw_term_cost (b : block) : int =
+  match b.term with
+  | Ret _ -> Costmodel.sw_ret_cost
+  | Br _ | Cond_br _ -> Costmodel.sw_branch_cost
 
 let to_u64 v = Int64.logand (Int64.of_int32 v) 0xFFFFFFFFL
 
@@ -158,9 +148,10 @@ let rec exec_func st (f : func) (args : int32 array) : int32 =
     | Argv a -> args.(a)
     | Glob g -> Layout.global_address st.layout g
   in
+  let per_inst = Option.is_none st.block_cost in
   let charge i =
     st.executed <- st.executed + 1;
-    if st.charge_cycles then st.cycles := !(st.cycles) + st.cost f i;
+    if per_inst then st.cycles := !(st.cycles) + Costmodel.sw_cost i.kind;
     if st.fuel >= 0 then begin
       st.fuel <- st.fuel - 1;
       if st.fuel <= 0 then raise Out_of_fuel
@@ -193,23 +184,10 @@ let rec exec_func st (f : func) (args : int32 array) : int32 =
         regs.(i.id) <- exec_func st callee (Array.map eval cargs)
     | Phi _ -> assert false (* handled at block entry *)
     | Print v -> st.prints <- eval v :: st.prints
-    | Produce (q, v) -> (
-        match st.fast with
-        | Some fh -> fh.fproduce.(q) (eval v)
-        | None -> st.handlers.produce q (eval v))
-    | Consume q ->
-        regs.(i.id) <-
-          (match st.fast with
-          | Some fh -> fh.fconsume.(q) ()
-          | None -> st.handlers.consume q)
-    | Sem_give (s, n) -> (
-        match st.fast with
-        | Some fh -> fh.fsem_give.(s) n
-        | None -> st.handlers.sem_give s n)
-    | Sem_take (s, n) -> (
-        match st.fast with
-        | Some fh -> fh.fsem_take.(s) n
-        | None -> st.handlers.sem_take s n)
+    | Produce (q, v) -> (handlers_of st).produce.(q) (eval v)
+    | Consume q -> regs.(i.id) <- (handlers_of st).consume.(q) ()
+    | Sem_give (s, n) -> (handlers_of st).sem_give.(s) n
+    | Sem_take (s, n) -> (handlers_of st).sem_take.(s) n
     | Dead -> ()
   in
   (* Phis of a block read their incoming values simultaneously. *)
@@ -240,7 +218,8 @@ let rec exec_func st (f : func) (args : int32 array) : int32 =
     if from >= 0 then enter_block b ~from;
     let non_phis = List.filter (fun id -> not (is_phi (inst f id))) b.insts in
     List.iter (fun id -> exec_inst (inst f id)) non_phis;
-    if st.charge_cycles then st.cycles := !(st.cycles) + st.term_cost f b;
+    let c = match st.block_cost with Some h -> h f b | None -> sw_term_cost b in
+    st.cycles := !(st.cycles) + c;
     match b.term with
     | Br b' -> run_block b' ~from:bid
     | Cond_br (c, b1, b2) ->
@@ -271,7 +250,7 @@ and dblock = {
   dphis : (int * dphi) array; (* predecessor block id -> parallel moves *)
   phi_ids : int array; (* leading phi ids, for trap messages *)
   dterm : dterm;
-  dterm_swc : int; (* pre-computed default terminator cost *)
+  dterm_swc : int; (* pre-computed Microblaze terminator cost *)
 }
 
 (* Charging granularity.  A [Grun] is a maximal run of instructions that
@@ -293,7 +272,6 @@ and dgroup = Grun of dinst array * int (* pre-summed default cost *) | Gone of d
 and dphi = {
   pdst : int array;
   psrc : dop array;
-  pinst : inst array; (* original phi instructions, for cost hooks *)
   pbuf : int32 array; (* scratch: phis read their inputs simultaneously *)
   ptrap : string option;
   (* no phi reads a register another phi of this edge writes (reading
@@ -303,9 +281,9 @@ and dphi = {
 }
 
 and dinst = {
-  isrc : inst; (* original instruction, handed to cost hooks *)
+  isrc : inst; (* original instruction, handed to the memory hooks *)
   dest : int; (* register to write, -1 if none *)
-  swc : int; (* pre-computed default Microblaze cost *)
+  swc : int; (* pre-computed Microblaze cost *)
   dkind : dexec;
 }
 
@@ -476,7 +454,7 @@ let rec decode_func (c : ctx) (fname : string) : dfunc =
             [] phi_ids
         in
         let moves_for p : dphi =
-          let dsts = ref [] and srcs = ref [] and insts = ref [] in
+          let dsts = ref [] and srcs = ref [] in
           let trap = ref None in
           (try
              Array.iter
@@ -487,8 +465,7 @@ let rec decode_func (c : ctx) (fname : string) : dfunc =
                      match List.assoc_opt p incoming with
                      | Some o ->
                          dsts := id :: !dsts;
-                         srcs := dop o :: !srcs;
-                         insts := i :: !insts
+                         srcs := dop o :: !srcs
                      | None ->
                          trap :=
                            Some
@@ -515,7 +492,6 @@ let rec decode_func (c : ctx) (fname : string) : dfunc =
           {
             pdst;
             psrc;
-            pinst = Array.of_list (List.rev !insts);
             pbuf = Array.make (Array.length pdst) 0l;
             ptrap = !trap;
             pindep;
@@ -536,10 +512,7 @@ let rec decode_func (c : ctx) (fname : string) : dfunc =
                 | dc -> Tcond (dc, t1, t2))
             | Ret None -> Tret_none
             | Ret (Some v) -> Tret (dop v));
-          dterm_swc =
-            (match b.term with
-            | Ret _ -> Costmodel.sw_ret_cost
-            | Br _ | Cond_br _ -> Costmodel.sw_branch_cost);
+          dterm_swc = sw_term_cost b;
         }
       in
       let d =
@@ -565,31 +538,15 @@ let rec exec_decoded st (d : dfunc) (args : int32 array) : int32 =
   in
   (* [executed] is only ever read after a run completes (no handler or
      hook sees it mid-flight), so it is batched per block and per phi
-     prefix rather than counted per instruction; cycles and fuel keep
-     instruction granularity except inside provably unobservable runs. *)
-  let charge i swc =
-    if st.charge_cycles then begin
-      match st.cost_mode with
-      | Cm_table -> st.cycles := !(st.cycles) + swc
-      | Cm_zero -> ()
-      | Cm_hook -> st.cycles := !(st.cycles) + st.cost f i
-    end;
-    if st.fuel >= 0 then begin
-      st.fuel <- st.fuel - 1;
-      if st.fuel <= 0 then raise Out_of_fuel
-    end
-  in
-  (* One batched charge for [n] instructions of pre-summed cost [swc]:
-     exact because nothing inside a [Grun] (or a phi prefix) can trap,
-     emit, or read the clock before the run completes — the intermediate
-     counter values are unobservable.  Never used in [Cm_hook] mode (the
-     hook must see every instruction). *)
-  let charge_run n swc =
-    if st.charge_cycles then begin
-      match st.cost_mode with
-      | Cm_table -> st.cycles := !(st.cycles) + swc
-      | Cm_zero | Cm_hook -> ()
-    end;
+     prefix rather than counted per instruction.  [charge n swc] accounts
+     [n] instructions of pre-summed Microblaze cost [swc] at once: exact
+     because nothing inside a [Grun] (or a phi prefix) can trap, emit, or
+     read the clock before the run completes — the intermediate counter
+     values are unobservable.  Under a block-cost hook no instruction
+     costs anything. *)
+  let per_inst = Option.is_none st.block_cost in
+  let charge n swc =
+    if per_inst then st.cycles := !(st.cycles) + swc;
     if st.fuel >= 0 then begin
       st.fuel <- st.fuel - n;
       if st.fuel <= 0 then raise Out_of_fuel
@@ -610,26 +567,17 @@ let rec exec_decoded st (d : dfunc) (args : int32 array) : int32 =
     let m = find 0 in
     let k = Array.length m.pdst in
     st.executed <- st.executed + k;
-    if m.pindep && m.ptrap = None && st.cost_mode != Cm_hook then begin
-      charge_run k 0;
+    charge k 0 (* Costmodel.sw_cost (Phi _) = 0 *);
+    if m.pindep && m.ptrap = None then
       for j = 0 to k - 1 do
         Array.unsafe_set regs
           (Array.unsafe_get m.pdst j)
           (eval (Array.unsafe_get m.psrc j))
       done
-    end
     else begin
-      (match st.cost_mode with
-      | Cm_hook ->
-          for j = 0 to k - 1 do
-            m.pbuf.(j) <- eval m.psrc.(j);
-            charge m.pinst.(j) 0 (* Costmodel.sw_cost (Phi _) = 0 *)
-          done
-      | Cm_table | Cm_zero ->
-          charge_run k 0;
-          for j = 0 to k - 1 do
-            m.pbuf.(j) <- eval m.psrc.(j)
-          done);
+      for j = 0 to k - 1 do
+        m.pbuf.(j) <- eval m.psrc.(j)
+      done;
       match m.ptrap with
       | Some msg -> raise (Trap msg)
       | None ->
@@ -695,45 +643,23 @@ let rec exec_decoded st (d : dfunc) (args : int32 array) : int32 =
     | Xcall (callee, cargs) ->
         regs.(di.dest) <- exec_decoded st (Lazy.force callee) (Array.map eval cargs)
     | Xprint v -> st.prints <- eval v :: st.prints
-    | Xproduce (q, v) -> (
-        match st.fast with
-        | Some fh -> (Array.unsafe_get fh.fproduce q) (eval v)
-        | None -> st.handlers.produce q (eval v))
-    | Xconsume q ->
-        regs.(di.dest) <-
-          (match st.fast with
-          | Some fh -> (Array.unsafe_get fh.fconsume q) ()
-          | None -> st.handlers.consume q)
-    | Xsem_give (s, n) -> (
-        match st.fast with
-        | Some fh -> (Array.unsafe_get fh.fsem_give s) n
-        | None -> st.handlers.sem_give s n)
-    | Xsem_take (s, n) -> (
-        match st.fast with
-        | Some fh -> (Array.unsafe_get fh.fsem_take s) n
-        | None -> st.handlers.sem_take s n)
+    | Xproduce (q, v) -> (handlers_of st).produce.(q) (eval v)
+    | Xconsume q -> regs.(di.dest) <- (handlers_of st).consume.(q) ()
+    | Xsem_give (s, n) -> (handlers_of st).sem_give.(s) n
+    | Xsem_take (s, n) -> (handlers_of st).sem_take.(s) n
     | Xfail msg -> failwith msg
     | Xnop -> ()
   in
-  let exec_inst (di : dinst) =
-    charge di.isrc di.swc;
-    exec_op di
-  in
-  let hook_mode = st.cost_mode == Cm_hook in
   let exec_group (g : dgroup) =
     match g with
-    | Gone di -> exec_inst di
+    | Gone di ->
+        charge 1 di.swc;
+        exec_op di
     | Grun (run, swc) ->
-        if hook_mode then
-          for k = 0 to Array.length run - 1 do
-            exec_inst (Array.unsafe_get run k)
-          done
-        else begin
-          charge_run (Array.length run) swc;
-          for k = 0 to Array.length run - 1 do
-            exec_op (Array.unsafe_get run k)
-          done
-        end
+        charge (Array.length run) swc;
+        for k = 0 to Array.length run - 1 do
+          exec_op (Array.unsafe_get run k)
+        done
   in
   let rec run_block bid ~from =
     let b = Array.unsafe_get d.dblocks bid in
@@ -743,10 +669,12 @@ let rec exec_decoded st (d : dfunc) (args : int32 array) : int32 =
     for k = 0 to Array.length gs - 1 do
       exec_group (Array.unsafe_get gs k)
     done;
-    if st.charge_cycles then
-      st.cycles :=
-        !(st.cycles)
-        + (if st.fast_term then b.dterm_swc else st.term_cost f b.dsrc_block);
+    let c =
+      match st.block_cost with
+      | None -> b.dterm_swc
+      | Some h -> h f b.dsrc_block
+    in
+    st.cycles := !(st.cycles) + c;
     match b.dterm with
     | Tbr t -> run_block t ~from:bid
     | Tcond_r (r, t1, t2) ->
@@ -770,24 +698,9 @@ type result = {
 
 (* Runs [entry] against caller-provided shared memory — the building block
    for executing DSWP stage functions as concurrent threads over one
-   address space (the parallel executor and the runtime simulator). *)
-let default_term_cost (_ : func) (b : block) : int =
-  match b.term with
-  | Ret _ -> Costmodel.sw_ret_cost
-  | Br _ | Cond_br _ -> Costmodel.sw_branch_cost
-
-let default_cost (_ : func) (i : inst) : int = Costmodel.sw_cost i.kind
-
-(* Sentinel: charge nothing per instruction, without a per-instruction
-   closure dispatch in the decoded engine.  Pass this (physically) when
-   timing comes entirely from the terminator hook — hardware threads in
-   the runtime simulator, block-count profiling. *)
-let zero_cost (_ : func) (_ : inst) : int = 0
-
+   address space (the runtime simulator and RTL co-simulation). *)
 let run_shared ?(fuel = -1) ~(layout : Layout.t) ~(mem : int32 array)
-    ?(handlers = no_handlers) ?fast_handlers ?(cost = default_cost)
-    ?(term_cost = default_term_cost) ?(charge_cycles = true)
-    ?(engine = Decoded) ?ctx ?mem_hook ?mem_trace ?cycles_cell (m : modul)
+    ?handlers ?block_cost ?(engine = Decoded) ?ctx ?mem_hook ?mem_trace ?cycles_cell (m : modul)
     ~(entry : string) ~(args : int32 array) : result =
   let st =
     {
@@ -799,15 +712,7 @@ let run_shared ?(fuel = -1) ~(layout : Layout.t) ~(mem : int32 array)
       fuel;
       prints = [];
       handlers;
-      fast = fast_handlers;
-      cost;
-      term_cost;
-      charge_cycles;
-      cost_mode =
-        (if cost == default_cost then Cm_table
-         else if cost == zero_cost then Cm_zero
-         else Cm_hook);
-      fast_term = term_cost == default_term_cost;
+      block_cost;
       mem_hook;
       mem_trace;
     }
@@ -858,9 +763,8 @@ let fresh_memory ?mem_words (m : modul) : Layout.t * int32 array =
   Layout.init_memory layout m mem;
   (layout, mem)
 
-let run ?(fuel = -1) ?mem_words ?(handlers = no_handlers)
-    ?(cost = default_cost) ?(term_cost = default_term_cost)
-    ?(charge_cycles = true) ?(engine = Decoded) (m : modul) : result =
+let run ?(fuel = -1) ?mem_words ?handlers ?block_cost ?(engine = Decoded)
+    (m : modul) : result =
   let layout, mem = fresh_memory ?mem_words m in
-  run_shared ~fuel ~layout ~mem ~handlers ~cost ~term_cost ~charge_cycles
-    ~engine m ~entry:"main" ~args:[||]
+  run_shared ~fuel ~layout ~mem ?handlers ?block_cost ~engine m ~entry:"main"
+    ~args:[||]

@@ -4,16 +4,17 @@
     tested against; the "pure software on Microblaze" timing model (a
     sequential program performs no runtime-primitive operations, so
     summing per-instruction costs is exact); and — parameterised with
-    queue/semaphore handlers and cost hooks — the execution core of both
-    the untimed parallel executor and the cycle-accurate simulator.
+    queue/semaphore handlers and a block-cost hook — the execution core of
+    the cycle-accurate simulator's software and hardware threads and of
+    RTL co-simulation's software stages.
 
     Two engines share one semantics: the original tree-walking
     interpreter ({!Tree}, the oracle) and the pre-decoded engine
     ({!Decoded}, the default), which flattens each function once into
     arrays of pre-resolved instructions — operands become direct
     accessors, phis split into per-predecessor move tables, call targets
-    resolve to function handles, and default per-instruction costs are
-    pre-computed.  They agree bit-for-bit on [ret], [prints], [executed]
+    resolve to function handles, and Microblaze instruction and
+    terminator costs are pre-computed.  They agree bit-for-bit on [ret], [prints], [executed]
     and [cycles] (property-checked in test/test_diff.ml). *)
 
 open Ir
@@ -23,29 +24,16 @@ exception Trap of string
 
 exception Out_of_fuel
 
-(** Callbacks for the Twill runtime operations; the defaults
-    ({!no_handlers}) trap, which is correct for sequential programs. *)
+(** Handlers for the Twill runtime operations: one closure per
+    queue/semaphore id, indexed by the ids appearing in the IR.  A caller
+    binds its channel state (and, in the runtime simulator, the thread's
+    clock) into each closure once.  Without handlers a runtime primitive
+    traps, which is correct for sequential programs. *)
 type handlers = {
-  produce : int -> int32 -> unit;
-  consume : int -> int32;
-  sem_give : int -> int -> unit;
-  sem_take : int -> int -> unit;
-}
-
-val no_handlers : handlers
-
-(** Pre-bound per-channel handlers: one closure per queue/semaphore id
-    (indexed by the ids appearing in the IR) instead of one closure
-    taking the id.  When passed to {!run_shared}, runtime-primitive
-    operations dispatch directly through these arrays — no id argument,
-    no per-op channel-state lookup — which is how the compiled rtsim
-    engine binds queue state, bus and thread clock into each channel's
-    closure once at elaboration. *)
-type fast_handlers = {
-  fproduce : (int32 -> unit) array;  (** per queue *)
-  fconsume : (unit -> int32) array;  (** per queue *)
-  fsem_give : (int -> unit) array;  (** per semaphore; arg = count *)
-  fsem_take : (int -> unit) array;  (** per semaphore; arg = count *)
+  produce : (int32 -> unit) array;  (** per queue *)
+  consume : (unit -> int32) array;  (** per queue *)
+  sem_give : (int -> unit) array;  (** per semaphore; arg = count *)
+  sem_take : (int -> unit) array;  (** per semaphore; arg = count *)
 }
 
 val eval_binop : binop -> int32 -> int32 -> int32
@@ -72,22 +60,12 @@ val make_context : layout:Layout.t -> modul -> ctx
 
 type result = {
   ret : int32;
-  cycles : int;  (** sum of per-instruction + per-terminator costs *)
+  cycles : int;
+      (** Microblaze instruction + terminator costs, or the sum of the
+          block-cost hook's answers *)
   executed : int;
   prints : int32 list;  (** program order *)
 }
-
-val default_term_cost : func -> block -> int
-(** Microblaze branch/return costs. *)
-
-val default_cost : func -> inst -> int
-(** {!Costmodel.sw_cost} of the instruction. *)
-
-val zero_cost : func -> inst -> int
-(** Always 0 — pass this exact value (recognised by physical equality)
-    when timing comes entirely from the terminator hook; the decoded
-    engine then skips the per-instruction closure dispatch altogether.
-    Used for hardware threads and block-count profiling. *)
 
 val fresh_memory : ?mem_words:int -> modul -> Layout.t * int32 array
 (** Builds the static layout and a zeroed, initialised memory image.
@@ -101,10 +79,7 @@ val run_shared :
   layout:Layout.t ->
   mem:int32 array ->
   ?handlers:handlers ->
-  ?fast_handlers:fast_handlers ->
-  ?cost:(func -> inst -> int) ->
-  ?term_cost:(func -> block -> int) ->
-  ?charge_cycles:bool ->
+  ?block_cost:(func -> block -> int) ->
   ?engine:engine ->
   ?ctx:ctx ->
   ?mem_hook:(func -> inst -> unit) ->
@@ -116,25 +91,25 @@ val run_shared :
   result
 (** Runs [entry] against caller-provided shared memory — the building
     block for executing DSWP stage functions as concurrent threads over
-    one address space.  The cost hooks are invoked per executed
-    instruction / per block exit, letting simulators maintain their own
-    clocks.  [fast_handlers], when given, takes precedence over
-    [handlers] for every runtime-primitive operation (see
-    {!fast_handlers}).  [ctx] (Decoded engine only) shares decoded code across
-    calls; it must have been built for [m].  [mem_hook] fires on every
-    Load/Store at charge time (before operand evaluation) — the
-    simulator's memory-bus contention point — without paying a
-    per-instruction closure on other operations.  [mem_trace] fires on
-    every Load/Store with the evaluated word address just before the
-    access — the runtime alias-checker's probe (it sees the concrete
-    address, unlike [mem_hook]).  [cycles_cell], when
-    given, is used as the live cycle accumulator, so handler callbacks
-    can read the thread's progress mid-run (the final value also lands
-    in [result.cycles]).
+    one address space.  Without [block_cost] every instruction and
+    terminator is charged its Microblaze cost from the decoded tables
+    (a software thread); with it, instructions cost nothing and
+    [block_cost f b] is charged each time block [b] exits (a hardware
+    thread's scheduled state count, or a block profiler returning 0).
+    [ctx] (Decoded engine only) shares decoded code across calls; it
+    must have been built for [m].  [mem_hook] fires on every Load/Store
+    at charge time (before operand evaluation) — the simulator's
+    memory-bus contention point — without paying a per-instruction
+    closure on other operations.  [mem_trace] fires on every Load/Store
+    with the evaluated word address just before the access — the
+    runtime alias-checker's probe (it sees the concrete address, unlike
+    [mem_hook]).  [cycles_cell], when given, is used as the live cycle
+    accumulator, so handler callbacks can read the thread's progress
+    mid-run (the final value also lands in [result.cycles]).
 
     @raise Invalid_argument if [ctx] was built for a different module. *)
 
-val run : ?fuel:int -> ?mem_words:int -> ?handlers:handlers ->
-  ?cost:(func -> inst -> int) -> ?term_cost:(func -> block -> int) ->
-  ?charge_cycles:bool -> ?engine:engine -> modul -> result
+val run :
+  ?fuel:int -> ?mem_words:int -> ?handlers:handlers ->
+  ?block_cost:(func -> block -> int) -> ?engine:engine -> modul -> result
 (** [run m] executes [main] on a fresh memory image. *)

@@ -21,26 +21,35 @@
      circular buffer described in §4.3.
    - Semaphores: counting, with FIFO-ish grant times (§4.2).
 
+   A software and a hardware thread run the same IR against the same
+   queues and semaphores and differ in exactly two ways, which are the
+   two hooks the interpreter takes: how a block is timed (Microblaze
+   instruction costs, or the schedule's per-block cost through
+   [?block_cost]) and whether loads and stores go over the memory bus
+   ([?mem_hook]).  Every thread's clock is [cell + stall], where [cell]
+   is the interpreter's charged cycles and [stall] the waits the
+   runtime primitives and buses imposed.
+
    Two execution engines share this timing model (the same discipline as
    the interpreter's Tree/Decoded pair and vsim's engine family):
 
-   - [Interpreted] (the oracle): the original spin scheduler.  Handlers
-     are one record per thread dispatching on the channel id, hardware
-     terminator costs resolve their schedule through a name-keyed
-     hashtable, and every blocked fiber is resumed once per scheduler
-     round just to re-check its wait condition.
-   - [Compiled] (default): runtime-primitive handlers are specialised at
+   - [Interpreted] (the oracle): the original spin scheduler.  Each
+     channel's handler calls an operation dispatching on the channel id
+     over get/set clock closures, hardware block costs resolve their
+     schedule through a name-keyed hashtable, and every blocked fiber is
+     resumed once per scheduler round just to re-check its wait
+     condition.
+   - [Compiled] (default): one handler builder and one fiber body serve
+     both roles.  Runtime-primitive handlers are specialised at
      elaboration into one closure per (thread x channel) — queue state,
-     ring buffer, bus, latency and the thread's clock accessors are
-     pre-bound, and the interpreter dispatches through
-     {!Interp.fast_handlers} arrays with no id argument.  Queue storage
-     is a preallocated ring (no per-item allocation).  Hardware
-     terminator and memory-bus hooks resolve [nstates]/[ii]/[start_arr]
-     into flat per-function arrays at elaboration (physical-equality
-     memo, no hashtable and no tuple allocation per block exit).  The
-     scheduler parks blocked fibers on per-queue/per-semaphore wait
-     lists and only re-runs them when a producer/consumer/give touches
-     the channel they wait on.
+     ring buffer, bus, latency and the thread's [cell]/[stall] refs are
+     pre-bound.  Queue storage is a preallocated ring (no per-item
+     allocation).  Hardware block-cost and memory-bus hooks resolve
+     [nstates]/[ii]/[start_arr] into flat per-function arrays at
+     elaboration (physical-equality memo, no hashtable and no tuple
+     allocation per block exit).  The scheduler parks blocked fibers on
+     per-queue/per-semaphore wait lists and only re-runs them when a
+     producer/consumer/give touches the channel they wait on.
 
    The compiled scheduler cycles a ring of thread slots in index order
    and runs every ready thread at its turn; because the interpreted
@@ -447,15 +456,16 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
   in
   (* Runtime alias checker ([config.check_memdep]): fed the evaluated
      word address of every shared-memory access through the
-     interpreter's [mem_trace] hook.  Traps when (a) an access with a
+     interpreter's [mem_trace] hook, stamped with the thread's live
+     clock [now ()].  Traps when (a) an access with a
      static bank claim lands in a different bank, or (b) two accesses
      the oracle declared independent touch the same address within a
      2-cycle window — exactly the situations where banked scheduling
      or arbitration could have reordered a real dependence.  The hook
      is pure observation: it never touches clocks or buses, so enabling
      it cannot change timing in either engine. *)
-  let mem_trace_of : int -> thread_spec -> (func -> inst -> int32 -> unit) option
-      =
+  let mem_trace_of :
+      thread_spec -> (unit -> int) -> (func -> inst -> int32 -> unit) option =
     if not config.check_memdep then fun _ _ -> None
     else begin
       let plan = Lazy.force banking_plan in
@@ -465,7 +475,7 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
         Array.make wsize None
       in
       let wpos = ref 0 in
-      fun ti spec ->
+      fun spec now ->
         if spec.local_memory then None
         else
           Some
@@ -479,7 +489,7 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
                        f.name i.id b addr
                        (Memdep.bank_of_addr plan addr))
               | _ -> ());
-              let t = clocks.(ti) in
+              let t = now () in
               Array.iter
                 (function
                   | Some (f', (i' : inst), addr', t')
@@ -498,164 +508,23 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
               wpos := (!wpos + 1) mod wsize)
     end
   in
-  if
-    (* Single software thread, no cross-thread runtime state: the
-       simulation degenerates to one interpreter run whose clock equals
-       the interpreter's cycle count (the Sw hooks add exactly the default
-       Microblaze costs and nothing can stall), so skip the fiber
-       machinery and run on the pre-computed cost tables. *)
-    n = 1
-    && threads.(0).trole = Sw
-    && Array.length queues = 0
-    && nsems = 0
-  then begin
-    let r =
-      try
-        Interp.run_shared ~fuel:config.fuel ~layout ~mem ~charge_cycles:true
-          ~ctx:ictx m ~entry:threads.(0).tname ~args:[||]
-      with Interp.Out_of_fuel -> raise (out_of_fuel 0)
-    in
-    clocks.(0) <- r.Interp.cycles;
-    busys.(0) <- r.Interp.cycles;
-    finish 0 r
-  end
-  else begin
-    (* Hardware-thread memory-bus contention, fired by the interpreter on
-       every Load/Store at charge time.  Block timing is charged at the
-       terminator from the schedule; here only shared-memory-bus waits are
-       added.  The request is issued at the op's scheduled slot within the
-       block, so a thread never contends with its own schedule. *)
-    let make_mem_hook (ti : int) (spec : thread_spec) :
-        (func -> inst -> unit) option =
-      if spec.local_memory then None
-      else
-        let cur = ref None in
-        let sched_of (f : func) =
-          match !cur with
-          | Some (n, s) when n == f.name -> s
-          | _ ->
-              let s = schedule_of f.name in
-              cur := Some (f.name, s);
-              s
-        in
-        Some
-          (fun f i ->
-            let s = sched_of f in
-            let sa = s.Schedule.start_arr in
-            let slot =
-              if i.id >= 0 && i.id < Array.length sa && sa.(i.id) >= 0 then
-                sa.(i.id)
-              else 0
-            in
-            let request = clocks.(ti) + slot in
-            let grant =
-              if nbanks = 1 then reserve memory_bus request
-              else
-                match bank_of_access f i with
-                | Some b -> reserve mem_buses.(b) request
-                | None ->
-                    (* may touch any bank: occupy a slot on every bank,
-                       stall until the last grant (banks in index order —
-                       the compiled engine must match exactly) *)
-                    let g = ref request in
-                    for k = 0 to nbanks - 1 do
-                      let gk = reserve mem_buses.(k) request in
-                      if gk > !g then g := gk
-                    done;
-                    !g
-            in
-            if grant > request then
-              clocks.(ti) <- clocks.(ti) + (grant - request))
-    in
-    match engine with
-    | Interpreted ->
-        (* ---- the interpreted oracle: spin scheduler, id-dispatching
-           handlers, schedule lookups on the hot path ---- *)
-        let ops = ref 0 in
-        let wait_until ti why cond =
-          while not (cond ()) do
-            blocked.(ti) <- why;
-            perform Yield
-          done;
-          blocked.(ti) <- Not_blocked
-        in
-        (* Runtime-primitive handlers over an abstract thread clock.
-           Hardware threads keep their clock directly in [clocks.(ti)];
-           software threads run hook-free on the decoded engine's cost
-           tables, so their clock is the interpreter's live cycle cell
-           plus a stall offset maintained here (runtime-primitive
-           operations are the only points where a software thread's clock
-           deviates from its charged cycles). *)
-        let make_handlers (ti : int) (get_clock : unit -> int)
-            (set_clock : int -> unit) : Interp.handlers =
-          (* queue ops carry no extra software overhead here: the 5
-             interface cycles sit in sw_cost; hardware minimums are the
-             +1/+2 below *)
-          let queue_overhead = 0 in
-          {
-            Interp.produce =
-              (fun q v ->
-                let st = qs.(q) in
-                (* block while the queue is full (size+1 buffer semantics) *)
-                wait_until ti (On_queue_full q) (fun () ->
-                    st.pushed - st.popped < st.qdepth);
-                (* the slot we reuse was freed by the consume [depth]
-                   items ago *)
-                let slot_free =
-                  if st.pushed >= st.qdepth then
-                    st.pop_time.(st.pushed mod st.qdepth)
-                  else 0
-                in
-                let clk0 = get_clock () in
-                let clk = if clk0 < slot_free then slot_free else clk0 in
-                (* burst coalescing: a back-to-back produce rides the
-                   previous one's bus transaction, no new arbitration *)
-                let grant =
-                  if st.allow_burst && clk = st.p_last_end then clk
-                  else reserve module_bus clk
-                in
-                set_clock (grant + 1 + queue_overhead);
-                Queue.add (v, grant + config.queue_latency) st.items;
-                st.pushed <- st.pushed + 1;
-                st.peak <- max st.peak (st.pushed - st.popped);
-                prof_produce st ~clk0 ~clk ~grant;
-                incr ops);
-            consume =
-              (fun q ->
-                let st = qs.(q) in
-                wait_until ti (On_queue_empty q) (fun () ->
-                    st.pushed > st.popped);
-                let v, visible = Queue.pop st.items in
-                let clk0 = get_clock () in
-                let clk = if clk0 < visible then visible else clk0 in
-                let grant = reserve module_bus clk in
-                set_clock (grant + 1 + queue_overhead);
-                st.pop_time.(st.popped mod st.qdepth) <- get_clock ();
-                st.popped <- st.popped + 1;
-                prof_consume st ~clk0 ~clk ~grant;
-                incr ops;
-                v);
-            sem_give =
-              (fun s k ->
-                let st = sems.(s) in
-                st.count <- st.count + k;
-                st.free_at <- max st.free_at (get_clock ());
-                let grant = reserve module_bus (get_clock ()) in
-                set_clock (grant + 1);
-                incr ops);
-            sem_take =
-              (fun s k ->
-                let st = sems.(s) in
-                wait_until ti (On_sem (s, k)) (fun () -> st.count >= k);
-                st.count <- st.count - k;
-                set_clock (max (get_clock ()) st.free_at);
-                let grant = reserve module_bus (get_clock ()) in
-                set_clock (grant + 2 (* §4.2: lower takes >= 2 cycles *));
-                incr ops)
-          }
-        in
-        let make_term_cost (ti : int) : func -> block -> int =
-          let last = ref ("", -1) in
+  let nq = Array.length queues in
+  let nsems_arr = Array.length sems in
+  (match engine with
+  | Interpreted ->
+      (* ---- the interpreted oracle: spin scheduler, id-dispatching
+         handlers over get/set clock closures, schedule lookups on the
+         hot path ---- *)
+      (* Hardware-thread memory-bus contention, fired by the interpreter
+         on every Load/Store at charge time.  Block timing is charged at
+         the terminator from the schedule; here only shared-memory-bus
+         waits are added.  The request is issued at the op's scheduled
+         slot within the block, so a thread never contends with its own
+         schedule. *)
+      let make_mem_hook (ti : int) (spec : thread_spec) :
+          (func -> inst -> unit) option =
+        if spec.local_memory then None
+        else
           let cur = ref None in
           let sched_of (f : func) =
             match !cur with
@@ -665,461 +534,487 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
                 cur := Some (f.name, s);
                 s
           in
-          fun f b ->
-            let s = sched_of f in
-            let pipelined =
-              s.Schedule.ii.(b.bid) > 0 && !last = (f.name, b.bid)
-            in
-            let c =
-              if pipelined then s.Schedule.ii.(b.bid)
-              else s.Schedule.nstates.(b.bid)
-            in
-            last := (f.name, b.bid);
-            clocks.(ti) <- clocks.(ti) + c;
-            busys.(ti) <- busys.(ti) + c;
-            c
+          Some
+            (fun f i ->
+              let s = sched_of f in
+              let sa = s.Schedule.start_arr in
+              let slot =
+                if i.id >= 0 && i.id < Array.length sa && sa.(i.id) >= 0 then
+                  sa.(i.id)
+                else 0
+              in
+              let request = clocks.(ti) + slot in
+              let grant =
+                if nbanks = 1 then reserve memory_bus request
+                else
+                  match bank_of_access f i with
+                  | Some b -> reserve mem_buses.(b) request
+                  | None ->
+                      (* may touch any bank: occupy a slot on every bank,
+                         stall until the last grant (banks in index order —
+                         the compiled engine must match exactly) *)
+                      let g = ref request in
+                      for k = 0 to nbanks - 1 do
+                        let gk = reserve mem_buses.(k) request in
+                        if gk > !g then g := gk
+                      done;
+                      !g
+              in
+              if grant > request then
+                clocks.(ti) <- clocks.(ti) + (grant - request))
+      in
+      let ops = ref 0 in
+      let wait_until ti why cond =
+        while not (cond ()) do
+          blocked.(ti) <- why;
+          perform Yield
+        done;
+        blocked.(ti) <- Not_blocked
+      in
+      (* Runtime-primitive handlers over an abstract thread clock.
+         Hardware threads keep their clock directly in [clocks.(ti)];
+         software threads' clock is the interpreter's live cycle cell
+         plus a stall offset maintained here (runtime-primitive
+         operations are the only points where a software thread's clock
+         deviates from its charged cycles).  Each channel's closure
+         calls the id-taking operation. *)
+      let make_handlers (ti : int) (get_clock : unit -> int)
+          (set_clock : int -> unit) : Interp.handlers =
+        let produce q v =
+          let st = qs.(q) in
+          (* block while the queue is full (size+1 buffer semantics) *)
+          wait_until ti (On_queue_full q) (fun () ->
+              st.pushed - st.popped < st.qdepth);
+          (* the slot we reuse was freed by the consume [depth] items ago *)
+          let slot_free =
+            if st.pushed >= st.qdepth then st.pop_time.(st.pushed mod st.qdepth)
+            else 0
+          in
+          let clk0 = get_clock () in
+          let clk = if clk0 < slot_free then slot_free else clk0 in
+          (* burst coalescing: a back-to-back produce rides the previous
+             one's bus transaction, no new arbitration *)
+          let grant =
+            if st.allow_burst && clk = st.p_last_end then clk
+            else reserve module_bus clk
+          in
+          (* queue ops carry no extra software overhead here: the 5
+             interface cycles sit in sw_cost; hardware minimums are the
+             +1/+2 below *)
+          set_clock (grant + 1);
+          Queue.add (v, grant + config.queue_latency) st.items;
+          st.pushed <- st.pushed + 1;
+          st.peak <- max st.peak (st.pushed - st.popped);
+          prof_produce st ~clk0 ~clk ~grant;
+          incr ops
         in
-        (* cooperative scheduler: one effect-handler fiber per thread *)
-        let runq : (unit -> unit) Queue.t = Queue.create () in
-        let start_fiber (body : unit -> unit) () =
-          match_with body ()
-            {
-              retc = (fun () -> ());
-              exnc = (fun e -> raise e);
-              effc =
-                (fun (type a) (eff : a Effect.t) ->
-                  match eff with
-                  | Yield ->
-                      Some
-                        (fun (k : (a, unit) continuation) ->
-                          Queue.add (fun () -> continue k ()) runq)
-                  | _ -> None);
-            }
+        let consume q =
+          let st = qs.(q) in
+          wait_until ti (On_queue_empty q) (fun () -> st.pushed > st.popped);
+          let v, visible = Queue.pop st.items in
+          let clk0 = get_clock () in
+          let clk = if clk0 < visible then visible else clk0 in
+          let grant = reserve module_bus clk in
+          set_clock (grant + 1);
+          st.pop_time.(st.popped mod st.qdepth) <- get_clock ();
+          st.popped <- st.popped + 1;
+          prof_consume st ~clk0 ~clk ~grant;
+          incr ops;
+          v
         in
-        Array.iteri
-          (fun ti spec ->
-            Queue.add
-              (start_fiber (fun () ->
-                   match spec.trole with
-                   | Sw ->
-                       (* hook-free: the decoded engine charges Microblaze
-                          costs from its tables into [cell]; [stall] holds
-                          the extra wall-clock the runtime primitives
-                          imposed *)
-                       let cell = ref 0 and stall = ref 0 in
-                       let get () = !cell + !stall in
-                       let set c = stall := c - !cell in
-                       let r =
-                         try
-                           Interp.run_shared ~fuel:config.fuel ~layout ~mem
-                             ~handlers:(make_handlers ti get set)
-                             ~charge_cycles:true ~ctx:ictx ~cycles_cell:cell
-                             ?mem_trace:(mem_trace_of ti spec) m
-                             ~entry:spec.tname ~args:[||]
-                         with Interp.Out_of_fuel -> raise (out_of_fuel ti)
-                       in
-                       clocks.(ti) <- !cell + !stall;
-                       busys.(ti) <- !cell;
-                       finish ti r
-                   | Hw ->
-                       let get () = clocks.(ti) in
-                       let set c = clocks.(ti) <- c in
-                       let r =
-                         try
-                           Interp.run_shared ~fuel:config.fuel ~layout ~mem
-                             ~handlers:(make_handlers ti get set)
-                             ~cost:Interp.zero_cost
-                             ~term_cost:(make_term_cost ti) ~charge_cycles:true
-                             ~ctx:ictx ?mem_hook:(make_mem_hook ti spec)
-                             ?mem_trace:(mem_trace_of ti spec) m
-                             ~entry:spec.tname ~args:[||]
-                         with Interp.Out_of_fuel -> raise (out_of_fuel ti)
-                       in
-                       finish ti r))
-              runq)
-          threads;
-        while not (Queue.is_empty runq) do
-          let k = Queue.length runq in
-          let before = !ops in
-          let done_before = !nfinished in
-          for _ = 1 to k do
-            (Queue.pop runq) ()
-          done;
-          if
-            (not (Queue.is_empty runq))
-            && !ops = before
-            && !nfinished = done_before
-          then raise (Deadlock (deadlock_message threads finished blocked))
+        let sem_give s k =
+          let st = sems.(s) in
+          st.count <- st.count + k;
+          st.free_at <- max st.free_at (get_clock ());
+          let grant = reserve module_bus (get_clock ()) in
+          set_clock (grant + 1);
+          incr ops
+        in
+        let sem_take s k =
+          let st = sems.(s) in
+          wait_until ti (On_sem (s, k)) (fun () -> st.count >= k);
+          st.count <- st.count - k;
+          set_clock (max (get_clock ()) st.free_at);
+          let grant = reserve module_bus (get_clock ()) in
+          set_clock (grant + 2 (* §4.2: lower takes >= 2 cycles *));
+          incr ops
+        in
+        {
+          Interp.produce = Array.init nq produce;
+          consume = Array.init nq (fun q () -> consume q);
+          sem_give = Array.init nsems_arr sem_give;
+          sem_take = Array.init nsems_arr sem_take;
+        }
+      in
+      let make_term_cost (ti : int) : func -> block -> int =
+        let last = ref ("", -1) in
+        let cur = ref None in
+        let sched_of (f : func) =
+          match !cur with
+          | Some (n, s) when n == f.name -> s
+          | _ ->
+              let s = schedule_of f.name in
+              cur := Some (f.name, s);
+              s
+        in
+        fun f b ->
+          let s = sched_of f in
+          let pipelined = s.Schedule.ii.(b.bid) > 0 && !last = (f.name, b.bid) in
+          let c =
+            if pipelined then s.Schedule.ii.(b.bid)
+            else s.Schedule.nstates.(b.bid)
+          in
+          last := (f.name, b.bid);
+          clocks.(ti) <- clocks.(ti) + c;
+          busys.(ti) <- busys.(ti) + c;
+          c
+      in
+      (* cooperative scheduler: one effect-handler fiber per thread *)
+      let runq : (unit -> unit) Queue.t = Queue.create () in
+      let start_fiber (body : unit -> unit) () =
+        match_with body ()
+          {
+            retc = (fun () -> ());
+            exnc = (fun e -> raise e);
+            effc =
+              (fun (type a) (eff : a Effect.t) ->
+                match eff with
+                | Yield ->
+                    Some
+                      (fun (k : (a, unit) continuation) ->
+                        Queue.add (fun () -> continue k ()) runq)
+                | _ -> None);
+          }
+      in
+      Array.iteri
+        (fun ti spec ->
+          Queue.add
+            (start_fiber (fun () ->
+                 match spec.trole with
+                 | Sw ->
+                     (* the decoded engine charges Microblaze costs from
+                        its tables into [cell]; [stall] holds the extra
+                        wall-clock the runtime primitives imposed *)
+                     let cell = ref 0 and stall = ref 0 in
+                     let get () = !cell + !stall in
+                     let set c = stall := c - !cell in
+                     let r =
+                       try
+                         Interp.run_shared ~fuel:config.fuel ~layout ~mem
+                           ~handlers:(make_handlers ti get set) ~ctx:ictx
+                           ~cycles_cell:cell ?mem_trace:(mem_trace_of spec get)
+                           m ~entry:spec.tname ~args:[||]
+                       with Interp.Out_of_fuel -> raise (out_of_fuel ti)
+                     in
+                     clocks.(ti) <- !cell + !stall;
+                     busys.(ti) <- !cell;
+                     finish ti r
+                 | Hw ->
+                     let get () = clocks.(ti) in
+                     let set c = clocks.(ti) <- c in
+                     let r =
+                       try
+                         Interp.run_shared ~fuel:config.fuel ~layout ~mem
+                           ~handlers:(make_handlers ti get set)
+                           ~block_cost:(make_term_cost ti) ~ctx:ictx
+                           ?mem_hook:(make_mem_hook ti spec)
+                           ?mem_trace:(mem_trace_of spec get) m
+                           ~entry:spec.tname ~args:[||]
+                       with Interp.Out_of_fuel -> raise (out_of_fuel ti)
+                     in
+                     finish ti r))
+            runq)
+        threads;
+      while not (Queue.is_empty runq) do
+        let k = Queue.length runq in
+        let before = !ops in
+        let done_before = !nfinished in
+        for _ = 1 to k do
+          (Queue.pop runq) ()
+        done;
+        if
+          (not (Queue.is_empty runq))
+          && !ops = before
+          && !nfinished = done_before
+        then raise (Deadlock (deadlock_message threads finished blocked))
+      done
+  | Compiled ->
+      (* ---- the compiled engine: per-channel pre-bound closures and a
+         parked-fiber scheduler over per-channel wait lists ---- *)
+      (* thread ring: [pending.(ti)] resumes the thread (fiber start or
+         parked continuation), [ready] gates its ring turn *)
+      let pending : (unit -> unit) option array = Array.make n None in
+      let ready = Array.make n true in
+      let running = ref 0 in
+      let module E = struct
+        type _ Effect.t += Park : blocked_on * int list ref -> unit Effect.t
+      end in
+      let wake (wl : int list ref) =
+        match !wl with
+        | [] -> ()
+        | l ->
+            wl := [];
+            List.iter
+              (fun ti ->
+                ready.(ti) <- true;
+                blocked.(ti) <- Not_blocked)
+              l
+      in
+      (* Park until [cond] holds, registering on [wl]; re-checks on
+         every wake (another thread may have consumed the event). *)
+      let wait_park why (wl : int list ref) cond =
+        while not (cond ()) do
+          perform (E.Park (why, wl))
         done
-    | Compiled ->
-        (* ---- the compiled engine: per-channel pre-bound closures and a
-           parked-fiber scheduler over per-channel wait lists ---- *)
-        let nq = Array.length queues in
-        let nsems_arr = Array.length sems in
-        (* thread ring: [pending.(ti)] resumes the thread (fiber start or
-           parked continuation), [ready] gates its ring turn *)
-        let pending : (unit -> unit) option array = Array.make n None in
-        let ready = Array.make n true in
-        let running = ref 0 in
-        let module E = struct
-          type _ Effect.t +=
-            | Park : blocked_on * int list ref -> unit Effect.t
-        end in
-        let wake (wl : int list ref) =
-          match !wl with
-          | [] -> ()
-          | l ->
-              wl := [];
-              List.iter
-                (fun ti ->
-                  ready.(ti) <- true;
-                  blocked.(ti) <- Not_blocked)
-                l
+      in
+      (* Bus arbitration resolved at elaboration into a direct
+         [bus_grab] fast path ([mb_on] is an immutable local, so the
+         branch predicts perfectly; contention off skips arbitration
+         entirely). *)
+      let mb_on = config.bus_contention in
+      (* Runtime-primitive handlers of one thread, specialised per
+         channel: queue ring, bus, latency and the thread clock are
+         pre-bound, so an op neither indexes the channel table nor calls
+         through an abstract clock.  Every thread's clock is the
+         interpreter's live cycle cell plus a stall offset — Microblaze
+         costs or scheduled block costs land in [cell], waits in
+         [stall].  [cell] cannot advance during one handler call (no
+         instructions retire mid-primitive), so the clock algebra folds
+         into plain arithmetic on a snapshot.  The arithmetic is
+         identical to the interpreted handlers — byte-identical stats are
+         the contract. *)
+      let make_handlers (cell : int ref) (stall : int ref) : Interp.handlers =
+        let produce_q (st : queue_state) q =
+          let depth = st.qdepth in
+          let lat = config.queue_latency in
+          let wl_empty = st.wl_empty and wl_full = st.wl_full in
+          fun v ->
+            if st.pushed - st.popped >= depth then
+              wait_park (On_queue_full q) wl_full (fun () ->
+                  st.pushed - st.popped < depth);
+            let slot = st.pushed mod depth in
+            let slot_free =
+              if st.pushed >= depth then Array.unsafe_get st.pop_time slot
+              else 0
+            in
+            let cell0 = !cell in
+            let clk0 = cell0 + !stall in
+            let clk = if clk0 < slot_free then slot_free else clk0 in
+            let grant =
+              if st.allow_burst && clk = st.p_last_end then clk
+              else if mb_on then bus_grab module_bus clk
+              else clk
+            in
+            stall := grant + 1 - cell0;
+            Array.unsafe_set st.ring_val slot v;
+            Array.unsafe_set st.ring_vis slot (grant + lat);
+            st.pushed <- st.pushed + 1;
+            let sz = st.pushed - st.popped in
+            if sz > st.peak then st.peak <- sz;
+            prof_produce st ~clk0 ~clk ~grant;
+            wake wl_empty
         in
-        (* Park until [cond] holds, registering on [wl]; re-checks on
-           every wake (another thread may have consumed the event). *)
-        let wait_park why (wl : int list ref) cond =
-          while not (cond ()) do
-            perform (E.Park (why, wl))
-          done
+        let consume_q (st : queue_state) q =
+          let depth = st.qdepth in
+          let wl_empty = st.wl_empty and wl_full = st.wl_full in
+          fun () ->
+            if st.pushed <= st.popped then
+              wait_park (On_queue_empty q) wl_empty (fun () ->
+                  st.pushed > st.popped);
+            let slot = st.popped mod depth in
+            let v = Array.unsafe_get st.ring_val slot in
+            let vis = Array.unsafe_get st.ring_vis slot in
+            let cell0 = !cell in
+            let clk0 = cell0 + !stall in
+            let clk = if clk0 < vis then vis else clk0 in
+            let grant = if mb_on then bus_grab module_bus clk else clk in
+            let t1 = grant + 1 in
+            stall := t1 - cell0;
+            Array.unsafe_set st.pop_time slot t1;
+            st.popped <- st.popped + 1;
+            prof_consume st ~clk0 ~clk ~grant;
+            wake wl_full;
+            v
         in
-        (* Bus arbitration resolved at elaboration into a direct
-           [bus_grab] fast path ([mb_on] is an immutable local, so the
-           branch predicts perfectly; contention off skips arbitration
-           entirely). *)
-        let mb_on = config.bus_contention in
-        (* Runtime-primitive handlers, specialised per (role x channel x
-           config): queue ring, bus, latency and the thread clock are
-           pre-bound, so an op neither indexes the channel table nor
-           calls through an abstract get/set clock pair.  A software
-           thread's clock is the interpreter's live cycle cell plus a
-           stall offset; [cell] cannot advance during one handler call
-           (no instructions retire mid-primitive), so the get/set
-           algebra folds into plain arithmetic on a snapshot.  A
-           hardware thread's clock lives in [clocks.(ti)].  The
-           arithmetic is identical to the interpreted handlers —
-           byte-identical stats are the contract. *)
-        let make_fast_sw (cell : int ref) (stall : int ref) :
-            Interp.fast_handlers =
-          let produce_q (st : queue_state) q =
-            let depth = st.qdepth in
-            let lat = config.queue_latency in
-            let wl_empty = st.wl_empty and wl_full = st.wl_full in
-            fun v ->
-              if st.pushed - st.popped >= depth then
-                wait_park (On_queue_full q) wl_full (fun () ->
-                    st.pushed - st.popped < depth);
-              let slot = st.pushed mod depth in
-              let slot_free =
-                if st.pushed >= depth then Array.unsafe_get st.pop_time slot
-                else 0
-              in
-              let cell0 = !cell in
-              let clk0 = cell0 + !stall in
-              let clk = if clk0 < slot_free then slot_free else clk0 in
-              let grant =
-                if st.allow_burst && clk = st.p_last_end then clk
-                else if mb_on then bus_grab module_bus clk
-                else clk
-              in
-              stall := grant + 1 - cell0;
-              Array.unsafe_set st.ring_val slot v;
-              Array.unsafe_set st.ring_vis slot (grant + lat);
-              st.pushed <- st.pushed + 1;
-              let sz = st.pushed - st.popped in
-              if sz > st.peak then st.peak <- sz;
-              prof_produce st ~clk0 ~clk ~grant;
-              wake wl_empty
-          in
-          let consume_q (st : queue_state) q =
-            let depth = st.qdepth in
-            let wl_empty = st.wl_empty and wl_full = st.wl_full in
-            fun () ->
-              if st.pushed <= st.popped then
-                wait_park (On_queue_empty q) wl_empty (fun () ->
-                    st.pushed > st.popped);
-              let slot = st.popped mod depth in
-              let v = Array.unsafe_get st.ring_val slot in
-              let vis = Array.unsafe_get st.ring_vis slot in
-              let cell0 = !cell in
-              let clk0 = cell0 + !stall in
-              let clk = if clk0 < vis then vis else clk0 in
-              let grant = if mb_on then bus_grab module_bus clk else clk in
-              let t1 = grant + 1 in
-              stall := t1 - cell0;
-              Array.unsafe_set st.pop_time slot t1;
-              st.popped <- st.popped + 1;
-              prof_consume st ~clk0 ~clk ~grant;
-              wake wl_full;
-              v
-          in
-          let give_s (st : sem_state) =
-            fun k ->
-              st.count <- st.count + k;
-              let cell0 = !cell in
-              let clk = cell0 + !stall in
-              if clk > st.free_at then st.free_at <- clk;
-              let grant = if mb_on then bus_grab module_bus clk else clk in
-              stall := grant + 1 - cell0;
-              wake st.wl_sem
-          in
-          let take_s (st : sem_state) s =
-            fun k ->
-              if st.count < k then
-                wait_park (On_sem (s, k)) st.wl_sem (fun () -> st.count >= k);
-              st.count <- st.count - k;
-              let cell0 = !cell in
-              let clk = cell0 + !stall in
-              let clk = if clk < st.free_at then st.free_at else clk in
-              let grant = if mb_on then bus_grab module_bus clk else clk in
-              stall := grant + 2 - cell0 (* §4.2: lower takes >= 2 cycles *)
-          in
-          {
-            Interp.fproduce = Array.init nq (fun q -> produce_q qs.(q) q);
-            fconsume = Array.init nq (fun q -> consume_q qs.(q) q);
-            fsem_give = Array.init nsems_arr (fun s -> give_s sems.(s));
-            fsem_take = Array.init nsems_arr (fun s -> take_s sems.(s) s);
-          }
+        let give_s (st : sem_state) =
+         fun k ->
+          st.count <- st.count + k;
+          let cell0 = !cell in
+          let clk = cell0 + !stall in
+          if clk > st.free_at then st.free_at <- clk;
+          let grant = if mb_on then bus_grab module_bus clk else clk in
+          stall := grant + 1 - cell0;
+          wake st.wl_sem
         in
-        let make_fast_hw (ti : int) : Interp.fast_handlers =
-          let produce_q (st : queue_state) q =
-            let depth = st.qdepth in
-            let lat = config.queue_latency in
-            let wl_empty = st.wl_empty and wl_full = st.wl_full in
-            fun v ->
-              if st.pushed - st.popped >= depth then
-                wait_park (On_queue_full q) wl_full (fun () ->
-                    st.pushed - st.popped < depth);
-              let slot = st.pushed mod depth in
-              let slot_free =
-                if st.pushed >= depth then Array.unsafe_get st.pop_time slot
-                else 0
-              in
-              let clk0 = Array.unsafe_get clocks ti in
-              let clk = if clk0 < slot_free then slot_free else clk0 in
-              let grant =
-                if st.allow_burst && clk = st.p_last_end then clk
-                else if mb_on then bus_grab module_bus clk
-                else clk
-              in
-              Array.unsafe_set clocks ti (grant + 1);
-              Array.unsafe_set st.ring_val slot v;
-              Array.unsafe_set st.ring_vis slot (grant + lat);
-              st.pushed <- st.pushed + 1;
-              let sz = st.pushed - st.popped in
-              if sz > st.peak then st.peak <- sz;
-              prof_produce st ~clk0 ~clk ~grant;
-              wake wl_empty
-          in
-          let consume_q (st : queue_state) q =
-            let depth = st.qdepth in
-            let wl_empty = st.wl_empty and wl_full = st.wl_full in
-            fun () ->
-              if st.pushed <= st.popped then
-                wait_park (On_queue_empty q) wl_empty (fun () ->
-                    st.pushed > st.popped);
-              let slot = st.popped mod depth in
-              let v = Array.unsafe_get st.ring_val slot in
-              let vis = Array.unsafe_get st.ring_vis slot in
-              let clk0 = Array.unsafe_get clocks ti in
-              let clk = if clk0 < vis then vis else clk0 in
-              let grant = if mb_on then bus_grab module_bus clk else clk in
-              let t1 = grant + 1 in
-              Array.unsafe_set clocks ti t1;
-              Array.unsafe_set st.pop_time slot t1;
-              st.popped <- st.popped + 1;
-              prof_consume st ~clk0 ~clk ~grant;
-              wake wl_full;
-              v
-          in
-          let give_s (st : sem_state) =
-            fun k ->
-              st.count <- st.count + k;
-              let clk = Array.unsafe_get clocks ti in
-              if clk > st.free_at then st.free_at <- clk;
-              let grant = if mb_on then bus_grab module_bus clk else clk in
-              Array.unsafe_set clocks ti (grant + 1);
-              wake st.wl_sem
-          in
-          let take_s (st : sem_state) s =
-            fun k ->
-              if st.count < k then
-                wait_park (On_sem (s, k)) st.wl_sem (fun () -> st.count >= k);
-              st.count <- st.count - k;
-              let clk = Array.unsafe_get clocks ti in
-              let clk = if clk < st.free_at then st.free_at else clk in
-              let grant = if mb_on then bus_grab module_bus clk else clk in
-              Array.unsafe_set clocks ti
-                (grant + 2 (* §4.2: lower takes >= 2 cycles *))
-          in
-          {
-            Interp.fproduce = Array.init nq (fun q -> produce_q qs.(q) q);
-            fconsume = Array.init nq (fun q -> consume_q qs.(q) q);
-            fsem_give = Array.init nsems_arr (fun s -> give_s sems.(s));
-            fsem_take = Array.init nsems_arr (fun s -> take_s sems.(s) s);
-          }
+        let take_s (st : sem_state) s =
+         fun k ->
+          if st.count < k then
+            wait_park (On_sem (s, k)) st.wl_sem (fun () -> st.count >= k);
+          st.count <- st.count - k;
+          let cell0 = !cell in
+          let clk = cell0 + !stall in
+          let clk = if clk < st.free_at then st.free_at else clk in
+          let grant = if mb_on then bus_grab module_bus clk else clk in
+          stall := grant + 2 - cell0 (* §4.2: lower takes >= 2 cycles *)
         in
-        (* Hardware terminator costs over flat per-function arrays,
-           resolved once at first entry (the schedule itself comes from
-           the process-wide cache); steady state is one physical-equality
-           check, two array reads and no allocation per block exit. *)
-        let make_term_cost_c (ti : int) : func -> block -> int =
+        {
+          Interp.produce = Array.init nq (fun q -> produce_q qs.(q) q);
+          consume = Array.init nq (fun q -> consume_q qs.(q) q);
+          sem_give = Array.init nsems_arr (fun s -> give_s sems.(s));
+          sem_take = Array.init nsems_arr (fun s -> take_s sems.(s) s);
+        }
+      in
+      (* A hardware thread's block costs over flat per-function arrays,
+         resolved once at first entry (the schedule itself comes from
+         the process-wide cache); steady state is one physical-equality
+         check and two array reads per block exit.  The interpreter
+         charges the answer into the thread's [cell]. *)
+      let make_block_cost () : func -> block -> int =
+        let cur_f : func option ref = ref None in
+        let cur_ii = ref [||] in
+        let cur_ns = ref [||] in
+        let last_bid = ref (-1) in
+        fun f b ->
+          (match !cur_f with
+          | Some g when g == f -> ()
+          | _ ->
+              let s = schedule_of f.name in
+              cur_f := Some f;
+              cur_ii := s.Schedule.ii;
+              cur_ns := s.Schedule.nstates;
+              (* a function change breaks any pipelined streak, exactly
+                 like the interpreted engine's (name, bid) key *)
+              last_bid := -1);
+          let bid = b.bid in
+          let ii = Array.unsafe_get !cur_ii bid in
+          let c =
+            if ii > 0 && !last_bid = bid then ii
+            else Array.unsafe_get !cur_ns bid
+          in
+          last_bid := bid;
+          c
+      in
+      (* Per-function issue slots, clamped to [0, nregs) once per
+         function so the per-op path is a single unchecked read (an
+         instruction id is always < the function's register count). *)
+      let slot_arrays : (string, int array) Hashtbl.t = Hashtbl.create 16 in
+      let slots_of (f : func) : int array =
+        match Hashtbl.find_opt slot_arrays f.name with
+        | Some sl -> sl
+        | None ->
+            let sa = (schedule_of f.name).Schedule.start_arr in
+            let sl =
+              Array.init (Twill_ir.Vec.length f.insts) (fun id ->
+                  if id < Array.length sa && sa.(id) >= 0 then sa.(id) else 0)
+            in
+            Hashtbl.replace slot_arrays f.name sl;
+            sl
+      in
+      (* A hardware thread's memory-bus waits, added to its [stall]. *)
+      let make_mem_hook (cell : int ref) (stall : int ref) (spec : thread_spec)
+          : (func -> inst -> unit) option =
+        (* contention off makes every grant echo its request — the hook
+           would be pure overhead, so don't install one *)
+        if spec.local_memory || not mb_on then None
+        else
           let cur_f : func option ref = ref None in
-          let cur_ii = ref [||] in
-          let cur_ns = ref [||] in
-          let last_bid = ref (-1) in
-          fun f b ->
-            (match !cur_f with
-            | Some g when g == f -> ()
-            | _ ->
-                let s = schedule_of f.name in
-                cur_f := Some f;
-                cur_ii := s.Schedule.ii;
-                cur_ns := s.Schedule.nstates;
-                (* a function change breaks any pipelined streak, exactly
-                   like the interpreted engine's (name, bid) key *)
-                last_bid := -1);
-            let bid = b.bid in
-            let ii = Array.unsafe_get !cur_ii bid in
-            let c =
-              if ii > 0 && !last_bid = bid then ii
-              else Array.unsafe_get !cur_ns bid
-            in
-            last_bid := bid;
-            clocks.(ti) <- clocks.(ti) + c;
-            busys.(ti) <- busys.(ti) + c;
-            c
-        in
-        (* Per-function issue slots, clamped to [0, nregs) once per
-           function so the per-op path is a single unchecked read (an
-           instruction id is always < the function's register count). *)
-        let slot_arrays : (string, int array) Hashtbl.t = Hashtbl.create 16 in
-        let slots_of (f : func) : int array =
-          match Hashtbl.find_opt slot_arrays f.name with
-          | Some sl -> sl
-          | None ->
-              let sa = (schedule_of f.name).Schedule.start_arr in
-              let sl =
-                Array.init (Twill_ir.Vec.length f.insts) (fun id ->
-                    if id < Array.length sa && sa.(id) >= 0 then sa.(id) else 0)
+          let cur_sl = ref [||] in
+          let cur_bt : int option array ref = ref [||] in
+          Some
+            (fun f i ->
+              (match !cur_f with
+              | Some g when g == f -> ()
+              | _ ->
+                  cur_f := Some f;
+                  cur_sl := slots_of f;
+                  if nbanks > 1 then cur_bt := bank_table_of f);
+              let request = !cell + !stall + Array.unsafe_get !cur_sl i.id in
+              let grant =
+                if nbanks = 1 then bus_grab memory_bus request
+                else
+                  match Array.unsafe_get !cur_bt i.id with
+                  | Some b -> bus_grab mem_buses.(b) request
+                  | None ->
+                      (* all-banks conservative path; identical order and
+                         arithmetic to the interpreted engine's *)
+                      let g = ref request in
+                      for k = 0 to nbanks - 1 do
+                        let gk = bus_grab mem_buses.(k) request in
+                        if gk > !g then g := gk
+                      done;
+                      !g
               in
-              Hashtbl.replace slot_arrays f.name sl;
-              sl
-        in
-        let make_mem_hook_c (ti : int) (spec : thread_spec) :
-            (func -> inst -> unit) option =
-          (* contention off makes every grant echo its request — the hook
-             would be pure overhead, so don't install one *)
-          if spec.local_memory || not mb_on then None
-          else
-            let cur_f : func option ref = ref None in
-            let cur_sl = ref [||] in
-            let cur_bt : int option array ref = ref [||] in
+              if grant > request then stall := !stall + (grant - request))
+      in
+      let start_fiber (body : unit -> unit) () =
+        match_with body ()
+          {
+            retc = (fun () -> ());
+            exnc = (fun e -> raise e);
+            effc =
+              (fun (type a) (eff : a Effect.t) ->
+                match eff with
+                | E.Park (why, wl) ->
+                    Some
+                      (fun (k : (a, unit) continuation) ->
+                        let ti = !running in
+                        blocked.(ti) <- why;
+                        ready.(ti) <- false;
+                        pending.(ti) <- Some (fun () -> continue k ());
+                        wl := ti :: !wl)
+                | _ -> None);
+          }
+      in
+      (* One fiber body for both roles: a software thread runs on the
+         Microblaze cost tables, a hardware thread under its schedule's
+         block costs and memory-bus hook. *)
+      Array.iteri
+        (fun ti spec ->
+          pending.(ti) <-
             Some
-              (fun f i ->
-                (match !cur_f with
-                | Some g when g == f -> ()
-                | _ ->
-                    cur_f := Some f;
-                    cur_sl := slots_of f;
-                    if nbanks > 1 then cur_bt := bank_table_of f);
-                let request =
-                  Array.unsafe_get clocks ti + Array.unsafe_get !cur_sl i.id
-                in
-                let grant =
-                  if nbanks = 1 then bus_grab memory_bus request
-                  else
-                    match Array.unsafe_get !cur_bt i.id with
-                    | Some b -> bus_grab mem_buses.(b) request
-                    | None ->
-                        (* all-banks conservative path; identical order and
-                           arithmetic to the interpreted engine's *)
-                        let g = ref request in
-                        for k = 0 to nbanks - 1 do
-                          let gk = bus_grab mem_buses.(k) request in
-                          if gk > !g then g := gk
-                        done;
-                        !g
-                in
-                if grant > request then
-                  clocks.(ti) <- clocks.(ti) + (grant - request))
-        in
-        let start_fiber (body : unit -> unit) () =
-          match_with body ()
-            {
-              retc = (fun () -> ());
-              exnc = (fun e -> raise e);
-              effc =
-                (fun (type a) (eff : a Effect.t) ->
-                  match eff with
-                  | E.Park (why, wl) ->
-                      Some
-                        (fun (k : (a, unit) continuation) ->
-                          let ti = !running in
-                          blocked.(ti) <- why;
-                          ready.(ti) <- false;
-                          pending.(ti) <- Some (fun () -> continue k ());
-                          wl := ti :: !wl)
-                  | _ -> None);
-            }
-        in
-        Array.iteri
-          (fun ti spec ->
-            pending.(ti) <-
-              Some
-                (start_fiber (fun () ->
+              (start_fiber (fun () ->
+                   let cell = ref 0 and stall = ref 0 in
+                   let block_cost, mem_hook =
                      match spec.trole with
-                     | Sw ->
-                         let cell = ref 0 and stall = ref 0 in
-                         let r =
-                           try
-                             Interp.run_shared ~fuel:config.fuel ~layout ~mem
-                               ~fast_handlers:(make_fast_sw cell stall)
-                               ~charge_cycles:true ~ctx:ictx ~cycles_cell:cell
-                               ?mem_trace:(mem_trace_of ti spec) m
-                               ~entry:spec.tname ~args:[||]
-                           with Interp.Out_of_fuel -> raise (out_of_fuel ti)
-                         in
-                         clocks.(ti) <- !cell + !stall;
-                         busys.(ti) <- !cell;
-                         finish ti r
+                     | Sw -> (None, None)
                      | Hw ->
-                         let r =
-                           try
-                             Interp.run_shared ~fuel:config.fuel ~layout ~mem
-                               ~fast_handlers:(make_fast_hw ti)
-                               ~cost:Interp.zero_cost
-                               ~term_cost:(make_term_cost_c ti)
-                               ~charge_cycles:true ~ctx:ictx
-                               ?mem_hook:(make_mem_hook_c ti spec)
-                               ?mem_trace:(mem_trace_of ti spec) m
-                               ~entry:spec.tname ~args:[||]
-                           with Interp.Out_of_fuel -> raise (out_of_fuel ti)
-                         in
-                         finish ti r)))
-          threads;
-        (* ring scheduler: cycle thread slots in index order, running
-           each ready thread at its turn; [n] consecutive skips with
-           unfinished threads means nothing can ever wake — deadlock *)
-        let cur = ref 0 in
-        let idle_scan = ref 0 in
-        while !nfinished < n do
-          (if ready.(!cur) then
-             match pending.(!cur) with
-             | Some resume ->
-                 idle_scan := -1;
-                 pending.(!cur) <- None;
-                 running := !cur;
-                 resume ()
-             | None ->
-                 (* finished thread: its slot stays ready but empty *)
-                 ());
-          cur := (!cur + 1) mod n;
-          incr idle_scan;
-          if !idle_scan > n && !nfinished < n then
-            raise (Deadlock (deadlock_message threads finished blocked))
-        done
-  end;
+                         (Some (make_block_cost ()), make_mem_hook cell stall spec)
+                   in
+                   let r =
+                     try
+                       Interp.run_shared ~fuel:config.fuel ~layout ~mem
+                         ~handlers:(make_handlers cell stall) ?block_cost
+                         ~ctx:ictx ~cycles_cell:cell ?mem_hook
+                         ?mem_trace:
+                           (mem_trace_of spec (fun () -> !cell + !stall))
+                         m ~entry:spec.tname ~args:[||]
+                     with Interp.Out_of_fuel -> raise (out_of_fuel ti)
+                   in
+                   clocks.(ti) <- !cell + !stall;
+                   busys.(ti) <- !cell;
+                   finish ti r)))
+        threads;
+      (* ring scheduler: cycle thread slots in index order, running each
+         ready thread at its turn; [n] consecutive skips with unfinished
+         threads means nothing can ever wake — deadlock *)
+      let cur = ref 0 in
+      let idle_scan = ref 0 in
+      while !nfinished < n do
+        (if ready.(!cur) then
+           match pending.(!cur) with
+           | Some resume ->
+               idle_scan := -1;
+               pending.(!cur) <- None;
+               running := !cur;
+               resume ()
+           | None ->
+               (* finished thread: its slot stays ready but empty *)
+               ());
+        cur := (!cur + 1) mod n;
+        incr idle_scan;
+        if !idle_scan > n && !nfinished < n then
+          raise (Deadlock (deadlock_message threads finished blocked))
+      done);
   let ret =
     match results.(master) with
     | Some r -> r.Interp.ret

@@ -13,13 +13,17 @@
     schedule-derived FSM state counts (with modulo-scheduling initiation
     intervals) for hardware threads.
 
-    Two engines share the timing model: [Interpreted] (the original
-    spin-scheduler oracle — record handlers dispatching on channel ids,
+    A software and a hardware thread differ only in how a block is timed
+    and whether loads and stores go over the memory bus — the
+    interpreter's [?block_cost] and [?mem_hook].  Two engines share the
+    timing model: [Interpreted] (the original spin-scheduler oracle —
+    handlers dispatching on channel ids over get/set clock closures,
     schedule lookups per block exit, blocked fibers re-run every round)
-    and [Compiled] (the default — runtime-primitive handlers specialised
-    into pre-bound per-channel closures at elaboration, flat
-    per-function schedule arrays, ring-buffer queue storage, and a
-    scheduler that parks blocked fibers on per-channel wait lists).
+    and [Compiled] (the default — one handler builder and one fiber body
+    for both roles, runtime-primitive handlers specialised into
+    pre-bound per-channel closures at elaboration, flat per-function
+    schedule arrays, ring-buffer queue storage, and a scheduler that
+    parks blocked fibers on per-channel wait lists).
     Both engines produce byte-identical {!stats}; {!diff_engines} and
     the rtsim:engines suite enforce it. *)
 
@@ -38,7 +42,7 @@ exception Out_of_fuel of string
 type role = Sw  (** software on the Microblaze *) | Hw  (** FPGA thread *)
 
 type engine =
-  | Interpreted  (** spin scheduler + record handlers (the oracle) *)
+  | Interpreted  (** spin scheduler + id-dispatching handlers (the oracle) *)
   | Compiled  (** pre-bound closures + parked-fiber wait lists (default) *)
 
 val engine_name : engine -> string

@@ -597,11 +597,13 @@ let run_threaded ?config ?engine ?(fuel_cycles = 2_000_000) ?vcd
     Option.get sw_results.(s)
   in
   let handlers s : Interp.handlers =
+    let nq = Array.length t.Dswp.queues and ns = t.Dswp.nsems in
     {
-      Interp.produce = (fun q v -> ignore (post s (OQgive (q, Int32.to_int v))));
-      consume = (fun q -> post s (OQtake q));
-      sem_give = (fun sm k -> ignore (post s (OSgive (sm, k))));
-      sem_take = (fun sm k -> ignore (post s (OStake (sm, k))));
+      Interp.produce =
+        Array.init nq (fun q v -> ignore (post s (OQgive (q, Int32.to_int v))));
+      consume = Array.init nq (fun q () -> post s (OQtake q));
+      sem_give = Array.init ns (fun sm k -> ignore (post s (OSgive (sm, k))));
+      sem_take = Array.init ns (fun sm k -> ignore (post s (OStake (sm, k))));
     }
   in
   let start_fiber (body : unit -> unit) () =

@@ -92,17 +92,18 @@ let prop_engines_agree =
       Pipeline.run ~opts opt;
       agree "raw" raw && agree "optimised" opt)
 
-(* The decoded engine also backs the simulator's hook configuration:
-   custom costs and charge_cycles=false must flow through identically. *)
+(* The decoded engine also backs the simulator's hardware threads and
+   the block profiler: under a block-cost hook, instructions must cost
+   nothing and the hook's answers must be charged identically. *)
 let prop_engines_agree_hooks =
   QCheck.Test.make ~count:60
-    ~name:"decoded engine == tree oracle under cost hooks"
+    ~name:"decoded engine == tree oracle under a block-cost hook"
     Gen_minic.arbitrary (fun src ->
       incr attempts;
       let m = Twill_minic.Minic.compile src in
-      let cost (_ : Ir.func) (i : Ir.inst) = 1 + (i.Ir.id land 3) in
+      let block_cost (_ : Ir.func) (b : Ir.block) = 1 + (b.Ir.bid land 3) in
       let go engine =
-        match Interp.run ~fuel ~engine ~cost m with
+        match Interp.run ~fuel ~engine ~block_cost m with
         | r -> Ok (obs_of r)
         | exception Interp.Trap msg -> Error msg
         | exception Interp.Out_of_fuel -> skip_case ()

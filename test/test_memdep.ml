@@ -332,6 +332,71 @@ let test_chstone_banked_engines () =
         [ 2; 4 ])
     Chstone.all
 
+(* --- the alias checker's clock -------------------------------------------- *)
+
+(* The checker stamps every access with its thread's live clock.  Its
+   window rule fires only on a false independence claim, so these
+   programs make one on purpose: [a[4]] indexes past [a] onto [b[0]],
+   which the oracle, assuming in-bounds indexing, calls a different
+   object.  Back to back (a 2-cycle load after the store) the checker
+   must trap and report the two software stamps; hundreds of cycles
+   apart it must stay quiet.  A second, idle software thread keeps the
+   simulation multi-threaded, where a software thread's clock used to
+   be read only when the thread finished (every stamp was 0). *)
+let alias_src ~near =
+  let load = "int r = b[0];" in
+  Printf.sprintf
+    "int a[4]; int b[4]; int n = 50;\n\
+     int main() { int m = n; int i = 4; a[i] = 7; %s int s = 0;\n\
+     for (int k = 0; k < m; k++) { s = s + k * k; }\n\
+     %s return r + s; }"
+    (if near then load else "") (if near then "" else load)
+
+let simulate_checked ~near ~threads engine =
+  let m = Twill.compile (alias_src ~near) in
+  let idle =
+    Ir.find_func
+      (Twill_minic.Minic.compile
+         "int idle() { return 0; } int main() { return idle(); }")
+      "idle"
+  in
+  m.Ir.funcs <- m.Ir.funcs @ [ idle ];
+  let spec tname = { Sim.tname; trole = Sim.Sw; local_memory = false } in
+  let layout = Layout.build m in
+  Alcotest.(check int32)
+    "a[4] aliases b[0]"
+    (Int32.add (Layout.global_address layout "a") 4l)
+    (Layout.global_address layout "b");
+  Sim.simulate
+    ~config:{ Sim.default_config with Sim.check_memdep = true }
+    ~engine m
+    ~threads:(Array.map spec threads)
+    ~queues:[||] ~nsems:0 ()
+
+let test_checker_live_clock () =
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun threads ->
+          let what =
+            Printf.sprintf "%s, %d thread(s)" (Sim.engine_name engine)
+              (Array.length threads)
+          in
+          (match simulate_checked ~near:true ~threads engine with
+          | _ -> Alcotest.failf "%s: back-to-back alias not trapped" what
+          | exception Failure msg ->
+              let re = Str.regexp ".*(cycles \\([0-9]+\\) and \\([0-9]+\\))" in
+              if not (Str.string_match re msg 0) then
+                Alcotest.failf "%s: unexpected trap %s" what msg;
+              let load = int_of_string (Str.matched_group 1 msg) in
+              let store = int_of_string (Str.matched_group 2 msg) in
+              Alcotest.(check bool) (what ^ ": live store stamp") true (store > 0);
+              Alcotest.(check int) (what ^ ": load 2 cycles later") (store + 2) load);
+          let s = simulate_checked ~near:false ~threads engine in
+          Alcotest.(check check_i32) (what ^ ": far apart, no trap") 40432l s.Sim.ret)
+        [ [| "main"; "idle" |]; [| "main" |] ])
+    [ Sim.Interpreted; Sim.Compiled ]
+
 (* --- banked fuzz soak ---------------------------------------------------- *)
 
 (* 100 random programs through the full banked stack (4 banks, alias
@@ -369,6 +434,8 @@ let suites =
           test_schedule_per_bank_invariants;
         Alcotest.test_case "CHStone banked: engines byte-identical" `Slow
           test_chstone_banked_engines;
+        Alcotest.test_case "alias checker stamps software accesses live"
+          `Quick test_checker_live_clock;
         Alcotest.test_case "banked stack preserves behaviour (100-case soak)"
           `Slow test_banked_fuzz_soak;
       ] );

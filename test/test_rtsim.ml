@@ -253,7 +253,17 @@ let engines_tests =
           let t = Twill.extract ~opts m in
           (* diff_engines raises Engine_mismatch naming the first
              differing stats field *)
-          ignore (diff_engines opts t)))
+          ignore (diff_engines opts t);
+          (* the two baselines of Twill.run_pure_sw / run_pure_hw: the
+             whole program as one software thread, and as one hardware
+             thread over local memory *)
+          List.iter
+            (fun (trole, local_memory) ->
+              ignore
+                (Sim.diff_engines ~config:(Twill.sim_config opts) m
+                   ~threads:[| { Sim.tname = "main"; trole; local_memory } |]
+                   ~queues:[||] ~nsems:0 ()))
+            [ (Sim.Sw, false); (Sim.Hw, true) ]))
     Twill_chstone.Chstone.all
   @ [
       Alcotest.test_case "fuzz cases lockstep (50 random programs)" `Slow
