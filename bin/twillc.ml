@@ -1,15 +1,18 @@
 (* twillc — the Twill command-line driver.
 
-     twillc run NAME|FILE.c       execute under all three flows + report
-     twillc ir FILE.c             dump optimised IR
-     twillc threads FILE.c        dump extracted pipeline-stage functions
-     twillc list                  list bundled benchmarks
-     twillc emit-verilog FILE.c   emit the design's RTL (-o FILE, --check)
-     twillc cosim NAME|FILE.c     co-simulate the emitted RTL vs rtsim
-     twillc comm-report NAME      profile + optimize the DSWP channel graph
-     twillc fuzz --seed N         differential fuzzing across the stack
-     twillc dse [--grid SPEC]     design-space sweep -> Pareto frontier
-     twillc daemon ...            talk to a running twilld
+     twillc run NAME|FILE            execute under all three flows + report
+     twillc ir NAME|FILE             dump optimised IR
+     twillc threads NAME|FILE        dump extracted pipeline-stage functions
+     twillc list                     list bundled benchmarks
+     twillc emit-c NAME|FILE         emit the software master thread as C
+     twillc emit-verilog NAME|FILE   emit the design's RTL (-o FILE, --check)
+     twillc cosim NAME|FILE          co-simulate the emitted RTL vs rtsim
+     twillc comm-report NAME|FILE    profile + optimize the DSWP channel graph
+     twillc fuzz --seed N            differential fuzzing across the stack
+     twillc dse [--grid SPEC]        design-space sweep -> Pareto frontier
+     twillc daemon ...               talk to a running twilld
+
+   NAME is a bundled CHStone kernel (twillc list), FILE a mini-C file.
 
    Option flags come from the option table (Twill.Options): each command
    names the knobs it exposes, and the table supplies the flag, its
@@ -71,9 +74,10 @@ let no_auto =
     value & flag
     & info [ "no-auto" ] ~doc:"Do not search stage counts; use --stages as-is.")
 
-let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
-
 (* a kernel name from the bundled CHStone registry, or a mini-C file *)
+let what =
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME|FILE")
+
 let source_of (what : string) : string =
   if Sys.file_exists what then read_file what
   else
@@ -104,9 +108,6 @@ let print_report (r : Twill.report) =
     r.Twill.twill.Twill.nsems
 
 let run_cmd =
-  let what =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME|FILE")
-  in
   let run opts no_auto what =
     let r =
       Twill.evaluate ~opts ~auto_stages:(not no_auto)
@@ -120,17 +121,16 @@ let run_cmd =
     Term.(const run $ flow_opts $ no_auto $ what)
 
 let ir_cmd =
-  let run opts _ path =
-    let m = Twill.compile ~opts (read_file path) in
+  let run opts what =
+    let m = Twill.compile ~opts (source_of what) in
     Fmt.pr "%s@." (Twill_ir.Printer.modul_to_string m)
   in
   Cmd.v (Cmd.info "ir" ~doc:"Dump the optimised IR")
-    Term.(
-      const run $ flow_opts $ no_auto $ file)
+    Term.(const run $ flow_opts $ what)
 
 let threads_cmd =
-  let run opts _ path =
-    let m = Twill.compile ~opts (read_file path) in
+  let run opts what =
+    let m = Twill.compile ~opts (source_of what) in
     let t = Twill.extract ~opts m in
     Array.iteri
       (fun s name ->
@@ -157,8 +157,7 @@ let threads_cmd =
       t.Twill.Dswp.queues
   in
   Cmd.v (Cmd.info "threads" ~doc:"Dump the extracted pipeline threads")
-    Term.(
-      const run $ flow_opts $ no_auto $ file)
+    Term.(const run $ flow_opts $ what)
 
 let list_cmd =
   let run () =
@@ -171,8 +170,8 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List bundled benchmarks") Term.(const run $ const ())
 
 let emit_c_cmd =
-  let run opts _ path =
-    let m = Twill.compile ~opts (read_file path) in
+  let run opts what =
+    let m = Twill.compile ~opts (source_of what) in
     let t = Twill.extract ~opts m in
     let master = t.Twill.Dswp.stages.(t.Twill.Dswp.master) in
     print_string (Twill_cgen.Cemit.emit_sw_program t.Twill.Dswp.modul ~entry:master)
@@ -180,8 +179,7 @@ let emit_c_cmd =
   Cmd.v
     (Cmd.info "emit-c"
        ~doc:"Emit the software master thread as C against the Twill runtime API")
-    Term.(
-      const run $ flow_opts $ no_auto $ file)
+    Term.(const run $ flow_opts $ what)
 
 let emit_verilog_cmd =
   let output =
@@ -199,8 +197,8 @@ let emit_verilog_cmd =
             "Run the structural checker over the emitted design and exit \
              nonzero on failure.")
   in
-  let run opts _ output check path =
-    let m = Twill.compile ~opts (read_file path) in
+  let run opts output check what =
+    let m = Twill.compile ~opts (source_of what) in
     let t = Twill.extract ~opts m in
     let design =
       Twill_vgen.Vruntime.emit_design ~backend:opts.Twill.backend
@@ -225,8 +223,7 @@ let emit_verilog_cmd =
        ~doc:
          "Emit the hardware threads and the runtime system as Verilog \
           (Figure 4.1)")
-    Term.(
-      const run $ flow_opts $ no_auto $ output $ check $ file)
+    Term.(const run $ flow_opts $ output $ check $ what)
 
 let cosim_cmd =
   let vcd =
@@ -236,10 +233,7 @@ let cosim_cmd =
       & info [ "vcd" ] ~docv:"PREFIX"
           ~doc:"Dump one VCD waveform per RTL instance under $(docv).")
   in
-  let name_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH_OR_FILE")
-  in
-  let run opts _ vcd name =
+  let run opts vcd name =
     let m = Twill.compile ~opts (source_of name) in
     let t = Twill.extract ~opts m in
     let r = Twill.cosim ~opts ?vcd t in
@@ -263,14 +257,10 @@ let cosim_cmd =
        ~doc:
          "Co-simulate the emitted RTL of a benchmark or mini-C file against \
           the rtsim reference")
-    Term.(
-      const run $ flow_opts $ no_auto $ vcd $ name_arg)
+    Term.(const run $ flow_opts $ vcd $ what)
 
 let comm_report_cmd =
-  let name_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH_OR_FILE")
-  in
-  let run opts _ name =
+  let run opts name =
     let m = Twill.compile ~opts (source_of name) in
     let s = Twill.comm_summarize ~opts m in
     Fmt.pr "== comm-report %s ==@." (Filename.basename name);
@@ -308,7 +298,7 @@ let comm_report_cmd =
       const run
       $ opts_term ~base:{ Twill.default_options with comm = Twill.Comm.all }
           flow_knobs
-      $ no_auto $ name_arg)
+      $ what)
 
 let fuzz_cmd =
   let module F = Twill_fuzz in
@@ -596,9 +586,7 @@ let daemon_simulate_cmd =
   Cmd.v
     (Cmd.info "simulate"
        ~doc:"Simulate a kernel (bundled name or mini-C file) through twilld")
-    Term.(
-      const run $ socket_arg $ opts_term simulate_knobs
-      $ Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME|FILE"))
+    Term.(const run $ socket_arg $ opts_term simulate_knobs $ what)
 
 let daemon_check_cmd =
   let run socket opts whats =
@@ -667,7 +655,7 @@ let daemon_comm_cmd =
     Term.(
       const run $ socket_arg
       $ opts_term ~base:{ Twill.default_options with comm = Twill.Comm.all } knobs
-      $ Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME|FILE"))
+      $ what)
 
 let daemon_cmd =
   Cmd.group

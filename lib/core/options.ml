@@ -22,7 +22,6 @@ type t = {
   unroll : bool;
   resources : Schedule.resources;
   modulo : bool;
-  bus_contention : bool;
   fuel : int;
   backend : Schedule.backend;
   pipeline_break : string option;
@@ -42,7 +41,6 @@ let default =
     unroll = false;
     resources = Schedule.default_resources;
     modulo = true;
-    bus_contention = true;
     fuel = 300_000_000;
     backend = Schedule.Fsm;
     pipeline_break = None;

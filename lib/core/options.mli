@@ -23,7 +23,6 @@ type t = {
   unroll : bool;
   resources : Schedule.resources;
   modulo : bool;
-  bus_contention : bool;
   fuel : int;
   backend : Schedule.backend;
   pipeline_break : string option;

@@ -35,7 +35,6 @@ type options = Options.t = {
   unroll : bool;
   resources : Schedule.resources;
   modulo : bool;
-  bus_contention : bool;
   fuel : int;
   backend : Schedule.backend;  (* RTL lowering for hardware partitions *)
   pipeline_break : string option;
@@ -84,7 +83,6 @@ let sim_config (opts : options) : Sim.config =
     resources = opts.resources;
     modulo = opts.modulo;
     backend = opts.backend;
-    bus_contention = opts.bus_contention;
     fuel = opts.fuel;
     mem_banks = opts.mem_banks;
     check_memdep = opts.check_memdep;
@@ -432,7 +430,7 @@ let cosim_backends ?(opts = default_options) (t : Dswp.threaded) :
         List.iter
           (fun ((code, _, _, addr) as op) ->
             let k =
-              if code = 0 || code = 1 then
+              if Twill_vgen.Vemit.(code = fc_load || code = fc_store) then
                 Twill_ir.Memdep.bank_of_addr plan (Int32.of_int addr)
               else opts.mem_banks
             in

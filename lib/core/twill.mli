@@ -50,7 +50,6 @@ type options = Options.t = {
   unroll : bool;  (** LegUp-style full unrolling of small counted loops *)
   resources : Schedule.resources;  (** functional units per HW thread *)
   modulo : bool;  (** enable the modulo scheduler *)
-  bus_contention : bool;  (** model 1-message-per-cycle buses *)
   fuel : int;  (** simulation instruction budget *)
   backend : Schedule.backend;
       (** RTL lowering for the hardware partitions: the LegUp-style

@@ -93,7 +93,6 @@ type config = {
   resources : Schedule.resources;
   modulo : bool;
   backend : Schedule.backend; (* RTL lowering whose timing hw threads replay *)
-  bus_contention : bool;
   fuel : int;
   (* memory banks (Memdep.plan): each bank gets its own bus arbiter, and
      hardware threads replay schedules with per-bank ordering chains.
@@ -111,7 +110,6 @@ let default_config =
     resources = Schedule.default_resources;
     modulo = true;
     backend = Schedule.Fsm;
-    bus_contention = true;
     fuel = 300_000_000;
     mem_banks = 1;
     check_memdep = false;
@@ -378,7 +376,6 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
         Bus.create (if k = 0 then "memory" else Printf.sprintf "memory.%d" k))
   in
   let memory_bus = mem_buses.(0) in
-  let reserve bus t = if config.bus_contention then Bus.reserve bus t else t in
   (* memory disambiguation: built on demand (banked sim or checker on).
      The plan is a pure function of (module, nbanks), so it is safe to
      key caches on the bank count alone. *)
@@ -545,17 +542,17 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
               in
               let request = clocks.(ti) + slot in
               let grant =
-                if nbanks = 1 then reserve memory_bus request
+                if nbanks = 1 then Bus.reserve memory_bus request
                 else
                   match bank_of_access f i with
-                  | Some b -> reserve mem_buses.(b) request
+                  | Some b -> Bus.reserve mem_buses.(b) request
                   | None ->
                       (* may touch any bank: occupy a slot on every bank,
                          stall until the last grant (banks in index order —
                          the compiled engine must match exactly) *)
                       let g = ref request in
                       for k = 0 to nbanks - 1 do
-                        let gk = reserve mem_buses.(k) request in
+                        let gk = Bus.reserve mem_buses.(k) request in
                         if gk > !g then g := gk
                       done;
                       !g
@@ -596,7 +593,7 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
              one's bus transaction, no new arbitration *)
           let grant =
             if st.allow_burst && clk = st.p_last_end then clk
-            else reserve module_bus clk
+            else Bus.reserve module_bus clk
           in
           (* queue ops carry no extra software overhead here: the 5
              interface cycles sit in sw_cost; hardware minimums are the
@@ -614,7 +611,7 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
           let v, visible = Queue.pop st.items in
           let clk0 = get_clock () in
           let clk = if clk0 < visible then visible else clk0 in
-          let grant = reserve module_bus clk in
+          let grant = Bus.reserve module_bus clk in
           set_clock (grant + 1);
           st.pop_time.(st.popped mod st.qdepth) <- get_clock ();
           st.popped <- st.popped + 1;
@@ -626,7 +623,7 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
           let st = sems.(s) in
           st.count <- st.count + k;
           st.free_at <- max st.free_at (get_clock ());
-          let grant = reserve module_bus (get_clock ()) in
+          let grant = Bus.reserve module_bus (get_clock ()) in
           set_clock (grant + 1);
           incr ops
         in
@@ -635,7 +632,7 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
           wait_until ti (On_sem (s, k)) (fun () -> st.count >= k);
           st.count <- st.count - k;
           set_clock (max (get_clock ()) st.free_at);
-          let grant = reserve module_bus (get_clock ()) in
+          let grant = Bus.reserve module_bus (get_clock ()) in
           set_clock (grant + 2 (* §4.2: lower takes >= 2 cycles *));
           incr ops
         in
@@ -767,11 +764,6 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
           perform (E.Park (why, wl))
         done
       in
-      (* Bus arbitration resolved at elaboration into a direct
-         [bus_grab] fast path ([mb_on] is an immutable local, so the
-         branch predicts perfectly; contention off skips arbitration
-         entirely). *)
-      let mb_on = config.bus_contention in
       (* Runtime-primitive handlers of one thread, specialised per
          channel: queue ring, bus, latency and the thread clock are
          pre-bound, so an op neither indexes the channel table nor calls
@@ -802,8 +794,7 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
             let clk = if clk0 < slot_free then slot_free else clk0 in
             let grant =
               if st.allow_burst && clk = st.p_last_end then clk
-              else if mb_on then bus_grab module_bus clk
-              else clk
+              else bus_grab module_bus clk
             in
             stall := grant + 1 - cell0;
             Array.unsafe_set st.ring_val slot v;
@@ -827,7 +818,7 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
             let cell0 = !cell in
             let clk0 = cell0 + !stall in
             let clk = if clk0 < vis then vis else clk0 in
-            let grant = if mb_on then bus_grab module_bus clk else clk in
+            let grant = bus_grab module_bus clk in
             let t1 = grant + 1 in
             stall := t1 - cell0;
             Array.unsafe_set st.pop_time slot t1;
@@ -842,7 +833,7 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
           let cell0 = !cell in
           let clk = cell0 + !stall in
           if clk > st.free_at then st.free_at <- clk;
-          let grant = if mb_on then bus_grab module_bus clk else clk in
+          let grant = bus_grab module_bus clk in
           stall := grant + 1 - cell0;
           wake st.wl_sem
         in
@@ -854,7 +845,7 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
           let cell0 = !cell in
           let clk = cell0 + !stall in
           let clk = if clk < st.free_at then st.free_at else clk in
-          let grant = if mb_on then bus_grab module_bus clk else clk in
+          let grant = bus_grab module_bus clk in
           stall := grant + 2 - cell0 (* §4.2: lower takes >= 2 cycles *)
         in
         {
@@ -913,9 +904,7 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
       (* A hardware thread's memory-bus waits, added to its [stall]. *)
       let make_mem_hook (cell : int ref) (stall : int ref) (spec : thread_spec)
           : (func -> inst -> unit) option =
-        (* contention off makes every grant echo its request — the hook
-           would be pure overhead, so don't install one *)
-        if spec.local_memory || not mb_on then None
+        if spec.local_memory then None
         else
           let cur_f : func option ref = ref None in
           let cur_sl = ref [||] in

@@ -63,7 +63,6 @@ type config = {
       (** which RTL lowering's block timing (nstates/II) the hardware
           threads replay: the FSM list schedule or the elastic dataflow
           ASAP schedule *)
-  bus_contention : bool;
   fuel : int;  (** per-thread instruction budget *)
   mem_banks : int;
       (** shared-memory banks ({!Twill_ir.Memdep.plan}): each bank gets

@@ -20,32 +20,22 @@
    Sequential C programs carry exactly one control token, so [rdy] is
    vacuously high in steady state — but the protocol is emitted and
    honoured, which is what the handshake unit tests and the three-way
-   cosim oracle check.  The module's external interface (start/done,
-   HWInterface call port, §4.4 function codes) is byte-compatible with
-   {!Vemit.emit_hw_thread}, so the runtime system, the cosim harness and
-   sub-thread instantiation work unchanged; micro-state linearisation is
-   shared with the FSM emitter so both backends speak the identical
-   call-port protocol per operation. *)
+   cosim oracle check.  Everything but that control skeleton — ports,
+   result registers, callee sub-threads and their port mux, phi copies
+   and every micro-op's statements — is {!Vemit}'s shared thread body,
+   so the external interface is the FSM backend's and both backends
+   speak the identical call-port protocol per operation.  This module
+   keeps the token/step registers, the fire/rdy/stall/ev wires, the
+   per-stage [case] and the edge and [Ret] handling. *)
 
 open Twill_ir.Ir
 module Vec = Twill_ir.Vec
-module Schedule = Twill_hls.Schedule
 
 (* Emits one hardware-thread module under the elastic template. *)
-let emit_hw_thread ?(res = Schedule.default_resources)
-    (layout : Twill_ir.Layout.t) (f : func) : string =
-  recompute_cfg f;
-  let s = Schedule.schedule ~res ~backend:Schedule.Dataflow f in
-  let buf = Buffer.create 8192 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let ov = Vemit.operand_v' layout f.name in
-  let nblocks = Vec.length f.blocks in
-  (* per-block micro sequences; the terminator is always the last step *)
-  let micros = Array.make nblocks [||] in
-  Vec.iter
-    (fun (b : block) ->
-      micros.(b.bid) <- Array.of_list (Vemit.micros_of_block f s b))
-    f.blocks;
+let emit_hw_thread (layout : Twill_ir.Layout.t) (f : func) : string =
+  let th = Vemit.begin_thread ~backend:Twill_hls.Schedule.Dataflow layout f in
+  let pr fmt = Vemit.pr th fmt in
+  let micros = th.Vemit.micros in
   let term_step bid = Array.length micros.(bid) - 1 in
   let step_width bid =
     let n = Array.length micros.(bid) in
@@ -53,47 +43,13 @@ let emit_hw_thread ?(res = Schedule.default_resources)
   in
   (* distinct CFG edges, in block order *)
   let edges =
-    Vec.fold_left
-      (fun acc (b : block) ->
-        List.fold_left
-          (fun acc t ->
-            if List.mem (b.bid, t) acc then acc else (b.bid, t) :: acc)
-          acc
+    List.concat_map
+      (fun (b : block) ->
+        List.map
+          (fun t -> (b.bid, t))
           (List.sort_uniq compare (succs_of_term b.term)))
-      [] f.blocks
-    |> List.rev
+      (Vec.to_list f.blocks)
   in
-  (* callees become sub-thread instances muxed onto the call port,
-     exactly as in the FSM backend *)
-  let callees = ref [] in
-  iter_insts f (fun i ->
-      match i.kind with
-      | Call (c, cargs) ->
-          if not (List.mem_assoc c !callees) then
-            callees := (c, Array.length cargs) :: !callees
-      | _ -> ());
-  let callees = List.rev !callees in
-  let fcs = if callees = [] then "" else "_r" in
-  let args =
-    String.concat ""
-      (List.init f.nparams (fun i ->
-           Printf.sprintf "  input  wire signed [31:0] arg%d,\n" i))
-  in
-  pr "// generated by Twill from function %s (elastic dataflow backend)\n"
-    f.name;
-  pr "module twill_thread_%s (\n" f.name;
-  pr "  input  wire clk,\n  input  wire rst,\n  input  wire start,\n%s" args;
-  pr "  output reg  done,\n  output reg  signed [31:0] retval,\n";
-  pr "  // HWInterface call port (section 4.4)\n";
-  let fc_kind = if callees = [] then "reg " else "wire" in
-  pr "  output %s [3:0]  fc_code,\n" fc_kind;
-  pr "  output %s [7:0]  fc_target,\n" fc_kind;
-  pr "  output %s signed [31:0] fc_data,\n" fc_kind;
-  pr "  output %s [31:0] fc_addr,\n" fc_kind;
-  pr "  output %s        fc_valid,\n" fc_kind;
-  pr "  input  wire [3:0]  ret_code,\n";
-  pr "  input  wire signed [31:0] ret_data,\n";
-  pr "  input  wire        ret_valid\n);\n\n";
   pr "  // elastic stage state: one token + step counter per basic block\n";
   pr "  reg idle;\n  reg halted;\n";
   Vec.iter
@@ -101,62 +57,7 @@ let emit_hw_thread ?(res = Schedule.default_resources)
       pr "  reg tok_%d;\n" b.bid;
       pr "  reg [%d:0] step_%d;\n" (step_width b.bid - 1) b.bid)
     f.blocks;
-  iter_insts f (fun i ->
-      if has_result i.kind then
-        pr "  reg signed [31:0] %s;\n" (Vemit.reg_name i.id));
-  if callees <> [] then begin
-    pr "\n  // parent-driven copy of the call port (muxed with callees)\n";
-    pr "  reg [3:0]  fc_code_r;\n";
-    pr "  reg [7:0]  fc_target_r;\n";
-    pr "  reg signed [31:0] fc_data_r;\n";
-    pr "  reg [31:0] fc_addr_r;\n";
-    pr "  reg        fc_valid_r;\n";
-    List.iter
-      (fun (c, arity) ->
-        pr "\n  // sub-thread for callee %s\n" c;
-        pr "  reg call_%s_start;\n" c;
-        for i = 0 to arity - 1 do
-          pr "  reg signed [31:0] call_%s_arg%d;\n" c i
-        done;
-        pr "  wire call_%s_done;\n" c;
-        pr "  wire signed [31:0] call_%s_retval;\n" c;
-        pr "  wire [3:0]  call_%s_fc_code;\n" c;
-        pr "  wire [7:0]  call_%s_fc_target;\n" c;
-        pr "  wire signed [31:0] call_%s_fc_data;\n" c;
-        pr "  wire [31:0] call_%s_fc_addr;\n" c;
-        pr "  wire        call_%s_fc_valid;\n" c;
-        pr "  twill_thread_%s call_%s_i (.clk(clk), .rst(rst), \
-             .start(call_%s_start),\n"
-          c c c;
-        for i = 0 to arity - 1 do
-          pr "    .arg%d(call_%s_arg%d),\n" i c i
-        done;
-        pr "    .done(call_%s_done), .retval(call_%s_retval),\n" c c;
-        pr "    .fc_code(call_%s_fc_code), .fc_target(call_%s_fc_target),\n" c
-          c;
-        pr "    .fc_data(call_%s_fc_data), .fc_addr(call_%s_fc_addr), \
-             .fc_valid(call_%s_fc_valid),\n"
-          c c c;
-        pr "    .ret_code(ret_code), .ret_data(ret_data), \
-             .ret_valid(ret_valid));\n")
-      callees;
-    let mux field =
-      let arms =
-        String.concat ""
-          (List.map
-             (fun (c, _) ->
-               Printf.sprintf "call_%s_start ? call_%s_%s : " c c field)
-             callees)
-      in
-      pr "  assign %s = %s%s_r;\n" field arms field
-    in
-    pr "\n";
-    mux "fc_code";
-    mux "fc_target";
-    mux "fc_data";
-    mux "fc_addr";
-    mux "fc_valid"
-  end;
+  Vemit.emit_datapath th;
   (* handshake fabric: per-stage fire/ready/stall, per-edge valid *)
   pr "\n  // valid/ready handshake channels between stages\n";
   Vec.iter
@@ -182,13 +83,8 @@ let emit_hw_thread ?(res = Schedule.default_resources)
                    Some (Printf.sprintf "((step_%d == %d) && !ret_valid)"
                            b.bid k)
                | Vemit.Call_wait id ->
-                   let callee =
-                     match (inst f id).kind with
-                     | Call (c, _) -> c
-                     | _ -> assert false
-                   in
                    Some (Printf.sprintf "((step_%d == %d) && !call_%s_done)"
-                           b.bid k callee)
+                           b.bid k (fst (Vemit.callee_of f id)))
                | _ -> None)
       in
       match waits with
@@ -205,8 +101,8 @@ let emit_hw_thread ?(res = Schedule.default_resources)
         | Br _ -> "1'b1"
         | Cond_br (c, bt, be) ->
             if bt = be then "1'b1"
-            else if t = bt then Printf.sprintf "(%s != 0)" (ov c)
-            else Printf.sprintf "(%s == 0)" (ov c)
+            else if t = bt then Printf.sprintf "(%s != 0)" (th.ov c)
+            else Printf.sprintf "(%s == 0)" (th.ov c)
         | Ret _ -> "1'b0"
       in
       pr "  assign ev_%d_%d = fire_%d && %s;\n" p t p cond)
@@ -214,23 +110,8 @@ let emit_hw_thread ?(res = Schedule.default_resources)
   (* token handoff over one CFG edge: phi parallel copies, then the
      transfer, gated on the successor channel's ready *)
   let emit_edge ~pred ~target =
-    let phis =
-      List.filter_map
-        (fun id ->
-          let i = inst f id in
-          match i.kind with
-          | Phi incoming -> (
-              match List.assoc_opt pred incoming with
-              | Some v -> Some (id, v)
-              | None -> None)
-          | _ -> None)
-        (block f target).insts
-    in
     pr "              if (rdy_%d) begin\n" target;
-    List.iter
-      (fun (id, v) ->
-        pr "                %s <= %s;\n" (Vemit.reg_name id) (ov v))
-      phis;
+    Vemit.emit_phis th ~ind:"                " ~pred ~target;
     if target = pred then pr "                step_%d <= 0;\n" pred
     else begin
       pr "                tok_%d <= 1'b0;\n" pred;
@@ -239,12 +120,11 @@ let emit_hw_thread ?(res = Schedule.default_resources)
     end;
     pr "              end\n"
   in
-  pr "\n  always @(posedge clk) begin\n";
-  pr "    if (rst) begin\n";
-  pr "      idle <= 1'b1;\n      halted <= 1'b0;\n      done <= 1'b0;\n";
-  Vec.iter (fun (b : block) -> pr "      tok_%d <= 1'b0;\n" b.bid) f.blocks;
-  pr "      fc_valid%s <= 1'b0;\n" fcs;
-  List.iter (fun (c, _) -> pr "      call_%s_start <= 1'b0;\n" c) callees;
+  Vemit.emit_reset th
+    ([ "idle <= 1'b1;"; "halted <= 1'b0;"; "done <= 1'b0;" ]
+    @ List.map
+        (fun (b : block) -> Printf.sprintf "tok_%d <= 1'b0;" b.bid)
+        (Vec.to_list f.blocks));
   pr "    end else if (idle) begin\n";
   pr "      if (start) begin\n";
   pr "        idle <= 1'b0;\n";
@@ -261,132 +141,32 @@ let emit_hw_thread ?(res = Schedule.default_resources)
     (fun (b : block) ->
       pr "      if (tok_%d) begin\n" b.bid;
       pr "        case (step_%d)\n" b.bid;
+      (* the branch fires the first successor whose edge is valid *)
+      let branch targets =
+        List.iteri
+          (fun i t ->
+            pr "            %sif (ev_%d_%d) begin\n"
+              (if i = 0 then "" else "end else ")
+              b.bid t;
+            emit_edge ~pred:b.bid ~target:t)
+          targets;
+        pr "            end\n"
+      in
+      let term () =
+        match b.term with
+        | Br t -> branch [ t ]
+        | Cond_br (_, t, e) -> branch (if t = e then [ t ] else [ t; e ])
+        | Ret v ->
+            pr "            retval <= %s;\n" (Vemit.ret_value th v);
+            pr "            done <= 1'b1;\n";
+            pr "            halted <= 1'b1;\n";
+            pr "            tok_%d <= 1'b0;\n" b.bid
+      in
       Array.iteri
         (fun k m ->
-          let adv () = pr "            step_%d <= %d;\n" b.bid (k + 1) in
-          match m with
-          | Vemit.Comb ids ->
-              pr "          %d: begin\n" k;
-              List.iter
-                (fun id ->
-                  let i = inst f id in
-                  let rn = Vemit.reg_name id in
-                  match i.kind with
-                  | Binop (op, a, bb) ->
-                      pr "            %s = %s;\n" rn
-                        (Vemit.binop_v op (ov a) (ov bb))
-                  | Icmp (op, a, bb) ->
-                      pr "            %s = (%s) ? 32'sd1 : 32'sd0;\n" rn
-                        (Vemit.icmp_v op (ov a) (ov bb))
-                  | Select (c, a, bb) ->
-                      pr "            %s = (%s != 0) ? %s : %s;\n" rn (ov c)
-                        (ov a) (ov bb)
-                  | Gep (a, idx) ->
-                      pr "            %s = %s + %s;\n" rn (ov a) (ov idx)
-                  | Alloca _ ->
-                      pr "            %s = 32'sd%ld;\n" rn
-                        (Twill_ir.Layout.alloca_address layout f.name id)
-                  | _ -> ())
-                ids;
-              adv ();
-              pr "          end\n"
-          | Vemit.Issue id ->
-              let i = inst f id in
-              pr "          %d: begin\n" k;
-              (match i.kind with
-              | Load a ->
-                  pr "            fc_code%s <= 4'd%d;\n" fcs Vemit.fc_load;
-                  pr "            fc_addr%s <= $unsigned(%s);\n" fcs (ov a)
-              | Store (a, v) ->
-                  pr "            fc_code%s <= 4'd%d;\n" fcs Vemit.fc_store;
-                  pr "            fc_addr%s <= $unsigned(%s);\n" fcs (ov a);
-                  pr "            fc_data%s <= %s;\n" fcs (ov v)
-              | Produce (q, v) ->
-                  pr "            fc_code%s <= 4'd%d;\n" fcs Vemit.fc_enqueue;
-                  pr "            fc_target%s <= 8'd%d;\n" fcs q;
-                  pr "            fc_data%s <= %s;\n" fcs (ov v)
-              | Consume q ->
-                  pr "            fc_code%s <= 4'd%d;\n" fcs Vemit.fc_dequeue;
-                  pr "            fc_target%s <= 8'd%d;\n" fcs q
-              | Sem_give (sm, n) ->
-                  pr "            fc_code%s <= 4'd%d;\n" fcs Vemit.fc_raise;
-                  pr "            fc_target%s <= 8'd%d;\n" fcs sm;
-                  pr "            fc_data%s <= 32'sd%d;\n" fcs n
-              | Sem_take (sm, n) ->
-                  pr "            fc_code%s <= 4'd%d;\n" fcs Vemit.fc_lower;
-                  pr "            fc_target%s <= 8'd%d;\n" fcs sm;
-                  pr "            fc_data%s <= 32'sd%d;\n" fcs n
-              | Print v ->
-                  pr "            fc_code%s <= 4'd%d;\n" fcs Vemit.fc_print;
-                  pr "            fc_data%s <= %s;\n" fcs (ov v)
-              | _ -> ());
-              pr "            fc_valid%s <= 1'b1;\n" fcs;
-              adv ();
-              pr "          end\n"
-          | Vemit.Wait id ->
-              let i = inst f id in
-              pr "          %d: if (ret_valid) begin\n" k;
-              pr "            fc_valid%s <= 1'b0;\n" fcs;
-              if has_result i.kind then
-                pr "            %s <= ret_data;\n" (Vemit.reg_name id);
-              adv ();
-              pr "          end\n"
-          | Vemit.Call_issue id ->
-              let i = inst f id in
-              let callee, cargs =
-                match i.kind with
-                | Call (c, cargs) -> (c, cargs)
-                | _ -> assert false
-              in
-              pr "          %d: begin\n" k;
-              Array.iteri
-                (fun ai a ->
-                  pr "            call_%s_arg%d <= %s;\n" callee ai (ov a))
-                cargs;
-              pr "            call_%s_start <= 1'b1;\n" callee;
-              adv ();
-              pr "          end\n"
-          | Vemit.Call_wait id ->
-              let i = inst f id in
-              let callee =
-                match i.kind with Call (c, _) -> c | _ -> assert false
-              in
-              pr "          %d: if (call_%s_done) begin\n" k callee;
-              pr "            call_%s_start <= 1'b0;\n" callee;
-              if has_result i.kind then
-                pr "            %s <= call_%s_retval;\n" (Vemit.reg_name id)
-                  callee;
-              adv ();
-              pr "          end\n"
-          | Vemit.Term ->
-              pr "          %d: begin\n" k;
-              (match b.term with
-              | Br t ->
-                  pr "            if (ev_%d_%d) begin\n" b.bid t;
-                  emit_edge ~pred:b.bid ~target:t;
-                  pr "            end\n"
-              | Cond_br (c, t, e) ->
-                  if t = e then begin
-                    pr "            if (ev_%d_%d) begin\n" b.bid t;
-                    emit_edge ~pred:b.bid ~target:t;
-                    pr "            end\n"
-                  end
-                  else begin
-                    pr "            if (ev_%d_%d) begin\n" b.bid t;
-                    emit_edge ~pred:b.bid ~target:t;
-                    pr "            end else if (ev_%d_%d) begin\n" b.bid e;
-                    emit_edge ~pred:b.bid ~target:e;
-                    pr "            end\n";
-                    ignore c
-                  end
-              | Ret v ->
-                  (match v with
-                  | Some v -> pr "            retval <= %s;\n" (ov v)
-                  | None -> pr "            retval <= 32'sd0;\n");
-                  pr "            done <= 1'b1;\n";
-                  pr "            halted <= 1'b1;\n";
-                  pr "            tok_%d <= 1'b0;\n" b.bid);
-              pr "          end\n")
+          Vemit.emit_micro th ~ind:"          " ~label:k
+            ~advance:(Printf.sprintf "step_%d <= %d;" b.bid (k + 1))
+            ~term m)
         micros.(b.bid);
       pr "          default: step_%d <= 0;\n" b.bid;
       pr "        endcase\n";
@@ -394,4 +174,4 @@ let emit_hw_thread ?(res = Schedule.default_resources)
     f.blocks;
   pr "    end\n  end\n";
   pr "endmodule\n";
-  Buffer.contents buf
+  Buffer.contents th.Vemit.buf

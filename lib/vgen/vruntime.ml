@@ -180,8 +180,10 @@ module twill_hw_interface (
   input  wire [31:0] mem_rdata,
   input  wire        mem_rvalid
 );
-  localparam FC_LOAD = 4'd0, FC_STORE = 4'd1;
-  reg pending;
+|}
+  ^ Printf.sprintf "  localparam FC_LOAD = 4'd%d, FC_STORE = 4'd%d;\n"
+      Vemit.fc_load Vemit.fc_store
+  ^ {|  reg pending;
   reg pending_is_mem;
   always @(posedge clk) begin
     if (rst) begin

@@ -27,6 +27,7 @@ module Memdep = Twill_ir.Memdep
 module Dswp = Twill_dswp.Dswp
 module Partition = Twill_dswp.Partition
 module Threadgen = Twill_dswp.Threadgen
+module Vemit = Twill_vgen.Vemit
 module Vruntime = Twill_vgen.Vruntime
 
 exception Cosim_error of string
@@ -336,17 +337,6 @@ type phase =
   | Reply of int (* ret_valid being pulsed with this data *)
 
 type pend = { mutable ph : phase; op : opkind }
-
-let fc_name code =
-  match code with
-  | 0 -> "load"
-  | 1 -> "store"
-  | 2 -> "enqueue"
-  | 3 -> "dequeue"
-  | 4 -> "raise"
-  | 5 -> "lower"
-  | 6 -> "print"
-  | c -> Printf.sprintf "fc_%d" c
 
 (* per-instance handle bundles: every net the harness pokes or peeks in
    its per-cycle loop, resolved once at elaboration *)
@@ -838,15 +828,14 @@ let run_threaded ?config ?engine ?(fuel_cycles = 2_000_000) ?vcd
              let data = Vsim.peek_h h.ti h.t_fcd in
              let addr = Vsim.peek_h h.ti h.t_fca in
              let op =
-               match code with
-               | 0 -> OLoad addr
-               | 1 -> OStore (addr, data)
-               | 2 -> OQgive (target, data)
-               | 3 -> OQtake target
-               | 4 -> OSgive (target, data)
-               | 5 -> OStake (target, data)
-               | 6 -> OPrint data
-               | c -> fail "stage %d issued unsupported %s" s (fc_name c)
+               if code = Vemit.fc_load then OLoad addr
+               else if code = Vemit.fc_store then OStore (addr, data)
+               else if code = Vemit.fc_enqueue then OQgive (target, data)
+               else if code = Vemit.fc_dequeue then OQtake target
+               else if code = Vemit.fc_raise then OSgive (target, data)
+               else if code = Vemit.fc_lower then OStake (target, data)
+               else if code = Vemit.fc_print then OPrint data
+               else fail "stage %d issued unsupported fc_%d" s code
              in
              if trace then
                ops_rev.(s) := (code, target, data, addr) :: !(ops_rev.(s));

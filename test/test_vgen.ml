@@ -121,6 +121,46 @@ let thread_tests =
           (contains design "fc_code <= 4'd2"));
   ]
 
+(* Digests of the whole emitted design per CHStone kernel (nstages = 3)
+   under each backend at 1 and 4 memory banks.  The two thread emitters
+   share their body, so a refactor of either must leave every design
+   byte-identical; regenerate a row only for an intended RTL change. *)
+let design_digests =
+  [
+    ("adpcm", "fsm", 1, "59036bfce0fed0d742244705d7e9e90d");
+    ("adpcm", "fsm", 4, "b051a3f9962f57d906a289255c7674fa");
+    ("adpcm", "dataflow", 1, "af2a61c786d2240c094e49645db9d6ba");
+    ("adpcm", "dataflow", 4, "42ce9f7a5853ddc54c7f63589f1eb68b");
+    ("aes", "fsm", 1, "3ffab0ec4ea3f9744485dfb42cbe0a5b");
+    ("aes", "fsm", 4, "ff1c77b666e970c2dc705d5fe7ebc6db");
+    ("aes", "dataflow", 1, "f18a6415e2de2daf137a0c92cd70cf35");
+    ("aes", "dataflow", 4, "fe13f2da412a5fb0de8596c323866f56");
+    ("blowfish", "fsm", 1, "3ba1f3408afc9cb7d13ebb56dfb1bb0c");
+    ("blowfish", "fsm", 4, "9d26ae4683d67b652d68aa99d9f358b8");
+    ("blowfish", "dataflow", 1, "90e68162a0414028d454c18bebeaaec0");
+    ("blowfish", "dataflow", 4, "dd9c9b03911776533ab8544df0bb32f3");
+    ("gsm", "fsm", 1, "bb96073a44ab9a2d6d47aaaf1b946139");
+    ("gsm", "fsm", 4, "5f45f1367bb749ad76b0c6289b727b1f");
+    ("gsm", "dataflow", 1, "71355a0e671bbc101dacc531cb5e0421");
+    ("gsm", "dataflow", 4, "fcc6b4541587b068c2f58634c89862dc");
+    ("jpeg", "fsm", 1, "d458805ce3a5b0868c926e5125700472");
+    ("jpeg", "fsm", 4, "2fd2ab5c899c2ec15c4828e462265cc8");
+    ("jpeg", "dataflow", 1, "6bf083227ede81dd3fc7e5f55304cf63");
+    ("jpeg", "dataflow", 4, "633b97dd378be97d8e976bd551bebdca");
+    ("mips", "fsm", 1, "5be4c3a4b6b317bb628c01fbad465804");
+    ("mips", "fsm", 4, "adb7aeaf221e8d4969c41fa7570526ad");
+    ("mips", "dataflow", 1, "58d1e81c148b62506cba03058b19b79d");
+    ("mips", "dataflow", 4, "0bcd5de93987c008465ee12c9fa91cd3");
+    ("motion", "fsm", 1, "76f40b8f321107e683157fe332c12c1c");
+    ("motion", "fsm", 4, "d70ac94b7c42ab9946b1b912ab24dcae");
+    ("motion", "dataflow", 1, "e514c93f32d61ffcd5cb981e81ce90ba");
+    ("motion", "dataflow", 4, "80c0aad21414dbf60c3fbf1bd1845593");
+    ("sha", "fsm", 1, "0f4d1aa5c76276882fbf8346f37fd66e");
+    ("sha", "fsm", 4, "a5daea6186069f93dbcf1391df8f8497");
+    ("sha", "dataflow", 1, "7e44048068d8572ced2eebec0c6d3119");
+    ("sha", "dataflow", 4, "a231929783501f1dca4dcff36118305b");
+  ]
+
 let system_tests =
   List.map
     (fun (b : Twill_chstone.Chstone.benchmark) ->
@@ -137,6 +177,26 @@ let system_tests =
           let t = Twill.extract ~opts m in
           let design = Vruntime.emit_design t in
           check_ok b.Twill_chstone.Chstone.name design;
+          let pinned =
+            List.filter
+              (fun (n, _, _, _) -> n = b.Twill_chstone.Chstone.name)
+              design_digests
+          in
+          Alcotest.(check int) "pinned designs" 4 (List.length pinned);
+          List.iter
+            (fun (_, bname, banks, want) ->
+              let backend =
+                List.find
+                  (fun k -> Twill.Schedule.backend_name k = bname)
+                  Twill.Schedule.all_backends
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "%s design digest at %d bank(s)" bname banks)
+                want
+                (Digest.to_hex
+                   (Digest.string
+                      (Vruntime.emit_design ~backend ~mem_banks:banks t))))
+            pinned;
           (* one queue instance per extracted queue (+1: the primitive's
              own module header) *)
           Alcotest.(check int) "queue instances"
@@ -170,9 +230,41 @@ let system_tests =
             (Twill.reachable_funcs t.Twill.Dswp.modul hw_roots)))
     Twill_chstone.Chstone.all
 
+(* the built twillc: kernel names reach emit-verilog, and what it prints
+   is the in-process design *)
+let cli_tests =
+  let twillc =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/twillc.exe"
+  in
+  let run args =
+    let ic = Unix.open_process_in (Filename.quote twillc ^ " " ^ args) in
+    let out = In_channel.input_all ic in
+    (out, Unix.close_process_in ic)
+  in
+  [
+    Alcotest.test_case "twillc emit-verilog = Vruntime.emit_design" `Quick
+      (fun () ->
+        let out, status = run "emit-verilog sha --backend dataflow" in
+        Alcotest.(check bool) "exits 0" true (status = Unix.WEXITED 0);
+        let opts =
+          { Twill.default_options with backend = Twill.Schedule.Dataflow }
+        in
+        let sha = Twill_chstone.Chstone.find "sha" in
+        let t =
+          Twill.extract ~opts
+            (Twill.compile ~opts sha.Twill_chstone.Chstone.source)
+        in
+        Alcotest.(check bool) "same design" true
+          (out = Vruntime.emit_design ~backend:Twill.Schedule.Dataflow t));
+    Alcotest.test_case "twillc emit-verilog has no --no-auto" `Quick (fun () ->
+        let _, status = run "emit-verilog sha --no-auto 2>/dev/null" in
+        Alcotest.(check bool) "exits nonzero" true (status <> Unix.WEXITED 0));
+  ]
+
 let suites =
   [
     ("vgen:primitives", primitive_tests);
     ("vgen:threads", thread_tests);
     ("vgen:chstone", system_tests);
+    ("vgen:cli", cli_tests);
   ]
