@@ -233,13 +233,8 @@ let forced_pipeline_opts =
 (* Replays one extraction under a different simulator configuration —
    the latency/depth sweeps vary only the runtime, so the compile,
    profile and extraction are shared across the sweep points. *)
-let rtsim_stats ?engine (t : Twill.Dswp.threaded) config : Twill.Sim.stats =
-  Twill.Sim.simulate ~config ~master:t.Twill.Dswp.master ?engine
-    t.Twill.Dswp.modul ~threads:(Twill.thread_specs t)
-    ~queues:t.Twill.Dswp.queues ~nsems:t.Twill.Dswp.nsems ()
-
 let simulate_threaded (t : Twill.Dswp.threaded) config =
-  (rtsim_stats t config).Twill.Sim.cycles
+  (Twill.Sim.simulate_threaded ~config t).Twill.Sim.cycles
 
 let fig_6_5 () =
   header
@@ -724,8 +719,8 @@ let json_mem () =
                   in
                   let r = Twill.run_twill_threaded ~opts t in
                   let si =
-                    rtsim_stats ~engine:Twill.Sim.Interpreted t
-                      (Twill.sim_config opts)
+                    Twill.Sim.simulate_threaded ~engine:Twill.Sim.Interpreted
+                      ~config:(Twill.sim_config opts) t
                   in
                   (backend, banks, r, si = r.Twill.stats))
                 banks_axis)

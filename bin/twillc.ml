@@ -194,8 +194,9 @@ let emit_verilog_cmd =
       value & flag
       & info [ "check" ]
           ~doc:
-            "Run the structural checker over the emitted design and exit \
-             nonzero on failure.")
+            "Parse the emitted design and elaborate each of its modules \
+             in the RTL simulator; exit nonzero, naming the line, on the \
+             first error.")
   in
   let run opts output check what =
     let m = Twill.compile ~opts (source_of what) in
@@ -211,11 +212,10 @@ let emit_verilog_cmd =
         output_string oc design;
         close_out oc);
     if check then
-      match Twill_vgen.Vcheck.check design with
+      match Twill.Vsim.check design with
       | Ok () -> Fmt.epr "emit-verilog: check passed@."
-      | Error e ->
-          Fmt.epr "emit-verilog: check failed: %s@."
-            (Twill_vgen.Vcheck.error_to_string e);
+      | Error (msg, line) ->
+          Fmt.epr "emit-verilog: check failed: line %d: %s@." line msg;
           exit 1
   in
   Cmd.v

@@ -18,7 +18,6 @@ module Power = Twill_hls.Power
 module Sim = Twill_rtsim.Sim
 module Comm = Twill_comm.Comm
 module Vruntime = Twill_vgen.Vruntime
-module Vcheck = Twill_vgen.Vcheck
 module Vparse = Twill_vsim.Vparse
 module Vsim = Twill_vsim.Vsim
 module Cosim = Twill_vsim.Cosim
@@ -88,19 +87,6 @@ let sim_config (opts : options) : Sim.config =
     check_memdep = opts.check_memdep;
   }
 
-let thread_specs (t : Dswp.threaded) : Sim.thread_spec array =
-  Array.mapi
-    (fun s name ->
-      {
-        Sim.tname = name;
-        trole =
-          (match t.Dswp.roles.(s) with
-          | Partition.Sw -> Sim.Sw
-          | Partition.Hw -> Sim.Hw);
-        local_memory = false;
-      })
-    t.Dswp.stages
-
 (* Optimised module -> extracted threads, with the communication-pattern
    optimizer ([opts.comm]) applied on the way out: condition-channel
    LICM happens inside extraction itself, and when the "size"/"burst"
@@ -128,11 +114,7 @@ let extract_comm ?(opts = default_options) ?profile ?prep (m : Ir.modul) :
   let qprofile =
     if Comm.needs_profile opts.comm then
       try
-        let stats =
-          Sim.simulate ~config:(sim_config opts) ~master:t.Dswp.master
-            t.Dswp.modul ~threads:(thread_specs t) ~queues:t.Dswp.queues
-            ~nsems:t.Dswp.nsems ()
-        in
+        let stats = Sim.simulate_threaded ~config:(sim_config opts) t in
         Some stats.Sim.queue_profiles
       with Sim.Deadlock _ | Sim.Out_of_fuel _ ->
         (* the profile-guided passes degrade gracefully without a seed
@@ -238,11 +220,7 @@ let reachable_funcs (m : Ir.modul) (roots : string list) : string list =
 (* Simulation + area/power accounting for an already-extracted pipeline. *)
 let run_twill_threaded ?(opts = default_options) (t : Dswp.threaded) :
     twill_result =
-  let threads = thread_specs t in
-  let stats =
-    Sim.simulate ~config:(sim_config opts) ~master:t.Dswp.master t.Dswp.modul
-      ~threads ~queues:t.Dswp.queues ~nsems:t.Dswp.nsems ()
-  in
+  let stats = Sim.simulate_threaded ~config:(sim_config opts) t in
   (* area: HW thread logic = LegUp translation of the hardware stages and
      every callee reachable from them *)
   let hw_roots =
@@ -560,230 +538,3 @@ let evaluate ?(opts = default_options) ?(auto_stages = true) ~(name : string)
     speedup_vs_hw = fdiv hw.cycles tw.scenario.cycles;
     hw_speedup_vs_sw = fdiv sw.cycles hw.cycles;
   }
-
-(* --- unified per-stage observation (the fuzzing oracle's probes) --------- *)
-
-(* Every layer of the stack that claims observational equivalence with
-   the source program is one observation point: the typed-AST reference
-   interpreter, both IR interpreter engines on the raw module, the
-   module after each prefix of the pass pipeline, the partitioned
-   cycle-accurate rtsim execution, and vsim RTL co-simulation of each
-   RTL lowering.  [observe] runs one point over one source string and
-   reduces the run to the observables the thesis's
-   correctness argument is about: return value + print trace. *)
-
-type observation = { obs_ret : int32; obs_prints : int32 list }
-
-(* The oracle observes one source string at every stage, scanning the
-   pass prefixes in ascending order before reaching rtsim and the
-   cosims.  Two one-entry per-domain memos keep that scan linear:
-
-   - [opt_prep] holds the module after the first [odone] pipeline
-     stages; observing prefix k >= odone applies only stages
-     [odone, k) instead of re-compiling and re-running the whole
-     prefix ([Pipeline.run_range] splits exactly like that).  Sound
-     because passes are deterministic in-place transforms and
-     [Interp.run] builds its decode context per call without mutating
-     the module (interp.ml header).
-   - [obs_prep] holds the optimised-and-extracted pipeline shared by
-     the last three stages (rtsim, then one cosim per RTL lowering).
-
-   Per-domain because the fuzz campaign fans cases out over a [Par]
-   pool; one entry because each case's stages are scanned
-   consecutively within a domain. *)
-type opt_prep = {
-  osrc : string;
-  oopts : Pipeline.options;
-  mutable odone : int;  (* pipeline stages applied to [om] so far *)
-  om : Ir.modul;
-  mutable oruns : (Interp.engine * int * Interp.result) list;
-      (* interpreter observations of [om] in its current state, keyed
-         by (engine, fuel); flushed whenever a stage changes [om].
-         Interpretation is deterministic, so when [run_range] reports
-         that the new stages of a prefix were all no-ops, the previous
-         prefix's observation is the current one. *)
-}
-
-let opt_prep_memo : opt_prep option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let opt_prep ~opts (k : int) (src : string) : opt_prep =
-  let popts = pipeline_options opts in
-  let memo = Domain.DLS.get opt_prep_memo in
-  match !memo with
-  | Some p when String.equal p.osrc src && p.oopts = popts && p.odone <= k ->
-      if Pipeline.run_range ~opts:popts p.odone k p.om then p.oruns <- [];
-      p.odone <- k;
-      p
-  | _ ->
-      let m = Minic.compile src in
-      Pipeline.run_prefix ~opts:popts k m;
-      let p = { osrc = src; oopts = popts; odone = k; om = m; oruns = [] } in
-      memo := Some p;
-      p
-
-let opt_interp ~opts (k : int) (engine : Interp.engine) (src : string) :
-    Interp.result =
-  let p = opt_prep ~opts k src in
-  match
-    List.find_opt (fun (e, fuel, _) -> e = engine && fuel = opts.fuel) p.oruns
-  with
-  | Some (_, _, r) -> r
-  | None ->
-      let r = Interp.run ~fuel:opts.fuel ~engine p.om in
-      p.oruns <- (engine, opts.fuel, r) :: p.oruns;
-      r
-
-type obs_prep = {
-  prep_src : string;
-  prep_opts : options;
-  prep_t : Dswp.threaded;
-  prep_design : Vparse.design Lazy.t;
-      (* emitted+parsed Verilog of [prep_t] under [prep_opts.backend];
-         lazy because the rtsim stage populates the memo without
-         needing it *)
-  prep_design_df : Vparse.design Lazy.t;
-      (* the same pipeline under the elastic dataflow lowering — the
-         cross-backend observation point ([Obs_velastic]) *)
-}
-
-let obs_prep_memo : obs_prep option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let obs_prep ~opts (src : string) : obs_prep =
-  let memo = Domain.DLS.get obs_prep_memo in
-  match !memo with
-  | Some p when String.equal p.prep_src src && p.prep_opts = opts -> p
-  | _ ->
-      (* promoting the prefix memo's module to the full pipeline runs
-         the remaining stages on it in place, so the memo's [odone] and
-         [oruns] no longer describe it; hand the module over and drop
-         the memo rather than let it serve a later prefix *)
-      let m =
-        let popts = pipeline_options opts in
-        let omemo = Domain.DLS.get opt_prep_memo in
-        match !omemo with
-        | Some p when String.equal p.osrc src && p.oopts = popts ->
-            ignore (Pipeline.run_range ~opts:popts p.odone Pipeline.nstages p.om);
-            omemo := None;
-            p.om
-        | _ -> compile ~opts src
-      in
-      let t = extract ~opts m in
-      let p =
-        {
-          prep_src = src;
-          prep_opts = opts;
-          prep_t = t;
-          prep_design =
-            lazy
-              (Vparse.parse
-                 (Vruntime.emit_design ~backend:opts.backend
-                    ~mem_banks:opts.mem_banks t));
-          prep_design_df =
-            lazy
-              (Vparse.parse
-                 (Vruntime.emit_design ~backend:Schedule.Dataflow
-                    ~mem_banks:opts.mem_banks t));
-        }
-      in
-      memo := Some p;
-      p
-
-type obs_stage =
-  | Obs_ast  (* typed-AST reference interpreter *)
-  | Obs_ir of Interp.engine  (* raw (unoptimised) IR *)
-  | Obs_opt of int * Interp.engine  (* after the first k pipeline stages *)
-  | Obs_rtsim  (* partitioned cycle-accurate simulation *)
-  | Obs_vsim  (* RTL co-simulation of the emitted design *)
-  | Obs_velastic
-    (* RTL co-simulation of the elastic dataflow lowering of the same
-       pipeline (the cross-backend differential observation point) *)
-
-type obs_outcome =
-  | Obs_ok of observation
-  | Obs_skip of string  (* ran out of budget; not a verdict *)
-  | Obs_error of string  (* the stage failed outright *)
-
-let engine_suffix = function Interp.Decoded -> "" | Interp.Tree -> "-tree"
-
-let obs_stage_name = function
-  | Obs_ast -> "ast"
-  | Obs_ir e -> "ir" ^ engine_suffix e
-  | Obs_opt (k, e) ->
-      let pass =
-        if k <= 0 then "none"
-        else List.nth Pipeline.stage_names (min k Pipeline.nstages - 1)
-      in
-      Printf.sprintf "opt[%s]%s" pass (engine_suffix e)
-  | Obs_rtsim -> "rtsim"
-  | Obs_vsim -> "vsim"
-  | Obs_velastic -> "vsim-df"
-
-let obs_stages : obs_stage list =
-  [ Obs_ast; Obs_ir Interp.Tree; Obs_ir Interp.Decoded ]
-  @ List.init Pipeline.nstages (fun k -> Obs_opt (k + 1, Interp.Decoded))
-  @ [ Obs_opt (Pipeline.nstages, Interp.Tree); Obs_rtsim; Obs_vsim;
-      Obs_velastic ]
-
-let contains_substr ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-let observe ?(opts = default_options) ~(stage : obs_stage) (src : string) :
-    obs_outcome =
-  try
-    match stage with
-    | Obs_ast ->
-        let r = Minic.run_reference ~fuel:opts.fuel src in
-        Obs_ok
-          {
-            obs_ret = r.Twill_minic.Ast_interp.ret;
-            obs_prints = r.Twill_minic.Ast_interp.prints;
-          }
-    | Obs_ir engine ->
-        let r = opt_interp ~opts 0 engine src in
-        Obs_ok { obs_ret = r.Interp.ret; obs_prints = r.Interp.prints }
-    | Obs_opt (k, engine) ->
-        let r = opt_interp ~opts k engine src in
-        Obs_ok { obs_ret = r.Interp.ret; obs_prints = r.Interp.prints }
-    | Obs_rtsim ->
-        let p = obs_prep ~opts src in
-        let r = run_twill_threaded ~opts p.prep_t in
-        Obs_ok { obs_ret = r.scenario.ret; obs_prints = r.scenario.prints }
-    | Obs_vsim ->
-        let p = obs_prep ~opts src in
-        (* [~model:false]: the oracle compares every stage against the
-           AST reference itself, and rtsim is its own observation point
-           — re-running the reference inside the cosim would only
-           duplicate work the chain already did. *)
-        let r =
-          Cosim.run_threaded ~config:(sim_config opts) ~model:false
-            ~design:(Lazy.force p.prep_design) p.prep_t
-        in
-        Obs_ok { obs_ret = r.Cosim.rtl_ret; obs_prints = r.Cosim.rtl_prints }
-    | Obs_velastic ->
-        let p = obs_prep ~opts src in
-        let r =
-          Cosim.run_threaded
-            ~config:(sim_config { opts with backend = Schedule.Dataflow })
-            ~model:false
-            ~design:(Lazy.force p.prep_design_df)
-            p.prep_t
-        in
-        Obs_ok { obs_ret = r.Cosim.rtl_ret; obs_prints = r.Cosim.rtl_prints }
-  with
-  | Minic.Error msg -> Obs_error ("compile: " ^ msg)
-  | Twill_minic.Ast_interp.Out_of_fuel | Interp.Out_of_fuel ->
-      Obs_skip "out of fuel"
-  | Sim.Out_of_fuel msg -> Obs_skip ("out of fuel: " ^ msg)
-  | Twill_minic.Ast_interp.Trap msg | Interp.Trap msg ->
-      Obs_error ("trap: " ^ msg)
-  | Sim.Deadlock msg -> Obs_error ("deadlock: " ^ msg)
-  | Cosim.Cosim_error msg ->
-      if contains_substr ~sub:"out of fuel" msg then Obs_skip msg
-      else Obs_error ("cosim: " ^ msg)
-  | Twill_vsim.Vsim.Sim_error msg -> Obs_error ("vsim: " ^ msg)
-  | Failure msg -> Obs_error ("failure: " ^ msg)
-  | Invalid_argument msg -> Obs_error ("invalid: " ^ msg)

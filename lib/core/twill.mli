@@ -22,7 +22,6 @@ module Power = Twill_hls.Power
 module Sim = Twill_rtsim.Sim
 module Comm = Twill_comm.Comm
 module Vruntime = Twill_vgen.Vruntime
-module Vcheck = Twill_vgen.Vcheck
 module Vparse = Twill_vsim.Vparse
 module Vsim = Twill_vsim.Vsim
 module Cosim = Twill_vsim.Cosim
@@ -114,9 +113,6 @@ val extract_comm :
 
 (** Simulator configuration corresponding to [opts]. *)
 val sim_config : options -> Sim.config
-
-(** Per-stage simulator thread specs of an extracted pipeline. *)
-val thread_specs : Dswp.threaded -> Sim.thread_spec array
 
 (** One evaluated execution flow. *)
 type scenario = {
@@ -237,43 +233,6 @@ exception Self_check_failed of string
     {!Self_check_failed} if they observe different behaviour.
     [auto_stages] (default true) enables width auto-tuning. *)
 val evaluate : ?opts:options -> ?auto_stages:bool -> name:string -> string -> report
-
-(** {1 Unified per-stage observation}
-
-    Every layer of the stack that claims observational equivalence with
-    the source program is one observation point; the differential fuzzer
-    ([lib/fuzz]) compares them pairwise.  [observe] runs a single point
-    over a source string and reduces the run to return value + print
-    trace. *)
-
-type observation = { obs_ret : int32; obs_prints : int32 list }
-
-type obs_stage =
-  | Obs_ast  (** typed-AST reference interpreter *)
-  | Obs_ir of Interp.engine  (** raw (unoptimised) IR *)
-  | Obs_opt of int * Interp.engine
-      (** after the first [k] stages of {!Pipeline.stage_names} *)
-  | Obs_rtsim  (** partitioned cycle-accurate simulation *)
-  | Obs_vsim  (** RTL co-simulation of the emitted design *)
-  | Obs_velastic
-      (** RTL co-simulation of the elastic dataflow lowering of the
-          same pipeline — every RTL-reaching fuzz case exercises both
-          backends through this stage *)
-
-type obs_outcome =
-  | Obs_ok of observation
-  | Obs_skip of string  (** ran out of budget; not a verdict *)
-  | Obs_error of string  (** the stage failed outright *)
-
-val obs_stage_name : obs_stage -> string
-
-val obs_stages : obs_stage list
-(** All observation points in pipeline order (the fuzzer's full stack). *)
-
-val observe : ?opts:options -> stage:obs_stage -> string -> obs_outcome
-(** Runs one observation point over one source program.  Out-of-fuel
-    runs are [Obs_skip]; traps, deadlocks and harness failures are
-    [Obs_error]; no exception escapes. *)
 
 (**/**)
 

@@ -3,8 +3,8 @@
    divergence.
 
    The pass pipeline is an ordered list of named stages
-   ({!Twill.Pipeline.stage_names}) and {!Twill.observe} can evaluate
-   the program after any prefix of it ([Obs_opt (k, _)]), so the search
+   ({!Twill.Pipeline.stage_names}) and {!Oracle.walk} observes the
+   program after every prefix of it ([Obs_opt (k, _)]), so the search
    compares each prefix against the raw-IR baseline and reports the
    first stage whose output misbehaves.  The scan is linear rather than
    a binary search on purpose: a later stage may mask or transform an
@@ -17,8 +17,8 @@ open Twill
 type report = {
   bad_pass : string;  (** first stage whose prefix diverges *)
   bad_index : int;  (** 1-based prefix length of that stage *)
-  baseline : observation;  (** raw-IR behaviour *)
-  broken : observation;  (** behaviour after the bad prefix *)
+  baseline : Oracle.observation;  (** raw-IR behaviour *)
+  broken : Oracle.observation;  (** behaviour after the bad prefix *)
 }
 
 (* [first_bad_pass ?opts src] assumes raw IR is good and the full
@@ -26,14 +26,15 @@ type report = {
    changes the observable behaviour — the divergence, if any, is
    introduced downstream (partitioning, RTL) or does not exist. *)
 let first_bad_pass ?(opts = default_options) (src : string) : report option =
-  match observe ~opts ~stage:(Obs_ir Interp.Decoded) src with
-  | Obs_skip _ | Obs_error _ -> None
-  | Obs_ok baseline ->
-      let rec scan k =
-        if k > Pipeline.nstages then None
-        else
-          match observe ~opts ~stage:(Obs_opt (k, Interp.Decoded)) src with
-          | Obs_ok o when not (Oracle.obs_equal baseline o) ->
+  let prefixes =
+    List.init Pipeline.nstages (fun k -> Oracle.Obs_opt (k + 1, Interp.Decoded))
+  in
+  match Oracle.walk ~opts (Oracle.Obs_ir Interp.Decoded :: prefixes) src () with
+  | Seq.Cons ((_, Oracle.Obs_ok baseline), rest) ->
+      Seq.find_map
+        (function
+          | Oracle.Obs_opt (k, _), Oracle.Obs_ok o
+            when not (Oracle.obs_equal baseline o) ->
               Some
                 {
                   bad_pass = List.nth Pipeline.stage_names (k - 1);
@@ -41,9 +42,9 @@ let first_bad_pass ?(opts = default_options) (src : string) : report option =
                   baseline;
                   broken = o;
                 }
-          | Obs_ok _ | Obs_skip _ | Obs_error _ -> scan (k + 1)
-      in
-      scan 1
+          | _ -> None)
+        rest
+  | _ -> None
 
 let report_to_string (r : report) =
   Printf.sprintf "pass %d/%d (%s): %s -> %s" r.bad_index Pipeline.nstages

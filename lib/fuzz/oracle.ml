@@ -14,6 +14,157 @@
 
 open Twill
 
+(* --- observation points ---------------------------------------------------- *)
+
+(* Every layer of the stack that claims observational equivalence with
+   the source program is one observation point: the typed-AST reference
+   interpreter, both IR interpreter engines on the raw module, the
+   module after each prefix of the pass pipeline, the partitioned
+   cycle-accurate rtsim execution, and vsim RTL co-simulation of each
+   RTL lowering.  A point's run is reduced to the observables the
+   thesis's correctness argument is about: return value + print trace. *)
+
+type observation = { obs_ret : int32; obs_prints : int32 list }
+
+type stage =
+  | Obs_ast  (* typed-AST reference interpreter *)
+  | Obs_ir of Interp.engine  (* raw (unoptimised) IR *)
+  | Obs_opt of int * Interp.engine  (* after the first k pipeline stages *)
+  | Obs_rtsim  (* partitioned cycle-accurate simulation *)
+  | Obs_vsim  (* RTL co-simulation of the emitted design *)
+  | Obs_velastic
+    (* RTL co-simulation of the elastic dataflow lowering of the same
+       pipeline (the cross-backend differential observation point) *)
+
+type outcome =
+  | Obs_ok of observation
+  | Obs_skip of string  (* ran out of budget; not a verdict *)
+  | Obs_error of string  (* the stage failed outright *)
+
+let engine_suffix = function Interp.Decoded -> "" | Interp.Tree -> "-tree"
+
+let stage_name = function
+  | Obs_ast -> "ast"
+  | Obs_ir e -> "ir" ^ engine_suffix e
+  | Obs_opt (k, e) ->
+      let pass =
+        if k <= 0 then "none"
+        else List.nth Pipeline.stage_names (min k Pipeline.nstages - 1)
+      in
+      Printf.sprintf "opt[%s]%s" pass (engine_suffix e)
+  | Obs_rtsim -> "rtsim"
+  | Obs_vsim -> "vsim"
+  | Obs_velastic -> "vsim-df"
+
+(* Every observation point, in stack order. *)
+let all_stages : stage list =
+  [ Obs_ast; Obs_ir Interp.Tree; Obs_ir Interp.Decoded ]
+  @ List.init Pipeline.nstages (fun k -> Obs_opt (k + 1, Interp.Decoded))
+  @ [ Obs_opt (Pipeline.nstages, Interp.Tree); Obs_rtsim; Obs_vsim;
+      Obs_velastic ]
+
+(* Runs one observation.  Out-of-fuel runs are skips; traps, deadlocks
+   and harness failures are errors; no exception escapes. *)
+let outcome (run : unit -> observation) : outcome =
+  match run () with
+  | o -> Obs_ok o
+  | exception Minic.Error msg -> Obs_error ("compile: " ^ msg)
+  | exception (Twill_minic.Ast_interp.Out_of_fuel | Interp.Out_of_fuel) ->
+      Obs_skip "out of fuel"
+  | exception Sim.Out_of_fuel msg -> Obs_skip ("out of fuel: " ^ msg)
+  | exception (Twill_minic.Ast_interp.Trap msg | Interp.Trap msg) ->
+      Obs_error ("trap: " ^ msg)
+  | exception Sim.Deadlock msg -> Obs_error ("deadlock: " ^ msg)
+  | exception Cosim.Cosim_error msg ->
+      (* the harness's cycle budget, not a verdict *)
+      if String.starts_with ~prefix:"co-simulation out of fuel" msg then
+        Obs_skip msg
+      else Obs_error ("cosim: " ^ msg)
+  | exception Vsim.Sim_error msg -> Obs_error ("vsim: " ^ msg)
+  | exception Failure msg -> Obs_error ("failure: " ^ msg)
+  | exception Invalid_argument msg -> Obs_error ("invalid: " ^ msg)
+
+(* [walk stages src] observes [src] at each of [stages], which must be
+   in [all_stages] order, and yields every stage with its outcome as
+   the sequence is consumed: a consumer that stops at a divergence runs
+   nothing past it.
+
+   The walk is one pass down the stack.  It compiles once and carries
+   the module down the pass pipeline, applying each pass once
+   ([Pipeline.run_range] splits a prefix exactly like that).  An
+   interpreter result is reused until a pass changes the module:
+   interpretation is deterministic and [Interp.run] does not mutate the
+   module.  The fully optimised module is extracted once for rtsim and
+   both cosims. *)
+let walk ?(opts = default_options) (stages : stage list) (src : string) :
+    (stage * outcome) Seq.t =
+  let popts = pipeline_options opts in
+  let m = lazy (Minic.compile src) in
+  (* [m] has been through its first [applied] pipeline stages; [runs]
+     holds the interpreter runs of it in that state, by engine; a stage
+     that raised leaves the module half-transformed, so later stages
+     re-raise its exception *)
+  let applied = ref 0 and runs = ref [] and failed = ref None in
+  let advance k =
+    let m = Lazy.force m in
+    Option.iter raise !failed;
+    (match Pipeline.run_range ~opts:popts !applied k m with
+    | true -> runs := []
+    | false -> ()
+    | exception e ->
+        failed := Some e;
+        raise e);
+    applied := k;
+    m
+  in
+  let interp k engine =
+    let m = advance k in
+    let r =
+      match List.assoc_opt engine !runs with
+      | Some r -> r
+      | None ->
+          let r = lazy (Interp.run ~fuel:opts.fuel ~engine m) in
+          runs := (engine, r) :: !runs;
+          r
+    in
+    let r = Lazy.force r in
+    { obs_ret = r.Interp.ret; obs_prints = r.Interp.prints }
+  in
+  let t = lazy (extract ~opts (advance Pipeline.nstages)) in
+  let cosim backend =
+    let t = Lazy.force t in
+    let design =
+      Vparse.parse
+        (Vruntime.emit_design ~backend ~mem_banks:opts.mem_banks t)
+    in
+    (* [~model:false]: every stage is compared against the AST
+       reference, and rtsim is its own observation point *)
+    let r =
+      Cosim.run_threaded
+        ~config:(sim_config { opts with backend })
+        ~model:false ~design t
+    in
+    { obs_ret = r.Cosim.rtl_ret; obs_prints = r.Cosim.rtl_prints }
+  in
+  let observe = function
+    | Obs_ast ->
+        let r = Minic.run_reference ~fuel:opts.fuel src in
+        {
+          obs_ret = r.Twill_minic.Ast_interp.ret;
+          obs_prints = r.Twill_minic.Ast_interp.prints;
+        }
+    | Obs_ir engine -> interp 0 engine
+    | Obs_opt (k, engine) -> interp k engine
+    | Obs_rtsim ->
+        let s =
+          Sim.simulate_threaded ~config:(sim_config opts) (Lazy.force t)
+        in
+        { obs_ret = s.Sim.ret; obs_prints = s.Sim.prints }
+    | Obs_vsim -> cosim opts.backend
+    | Obs_velastic -> cosim Schedule.Dataflow
+  in
+  Seq.map (fun s -> (s, outcome (fun () -> observe s))) (List.to_seq stages)
+
 (* How far down the stack to go.  Later stages are much slower (vsim
    co-simulation elaborates and simulates the emitted RTL of each
    backend), so the campaign driver exposes this as [--max-stage]. *)
@@ -70,7 +221,7 @@ let rank_of_limit = function
   | L_rtsim -> 3
   | L_vsim -> 4
 
-let stages_for ?(backends = B_both) (limit : limit) : obs_stage list =
+let stages_for ?(backends = B_both) (limit : limit) : stage list =
   let wanted = function
     | Obs_vsim -> backends <> B_dataflow
     | Obs_velastic -> backends <> B_fsm
@@ -78,7 +229,7 @@ let stages_for ?(backends = B_both) (limit : limit) : obs_stage list =
   in
   List.filter
     (fun s -> wanted s && rank_of_stage s <= rank_of_limit limit)
-    obs_stages
+    all_stages
 
 type divergence = {
   div_stage : string;  (** first diverging observation point *)
@@ -103,35 +254,34 @@ let obs_equal (a : observation) (b : observation) =
   && List.length a.obs_prints = List.length b.obs_prints
   && List.for_all2 Int32.equal a.obs_prints b.obs_prints
 
+(* Folds the walk up to [limit], stopping at the first divergence from
+   the AST reference (always the walk's first stage). *)
 let check ?(opts = default_options) ?(limit = L_vsim) ?(backends = B_both)
     (src : string) : result =
-  match observe ~opts ~stage:Obs_ast src with
-  | Obs_skip r -> { verdict = Skipped ("ast: " ^ r); skips = []; errors = [] }
-  | Obs_error r -> { verdict = Skipped ("ast: " ^ r); skips = []; errors = [] }
-  | Obs_ok baseline ->
-      let skips = ref [] and errors = ref [] in
-      let rec scan = function
-        | [] -> Agree
-        | stage :: rest -> (
-            let name = obs_stage_name stage in
-            match observe ~opts ~stage src with
+  let agree = { verdict = Agree; skips = []; errors = [] } in
+  match walk ~opts (stages_for ~backends limit) src () with
+  | Seq.Nil -> agree
+  | Seq.Cons ((_, (Obs_skip r | Obs_error r)), _) ->
+      { agree with verdict = Skipped ("ast: " ^ r) }
+  | Seq.Cons ((_, Obs_ok baseline), rest) ->
+      let rec scan skips errors rest =
+        let result verdict =
+          { verdict; skips = List.rev skips; errors = List.rev errors }
+        in
+        match rest () with
+        | Seq.Nil -> result Agree
+        | Seq.Cons ((stage, o), rest) -> (
+            let name = stage_name stage in
+            match o with
+            | Obs_ok o when obs_equal baseline o -> scan skips errors rest
             | Obs_ok o ->
-                if obs_equal baseline o then scan rest
-                else
-                  Diverge
-                    { div_stage = name; div_expected = baseline; div_got = o }
-            | Obs_skip r ->
-                skips := (name, r) :: !skips;
-                scan rest
-            | Obs_error r ->
-                errors := (name, r) :: !errors;
-                scan rest)
+                result
+                  (Diverge
+                     { div_stage = name; div_expected = baseline; div_got = o })
+            | Obs_skip r -> scan ((name, r) :: skips) errors rest
+            | Obs_error r -> scan skips ((name, r) :: errors) rest)
       in
-      let rest =
-        List.filter (fun s -> s <> Obs_ast) (stages_for ~backends limit)
-      in
-      let verdict = scan rest in
-      { verdict; skips = List.rev !skips; errors = List.rev !errors }
+      scan [] [] rest
 
 (* The shrinker predicate: does this source still expose a divergence
    (anywhere in the stack, up to [limit])? *)

@@ -1105,3 +1105,22 @@ let diff_engines ?config ?master (m : modul) ~(threads : thread_spec array)
         (Engine_mismatch
            (Printf.sprintf "rtsim engines disagree (interpreted vs compiled) on %s" d)));
   compiled
+
+(* --- a DSWP extraction as one simulation ----------------------------------- *)
+
+let thread_specs (t : Twill_dswp.Dswp.threaded) : thread_spec array =
+  Array.mapi
+    (fun s name ->
+      {
+        tname = name;
+        trole =
+          (match t.roles.(s) with
+          | Twill_dswp.Partition.Sw -> Sw
+          | Twill_dswp.Partition.Hw -> Hw);
+        local_memory = false;
+      })
+    t.stages
+
+let simulate_threaded ?config ?engine (t : Twill_dswp.Dswp.threaded) : stats =
+  simulate ?config ~master:t.master ?engine t.modul ~threads:(thread_specs t)
+    ~queues:t.queues ~nsems:t.nsems ()

@@ -150,3 +150,14 @@ val diff_engines :
 (** Runs both engines and checks the full {!stats} records for
     equality; returns the compiled engine's stats.
     @raise Engine_mismatch on any difference. *)
+
+(** {1 Simulating a DSWP extraction} *)
+
+val thread_specs : Twill_dswp.Dswp.threaded -> thread_spec array
+(** One shared-memory thread per pipeline stage, with the stage's
+    partition role. *)
+
+val simulate_threaded :
+  ?config:config -> ?engine:engine -> Twill_dswp.Dswp.threaded -> stats
+(** {!simulate} of an extraction: its module, stage threads, queues and
+    semaphores, with the master stage's return value as the result. *)

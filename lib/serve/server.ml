@@ -203,10 +203,7 @@ let source_of_req (j : Json.t) : string =
 (* --- command handlers ----------------------------------------------------- *)
 
 let simulate (opts : Twill.options) (e : elab) : Sim.stats =
-  let td = e.e_threaded in
-  Sim.simulate ~config:(Twill.sim_config opts) ~master:td.Twill.Dswp.master
-    td.Twill.Dswp.modul ~threads:(Twill.thread_specs td)
-    ~queues:td.Twill.Dswp.queues ~nsems:td.Twill.Dswp.nsems ()
+  Sim.simulate_threaded ~config:(Twill.sim_config opts) e.e_threaded
 
 (* A response-level cache lookup: [tbl]'s entry for [key], counted under
    [kind ^ ":sim"]; [body] runs on a miss. *)

@@ -375,39 +375,21 @@ type th = {
   t_retval : Vsim.handle;
 }
 
-let run_threaded ?config ?engine ?(fuel_cycles = 2_000_000) ?vcd
-    ?(model = true) ?(trace = false) ?design (t : Dswp.threaded) : report =
+(* harness clock cycles before a whole-design co-simulation gives up *)
+let fuel_cycles = 2_000_000
+
+let run_threaded ~config ?engine ?vcd ?(model = true) ?(trace = false) ~design
+    (t : Dswp.threaded) : report =
   (* --- the reference: cycle-accurate rtsim hybrid simulation.
      [~model:false] skips it for callers that own the comparison
      themselves (the fuzz oracle checks every stage against the AST
      reference); the report's model_* fields then mirror the RTL run
      and [agree] is vacuously true. --- *)
   let stats =
-    if not model then None
-    else
-      let threads =
-        Array.mapi
-          (fun s name ->
-            {
-              Sim.tname = name;
-              trole = (match t.Dswp.roles.(s) with Partition.Hw -> Sim.Hw | Partition.Sw -> Sim.Sw);
-              local_memory = false;
-            })
-          t.Dswp.stages
-      in
-      Some
-        (Sim.simulate ?config ~master:t.Dswp.master t.Dswp.modul ~threads
-           ~queues:t.Dswp.queues ~nsems:t.Dswp.nsems ())
+    if model then Some (Sim.simulate_threaded ~config t) else None
   in
-  (* --- the RTL side --- *)
-  let design =
-    (* instantiation only reads the parsed AST (primitives_design above
-       is elaborated many times over), so a caller that already parsed
-       the emitted design can share it *)
-    match design with
-    | Some d -> d
-    | None -> Vparse.parse (Vruntime.emit_design t)
-  in
+  (* --- the RTL side: instantiation only reads the parsed [design], so
+     callers share one parse across runs --- *)
   let nstages = Array.length t.Dswp.stages in
   let is_hw s = t.Dswp.roles.(s) = Partition.Hw in
   let layout, mem = Interp.fresh_memory t.Dswp.modul in
@@ -415,9 +397,7 @@ let run_threaded ?config ?engine ?(fuel_cycles = 2_000_000) ?vcd
   (* banked memory: one load/store slot per bank per cycle instead of
      one for the whole memory — the same per-bank arbitration rtsim
      models and the per-bank RTL memory ports provide *)
-  let nbanks =
-    match config with Some c -> max 1 c.Sim.mem_banks | None -> 1
-  in
+  let nbanks = max 1 config.Sim.mem_banks in
   let bank_plan =
     if nbanks = 1 then None
     else

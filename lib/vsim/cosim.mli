@@ -92,13 +92,12 @@ type report = {
 }
 
 val run_threaded :
-  ?config:Twill_rtsim.Sim.config ->
+  config:Twill_rtsim.Sim.config ->
   ?engine:Vsim.engine ->
-  ?fuel_cycles:int ->
   ?vcd:string ->
   ?model:bool ->
   ?trace:bool ->
-  ?design:Vparse.design ->
+  design:Vparse.design ->
   Twill_dswp.Dswp.threaded ->
   report
 (** Runs the rtsim hybrid simulation (software/hardware roles from the
@@ -116,8 +115,8 @@ val run_threaded :
     [trace] (default false) records every hardware stage's call-port
     issue stream in the report's [rtl_ops] — the per-cycle observation
     points of the cross-backend differential oracle.
-    [design], when given, must be the parsed emitted Verilog of [t] —
-    elaboration only reads it, so a caller that already parsed it can
-    share it.
+    [design] is the parsed emitted Verilog of [t] under
+    [config.backend] and [config.mem_banks]; elaboration only reads it,
+    so one parse can serve several runs.
     @raise Cosim_error if the co-simulation gets stuck (no progress) or
-    exceeds [fuel_cycles]. *)
+    runs 2,000,000 harness cycles. *)

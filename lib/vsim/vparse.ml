@@ -232,6 +232,24 @@ let ident st =
 let at_sym st s = match peek st with Some (Tsym s') -> s' = s | _ -> false
 let at_kw st k = match peek st with Some (Tid k') -> k' = k | _ -> false
 
+(* [inside st ~opener ~line closer] is true until [closer] comes up
+   next.  Running out of input inside the construct is reported at its
+   [opener] on [line], not at the end of the text. *)
+let inside st ~opener ~line closer =
+  match peek st with
+  | Some (Tid k) when k = closer -> false
+  | Some _ -> true
+  | None ->
+      raise
+        (Parse_error
+           (Printf.sprintf "'%s' is never closed by '%s'" opener closer, line))
+
+(* words of the subset that cannot start a module item (nor name an
+   instantiated module) *)
+let keywords =
+  [ "module"; "begin"; "end"; "if"; "else"; "case"; "endcase"; "default";
+    "for"; "posedge"; "signed" ]
+
 (* expression precedence climbing *)
 let rec expr st = ternary st
 
@@ -350,9 +368,10 @@ let assignment st lv =
 let rec stmt st =
   match peek st with
   | Some (Tid "begin") ->
+      let line = line_at st in
       ignore (next st);
       let acc = ref [] in
-      while not (at_kw st "end") do
+      while inside st ~opener:"begin" ~line "end" do
         acc := stmt st :: !acc
       done;
       eat_kw st "end";
@@ -369,13 +388,14 @@ let rec stmt st =
       end
       else If (c, t, None)
   | Some (Tid "case") ->
+      let line = line_at st in
       ignore (next st);
       eat_sym st "(";
       let scrut = expr st in
       eat_sym st ")";
       let arms = ref [] in
       let default = ref None in
-      while not (at_kw st "endcase") do
+      while inside st ~opener:"case" ~line "endcase" do
         if at_kw st "default" then begin
           ignore (next st);
           eat_sym st ":";
@@ -600,6 +620,8 @@ let item st : item list =
       let clk = ident st in
       eat_sym st ")";
       [ Always (clk, stmt st) ]
+  | Some (Tid k) when List.mem k keywords ->
+      fail st (Printf.sprintf "unexpected '%s'" k)
   | Some (Tid _) -> [ instance st (ident st) l ]
   | _ -> fail st "expected module item"
 
@@ -664,7 +686,7 @@ let modul st =
   end;
   eat_sym st ";";
   let items = ref (List.rev_map (fun d -> Decl d) !ports) in
-  while not (at_kw st "endmodule") do
+  while inside st ~opener:"module" ~line:mline "endmodule" do
     items := List.rev_append (item st) !items
   done;
   eat_kw st "endmodule";

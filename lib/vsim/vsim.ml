@@ -1074,6 +1074,15 @@ let cycles (t : t) : int = t.cyc
 let engine_of (t : t) : engine = t.engv
 let top_inputs (t : t) : string list = t.tinputs
 
+let check (src : string) : (unit, string * int) result =
+  match
+    let design = P.parse src in
+    List.iter (fun (m : P.modul) -> ignore (instantiate design m.P.mname)) design
+  with
+  | () -> Ok ()
+  | exception (P.Parse_error (msg, line) | Elab_error (msg, line)) ->
+      Error (msg, line)
+
 let compare_state (a : t) (b : t) : string option =
   if Array.length a.nets <> Array.length b.nets then
     Some "net tables differ in size"

@@ -57,6 +57,12 @@ val instantiate :
 val engine_of : t -> engine
 (** The engine actually in use (reports the fallback). *)
 
+val check : string -> (unit, string * int) result
+(** The well-formedness check of emitted Verilog: parses the text and
+    elaborates every module in it as a top with its default parameters.
+    [Error (message, line)] locates the first parse or elaboration
+    error. *)
+
 val step : t -> unit
 (** Advance one clock cycle (all [always @(posedge ...)] blocks fire —
     the emitted designs are single-clock, so the clock itself is not

@@ -169,13 +169,7 @@ let pass_tests =
         let opts0 = with_comm "none" in
         let m0 = Twill.compile ~opts:opts0 sha_src in
         let t0, _ = Twill.extract_comm ~opts:opts0 m0 in
-        let seed =
-          Sim.simulate
-            ~config:(Twill.sim_config opts0)
-            ~master:t0.Twill.Dswp.master t0.Twill.Dswp.modul
-            ~threads:(Twill.thread_specs t0) ~queues:t0.Twill.Dswp.queues
-            ~nsems:t0.Twill.Dswp.nsems ()
-        in
+        let seed = Sim.simulate_threaded ~config:(Twill.sim_config opts0) t0 in
         let prof = seed.Sim.queue_profiles in
         let _, (t, rep) = extract_sha "merge,size" in
         Alcotest.(check bool) "sha re-sizes after merging" true
@@ -307,7 +301,7 @@ let engine_tests =
             Sim.diff_engines
               ~config:(Twill.sim_config opts)
               ~master:t.Twill.Dswp.master t.Twill.Dswp.modul
-              ~threads:(Twill.thread_specs t) ~queues:t.Twill.Dswp.queues
+              ~threads:(Sim.thread_specs t) ~queues:t.Twill.Dswp.queues
               ~nsems:t.Twill.Dswp.nsems ()
           in
           (* the profile itself must be live, not all-zero padding *)

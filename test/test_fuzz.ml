@@ -73,13 +73,14 @@ let test_generator_valid () =
 
 (* A short real sweep through optimisation and partitioned simulation:
    any repro is a genuine miscompilation. *)
-(* The oracle scans pass prefixes through a per-domain incremental memo
-   (apply only the new stages, reuse the interpreter result when they
-   were all no-ops).  Every memoized prefix observation must equal the
-   from-scratch compile + run_prefix + interpret it replaces — on a
-   clean build and with a planted bug, whose sabotage must invalidate
-   the reuse. *)
-let test_prefix_memo_matches_fresh () =
+(* One walk per source carries a module down the pass pipeline and
+   reuses interpreter results across passes that change nothing.  Each
+   of its observations must equal the from-scratch run it stands for:
+   compile + run_prefix + interpret for the IR points, compile +
+   extract + simulate for rtsim, and [Twill.cosim] for each backend's
+   RTL — on a clean build and with a planted bug, whose sabotage must
+   invalidate the reuse. *)
+let test_walk_matches_fresh () =
   let srcs =
     List.map
       (fun index ->
@@ -90,28 +91,42 @@ let test_prefix_memo_matches_fresh () =
     (fun opts ->
       List.iter
         (fun src ->
-          for k = 0 to Twill_passes.Pipeline.nstages do
-            let fresh =
-              let m = Twill_minic.Minic.compile src in
-              Twill_passes.Pipeline.run_prefix
-                ~opts:
-                  {
-                    Twill_passes.Pipeline.default with
-                    break_pass = opts.Twill.pipeline_break;
-                  }
-                k m;
-              Twill_ir.Interp.run m
-            in
-            match
-              Twill.observe ~opts ~stage:(Twill.Obs_opt (k, Twill_ir.Interp.Decoded)) src
-            with
-            | Twill.Obs_ok o ->
-                Alcotest.(check int32) "ret" fresh.Twill_ir.Interp.ret o.Twill.obs_ret;
-                Alcotest.(check (list int32))
-                  "prints" fresh.Twill_ir.Interp.prints o.Twill.obs_prints
-            | Twill.Obs_skip m | Twill.Obs_error m ->
-                Alcotest.fail ("prefix observation failed: " ^ m)
-          done)
+          let threaded () = Twill.extract ~opts (Twill.compile ~opts src) in
+          let interp k engine =
+            let m = Twill_minic.Minic.compile src in
+            Twill_passes.Pipeline.run_prefix
+              ~opts:(Twill.pipeline_options opts) k m;
+            let r = Twill_ir.Interp.run ~engine m in
+            (r.Twill_ir.Interp.ret, r.Twill_ir.Interp.prints)
+          in
+          let cosim backend =
+            let r = Twill.cosim ~opts:{ opts with backend } (threaded ()) in
+            (r.Twill.Cosim.rtl_ret, r.Twill.Cosim.rtl_prints)
+          in
+          let fresh = function
+            | Oracle.Obs_ast ->
+                let r = Twill_minic.Minic.run_reference src in
+                (r.Twill_minic.Ast_interp.ret, r.Twill_minic.Ast_interp.prints)
+            | Oracle.Obs_ir engine -> interp 0 engine
+            | Oracle.Obs_opt (k, engine) -> interp k engine
+            | Oracle.Obs_rtsim ->
+                let r = Twill.run_twill_threaded ~opts (threaded ()) in
+                (r.Twill.scenario.ret, r.Twill.scenario.prints)
+            | Oracle.Obs_vsim -> cosim opts.Twill.backend
+            | Oracle.Obs_velastic -> cosim Twill.Schedule.Dataflow
+          in
+          Seq.iter
+            (fun (stage, outcome) ->
+              let name = Oracle.stage_name stage in
+              match outcome with
+              | Oracle.Obs_ok o ->
+                  let ret, prints = fresh stage in
+                  Alcotest.(check int32) (name ^ " ret") ret o.Oracle.obs_ret;
+                  Alcotest.(check (list int32))
+                    (name ^ " prints") prints o.Oracle.obs_prints
+              | Oracle.Obs_skip m | Oracle.Obs_error m ->
+                  Alcotest.failf "%s observation failed: %s" name m)
+            (Oracle.walk ~opts Oracle.all_stages src))
         srcs)
     [ Twill.default_options; broken "cleanup" ]
 
@@ -130,7 +145,7 @@ let test_stack_agrees () =
    backend's emitted design once *)
 let test_one_vsim_point_per_backend () =
   let names backends =
-    List.map Twill.obs_stage_name (Oracle.stages_for ~backends Oracle.L_vsim)
+    List.map Oracle.stage_name (Oracle.stages_for ~backends Oracle.L_vsim)
     |> List.filter (fun n -> String.starts_with ~prefix:"vsim" n)
   in
   Alcotest.(check (list string)) "both" [ "vsim"; "vsim-df" ] (names Oracle.B_both);
@@ -288,9 +303,9 @@ let test_repro_is_parseable () =
   | [] -> Alcotest.fail "expected a repro"
   | r :: _ -> (
       let text = Campaign.repro_to_string ~break_pass:"inline" r in
-      match Twill.observe ~stage:Twill.Obs_ast text with
-      | Twill.Obs_ok _ -> ()
-      | Twill.Obs_skip m | Twill.Obs_error m ->
+      match (Oracle.check ~limit:Oracle.L_ast text).Oracle.verdict with
+      | Oracle.Agree -> ()
+      | Oracle.Skipped m | Oracle.Diverge { Oracle.div_stage = m; _ } ->
           Alcotest.failf "repro text does not stand alone: %s" m)
 
 let suites =
@@ -303,8 +318,8 @@ let suites =
           test_campaign_deterministic;
         Alcotest.test_case "generated programs are valid" `Quick
           test_generator_valid;
-        Alcotest.test_case "prefix memo matches from-scratch observation"
-          `Quick test_prefix_memo_matches_fresh;
+        Alcotest.test_case "walk matches from-scratch observation" `Quick
+          test_walk_matches_fresh;
         Alcotest.test_case "whole stack agrees on a clean build" `Quick
           test_stack_agrees;
         Alcotest.test_case "one vsim point per backend" `Quick

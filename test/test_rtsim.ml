@@ -28,21 +28,7 @@ let simulate ?config ?depth (opts : Twill.options) (t : Twill.Dswp.threaded) =
         | Some d ->
             { (Twill.sim_config opts) with Sim.queue_depth_override = Some d })
   in
-  let threads =
-    Array.mapi
-      (fun s name ->
-        {
-          Sim.tname = name;
-          trole =
-            (match t.Twill.Dswp.roles.(s) with
-            | Twill.Partition.Sw -> Sim.Sw
-            | Twill.Partition.Hw -> Sim.Hw);
-          local_memory = false;
-        })
-      t.Twill.Dswp.stages
-  in
-  Sim.simulate ~config ~master:t.Twill.Dswp.master t.Twill.Dswp.modul ~threads
-    ~queues:t.Twill.Dswp.queues ~nsems:t.Twill.Dswp.nsems ()
+  Sim.simulate_threaded ~config t
 
 let pipeline_src =
   "int main() { int acc = 0; for (int i = 0; i < 200; i++) { int a = (i * \
@@ -214,25 +200,12 @@ let prop_sim_sound =
 
 (* --- engine equivalence: interpreted vs compiled ------------------------ *)
 
-let thread_specs (t : Twill.Dswp.threaded) =
-  Array.mapi
-    (fun s name ->
-      {
-        Sim.tname = name;
-        trole =
-          (match t.Twill.Dswp.roles.(s) with
-          | Twill.Partition.Sw -> Sim.Sw
-          | Twill.Partition.Hw -> Sim.Hw);
-        local_memory = false;
-      })
-    t.Twill.Dswp.stages
-
 let diff_engines ?config (opts : Twill.options) (t : Twill.Dswp.threaded) =
   let config =
     match config with Some c -> c | None -> Twill.sim_config opts
   in
   Sim.diff_engines ~config ~master:t.Twill.Dswp.master t.Twill.Dswp.modul
-    ~threads:(thread_specs t) ~queues:t.Twill.Dswp.queues
+    ~threads:(Sim.thread_specs t) ~queues:t.Twill.Dswp.queues
     ~nsems:t.Twill.Dswp.nsems ()
 
 let contains_substr ~sub s =
@@ -334,7 +307,7 @@ let engines_tests =
              blocks forever, and the Deadlock message must say which
              thread waits on which queue — identically in both engines *)
           let opts, _, t = twill_of pipeline_src in
-          let specs = thread_specs t in
+          let specs = Sim.thread_specs t in
           let lone = [| specs.(Array.length specs - 1) |] in
           let msg_of engine =
             match

@@ -13,7 +13,6 @@ module Vec = Twill_ir.Vec
 module S = Twill_hls.Schedule
 module Velastic = Twill_vgen.Velastic
 module Vemit = Twill_vgen.Vemit
-module Vcheck = Twill_vgen.Vcheck
 open Twill_vsim
 
 let opts3 =
@@ -42,9 +41,9 @@ let count hay needle =
   go 0 0
 
 let check_ok name (src : string) =
-  match Vcheck.check src with
+  match Vsim.check src with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "%s: %s" name (Vcheck.error_to_string e)
+  | Error (msg, line) -> Alcotest.failf "%s: line %d: %s" name line msg
 
 (* Compile [src] and emit main (unpartitioned) under the elastic
    template; returns the function (CFG recomputed by the emitter) and

@@ -1,12 +1,7 @@
-(* Verilog-backend tests: structural validity of the generated RTL for
-   the runtime primitives and for every CHStone hardware thread. *)
+(* Verilog-backend tests: the generated RTL of the runtime primitives
+   and of every CHStone hardware thread parses and elaborates in vsim. *)
 
 open Twill_vgen
-
-let check_ok name (src : string) =
-  match Vcheck.check src with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "%s: %s" name (Vcheck.error_to_string e)
 
 let contains hay needle =
   let re = Str.regexp_string needle in
@@ -14,6 +9,24 @@ let contains hay needle =
     ignore (Str.search_forward re hay 0);
     true
   with Not_found -> false
+
+let check_ok name (src : string) =
+  match Twill_vsim.Vsim.check src with
+  | Ok () -> ()
+  | Error (msg, line) -> Alcotest.failf "%s: line %d: %s" name line msg
+
+(* [check_fails ~what src ~line ~names]: the check rejects [src] at [line]
+   with a message naming each of [names] *)
+let check_fails ~what src ~line ~names =
+  match Twill_vsim.Vsim.check src with
+  | Error (msg, l) ->
+      Alcotest.(check int) ("line of the " ^ what) line l;
+      List.iter
+        (fun n ->
+          Alcotest.(check bool) (Printf.sprintf "%S names %s" msg n) true
+            (contains msg n))
+        names
+  | Ok () -> Alcotest.failf "%s accepted" what
 
 let count hay needle =
   let re = Str.regexp_string needle in
@@ -43,45 +56,23 @@ let primitive_tests =
         Alcotest.(check bool) "ack withheld when full" true
           (contains Vruntime.queue_module "give_ack <= (count < DEPTH)"));
     Alcotest.test_case "checker rejects broken RTL" `Quick (fun () ->
-        (match Vcheck.check "module m;\nbegin endmodule" with
-        | Error e ->
-            Alcotest.(check int) "line of the open begin" 2 e.Vcheck.line;
-            Alcotest.(check string) "offending token" "begin" e.Vcheck.token
-        | Ok () -> Alcotest.fail "unbalanced begin accepted");
-        match
-          Vcheck.check "module m;\nalways @(posedge clk)\n  foo <= 1;\nendmodule"
-        with
-        | Error e ->
-            Alcotest.(check int) "line of the bad target" 3 e.Vcheck.line;
-            Alcotest.(check string) "offending token" "foo" e.Vcheck.token;
-            Alcotest.(check bool) "message carries position" true
-              (contains (Vcheck.error_to_string e) "line 3")
-        | Ok () -> Alcotest.fail "undeclared assignment accepted");
+        check_fails ~what:"open begin" "module m;\nbegin endmodule" ~line:2
+          ~names:[ "'begin'" ];
+        check_fails ~what:"bad target"
+          "module m;\nalways @(posedge clk)\n  foo <= 1;\nendmodule" ~line:3
+          ~names:[ "foo" ]);
     Alcotest.test_case "checker reports stray closers" `Quick (fun () ->
-        match Vcheck.check "module m;\nend\nendmodule" with
-        | Error e ->
-            Alcotest.(check int) "line of the stray end" 2 e.Vcheck.line;
-            Alcotest.(check string) "offending token" "end" e.Vcheck.token
-        | Ok () -> Alcotest.fail "stray end accepted");
+        check_fails ~what:"stray end" "module m;\nend\nendmodule" ~line:2
+          ~names:[ "'end'" ]);
     Alcotest.test_case "checker reports never-closed constructs" `Quick
       (fun () ->
         (* the diagnostic points at the opener, not end-of-file *)
-        (match Vcheck.check "// head\nmodule m;\nwire x;\n" with
-        | Error e ->
-            Alcotest.(check int) "line of the open module" 2 e.Vcheck.line;
-            Alcotest.(check string) "offending token" "module" e.Vcheck.token;
-            Alcotest.(check bool) "names the missing closer" true
-              (contains e.Vcheck.reason "endmodule")
-        | Ok () -> Alcotest.fail "unclosed module accepted");
-        match
-          Vcheck.check
-            "module m;\nalways @(posedge clk)\n  case (x)\n  endcase\n\
-             endcase\nendmodule"
-        with
-        | Error e ->
-            Alcotest.(check int) "line of the stray endcase" 5 e.Vcheck.line;
-            Alcotest.(check string) "offending token" "endcase" e.Vcheck.token
-        | Ok () -> Alcotest.fail "stray endcase accepted");
+        check_fails ~what:"open module" "// head\nmodule m;\nwire x;\n"
+          ~line:2 ~names:[ "'module'"; "endmodule" ];
+        check_fails ~what:"stray endcase"
+          "module m;\nalways @(posedge clk)\n  case (x)\n  endcase\n\
+           endcase\nendmodule"
+          ~line:5 ~names:[ "'endcase'" ]);
   ]
 
 let thread_tests =
