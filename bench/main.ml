@@ -276,8 +276,7 @@ let fig_6_5 () =
 (* ------------------------------------------------------------------ *)
 
 let simulate_with_depth (t : Twill.Dswp.threaded) opts depth =
-  simulate_threaded t
-    (Twill.sim_config { opts with Twill.queue_depth_override = Some depth })
+  simulate_threaded (Twill.Dswp.with_queue_depth t depth) (Twill.sim_config opts)
 
 let fig_6_6 () =
   header

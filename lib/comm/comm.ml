@@ -28,8 +28,8 @@
      mark plus one slot of slack (never stalls where the seed run did
      not — cycle-neutral shrink), or doubled where the profile shows
      producer-full stalls at the current depth (stall-removing growth).
-     The per-queue [depth] field feeds rtsim, vsim cosim and the RTL
-     emitter alike; a global [queue_depth_override] still wins when set.
+     The per-queue [depth] field feeds rtsim, the area model, vsim
+     cosim and the RTL emitter alike.
    - "burst" — burst coalescing: queues whose profile shows back-to-back
      produce runs (and merge survivors with several same-site channels,
      which are back-to-back by construction) are flagged so that a
@@ -215,9 +215,7 @@ let members_of (t : Dswp.threaded) (q : Threadgen.queue_info) :
    construction (and pays for itself in BRAM/LUTs).  Where the profile
    shows producer-full stalls *at* the current depth the queue is the
    bottleneck and doubles instead.  For merge survivors the members'
-   peaks are summed — a safe over-estimate of the combined occupancy.
-   A global [queue_depth_override] (the DSE depth axis) still overrides
-   whatever this pass writes. *)
+   peaks are summed — a safe over-estimate of the combined occupancy. *)
 let size_queues (t : Dswp.threaded) (profile : profile) :
     (int * int * int) list =
   let resizes = ref [] in

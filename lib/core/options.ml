@@ -15,7 +15,6 @@ module Comm = Twill_comm.Comm
 type t = {
   partition : Partition.config;
   queue_depth : int;
-  queue_depth_override : int option;
   queue_latency : int;
   inline_aggressive : bool;
   inline_threshold : int;
@@ -34,7 +33,6 @@ let default =
   {
     partition = Partition.default_config;
     queue_depth = 8; (* the thesis runs everything with 8x32 queues *)
-    queue_depth_override = None;
     queue_latency = 2;
     inline_aggressive = false;
     inline_threshold = 60;
@@ -215,13 +213,6 @@ let comm =
     (fun o -> o.comm)
     (fun v o -> { o with comm = v })
 
-let queue_depth_override =
-  knob ~name:"queue_depth_override" ~level:Sim ~wire:Int
-    ~doc:"Simulation-time depth of every queue ($(b,none): extracted depths)."
-    (optional (int_in 1))
-    (fun o -> o.queue_depth_override)
-    (fun v o -> { o with queue_depth_override = v })
-
 let queue_latency =
   knob ~name:"queue_latency" ~aliases:[ "queue-latency"; "latency" ]
     ~flag:"queue-latency" ~level:Sim ~wire:Int
@@ -256,7 +247,7 @@ let mem_banks =
 let table =
   [
     unroll; inline_aggressive; pipeline_break; nstages; sw_frac; queue_depth;
-    fuel; comm; queue_depth_override; queue_latency; backend; mem_banks;
+    fuel; comm; queue_latency; backend; mem_banks;
   ]
 
 let find (knobs : knob list) (spelling : string) : knob option =

@@ -16,7 +16,6 @@ module Comm = Twill_comm.Comm
 type t = {
   partition : Partition.config;
   queue_depth : int;
-  queue_depth_override : int option;
   queue_latency : int;
   inline_aggressive : bool;
   inline_threshold : int;
@@ -63,7 +62,6 @@ val pipeline_break : knob
 val queue_depth : knob
 val fuel : knob
 val comm : knob
-val queue_depth_override : knob
 val queue_latency : knob
 val backend : knob
 val mem_banks : knob

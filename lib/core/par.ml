@@ -20,7 +20,6 @@ let rec try_take () =
   else try_take ()
 
 let release () = Atomic.incr slots
-let available () = Atomic.get slots
 
 let map (f : 'a -> 'b) (xs : 'a list) : 'b list =
   match xs with

@@ -8,9 +8,6 @@
     the caller, making a parallel run observationally identical to the
     sequential one as long as the thunks are independent. *)
 
-val available : unit -> int
-(** Worker-domain slots currently free (informational). *)
-
 val map : ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel [List.map].  The first item always runs on
     the calling domain.  If several items raise, the lowest-index

@@ -27,7 +27,6 @@ module Options = Options
 type options = Options.t = {
   partition : Partition.config;
   queue_depth : int;
-  queue_depth_override : int option;
   queue_latency : int;
   inline_aggressive : bool;
   inline_threshold : int;
@@ -78,7 +77,6 @@ let profile_blocks ?(opts = default_options) (m : Ir.modul) : int array =
 let sim_config (opts : options) : Sim.config =
   {
     Sim.queue_latency = opts.queue_latency;
-    queue_depth_override = opts.queue_depth_override;
     resources = opts.resources;
     modulo = opts.modulo;
     backend = opts.backend;
@@ -179,9 +177,11 @@ let run_pure_sw ?(opts = default_options) (m : Ir.modul) : scenario =
 (* Pure hardware: the whole program through the LegUp-substitute flow.
    This baseline is the monolithic LegUp translation by definition, so it
    stays on the FSM backend whatever [opts.backend] selects for the
-   hybrid's partitions. *)
+   hybrid's partitions, and it keeps its data in local memory, so the
+   shared-memory bank count does not apply: it is simulated and priced
+   on the same unbanked schedules. *)
 let run_pure_hw ?(opts = default_options) (m : Ir.modul) : scenario =
-  let opts = { opts with backend = Schedule.Fsm } in
+  let opts = { opts with backend = Schedule.Fsm; mem_banks = 1 } in
   let stats =
     Sim.simulate ~config:(sim_config opts) m
       ~threads:[| { Sim.tname = "main"; trole = Sim.Hw; local_memory = true } |]
@@ -234,11 +234,7 @@ let run_twill_threaded ?(opts = default_options) (t : Dswp.threaded) :
     if opts.mem_banks <= 1 then fun _ -> None
     else begin
       let plan =
-        lazy
-          (let md = Twill_ir.Memdep.build t.Dswp.modul in
-           Twill_ir.Memdep.plan md
-             (Twill_ir.Layout.build t.Dswp.modul)
-             ~banks:opts.mem_banks)
+        lazy (Twill_ir.Memdep.plan_of_module t.Dswp.modul ~banks:opts.mem_banks)
       in
       fun (f : Ir.func) ->
         let tbl = Twill_ir.Memdep.bank_table (Lazy.force plan) f in
@@ -400,9 +396,9 @@ let cosim_backends ?(opts = default_options) (t : Dswp.threaded) :
          independent ordering domain.  What must still agree per stage
          is every per-bank memory stream plus the non-memory (queue/
          semaphore/print) stream. *)
-      let md = Twill_ir.Memdep.build t.Dswp.modul in
-      let layout = Twill_ir.Layout.build t.Dswp.modul in
-      let plan = Twill_ir.Memdep.plan md layout ~banks:opts.mem_banks in
+      let plan =
+        Twill_ir.Memdep.plan_of_module t.Dswp.modul ~banks:opts.mem_banks
+      in
       let project ops =
         let streams = Array.make (opts.mem_banks + 1) [] in
         List.iter

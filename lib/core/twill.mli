@@ -39,10 +39,6 @@ module Options = Options
 type options = Options.t = {
   partition : Partition.config;  (** pipeline width and split target *)
   queue_depth : int;  (** slots per queue (thesis: 8) *)
-  queue_depth_override : int option;
-      (** simulation-time depth override for every queue; [None] keeps
-          each queue's extracted depth.  Sweeping it re-simulates an
-          extraction without re-extracting (Figure 6.6, the DSE engine) *)
   queue_latency : int;  (** give->visible cycles (thesis: 2) *)
   inline_aggressive : bool;  (** inline every call before DSWP *)
   inline_threshold : int;  (** size bound for default inlining *)

@@ -7,12 +7,13 @@
    to the number of distinct extractions, not the grid size:
 
      extract   one compile + DSWP extraction per extraction group: the
-               kernel plus [Twill.Options.extract_key] of the point's
-               evaluation options (see [opts_of_point] for where the
-               grid depth goes).
-     simulate  every point pays only its own cycle-accurate simulation;
-               depth/latency/banks live in [Sim.config], so a sim-level
-               point is one [Twill.run_twill_threaded] call.
+               kernel plus [Twill.Options.extract_key] of the options the
+               point is extracted under (see [opts_of_point] for where
+               the grid depth goes).
+     simulate  every point pays only its own cycle-accurate simulation
+               and area accounting ([eval_threaded]): latency and banks
+               live in [Sim.config], and a comm-off point's depth is
+               stamped onto a copy of the group's queue table.
 
    [evaluate] is the one sweep path; its [extract] hook turns a group's
    first point into the evaluator of every point in the group.  [run]
@@ -30,22 +31,23 @@ let source_of_kernel (name : string) : string = (C.find name).C.source
 
 (* A point's grid depth is an extraction-level queue depth when comm
    passes are on (they read and rewrite real queue depths: auto-sizing,
-   capacity-merging) and a simulation-time override otherwise, so
-   comm-off points of every depth share one extraction. *)
+   capacity-merging).  Otherwise the depth shapes nothing but the queue
+   table, so comm-off points of every depth share one extraction at the
+   default depth and [eval_threaded] re-stamps it. *)
 let opts_of_point (p : Grid.point) : Twill.options =
   let o = p.Grid.opts in
   if Twill.Comm.enabled o.Twill.comm then o
-  else
-    {
-      o with
-      Twill.queue_depth = Twill.default_options.Twill.queue_depth;
-      queue_depth_override = Some o.Twill.queue_depth;
-    }
+  else { o with Twill.queue_depth = Twill.default_options.Twill.queue_depth }
 
 (* Simulation + objective projection of one already-extracted design
-   under one point's simulator configuration. *)
+   under one point's own options: rtsim and the area model read the
+   same queue table. *)
 let eval_threaded (opts : Twill.options) (t : Twill.Dswp.threaded) :
     Pareto.metrics =
+  let t =
+    if Twill.Comm.enabled opts.Twill.comm then t
+    else Twill.Dswp.with_queue_depth t opts.Twill.queue_depth
+  in
   let r = Twill.run_twill_threaded ~opts t in
   let area = r.Twill.scenario.Twill.area in
   {
@@ -131,26 +133,29 @@ let evaluate ~map ~extract ?(seed = 42) ?sample (g : Grid.t) : sweep =
   |> List.map snd
   |> sweep_of g ~seed ?sample ~extractions:(List.length groups)
 
-(* compile from source and extract: what twilld's elaboration cache does
-   on a miss *)
-let extract_point (p : Grid.point) : Twill.Dswp.threaded =
-  let opts = opts_of_point p in
-  Twill.extract ~opts (Twill.compile ~opts (source_of_kernel p.Grid.kernel))
+(* compile from source and extract under [opts]: what twilld's
+   elaboration cache does on a miss *)
+let extract_kernel (opts : Twill.options) (kernel : string) :
+    Twill.Dswp.threaded =
+  Twill.extract ~opts (Twill.compile ~opts (source_of_kernel kernel))
 
 let run ?seed ?sample (g : Grid.t) : sweep =
   let extract p =
-    let t = extract_point p in
-    fun q -> eval_threaded (opts_of_point q) t
+    let t = extract_kernel (opts_of_point p) p.Grid.kernel in
+    fun q -> eval_threaded q.Grid.opts t
   in
   evaluate ~map:Twill.Par.map ~extract ?seed ?sample g
 
-(* The ungrouped baseline: every point compiles and extracts on its own.
-   Its results must equal {!run}'s, which is what shows that grouping by
-   [Twill.Options.extract_key] is sound. *)
+(* The ungrouped baseline: every point compiles and extracts under its
+   own options, so a comm-off point's queues come from a real extraction
+   at its depth.  Its results must equal {!run}'s, which is what shows
+   that grouping by [Twill.Options.extract_key] and the depth re-stamp
+   are sound. *)
 let run_cold ?(seed = 42) ?sample (g : Grid.t) : sweep =
   let pts = points ~seed ?sample g in
   let eval p =
-    let metrics = eval_threaded (opts_of_point p) (extract_point p) in
+    let opts = p.Grid.opts in
+    let metrics = eval_threaded opts (extract_kernel opts p.Grid.kernel) in
     { Pareto.point = p; metrics }
   in
   Twill.Par.map eval pts

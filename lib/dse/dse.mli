@@ -6,9 +6,11 @@
     {!run} and the [twilld] dse handler. *)
 
 val opts_of_point : Grid.point -> Twill.options
-(** The options one point evaluates under: its coordinates, with the
-    grid depth moved to the simulation-time override unless comm passes
-    are on (they rewrite extracted queue depths). *)
+(** The options one point is extracted under: its coordinates, with the
+    default queue depth unless comm passes are on (they read and
+    rewrite extracted queue depths).  Comm-off points of every depth so
+    share one extraction, and {!eval_threaded} gives each its own
+    depth. *)
 
 val extraction_groups : Grid.point list -> (int * Grid.point) list list
 (** Points indexed by grid position, grouped by kernel and
@@ -60,21 +62,25 @@ val evaluate :
     point of the group with the evaluator it returns, and return the
     results in grid order.  [map] fans the groups out (a parallel
     [List.map]).  The evaluator must give what {!eval_threaded} gives on
-    the group's extracted design under the point's {!opts_of_point}. *)
+    the group's extracted design under the point's own options. *)
 
 val eval_threaded : Twill.options -> Twill.Dswp.threaded -> Pareto.metrics
-(** Simulate one extracted design under one point's evaluation options
-    and project the objectives. *)
+(** Simulate one extracted design under one point's own options
+    ([point.opts]) and project the objectives.  When the comm passes
+    are off it evaluates {!Twill.Dswp.with_queue_depth} of the design at
+    the point's depth, so rtsim and the area model price the same
+    queues; the design itself is never written. *)
 
 val run : ?seed:int -> ?sample:int -> Grid.t -> sweep
 (** {!evaluate} over [Par] domains; each group compiles its kernel from
     source under {!opts_of_point} and extracts, and every point
-    simulates on that design. *)
+    is evaluated on that design by {!eval_threaded}. *)
 
 val run_cold : ?seed:int -> ?sample:int -> Grid.t -> sweep
-(** Ungrouped baseline: every point compiles and extracts on its own.
-    Produces identical results to {!run} — the reference that shows
-    grouping by {!Twill.Options.extract_key} is sound. *)
+(** Ungrouped baseline: every point compiles and extracts under its own
+    options, its grid depth included.  Produces identical results to
+    {!run} — the reference that shows grouping by
+    {!Twill.Options.extract_key} and the depth re-stamp are sound. *)
 
 val json_of_sweep : sweep -> string
 (** The committed BENCH_dse.json rendering: schema [twill-dse-v1], grid

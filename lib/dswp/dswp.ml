@@ -139,3 +139,10 @@ let run ?(config = Partition.default_config) ?(queue_depth = 8)
     partition = part;
     comm_licm_hoists = gen.Threadgen.licm_hoists;
   }
+
+let with_queue_depth (t : threaded) (depth : int) : threaded =
+  {
+    t with
+    queues =
+      Array.map (fun (q : Threadgen.queue_info) -> { q with depth }) t.queues;
+  }

@@ -55,3 +55,9 @@ val run :
     value — enforced by physical equality) skips the shared analyses and
     makes [profile] irrelevant.  The generated stage functions are
     verified structurally and for SSA dominance before being returned. *)
+
+val with_queue_depth : threaded -> int -> threaded
+(** [with_queue_depth t d] is [t] with every queue [d] slots deep: what
+    extraction at [~queue_depth:d] gives, since the depth shapes no
+    stage.  The queue table is fresh; [t] is never written, so one
+    extraction can be shared by evaluations at several depths. *)

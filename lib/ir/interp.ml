@@ -64,14 +64,11 @@ type state = {
   (* None: Microblaze costs per instruction and per terminator; Some h:
      no per-instruction cost, [h] charged at every block exit *)
   block_cost : (func -> block -> int) option;
-  (* invoked on every Load/Store at charge time (before operand
-     evaluation) — the simulator's memory-bus contention point *)
-  mem_hook : (func -> inst -> unit) option;
   (* invoked on every Load/Store with the evaluated word address, just
-     before the access happens — the runtime alias-checker's probe.
-     Unlike [mem_hook] this sees the concrete address, so it can check
-     static disambiguation claims against the actual trace. *)
-  mem_trace : (func -> inst -> int32 -> unit) option;
+     before the access happens — the simulator's memory-bus contention
+     point and the runtime alias-checker's probe.  Evaluating an operand
+     cannot move a thread's clock, so one firing point serves both. *)
+  mem_hook : (func -> inst -> int32 -> unit) option;
 }
 
 (* The caller's channel handlers; a sequential program has none, and a
@@ -157,8 +154,8 @@ let rec exec_func st (f : func) (args : int32 array) : int32 =
       if st.fuel <= 0 then raise Out_of_fuel
     end
   in
-  let memh i =
-    match st.mem_hook with Some h -> h f i | None -> ()
+  let memh i ad =
+    match st.mem_hook with Some h -> h f i ad | None -> ()
   in
   let exec_inst i =
     charge i;
@@ -170,14 +167,12 @@ let rec exec_func st (f : func) (args : int32 array) : int32 =
     | Alloca _ -> regs.(i.id) <- Layout.alloca_address st.layout f.name i.id
     | Gep (base, idx) -> regs.(i.id) <- Int32.add (eval base) (eval idx)
     | Load a ->
-        memh i;
         let ad = eval a in
-        (match st.mem_trace with Some h -> h f i ad | None -> ());
+        memh i ad;
         regs.(i.id) <- load st ad
     | Store (a, v) ->
-        memh i;
         let ad = eval a in
-        (match st.mem_trace with Some h -> h f i ad | None -> ());
+        memh i ad;
         store st ad (eval v)
     | Call (name, cargs) ->
         let callee = find_func st.m name in
@@ -615,14 +610,12 @@ let rec exec_decoded st (d : dfunc) (args : int32 array) : int32 =
           (if Array.unsafe_get regs c <> 0l then Array.unsafe_get regs a
            else Array.unsafe_get regs b)
     | Xload_r a ->
-        (match st.mem_hook with Some h -> h f di.isrc | None -> ());
         let ad = Array.unsafe_get regs a in
-        (match st.mem_trace with Some h -> h f di.isrc ad | None -> ());
+        (match st.mem_hook with Some h -> h f di.isrc ad | None -> ());
         Array.unsafe_set regs di.dest (load st ad)
     | Xstore_rr (a, v) ->
-        (match st.mem_hook with Some h -> h f di.isrc | None -> ());
         let ad = Array.unsafe_get regs a in
-        (match st.mem_trace with Some h -> h f di.isrc ad | None -> ());
+        (match st.mem_hook with Some h -> h f di.isrc ad | None -> ());
         store st ad (Array.unsafe_get regs v)
     | Xbinop (op, a, b) -> regs.(di.dest) <- eval_binop op (eval a) (eval b)
     | Xicmp (op, a, b) -> regs.(di.dest) <- eval_icmp op (eval a) (eval b)
@@ -631,14 +624,12 @@ let rec exec_decoded st (d : dfunc) (args : int32 array) : int32 =
     | Xconst v -> regs.(di.dest) <- v
     | Xgep (base, idx) -> regs.(di.dest) <- Int32.add (eval base) (eval idx)
     | Xload a ->
-        (match st.mem_hook with Some h -> h f di.isrc | None -> ());
         let ad = eval a in
-        (match st.mem_trace with Some h -> h f di.isrc ad | None -> ());
+        (match st.mem_hook with Some h -> h f di.isrc ad | None -> ());
         regs.(di.dest) <- load st ad
     | Xstore (a, v) ->
-        (match st.mem_hook with Some h -> h f di.isrc | None -> ());
         let ad = eval a in
-        (match st.mem_trace with Some h -> h f di.isrc ad | None -> ());
+        (match st.mem_hook with Some h -> h f di.isrc ad | None -> ());
         store st ad (eval v)
     | Xcall (callee, cargs) ->
         regs.(di.dest) <- exec_decoded st (Lazy.force callee) (Array.map eval cargs)
@@ -700,7 +691,7 @@ type result = {
    for executing DSWP stage functions as concurrent threads over one
    address space (the runtime simulator and RTL co-simulation). *)
 let run_shared ?(fuel = -1) ~(layout : Layout.t) ~(mem : int32 array)
-    ?handlers ?block_cost ?(engine = Decoded) ?ctx ?mem_hook ?mem_trace ?cycles_cell (m : modul)
+    ?handlers ?block_cost ?(engine = Decoded) ?ctx ?mem_hook ?cycles_cell (m : modul)
     ~(entry : string) ~(args : int32 array) : result =
   let st =
     {
@@ -714,7 +705,6 @@ let run_shared ?(fuel = -1) ~(layout : Layout.t) ~(mem : int32 array)
       handlers;
       block_cost;
       mem_hook;
-      mem_trace;
     }
   in
   let ret =

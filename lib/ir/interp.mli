@@ -82,8 +82,7 @@ val run_shared :
   ?block_cost:(func -> block -> int) ->
   ?engine:engine ->
   ?ctx:ctx ->
-  ?mem_hook:(func -> inst -> unit) ->
-  ?mem_trace:(func -> inst -> int32 -> unit) ->
+  ?mem_hook:(func -> inst -> int32 -> unit) ->
   ?cycles_cell:int ref ->
   modul ->
   entry:string ->
@@ -98,12 +97,10 @@ val run_shared :
     thread's scheduled state count, or a block profiler returning 0).
     [ctx] (Decoded engine only) shares decoded code across calls; it
     must have been built for [m].  [mem_hook] fires on every Load/Store
-    at charge time (before operand evaluation) — the simulator's
-    memory-bus contention point — without paying a per-instruction
-    closure on other operations.  [mem_trace] fires on every Load/Store
     with the evaluated word address just before the access — the
-    runtime alias-checker's probe (it sees the concrete address, unlike
-    [mem_hook]).  [cycles_cell], when given, is used as the live cycle
+    simulator's memory-bus contention point and the runtime
+    alias-checker's probe — without paying a per-instruction closure on
+    other operations.  [cycles_cell], when given, is used as the live cycle
     accumulator, so handler callbacks can read the thread's progress
     mid-run (the final value also lands in [result.cycles]).
 

@@ -438,6 +438,9 @@ let local_of_addr p (a : int32) : int =
     let b = bank_of_addr p a in
     p.tail_local.(b) + ((x - w) / p.pn)
 
+let plan_of_module (m : modul) ~(banks : int) : plan =
+  plan (build m) (Layout.build m) ~banks
+
 (* Static bank of an access: Some b iff every object the address may
    point to, combined with the access's affine offset, lands in bank [b]
    no matter the dynamic index.  None takes the all-banks conservative

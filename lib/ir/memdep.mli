@@ -70,6 +70,10 @@ val plan : t -> Layout.t -> banks:int -> plan
     two distinct residues, block (whole object into one bank, greedily
     balancing static access weight) otherwise. *)
 
+val plan_of_module : modul -> banks:int -> plan
+(** [plan (build m) (Layout.build m) ~banks]: the one banking plan of
+    [m] that rtsim, the area model, the RTL emitter and cosim share. *)
+
 val bank_of_addr : plan -> int32 -> int
 val local_of_addr : plan -> int32 -> int
 (** Total over the whole address space and jointly injective:

@@ -16,7 +16,6 @@ open Twill_ir.Ir
 type options = {
   inline_aggressive : bool;
   inline_threshold : int;
-  globals_to_args : bool;
   unroll : bool; (* full-unroll small constant-trip loops (LegUp-style) *)
   check : bool; (* verify SSA between stages; on in tests *)
   break_pass : string option;
@@ -27,7 +26,6 @@ type options = {
 let default = {
   inline_aggressive = false;
   inline_threshold = 60;
-  globals_to_args = true;
   unroll = false;
   check = false;
   break_pass = None;
@@ -143,9 +141,7 @@ let stages : stage list =
       sname = "globals2args";
       verify = true;
       apply =
-        (fun opts m ->
-          opts.globals_to_args
-          &&
+        (fun _ m ->
           let c = Globals2args.run m in
           let c' = any Dce.run m.funcs in
           c || c');

@@ -13,7 +13,6 @@ open Twill_ir.Ir
 type options = {
   inline_aggressive : bool;  (** inline every call site *)
   inline_threshold : int;  (** size bound for default inlining *)
-  globals_to_args : bool;  (** run the thesis's custom globals pass *)
   unroll : bool;  (** LegUp-style full unrolling of small counted loops *)
   check : bool;  (** verify SSA between stages (tests) *)
   break_pass : string option;

@@ -89,7 +89,6 @@ type thread_spec = {
 
 type config = {
   queue_latency : int;
-  queue_depth_override : int option; (* None: use each queue's own depth *)
   resources : Schedule.resources;
   modulo : bool;
   backend : Schedule.backend; (* RTL lowering whose timing hw threads replay *)
@@ -106,7 +105,6 @@ type config = {
 let default_config =
   {
     queue_latency = 2;
-    queue_depth_override = None;
     resources = Schedule.default_resources;
     modulo = true;
     backend = Schedule.Fsm;
@@ -263,16 +261,10 @@ let[@inline] bus_grab (bus : Bus.t) (t : int) : int =
   end
   else Bus.reserve bus t
 
-let make_queues (config : config) (queues : Threadgen.queue_info array) :
-    queue_state array =
+let make_queues (queues : Threadgen.queue_info array) : queue_state array =
   Array.map
     (fun (qi : Threadgen.queue_info) ->
-      let qdepth =
-        max 1
-          (match config.queue_depth_override with
-          | Some d -> d
-          | None -> qi.Threadgen.depth)
-      in
+      let qdepth = max 1 qi.Threadgen.depth in
       {
         qdepth;
         items = Queue.create ();
@@ -379,11 +371,7 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
   (* memory disambiguation: built on demand (banked sim or checker on).
      The plan is a pure function of (module, nbanks), so it is safe to
      key caches on the bank count alone. *)
-  let banking_plan =
-    lazy
-      (let md = Memdep.build m in
-       Memdep.plan md layout ~banks:nbanks)
-  in
+  let banking_plan = lazy (Memdep.plan_of_module m ~banks:nbanks) in
   let bank_tables : (string, int option array) Hashtbl.t = Hashtbl.create 16 in
   let bank_table_of (f : func) : int option array =
     match Hashtbl.find_opt bank_tables f.name with
@@ -398,7 +386,7 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
     let tbl = bank_table_of f in
     if i.id >= 0 && i.id < Array.length tbl then tbl.(i.id) else None
   in
-  let qs = make_queues config queues in
+  let qs = make_queues queues in
   let sems =
     Array.init (max 1 nsems) (fun _ ->
         { count = 1; free_at = 0; wl_sem = ref [] })
@@ -453,15 +441,17 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
   in
   (* Runtime alias checker ([config.check_memdep]): fed the evaluated
      word address of every shared-memory access through the
-     interpreter's [mem_trace] hook, stamped with the thread's live
+     interpreter's [mem_hook], stamped with the thread's live
      clock [now ()].  Traps when (a) an access with a
      static bank claim lands in a different bank, or (b) two accesses
      the oracle declared independent touch the same address within a
      2-cycle window — exactly the situations where banked scheduling
      or arbitration could have reordered a real dependence.  The hook
      is pure observation: it never touches clocks or buses, so enabling
-     it cannot change timing in either engine. *)
-  let mem_trace_of :
+     it cannot change timing in either engine.  A hardware thread's
+     [mem_hook] runs its bus part first ([then_check]), so the checker
+     stamps the clock after the bus wait. *)
+  let checker_of :
       thread_spec -> (unit -> int) -> (func -> inst -> int32 -> unit) option =
     if not config.check_memdep then fun _ _ -> None
     else begin
@@ -505,6 +495,15 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
               wpos := (!wpos + 1) mod wsize)
     end
   in
+  let then_check bus check =
+    match (bus, check) with
+    | None, h | h, None -> h
+    | Some bus, Some check ->
+        Some
+          (fun f i ad ->
+            bus f i ad;
+            check f i ad)
+  in
   let nq = Array.length queues in
   let nsems_arr = Array.length sems in
   (match engine with
@@ -513,13 +512,13 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
          handlers over get/set clock closures, schedule lookups on the
          hot path ---- *)
       (* Hardware-thread memory-bus contention, fired by the interpreter
-         on every Load/Store at charge time.  Block timing is charged at
+         on every Load/Store.  Block timing is charged at
          the terminator from the schedule; here only shared-memory-bus
          waits are added.  The request is issued at the op's scheduled
          slot within the block, so a thread never contends with its own
          schedule. *)
-      let make_mem_hook (ti : int) (spec : thread_spec) :
-          (func -> inst -> unit) option =
+      let make_bus_hook (ti : int) (spec : thread_spec) :
+          (func -> inst -> int32 -> unit) option =
         if spec.local_memory then None
         else
           let cur = ref None in
@@ -532,7 +531,7 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
                 s
           in
           Some
-            (fun f i ->
+            (fun f i _ ->
               let s = sched_of f in
               let sa = s.Schedule.start_arr in
               let slot =
@@ -699,7 +698,7 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
                        try
                          Interp.run_shared ~fuel:config.fuel ~layout ~mem
                            ~handlers:(make_handlers ti get set) ~ctx:ictx
-                           ~cycles_cell:cell ?mem_trace:(mem_trace_of spec get)
+                           ~cycles_cell:cell ?mem_hook:(checker_of spec get)
                            m ~entry:spec.tname ~args:[||]
                        with Interp.Out_of_fuel -> raise (out_of_fuel ti)
                      in
@@ -714,9 +713,10 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
                          Interp.run_shared ~fuel:config.fuel ~layout ~mem
                            ~handlers:(make_handlers ti get set)
                            ~block_cost:(make_term_cost ti) ~ctx:ictx
-                           ?mem_hook:(make_mem_hook ti spec)
-                           ?mem_trace:(mem_trace_of spec get) m
-                           ~entry:spec.tname ~args:[||]
+                           ?mem_hook:
+                             (then_check (make_bus_hook ti spec)
+                                (checker_of spec get))
+                           m ~entry:spec.tname ~args:[||]
                        with Interp.Out_of_fuel -> raise (out_of_fuel ti)
                      in
                      finish ti r))
@@ -902,15 +902,15 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
             sl
       in
       (* A hardware thread's memory-bus waits, added to its [stall]. *)
-      let make_mem_hook (cell : int ref) (stall : int ref) (spec : thread_spec)
-          : (func -> inst -> unit) option =
+      let make_bus_hook (cell : int ref) (stall : int ref) (spec : thread_spec)
+          : (func -> inst -> int32 -> unit) option =
         if spec.local_memory then None
         else
           let cur_f : func option ref = ref None in
           let cur_sl = ref [||] in
           let cur_bt : int option array ref = ref [||] in
           Some
-            (fun f i ->
+            (fun f i _ ->
               (match !cur_f with
               | Some g when g == f -> ()
               | _ ->
@@ -963,19 +963,21 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
             Some
               (start_fiber (fun () ->
                    let cell = ref 0 and stall = ref 0 in
-                   let block_cost, mem_hook =
+                   let block_cost, bus_hook =
                      match spec.trole with
                      | Sw -> (None, None)
                      | Hw ->
-                         (Some (make_block_cost ()), make_mem_hook cell stall spec)
+                         (Some (make_block_cost ()), make_bus_hook cell stall spec)
+                   in
+                   let mem_hook =
+                     then_check bus_hook
+                       (checker_of spec (fun () -> !cell + !stall))
                    in
                    let r =
                      try
                        Interp.run_shared ~fuel:config.fuel ~layout ~mem
                          ~handlers:(make_handlers cell stall) ?block_cost
                          ~ctx:ictx ~cycles_cell:cell ?mem_hook
-                         ?mem_trace:
-                           (mem_trace_of spec (fun () -> !cell + !stall))
                          m ~entry:spec.tname ~args:[||]
                      with Interp.Out_of_fuel -> raise (out_of_fuel ti)
                    in

@@ -56,7 +56,6 @@ type thread_spec = {
 
 type config = {
   queue_latency : int;
-  queue_depth_override : int option;  (** [None]: each queue's own depth *)
   resources : Twill_hls.Schedule.resources;
   modulo : bool;
   backend : Twill_hls.Schedule.backend;

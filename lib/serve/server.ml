@@ -28,8 +28,12 @@
    differ in simulator configuration alone share one extracted design.
    That split is what makes the `dse` command cheap: a sweep touches
    each distinct extraction once, and a point result is cached under its
-   elaboration digest plus every knob, like a simulate response, so a
-   sweep simulates only the points no earlier request simulated.
+   group's elaboration digest plus every knob of the point itself, like
+   a simulate response, so a sweep simulates only the points no earlier
+   request simulated.  The point's own knobs include its queue depth: a
+   comm-off point is evaluated on the group's design (extracted at the
+   default depth) re-stamped to the point's depth, so points that differ
+   only in depth share an elaboration but never a point result.
    Cache hits and misses are also counted per request kind *and cache
    level* — "simulate:elab" vs "simulate:sim" — so `stats` shows which
    level a request kind actually hit instead of lumping both bumps under
@@ -108,8 +112,8 @@ module O = Twill.Options
 let request_knobs =
   O.
     [
-      nstages; sw_frac; unroll; queue_depth; queue_depth_override;
-      queue_latency; fuel; comm; backend; mem_banks;
+      nstages; sw_frac; unroll; queue_depth; queue_latency; fuel; comm;
+      backend; mem_banks;
     ]
 
 (* every field a request may carry: the protocol's own plus the knobs *)
@@ -153,10 +157,7 @@ let fields (knobs : O.knob list) (o : Twill.options) : (string * Json.t) list =
       let v = k.print o in
       ( k.name,
         match k.wire with
-        | O.Int -> (
-            match int_of_string_opt v with
-            | Some i -> Json.Int i
-            | None -> Json.Str v (* an absent optional value: "none" *))
+        | O.Int -> Json.Int (int_of_string v)
         | O.Float -> Json.Float (float_of_string v)
         | O.Bool -> Json.Bool (bool_of_string v)
         | O.Str -> Json.Str v ))
@@ -326,9 +327,10 @@ let handle_dse (t : t) (j : Json.t) : Json.t =
     in
     if hit then Atomic.incr reused;
     (* every point of the group shares [p]'s extraction key, so
-       [digest] is also the point's own [elab_digest] *)
+       [digest] is also the point's own [elab_digest]; the point's own
+       options, its depth included, complete the key *)
     fun (q : Grid.point) ->
-      let opts = Dse.opts_of_point q in
+      let opts = q.Grid.opts in
       cached t t.points ~kind:"dse" ("dse:" ^ sim_key digest opts) (fun () ->
           Dse.eval_threaded opts e.e_threaded)
   in

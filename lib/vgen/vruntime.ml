@@ -490,9 +490,7 @@ let emit_design ?(backend = Twill_hls.Schedule.Fsm) ?(mem_banks = 1)
   let layout = Twill_ir.Layout.build t.Dswp.modul in
   let plan =
     if mem_banks <= 1 then None
-    else
-      let md = Memdep.build t.Dswp.modul in
-      Some (Memdep.plan md layout ~banks:mem_banks)
+    else Some (Memdep.plan_of_module t.Dswp.modul ~banks:mem_banks)
   in
   let buf = Buffer.create 65536 in
   Buffer.add_string buf queue_module;

@@ -400,9 +400,7 @@ let run_threaded ~config ?engine ?vcd ?(model = true) ?(trace = false) ~design
   let nbanks = max 1 config.Sim.mem_banks in
   let bank_plan =
     if nbanks = 1 then None
-    else
-      let md = Memdep.build t.Dswp.modul in
-      Some (Memdep.plan md layout ~banks:nbanks)
+    else Some (Memdep.plan_of_module t.Dswp.modul ~banks:nbanks)
   in
   let bank_of_addr (a : int) : int =
     match bank_plan with

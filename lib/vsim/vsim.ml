@@ -1055,21 +1055,10 @@ let peek_h (t : t) (h : handle) : int =
     raise (Sim_error ("peek of memory net " ^ t.nets.(h).nname));
   t.vals.(h)
 
-let peek_elem_h (t : t) (h : handle) (j : int) : int =
-  let nt = t.nets.(h) in
-  if nt.asize = 0 then raise (Sim_error (nt.nname ^ " is not a memory"));
-  if j < 0 || j >= nt.asize then
-    raise (Sim_error (Printf.sprintf "%s[%d] out of range" nt.nname j));
-  t.mems.(h).(j)
-
 let poke (t : t) (name : string) (v : int) = poke_h t (find t name) v
 let peek (t : t) (name : string) : int = peek_h t (find t name)
 
-let peek_elem (t : t) (name : string) (j : int) : int =
-  peek_elem_h t (find t name) j
-
 let net_width (t : t) (name : string) : int = t.nets.(find t name).w
-let has_net (t : t) (name : string) : bool = Hashtbl.mem t.index name
 let cycles (t : t) : int = t.cyc
 let engine_of (t : t) : engine = t.engv
 let top_inputs (t : t) : string list = t.tinputs

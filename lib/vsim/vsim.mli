@@ -77,9 +77,6 @@ val poke : t -> string -> int -> unit
 val peek : t -> string -> int
 (** Read a scalar net's canonical value. *)
 
-val peek_elem : t -> string -> int -> int
-(** Read one element of a memory net. *)
-
 (** {2 Handles}
 
     A handle resolves the flattened net name once; the per-cycle
@@ -97,12 +94,10 @@ val poke_h : t -> handle -> int -> unit
     engine's dirty worklist. *)
 
 val peek_h : t -> handle -> int
-val peek_elem_h : t -> handle -> int -> int
 
 val net_width : t -> string -> int
 (** Declared bit width of a net. @raise Sim_error if unknown. *)
 
-val has_net : t -> string -> bool
 val cycles : t -> int
 
 val top_inputs : t -> string list

@@ -1,6 +1,6 @@
 (* The design-space exploration subsystem: grid enumeration and spec
    round-trips, deterministic sampling, Pareto dominance/frontier
-   properties, options plumbing (queue depth override, latency),
+   properties, options plumbing (queue depth re-stamp, latency),
    and the headline guarantees — same seed means a byte-identical
    rendered sweep, grouping points by extraction key changes no result,
    and [Dse.run] and twilld's dse request agree. *)
@@ -253,27 +253,74 @@ let test_frontier_nondominated =
             f)
         f)
 
-(* --- options plumbing (depth override / latency) --------------------------- *)
+(* --- options plumbing (depth re-stamp / latency) ---------------------------- *)
+
+let pipeline_src =
+  "int main() { int acc = 0; for (int i = 0; i < 200; i++) { int a = (i * \
+   2654435761) >> 3; int b = (a ^ i) * 5; acc += b >> 2; } return acc; }"
+
+let depths (t : Twill.Dswp.threaded) =
+  Array.to_list (Array.map (fun q -> q.Twill.Threadgen.depth) t.Twill.Dswp.queues)
 
 let test_options_plumbing () =
   let p = with_opts (fun o -> { o with queue_depth = 3; queue_latency = 17 }) pt in
   let opts = Dse.opts_of_point p in
-  let cfg = Twill.sim_config opts in
-  Alcotest.(check (option int))
-    "depth override plumbed" (Some 3)
-    cfg.Twill.Sim.queue_depth_override;
-  Alcotest.(check int) "latency plumbed" 17 cfg.Twill.Sim.queue_latency;
-  (* a comm-enabled point moves depth to the extraction level so the
-     sizing pass's rewritten queue depths aren't masked at sim time *)
+  (* comm off: the point is extracted at the default depth, and its own
+     depth is stamped onto a copy of the queue table *)
+  Alcotest.(check int)
+    "extracted at the default depth" Twill.default_options.Twill.queue_depth
+    opts.Twill.queue_depth;
+  Alcotest.(check int) "latency plumbed" 17
+    (Twill.sim_config opts).Twill.Sim.queue_latency;
+  (* a comm-enabled point is extracted at its own depth, so the sizing
+     pass's rewritten queue depths are what rtsim and the area model see *)
   let copts =
     Dse.opts_of_point (with_opts (fun o -> { o with comm = Twill.Comm.all }) p)
   in
   Alcotest.(check bool) "comm passes enabled" true
     (Twill.Comm.enabled copts.Twill.comm);
   Alcotest.(check int) "extraction-level depth" 3 copts.Twill.queue_depth;
-  Alcotest.(check (option int))
-    "no sim-time override under comm" None
-    (Twill.sim_config copts).Twill.Sim.queue_depth_override
+  (* the re-stamp: every queue at the new depth, the shared design
+     untouched (twilld serves one cached extraction to many requests) *)
+  let t = Twill.extract ~opts:pt.Grid.opts (Twill.compile pipeline_src) in
+  let before = depths t in
+  Alcotest.(check bool) "design has queues" true (before <> []);
+  let t3 = Twill.Dswp.with_queue_depth t 3 in
+  Alcotest.(check (list int)) "re-stamped depth" (List.map (fun _ -> 3) before)
+    (depths t3);
+  Alcotest.(check (list int)) "shared design untouched" before (depths t);
+  Array.iter2
+    (fun q q3 -> Alcotest.(check bool) "fresh queue record" true (q != q3))
+    t.Twill.Dswp.queues t3.Twill.Dswp.queues
+
+(* Two comm-off points of one kernel that differ only in depth share one
+   extraction, yet each is priced on its own queues: the area model and
+   rtsim read the same depth, so each point equals a from-source
+   evaluation at that depth. *)
+let test_depth_priced () =
+  let s = Dse.run (grid "kernels=mips;unroll=false;nstages=3;queue_depth=1,32;queue_latency=2") in
+  Alcotest.(check int) "one shared extraction" 1 s.Dse.reuse.Dse.extractions;
+  match s.Dse.results with
+  | [ shallow; deep ] ->
+      Alcotest.(check bool)
+        "deeper queues cost LUTs" true
+        (shallow.Pareto.metrics.Pareto.luts < deep.Pareto.metrics.Pareto.luts);
+      List.iter
+        (fun (r : Pareto.result) ->
+          let opts = r.Pareto.point.Grid.opts in
+          let t =
+            Twill.extract ~opts
+              (Twill.compile ~opts (Dse.source_of_kernel r.Pareto.point.Grid.kernel))
+          in
+          let x = (Twill.run_twill_threaded ~opts t).Twill.scenario in
+          let m = r.Pareto.metrics in
+          let label = Grid.point_label r.Pareto.point in
+          Alcotest.(check int) (label ^ ": cycles") x.Twill.cycles m.Pareto.cycles;
+          Alcotest.(check int) (label ^ ": luts") x.Twill.area.Twill.Area.luts m.Pareto.luts;
+          Alcotest.(check int) (label ^ ": brams") x.Twill.area.Twill.Area.brams m.Pareto.brams;
+          Alcotest.(check (float 0.0)) (label ^ ": power") x.Twill.power_mw m.Pareto.power_mw)
+        [ shallow; deep ]
+  | rs -> Alcotest.failf "expected 2 results, got %d" (List.length rs)
 
 (* --- sweeps --------------------------------------------------------------- *)
 
@@ -289,15 +336,16 @@ let test_sweep_deterministic () =
     (Dse.json_of_sweep b)
 
 (* grouping must not change results: the cold path compiles and extracts
-   per point, the warm path once per extraction group *)
+   per point at the point's own depth, the warm path once per extraction
+   group and re-stamps the depth *)
 let test_sweep_warm_equals_cold () =
   let g = Result.get_ok (Grid.parse ~base:small_grid "kernels=mips;unroll=false,true") in
   let warm = Dse.run g and cold = Dse.run_cold g in
   Alcotest.(check string)
     "identical results" (Dse.results_digest warm.Dse.results)
     (Dse.results_digest cold.Dse.results);
-  (* comm off: depth and latency are sim-level, so one extraction per
-     (unroll, nstages) *)
+  (* comm off: depth is re-stamped and latency is sim-level, so one
+     extraction per (unroll, nstages) *)
   Alcotest.(check int) "warm extracts once per group" 4
     warm.Dse.reuse.Dse.extractions;
   Alcotest.(check int)
@@ -461,6 +509,8 @@ let suites =
     ( "dse.sweep",
       [
         Alcotest.test_case "options plumbing" `Quick test_options_plumbing;
+        Alcotest.test_case "each depth priced on its own queues" `Slow
+          test_depth_priced;
         Alcotest.test_case "deterministic" `Slow test_sweep_deterministic;
         Alcotest.test_case "warm = cold" `Slow test_sweep_warm_equals_cold;
         Alcotest.test_case "server dse request" `Slow test_server_dse;

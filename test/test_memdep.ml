@@ -45,7 +45,7 @@ let trace_sites m =
   let sites : (int32, (Ir.func * Ir.inst) list ref) Hashtbl.t =
     Hashtbl.create 997
   in
-  let mem_trace f i addr =
+  let mem_hook f i addr =
     let l =
       match Hashtbl.find_opt sites addr with
       | Some l -> l
@@ -58,7 +58,7 @@ let trace_sites m =
       l := (f, i) :: !l
   in
   ignore
-    (Interp.run_shared ~fuel:100_000_000 ~layout ~mem ~mem_trace m
+    (Interp.run_shared ~fuel:100_000_000 ~layout ~mem ~mem_hook m
        ~entry:"main" ~args:[||]);
   (layout, sites)
 
@@ -171,7 +171,7 @@ let test_bank_table_sound () =
                 Hashtbl.add tables f.Ir.name t;
                 t
           in
-          let mem_trace (f : Ir.func) (i : Ir.inst) addr =
+          let mem_hook (f : Ir.func) (i : Ir.inst) addr =
             match (table_of f).(i.Ir.id) with
             | None -> ()
             | Some b ->
@@ -184,7 +184,7 @@ let test_bank_table_sound () =
           in
           ignore
             (Interp.run_shared ~fuel:100_000_000 ~layout ~mem:(Array.copy mem)
-               ~mem_trace m ~entry:"main" ~args:[||]))
+               ~mem_hook m ~entry:"main" ~args:[||]))
         [ 2; 4 ])
     (corpus ())
 
@@ -332,6 +332,24 @@ let test_chstone_banked_engines () =
         [ 2; 4 ])
     Chstone.all
 
+(* The pure-HW baseline keeps its data in local memory, so the
+   shared-memory bank count must not touch it: it is simulated and priced
+   on the same unbanked schedules whatever [mem_banks] says. *)
+let test_pure_hw_unbanked () =
+  List.iter
+    (fun (b : Chstone.benchmark) ->
+      let m = Twill.compile b.Chstone.source in
+      let run banks =
+        let s =
+          Twill.run_pure_hw
+            ~opts:{ Twill.default_options with mem_banks = banks } m
+        in
+        (s.Twill.cycles, s.Twill.area, s.Twill.power_mw)
+      in
+      Alcotest.(check bool)
+        (b.Chstone.name ^ ": 4 banks = 1 bank") true (run 4 = run 1))
+    Chstone.all
+
 (* --- the alias checker's clock -------------------------------------------- *)
 
 (* The checker stamps every access with its thread's live clock.  Its
@@ -434,6 +452,8 @@ let suites =
           test_schedule_per_bank_invariants;
         Alcotest.test_case "CHStone banked: engines byte-identical" `Slow
           test_chstone_banked_engines;
+        Alcotest.test_case "pure HW ignores the bank count" `Slow
+          test_pure_hw_unbanked;
         Alcotest.test_case "alias checker stamps software accesses live"
           `Quick test_checker_live_clock;
         Alcotest.test_case "banked stack preserves behaviour (100-case soak)"

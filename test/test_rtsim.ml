@@ -19,15 +19,8 @@ let twill_of ?(nstages = 3) src =
   (opts, m, Twill.extract ~opts m)
 
 let simulate ?config ?depth (opts : Twill.options) (t : Twill.Dswp.threaded) =
-  let config =
-    match config with
-    | Some c -> c
-    | None -> (
-        match depth with
-        | None -> Twill.sim_config opts
-        | Some d ->
-            { (Twill.sim_config opts) with Sim.queue_depth_override = Some d })
-  in
+  let config = Option.value config ~default:(Twill.sim_config opts) in
+  let t = match depth with Some d -> Twill.Dswp.with_queue_depth t d | None -> t in
   Sim.simulate_threaded ~config t
 
 let pipeline_src =

@@ -87,7 +87,11 @@ let test_unknown_fields () =
       let e = Option.value (Json.str_field "error" r) ~default:"" in
       Alcotest.(check bool) ("names " ^ field ^ ": " ^ e) true
         (contains ~sub:field e))
-    [ ("engine", Json.Str "compiled"); ("queue_latncy", Json.Int 4) ];
+    [
+      ("engine", Json.Str "compiled");
+      ("queue_depth_override", Json.Int 4);
+      ("queue_latncy", Json.Int 4);
+    ];
   let o = Twill.default_options in
   let sim_knobs = Server.fields O.[ nstages; queue_depth; queue_latency; backend; mem_banks ] o in
   List.iter
@@ -148,8 +152,9 @@ let test_dse_names_backend () =
 
 (* --- the dse point cache ---------------------------------------------------- *)
 
-(* both [Dse.opts_of_point] branches (comm off: depth is a sim-time
-   override; comm on: an extraction-level depth) and, through the size
+(* both [Dse.opts_of_point] branches (comm off: one extraction at the
+   default depth, re-stamped per point; comm on: an extraction-level
+   depth) and, through the size
    pass, an extraction key that takes in every sim knob:
    2 unroll x 3 nstages x 2 comm x 2 depths x 2 latencies = 48 points
    over 6 + 24 extractions *)
