@@ -15,9 +15,9 @@
 
    Two execution engines share one semantics:
 
-   - [Tree]: the original tree-walking interpreter, kept verbatim as the
+   - [Tree]: the original tree-walking interpreter, kept as the
      differential-testing oracle (it re-resolves everything on every
-     executed instruction).
+     executed instruction and computes with [Int32]).
    - [Decoded] (default): a pre-decoded engine.  A one-time per-function
      decode pass flattens each block into arrays of pre-resolved
      instructions: operands become direct constant/register/argument
@@ -25,6 +25,19 @@
      into per-predecessor parallel-move tables, call targets resolve to
      function handles once, and the Microblaze cost of every instruction
      and terminator is pre-computed.
+
+   Value representation.  The decoded engine holds every 32-bit value as
+   a native [int] carrying its sign extension ([norm] re-establishes that
+   after each wrapping operation), in registers, arguments, return values,
+   phi buffers, the memory image, the runtime-primitive handlers and the
+   memory hook.  An [int32 array] holds pointers to boxed [int32]s, so
+   with it every result written to a register or to memory allocated a
+   box, and paid a write barrier ([caml_modify]) whenever the array lived
+   in the major heap (the memory image always does); an [int array]
+   store costs neither.  [Int32] remains at the boundaries only:
+   [run_shared]'s [args] and the [result] are converted once per run, and
+   the [Tree] oracle converts at memory, handlers and prints, so the two
+   engines check one representation against an independent one.
 
    Both engines must agree bit-for-bit on [ret]/[prints]/[executed]/
    [cycles]; test/test_diff.ml checks this property on random programs.
@@ -44,10 +57,11 @@ exception Out_of_fuel
 (* Runtime-primitive handlers: one closure per queue/semaphore id,
    indexed by the ids appearing in the IR.  A caller binds its channel
    state (and, in the runtime simulator, the thread's clock) into each
-   closure once, so an operation is one array read and one call. *)
+   closure once, so an operation is one array read and one call.  Queue
+   values are sign-extended native ints, like every decoded value. *)
 type handlers = {
-  produce : (int32 -> unit) array; (* per queue *)
-  consume : (unit -> int32) array; (* per queue *)
+  produce : (int -> unit) array; (* per queue *)
+  consume : (unit -> int) array; (* per queue *)
   sem_give : (int -> unit) array; (* per semaphore; arg = count *)
   sem_take : (int -> unit) array; (* per semaphore; arg = count *)
 }
@@ -55,11 +69,11 @@ type handlers = {
 type state = {
   m : modul;
   layout : Layout.t;
-  mem : int32 array;
+  mem : int array;
   cycles : int ref; (* caller-visible via [cycles_cell] *)
   mutable executed : int;
   mutable fuel : int;
-  mutable prints : int32 list; (* reversed *)
+  mutable prints : int list; (* reversed *)
   handlers : handlers option; (* None: runtime primitives trap *)
   (* None: Microblaze costs per instruction and per terminator; Some h:
      no per-instruction cost, [h] charged at every block exit *)
@@ -68,7 +82,7 @@ type state = {
      before the access happens — the simulator's memory-bus contention
      point and the runtime alias-checker's probe.  Evaluating an operand
      cannot move a thread's clock, so one firing point serves both. *)
-  mem_hook : (func -> inst -> int32 -> unit) option;
+  mem_hook : (func -> inst -> int -> unit) option;
 }
 
 (* The caller's channel handlers; a sequential program has none, and a
@@ -123,20 +137,61 @@ let eval_icmp op a b =
   in
   if r then 1l else 0l
 
-let load st addr =
-  let a = Int32.to_int addr in
-  if a < 0 || a >= Array.length st.mem then
-    raise (Trap (Fmt.str "load out of bounds: %ld" addr))
-  else st.mem.(a)
+(* The same operators on sign-extended native ints (the decoded engine's
+   representation).  Operands arrive normalised; a result that can leave
+   the 32-bit range is wrapped back by [norm], and the unsigned operators
+   read their operands through [u32]. *)
+let[@inline] norm x = (x lsl 31) asr 31
 
-let store st addr v =
-  let a = Int32.to_int addr in
+let[@inline] u32 x = x land 0xFFFFFFFF
+
+let eval_binop_int op a b =
+  match op with
+  | Add -> norm (a + b)
+  | Sub -> norm (a - b)
+  | Mul -> norm (a * b)
+  | And -> a land b
+  | Or -> a lor b
+  | Xor -> a lxor b
+  | Shl -> norm (a lsl (b land 31))
+  | Lshr -> norm (u32 a lsr (b land 31))
+  | Ashr -> a asr (b land 31)
+  | Sdiv -> if b = 0 then raise (Trap "sdiv by zero") else norm (a / b)
+  | Srem -> if b = 0 then raise (Trap "srem by zero") else a mod b
+  | Udiv -> if b = 0 then raise (Trap "udiv by zero") else norm (u32 a / u32 b)
+  | Urem ->
+      if b = 0 then raise (Trap "urem by zero") else norm (u32 a mod u32 b)
+
+let eval_icmp_int op (a : int) (b : int) =
+  let r =
+    match op with
+    | Eq -> a = b
+    | Ne -> a <> b
+    | Slt -> a < b
+    | Sle -> a <= b
+    | Sgt -> a > b
+    | Sge -> a >= b
+    | Ult -> u32 a < u32 b
+    | Ule -> u32 a <= u32 b
+    | Ugt -> u32 a > u32 b
+    | Uge -> u32 a >= u32 b
+  in
+  if r then 1 else 0
+
+let load st (a : int) =
   if a < 0 || a >= Array.length st.mem then
-    raise (Trap (Fmt.str "store out of bounds: %ld" addr))
-  else st.mem.(a) <- v
+    raise (Trap (Fmt.str "load out of bounds: %d" a))
+  else Array.unsafe_get st.mem a
+
+let store st (a : int) (v : int) =
+  if a < 0 || a >= Array.length st.mem then
+    raise (Trap (Fmt.str "store out of bounds: %d" a))
+  else Array.unsafe_set st.mem a v
 
 (* --- the tree-walking oracle -------------------------------------------- *)
 
+(* The oracle computes with [Int32] and converts only where it meets the
+   shared state: memory, the memory hook, handlers and prints. *)
 let rec exec_func st (f : func) (args : int32 array) : int32 =
   let regs = Array.make (Vec.length f.insts) 0l in
   let eval = function
@@ -155,7 +210,7 @@ let rec exec_func st (f : func) (args : int32 array) : int32 =
     end
   in
   let memh i ad =
-    match st.mem_hook with Some h -> h f i ad | None -> ()
+    match st.mem_hook with Some h -> h f i (Int32.to_int ad) | None -> ()
   in
   let exec_inst i =
     charge i;
@@ -169,18 +224,19 @@ let rec exec_func st (f : func) (args : int32 array) : int32 =
     | Load a ->
         let ad = eval a in
         memh i ad;
-        regs.(i.id) <- load st ad
+        regs.(i.id) <- Int32.of_int (load st (Int32.to_int ad))
     | Store (a, v) ->
         let ad = eval a in
         memh i ad;
-        store st ad (eval v)
+        store st (Int32.to_int ad) (Int32.to_int (eval v))
     | Call (name, cargs) ->
         let callee = find_func st.m name in
         regs.(i.id) <- exec_func st callee (Array.map eval cargs)
     | Phi _ -> assert false (* handled at block entry *)
-    | Print v -> st.prints <- eval v :: st.prints
-    | Produce (q, v) -> (handlers_of st).produce.(q) (eval v)
-    | Consume q -> regs.(i.id) <- (handlers_of st).consume.(q) ()
+    | Print v -> st.prints <- Int32.to_int (eval v) :: st.prints
+    | Produce (q, v) -> (handlers_of st).produce.(q) (Int32.to_int (eval v))
+    | Consume q ->
+        regs.(i.id) <- Int32.of_int ((handlers_of st).consume.(q) ())
     | Sem_give (s, n) -> (handlers_of st).sem_give.(s) n
     | Sem_take (s, n) -> (handlers_of st).sem_take.(s) n
     | Dead -> ()
@@ -228,8 +284,9 @@ let rec exec_func st (f : func) (args : int32 array) : int32 =
 
 (* Pre-resolved operand: a global folds to its layout address at decode
    time, so evaluation is a constant, a register read or an argument read
-   — no dispatch on the operand's provenance. *)
-type dop = Dcst of int32 | Dreg of int | Darg of int
+   — no dispatch on the operand's provenance.  Constants are decoded to
+   the engine's native-int representation once, here. *)
+type dop = Dcst of int | Dreg of int | Darg of int
 
 type dfunc = {
   dsrc_func : func;
@@ -267,7 +324,7 @@ and dgroup = Grun of dinst array * int (* pre-summed default cost *) | Gone of d
 and dphi = {
   pdst : int array;
   psrc : dop array;
-  pbuf : int32 array; (* scratch: phis read their inputs simultaneously *)
+  pbuf : int array; (* scratch: phis read their inputs simultaneously *)
   ptrap : string option;
   (* no phi reads a register another phi of this edge writes (reading
      your own destination is fine) — the simultaneous-move buffer can be
@@ -285,18 +342,18 @@ and dinst = {
 and dexec =
   | Xbinop of binop * dop * dop
   | Xbinop_rr of binop * int * int (* both operands registers *)
-  | Xbinop_rc of binop * int * int32 (* register, constant *)
-  | Xbinop_cr of binop * int32 * int (* constant, register *)
+  | Xbinop_rc of binop * int * int (* register, constant *)
+  | Xbinop_cr of binop * int * int (* constant, register *)
   | Xicmp of icmp * dop * dop
   | Xicmp_rr of icmp * int * int
-  | Xicmp_rc of icmp * int * int32
+  | Xicmp_rc of icmp * int * int
   | Xselect of dop * dop * dop
   | Xselect_rrr of int * int * int
-  | Xconst of int32 (* pre-resolved alloca address *)
+  | Xconst of int (* pre-resolved alloca address *)
   | Xgep of dop * dop
   | Xgep_rr of int * int
-  | Xgep_rc of int * int32
-  | Xgep_cr of int32 * int
+  | Xgep_rc of int * int
+  | Xgep_cr of int * int
   | Xload of dop
   | Xload_r of int
   | Xstore of dop * dop
@@ -329,10 +386,10 @@ let make_context ~(layout : Layout.t) (m : modul) : ctx =
   { cm = m; clayout = layout; dfuncs = Hashtbl.create 16 }
 
 let decode_operand (layout : Layout.t) = function
-  | Cst c -> Dcst c
+  | Cst c -> Dcst (Int32.to_int c)
   | Reg r -> Dreg r
   | Argv a -> Darg a
-  | Glob g -> Dcst (Layout.global_address layout g)
+  | Glob g -> Dcst (Int32.to_int (Layout.global_address layout g))
 
 let rec decode_func (c : ctx) (fname : string) : dfunc =
   match Hashtbl.find_opt c.dfuncs fname with
@@ -360,7 +417,7 @@ let rec decode_func (c : ctx) (fname : string) : dfunc =
               | dc, da, db -> Xselect (dc, da, db))
           | Alloca _ -> (
               match Layout.alloca_address c.clayout f.name i.id with
-              | a -> Xconst a
+              | a -> Xconst (Int32.to_int a)
               | exception Failure msg -> Xfail msg)
           | Gep (base, idx) -> (
               match (dop base, dop idx) with
@@ -487,7 +544,7 @@ let rec decode_func (c : ctx) (fname : string) : dfunc =
           {
             pdst;
             psrc;
-            pbuf = Array.make (Array.length pdst) 0l;
+            pbuf = Array.make (Array.length pdst) 0;
             ptrap = !trap;
             pindep;
           }
@@ -523,9 +580,21 @@ let rec decode_func (c : ctx) (fname : string) : dfunc =
       Hashtbl.replace c.dfuncs fname d;
       d
 
-let rec exec_decoded st (d : dfunc) (args : int32 array) : int32 =
+(* The parallel moves of the edge from block [from] into [b] — a
+   top-level function, so entering a phi block allocates nothing. *)
+let rec phi_moves (b : dblock) from k =
+  if k >= Array.length b.dphis then
+    raise
+      (Trap
+         (Fmt.str "phi %%%d in b%d: no incoming for pred b%d" b.phi_ids.(0)
+            b.dsrc_block.bid from))
+  else
+    let p, m = Array.unsafe_get b.dphis k in
+    if p = from then m else phi_moves b from (k + 1)
+
+let rec exec_decoded st (d : dfunc) (args : int array) : int =
   let f = d.dsrc_func in
-  let regs = Array.make d.nregs 0l in
+  let regs = Array.make d.nregs 0 in
   let eval = function
     | Dcst c -> c
     | Dreg r -> Array.unsafe_get regs r
@@ -548,18 +617,7 @@ let rec exec_decoded st (d : dfunc) (args : int32 array) : int32 =
     end
   in
   let enter_phis (b : dblock) ~from =
-    let n = Array.length b.dphis in
-    let rec find k =
-      if k >= n then
-        raise
-          (Trap
-             (Fmt.str "phi %%%d in b%d: no incoming for pred b%d" b.phi_ids.(0)
-                b.dsrc_block.bid from))
-      else
-        let p, m = Array.unsafe_get b.dphis k in
-        if p = from then m else find (k + 1)
-    in
-    let m = find 0 in
+    let m = phi_moves b from 0 in
     let k = Array.length m.pdst in
     st.executed <- st.executed + k;
     charge k 0 (* Costmodel.sw_cost (Phi _) = 0 *);
@@ -585,29 +643,30 @@ let rec exec_decoded st (d : dfunc) (args : int32 array) : int32 =
     match di.dkind with
     | Xbinop_rr (op, a, b) ->
         Array.unsafe_set regs di.dest
-          (eval_binop op (Array.unsafe_get regs a) (Array.unsafe_get regs b))
+          (eval_binop_int op (Array.unsafe_get regs a)
+             (Array.unsafe_get regs b))
     | Xbinop_rc (op, a, c) ->
         Array.unsafe_set regs di.dest
-          (eval_binop op (Array.unsafe_get regs a) c)
+          (eval_binop_int op (Array.unsafe_get regs a) c)
     | Xbinop_cr (op, c, b) ->
         Array.unsafe_set regs di.dest
-          (eval_binop op c (Array.unsafe_get regs b))
+          (eval_binop_int op c (Array.unsafe_get regs b))
     | Xicmp_rr (op, a, b) ->
         Array.unsafe_set regs di.dest
-          (eval_icmp op (Array.unsafe_get regs a) (Array.unsafe_get regs b))
+          (eval_icmp_int op (Array.unsafe_get regs a) (Array.unsafe_get regs b))
     | Xicmp_rc (op, a, c) ->
         Array.unsafe_set regs di.dest
-          (eval_icmp op (Array.unsafe_get regs a) c)
+          (eval_icmp_int op (Array.unsafe_get regs a) c)
     | Xgep_rr (a, b) ->
         Array.unsafe_set regs di.dest
-          (Int32.add (Array.unsafe_get regs a) (Array.unsafe_get regs b))
+          (norm (Array.unsafe_get regs a + Array.unsafe_get regs b))
     | Xgep_rc (a, c) ->
-        Array.unsafe_set regs di.dest (Int32.add (Array.unsafe_get regs a) c)
+        Array.unsafe_set regs di.dest (norm (Array.unsafe_get regs a + c))
     | Xgep_cr (c, b) ->
-        Array.unsafe_set regs di.dest (Int32.add c (Array.unsafe_get regs b))
+        Array.unsafe_set regs di.dest (norm (c + Array.unsafe_get regs b))
     | Xselect_rrr (c, a, b) ->
         Array.unsafe_set regs di.dest
-          (if Array.unsafe_get regs c <> 0l then Array.unsafe_get regs a
+          (if Array.unsafe_get regs c <> 0 then Array.unsafe_get regs a
            else Array.unsafe_get regs b)
     | Xload_r a ->
         let ad = Array.unsafe_get regs a in
@@ -617,12 +676,12 @@ let rec exec_decoded st (d : dfunc) (args : int32 array) : int32 =
         let ad = Array.unsafe_get regs a in
         (match st.mem_hook with Some h -> h f di.isrc ad | None -> ());
         store st ad (Array.unsafe_get regs v)
-    | Xbinop (op, a, b) -> regs.(di.dest) <- eval_binop op (eval a) (eval b)
-    | Xicmp (op, a, b) -> regs.(di.dest) <- eval_icmp op (eval a) (eval b)
+    | Xbinop (op, a, b) -> regs.(di.dest) <- eval_binop_int op (eval a) (eval b)
+    | Xicmp (op, a, b) -> regs.(di.dest) <- eval_icmp_int op (eval a) (eval b)
     | Xselect (c, a, b) ->
-        regs.(di.dest) <- (if eval c <> 0l then eval a else eval b)
+        regs.(di.dest) <- (if eval c <> 0 then eval a else eval b)
     | Xconst v -> regs.(di.dest) <- v
-    | Xgep (base, idx) -> regs.(di.dest) <- Int32.add (eval base) (eval idx)
+    | Xgep (base, idx) -> regs.(di.dest) <- norm (eval base + eval idx)
     | Xload a ->
         let ad = eval a in
         (match st.mem_hook with Some h -> h f di.isrc ad | None -> ());
@@ -669,9 +728,9 @@ let rec exec_decoded st (d : dfunc) (args : int32 array) : int32 =
     match b.dterm with
     | Tbr t -> run_block t ~from:bid
     | Tcond_r (r, t1, t2) ->
-        run_block (if Array.unsafe_get regs r <> 0l then t1 else t2) ~from:bid
-    | Tcond (c, t1, t2) -> run_block (if eval c <> 0l then t1 else t2) ~from:bid
-    | Tret_none -> 0l
+        run_block (if Array.unsafe_get regs r <> 0 then t1 else t2) ~from:bid
+    | Tcond (c, t1, t2) -> run_block (if eval c <> 0 then t1 else t2) ~from:bid
+    | Tret_none -> 0
     | Tret v -> eval v
   in
   run_block d.dentry ~from:(-1)
@@ -689,8 +748,10 @@ type result = {
 
 (* Runs [entry] against caller-provided shared memory — the building block
    for executing DSWP stage functions as concurrent threads over one
-   address space (the runtime simulator and RTL co-simulation). *)
-let run_shared ?(fuel = -1) ~(layout : Layout.t) ~(mem : int32 array)
+   address space (the runtime simulator and RTL co-simulation).  [args]
+   and the result are [int32]; the decoded engine converts them here, once
+   per run. *)
+let run_shared ?(fuel = -1) ~(layout : Layout.t) ~(mem : int array)
     ?handlers ?block_cost ?(engine = Decoded) ?ctx ?mem_hook ?cycles_cell (m : modul)
     ~(entry : string) ~(args : int32 array) : result =
   let st =
@@ -719,13 +780,14 @@ let run_shared ?(fuel = -1) ~(layout : Layout.t) ~(mem : int32 array)
               c
           | None -> make_context ~layout m
         in
-        exec_decoded st (decode_func c entry) args
+        Int32.of_int
+          (exec_decoded st (decode_func c entry) (Array.map Int32.to_int args))
   in
   {
     ret;
     cycles = !(st.cycles);
     executed = st.executed;
-    prints = List.rev st.prints;
+    prints = List.rev_map Int32.of_int st.prints;
   }
 
 (* Default memory: the static image (globals + allocas) rounded up with
@@ -742,14 +804,14 @@ let default_mem_words (layout : Layout.t) : int =
   let rec up n = if n >= layout.words_used * 4 || n >= cap then n else up (n * 2) in
   up (1 lsl 14)
 
-let fresh_memory ?mem_words (m : modul) : Layout.t * int32 array =
+let fresh_memory ?mem_words (m : modul) : Layout.t * int array =
   let layout = Layout.build m in
   let mem_words =
     match mem_words with Some w -> w | None -> default_mem_words layout
   in
   if layout.words_used > mem_words then
     raise (Trap "memory image larger than memory");
-  let mem = Array.make mem_words 0l in
+  let mem = Array.make mem_words 0 in
   Layout.init_memory layout m mem;
   (layout, mem)
 

@@ -15,7 +15,16 @@
     accessors, phis split into per-predecessor move tables, call targets
     resolve to function handles, and Microblaze instruction and
     terminator costs are pre-computed.  They agree bit-for-bit on [ret], [prints], [executed]
-    and [cycles] (property-checked in test/test_diff.ml). *)
+    and [cycles] (property-checked in test/test_diff.ml).
+
+    Values.  The decoded engine holds every 32-bit value as a native
+    [int] carrying its sign extension — registers, arguments, the memory
+    image, handler values and memory-hook addresses — so executing an
+    instruction allocates nothing.  [int32] appears only at the
+    boundaries: {!run_shared}'s [args] and the {!result} are converted
+    once per run.  {!Tree} keeps computing with [Int32] and converts at
+    memory, handlers and prints, which makes it an independent check of
+    the native representation. *)
 
 open Ir
 
@@ -28,10 +37,13 @@ exception Out_of_fuel
     queue/semaphore id, indexed by the ids appearing in the IR.  A caller
     binds its channel state (and, in the runtime simulator, the thread's
     clock) into each closure once.  Without handlers a runtime primitive
-    traps, which is correct for sequential programs. *)
+    traps, which is correct for sequential programs.  A queue value is
+    the sign extension of its 32-bit word as a native [int]
+    ([Int32.to_int]/[Int32.of_int] convert exactly), so a handler never
+    boxes it. *)
 type handlers = {
-  produce : (int32 -> unit) array;  (** per queue *)
-  consume : (unit -> int32) array;  (** per queue *)
+  produce : (int -> unit) array;  (** per queue *)
+  consume : (unit -> int) array;  (** per queue *)
   sem_give : (int -> unit) array;  (** per semaphore; arg = count *)
   sem_take : (int -> unit) array;  (** per semaphore; arg = count *)
 }
@@ -67,8 +79,9 @@ type result = {
   prints : int32 list;  (** program order *)
 }
 
-val fresh_memory : ?mem_words:int -> modul -> Layout.t * int32 array
-(** Builds the static layout and a zeroed, initialised memory image.
+val fresh_memory : ?mem_words:int -> modul -> Layout.t * int array
+(** Builds the static layout and a zeroed, initialised memory image, one
+    sign-extended native [int] per 32-bit word.
     [mem_words] defaults to the image size rounded up with power-of-two
     headroom (capped at the historical 4 MB) — every simulation flow
     shares this default, so out-of-image behaviour stays consistent
@@ -77,12 +90,12 @@ val fresh_memory : ?mem_words:int -> modul -> Layout.t * int32 array
 val run_shared :
   ?fuel:int ->
   layout:Layout.t ->
-  mem:int32 array ->
+  mem:int array ->
   ?handlers:handlers ->
   ?block_cost:(func -> block -> int) ->
   ?engine:engine ->
   ?ctx:ctx ->
-  ?mem_hook:(func -> inst -> int32 -> unit) ->
+  ?mem_hook:(func -> inst -> int -> unit) ->
   ?cycles_cell:int ref ->
   modul ->
   entry:string ->
@@ -90,19 +103,21 @@ val run_shared :
   result
 (** Runs [entry] against caller-provided shared memory — the building
     block for executing DSWP stage functions as concurrent threads over
-    one address space.  Without [block_cost] every instruction and
-    terminator is charged its Microblaze cost from the decoded tables
-    (a software thread); with it, instructions cost nothing and
-    [block_cost f b] is charged each time block [b] exits (a hardware
-    thread's scheduled state count, or a block profiler returning 0).
-    [ctx] (Decoded engine only) shares decoded code across calls; it
-    must have been built for [m].  [mem_hook] fires on every Load/Store
-    with the evaluated word address just before the access — the
-    simulator's memory-bus contention point and the runtime
-    alias-checker's probe — without paying a per-instruction closure on
-    other operations.  [cycles_cell], when given, is used as the live cycle
-    accumulator, so handler callbacks can read the thread's progress
-    mid-run (the final value also lands in [result.cycles]).
+    one address space.  [mem] is an image from {!fresh_memory}; [args]
+    and the {!result} stay [int32] and are converted once per run.
+    Without [block_cost] every instruction and terminator is charged its
+    Microblaze cost from the decoded tables (a software thread); with
+    it, instructions cost nothing and [block_cost f b] is charged each
+    time block [b] exits (a hardware thread's scheduled state count, or
+    a block profiler returning 0).  [ctx] (Decoded engine only) shares
+    decoded code across calls; it must have been built for [m].
+    [mem_hook] fires on every Load/Store with the evaluated word address
+    (a native [int]) just before the access — the simulator's
+    memory-bus contention point and the runtime alias-checker's probe —
+    without paying a per-instruction closure on other operations.
+    [cycles_cell], when given, is used as the live cycle accumulator, so
+    handler callbacks can read the thread's progress mid-run (the final
+    value also lands in [result.cycles]).
 
     @raise Invalid_argument if [ctx] was built for a different module. *)
 
@@ -110,3 +125,15 @@ val run :
   ?fuel:int -> ?mem_words:int -> ?handlers:handlers ->
   ?block_cost:(func -> block -> int) -> ?engine:engine -> modul -> result
 (** [run m] executes [main] on a fresh memory image. *)
+
+(**/**)
+
+val norm : int -> int
+(** Sign-extends the low 32 bits of a native int: the decoded engine's
+    canonical form of a 32-bit value. *)
+
+val eval_binop_int : binop -> int -> int -> int
+(** {!eval_binop} on normalised native ints; the same traps. *)
+
+val eval_icmp_int : icmp -> int -> int -> int
+(** {!eval_icmp} on normalised native ints: 1 / 0. *)

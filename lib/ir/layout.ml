@@ -46,9 +46,9 @@ let alloca_address t fname id =
   | Some a -> a
   | None -> failwith "Layout.alloca_address: unknown alloca"
 
-let init_memory t (m : modul) mem =
+let init_memory t (m : modul) (mem : int array) =
   List.iter
     (fun g ->
       let base = Int32.to_int (global_address t g.gname) in
-      Array.iteri (fun i v -> mem.(base + i) <- v) g.init)
+      Array.iteri (fun i v -> mem.(base + i) <- Int32.to_int v) g.init)
     m.globals

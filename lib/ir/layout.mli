@@ -24,5 +24,7 @@ val global_address : t -> string -> int32
 
 val alloca_address : t -> string -> int -> int32
 
-val init_memory : t -> modul -> int32 array -> unit
-(** Writes every global's initialiser into a memory image. *)
+val init_memory : t -> modul -> int array -> unit
+(** Writes every global's initialiser into a memory image.  An image word
+    is the sign extension of the 32-bit value as a native [int] (the
+    decoded interpreter's representation, see {!Interp}). *)

@@ -44,7 +44,31 @@ let inline_call (m : modul) (caller : func) (call_id : int) : unit =
       let nb = add_block caller in
       block_map.(cb.bid) <- nb.bid)
     callee.blocks;
+  (* Copy order: the reachable blocks in reverse postorder, then the
+     unreachable rest in block-id order (kept, not dropped: a phi of a
+     reachable block may still name an unreachable predecessor, such as
+     the latch of a loop behind a loop with no exit).  Every instruction
+     is allocated before any operand is rewritten, because in the copy
+     order a use can precede its def — a phi reads its latch value, and
+     unreachable code is not dominated by the defs it uses. *)
+  let nblocks = Vec.length callee.blocks in
+  let order =
+    let rpo =
+      Cfg.rpo_of ~n:nblocks ~entry:callee.entry ~succs:(fun b -> succs callee b)
+    in
+    let seen = Array.make nblocks false in
+    List.iter (fun b -> seen.(b) <- true) rpo;
+    rpo @ List.filter (fun b -> not seen.(b)) (List.init nblocks Fun.id)
+  in
   let inst_map = Array.make (Vec.length callee.insts) (-1) in
+  List.iter
+    (fun cbid ->
+      List.iter
+        (fun id ->
+          inst_map.(id) <-
+            append_inst caller block_map.(cbid) (inst callee id).kind)
+        (block callee cbid).insts)
+    order;
   let map_operand = function
     | Cst c -> Cst c
     | Glob g -> Glob g
@@ -54,31 +78,20 @@ let inline_call (m : modul) (caller : func) (call_id : int) : unit =
         Reg inst_map.(r)
   in
   let ret_values = ref [] in
-  (* copy in reverse-postorder so defs are mapped before uses; phis are
-     patched afterwards *)
-  let order = Cfg.rpo_of ~n:(Vec.length callee.blocks) ~entry:callee.entry
-      ~succs:(fun b -> succs callee b)
-  in
-  let copied_phis = ref [] in
   List.iter
     (fun cbid ->
       let cb = block callee cbid in
-      let nb = block caller block_map.(cbid) in
       List.iter
         (fun id ->
-          let i = inst callee id in
-          let nid =
-            match i.kind with
+          let i = inst caller inst_map.(id) in
+          i.kind <-
+            (match i.kind with
             | Phi incoming ->
-                (* operands may be defined later; patch after copying *)
-                let nid = append_inst caller nb.bid (Phi incoming) in
-                copied_phis := nid :: !copied_phis;
-                nid
-            | k -> append_inst caller nb.bid (map_operands_kind map_operand k)
-          in
-          inst_map.(id) <- nid)
+                Phi
+                  (List.map (fun (p, v) -> (block_map.(p), map_operand v)) incoming)
+            | k -> map_operands_kind map_operand k))
         cb.insts;
-      nb.term <-
+      (block caller block_map.(cbid)).term <-
         (match cb.term with
         | Br t -> Br block_map.(t)
         | Cond_br (c, t, e) ->
@@ -88,21 +101,6 @@ let inline_call (m : modul) (caller : func) (call_id : int) : unit =
             ret_values := (block_map.(cbid), v) :: !ret_values;
             Br cont.bid))
     order;
-  (* patch copied phis: remap incoming blocks and operands *)
-  List.iter
-    (fun nid ->
-      let i = inst caller nid in
-      match i.kind with
-      | Phi incoming ->
-          i.kind <-
-            Phi
-              (List.filter_map
-                 (fun (p, v) ->
-                   if block_map.(p) >= 0 then Some (block_map.(p), map_operand v)
-                   else None)
-                 incoming)
-      | _ -> assert false)
-    (List.rev !copied_phis);
   (* jump into the copy *)
   b.term <- Br block_map.(callee.entry);
   (* return value: phi over all returning copies *)

@@ -206,12 +206,14 @@ let merge_prints ~(master : int) (results : Interp.result option array) :
 type queue_state = {
   qdepth : int; (* normalized >= 1 at construction *)
   (* interpreted oracle: in-flight items as (value, visible time),
-     stored in the straightforward FIFO the original engine used *)
-  items : (int32 * int) Queue.t;
+     stored in the straightforward FIFO the original engine used; a
+     value is the interpreter's sign-extended native int *)
+  items : (int * int) Queue.t;
   (* compiled engine: the same in-flight window as ring buffers indexed
      by counter mod depth — value and visible time of the [qdepth]
-     in-flight items, no per-item allocation *)
-  ring_val : int32 array;
+     in-flight items, no per-item allocation (values are native ints,
+     so a push neither boxes nor pays a write barrier) *)
+  ring_val : int array;
   ring_vis : int array;
   (* both engines: consume times of the last [qdepth] pops (the slot a
      producer reuses was freed by the consume [depth] items ago) *)
@@ -268,7 +270,7 @@ let make_queues (queues : Threadgen.queue_info array) : queue_state array =
       {
         qdepth;
         items = Queue.create ();
-        ring_val = Array.make qdepth 0l;
+        ring_val = Array.make qdepth 0;
         ring_vis = Array.make qdepth 0;
         pop_time = Array.make qdepth 0;
         pushed = 0;
@@ -452,13 +454,13 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
      [mem_hook] runs its bus part first ([then_check]), so the checker
      stamps the clock after the bus wait. *)
   let checker_of :
-      thread_spec -> (unit -> int) -> (func -> inst -> int32 -> unit) option =
+      thread_spec -> (unit -> int) -> (func -> inst -> int -> unit) option =
     if not config.check_memdep then fun _ _ -> None
     else begin
       let plan = Lazy.force banking_plan in
       let md = plan.Memdep.pt in
       let wsize = 64 in
-      let window : (func * inst * int32 * int) option array =
+      let window : (func * inst * int * int) option array =
         Array.make wsize None
       in
       let wpos = ref 0 in
@@ -468,14 +470,15 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
           Some
             (fun f i addr ->
               (match bank_of_access f i with
-              | Some b when Memdep.bank_of_addr plan addr <> b ->
-                  failwith
-                    (Printf.sprintf
-                       "check_memdep: %s#%d claims bank %d but address %ld is \
-                        in bank %d"
-                       f.name i.id b addr
-                       (Memdep.bank_of_addr plan addr))
-              | _ -> ());
+              | Some b ->
+                  let actual = Memdep.bank_of_addr plan (Int32.of_int addr) in
+                  if actual <> b then
+                    failwith
+                      (Printf.sprintf
+                         "check_memdep: %s#%d claims bank %d but address %d \
+                          is in bank %d"
+                         f.name i.id b addr actual)
+              | None -> ());
               let t = now () in
               Array.iter
                 (function
@@ -486,7 +489,7 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
                       failwith
                         (Printf.sprintf
                            "check_memdep: %s#%d and %s#%d were declared \
-                            independent but both touched address %ld (cycles \
+                            independent but both touched address %d (cycles \
                             %d and %d)"
                            f.name i.id f'.name i'.id addr t t')
                   | _ -> ())
@@ -518,7 +521,7 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
          slot within the block, so a thread never contends with its own
          schedule. *)
       let make_bus_hook (ti : int) (spec : thread_spec) :
-          (func -> inst -> int32 -> unit) option =
+          (func -> inst -> int -> unit) option =
         if spec.local_memory then None
         else
           let cur = ref None in
@@ -903,7 +906,7 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
       in
       (* A hardware thread's memory-bus waits, added to its [stall]. *)
       let make_bus_hook (cell : int ref) (stall : int ref) (spec : thread_spec)
-          : (func -> inst -> int32 -> unit) option =
+          : (func -> inst -> int -> unit) option =
         if spec.local_memory then None
         else
           let cur_f : func option ref = ref None in

@@ -13,7 +13,12 @@
    first, then lowest stage), memory bus (one load/store per cycle on
    the shared memory image), HWInterface reply path, and the processor:
    software stages run as interpreter fibers whose runtime-primitive
-   operations go through the same RTL queues/semaphores.  Each
+   operations go through the same RTL queues/semaphores.  Data crosses
+   the harness as the interpreter holds it: memory words and queue
+   values are 32-bit values sign-extended into native ints, and a value
+   read off an RTL port (zero-extended, possibly narrower) is normalised
+   with [Interp.norm] before a software stage or the memory image sees
+   it.  Each
    hardware-thread call-port request follows the §4.4 protocol: the
    thread raises fc_valid, the harness registers one in-flight
    operation, performs it over the buses, and answers with a one-cycle
@@ -513,7 +518,11 @@ let run_threaded ~config ?engine ?vcd ?(model = true) ?(trace = false) ~design
   in
   (* --- harness state --- *)
   let preq : pend option array = Array.make nstages None in
-  let sw_results : int32 option array = Array.make nstages None in
+  (* a software stage's in-flight op: [sw_done] flips when it completes,
+     with its answer in [sw_value] (a sign-extended native int, the
+     interpreter's representation — nothing is boxed per op) *)
+  let sw_done = Array.make nstages false in
+  let sw_value = Array.make nstages 0 in
   let results : Interp.result option array = Array.make nstages None in
   let prints_rev : int32 list ref array = Array.init nstages (fun _ -> ref []) in
   let ops_rev : (int * int * int * int) list ref array =
@@ -539,7 +548,8 @@ let run_threaded ~config ?engine ?vcd ?(model = true) ?(trace = false) ~design
           replied := s :: !replied
         end
         else begin
-          sw_results.(s) <- Some (Int32.of_int d);
+          sw_value.(s) <- Interp.norm d;
+          sw_done.(s) <- true;
           preq.(s) <- None
         end
   in
@@ -558,17 +568,17 @@ let run_threaded ~config ?engine ?vcd ?(model = true) ?(trace = false) ~design
     (match preq.(s) with
     | Some _ -> fail "stage %d posted an op with one in flight" s
     | None -> ());
-    sw_results.(s) <- None;
+    sw_done.(s) <- false;
     preq.(s) <- Some { ph = Wait_bus; op };
     progress := true;
-    wait_until (fun () -> sw_results.(s) <> None);
-    Option.get sw_results.(s)
+    wait_until (fun () -> sw_done.(s));
+    sw_value.(s)
   in
   let handlers s : Interp.handlers =
     let nq = Array.length t.Dswp.queues and ns = t.Dswp.nsems in
     {
       Interp.produce =
-        Array.init nq (fun q v -> ignore (post s (OQgive (q, Int32.to_int v))));
+        Array.init nq (fun q v -> ignore (post s (OQgive (q, v))));
       consume = Array.init nq (fun q () -> post s (OQtake q));
       sem_give = Array.init ns (fun sm k -> ignore (post s (OSgive (sm, k))));
       sem_take = Array.init ns (fun sm k -> ignore (post s (OStake (sm, k))));
@@ -614,7 +624,7 @@ let run_threaded ~config ?engine ?vcd ?(model = true) ?(trace = false) ~design
         else begin
           if addr < 0 || addr >= mem_words then
             fail "stage %d: load of address %d out of memory" s addr;
-          complete s (Int32.to_int mem.(addr));
+          complete s mem.(addr);
           mem_free.(b) <- false;
           bus_free
         end
@@ -624,7 +634,7 @@ let run_threaded ~config ?engine ?vcd ?(model = true) ?(trace = false) ~design
         else begin
           if addr < 0 || addr >= mem_words then
             fail "stage %d: store to address %d out of memory" s addr;
-          mem.(addr) <- Int32.of_int v;
+          mem.(addr) <- Interp.norm v;
           complete s 0;
           mem_free.(b) <- false;
           bus_free

@@ -38,6 +38,89 @@ let arith_tests =
         Alcotest.(check check_i32) "-1 <s 1" 1l (Interp.eval_icmp Ir.Slt (-1l) 1l));
   ]
 
+(* The decoded engine's native-int operators against the [Int32] ones, on
+   the edges random programs never reach: operands at the 16- and 32-bit
+   boundaries, shift counts outside 0..31, and the division traps. *)
+let binops =
+  Ir.[ Add; Sub; Mul; And; Or; Xor; Shl; Lshr; Ashr; Sdiv; Srem; Udiv; Urem ]
+
+let icmps = Ir.[ Eq; Ne; Slt; Sle; Sgt; Sge; Ult; Ule; Ugt; Uge ]
+
+let edge_operands =
+  [ 0l; 1l; -1l; 2l; -2l; 7l; 0x7fffl; 0x8000l; 0xffffl; 0x7fffffffl;
+    Int32.min_int; -0x7fffffffl ]
+
+let shift_counts = [ 0l; 1l; 31l; 32l; 33l; -1l ]
+
+let outcome f = match f () with v -> Ok v | exception Interp.Trap m -> Error m
+
+let pp_outcome = Alcotest.(result int string)
+
+let int_operator_tests =
+  [
+    Alcotest.test_case "norm wraps to a sign-extended 32-bit value" `Quick
+      (fun () ->
+        Alcotest.(check int) "0xffffffff" (-1) (Interp.norm 0xffffffff);
+        Alcotest.(check int) "0x80000000" (Int32.to_int Int32.min_int)
+          (Interp.norm 0x80000000);
+        Alcotest.(check int) "2^32 + 5" 5 (Interp.norm ((1 lsl 32) + 5)));
+    Alcotest.test_case "int binops match eval_binop on edge operands" `Quick
+      (fun () ->
+        List.iter
+          (fun op ->
+            List.iter
+              (fun a ->
+                List.iter
+                  (fun b ->
+                    let want =
+                      outcome (fun () -> Int32.to_int (Interp.eval_binop op a b))
+                    in
+                    let got =
+                      outcome (fun () ->
+                          Interp.eval_binop_int op (Int32.to_int a) (Int32.to_int b))
+                    in
+                    Alcotest.check pp_outcome
+                      (Fmt.str "%a" Printer.pp_kind (Ir.Binop (op, Cst a, Cst b)))
+                      want got)
+                  (edge_operands @ shift_counts))
+              edge_operands)
+          binops);
+    Alcotest.test_case "int icmps match eval_icmp on edge operands" `Quick
+      (fun () ->
+        List.iter
+          (fun op ->
+            List.iter
+              (fun a ->
+                List.iter
+                  (fun b ->
+                    Alcotest.(check int)
+                      (Fmt.str "%a" Printer.pp_kind (Ir.Icmp (op, Cst a, Cst b)))
+                      (Int32.to_int (Interp.eval_icmp op a b))
+                      (Interp.eval_icmp_int op (Int32.to_int a) (Int32.to_int b)))
+                  edge_operands)
+              edge_operands)
+          icmps);
+  ]
+
+(* The decoded engine allocates nothing per executed instruction: after a
+   warm-up run, a call-free loop of arithmetic, loads, stores and phis
+   stays far below one minor word per instruction, only its per-run
+   set-up allocating. *)
+let alloc_guard () =
+  let m =
+    Twill.compile
+      "int a[64];\n\
+       int main() { int s = 0; for (int i = 0; i < 20000; i++) { int j = i & \
+       63; a[j] = a[j] + i * 3; s = s ^ (a[(j + 7) & 63] >> 1); } return s; }"
+  in
+  ignore (Interp.run m);
+  let w0 = Gc.minor_words () in
+  let r = Interp.run m in
+  let per_inst = (Gc.minor_words () -. w0) /. float_of_int r.Interp.executed in
+  if per_inst >= 0.05 then
+    Alcotest.failf "%.3f minor words per executed instruction (%d executed)"
+      per_inst r.Interp.executed
+
 (* a tiny hand-built valid function: return arg0 + 1 *)
 let mk_inc () =
   let open Ir in
@@ -134,11 +217,11 @@ let layout_tests =
           }
         in
         let l = Layout.build m in
-        let mem = Array.make 64 9l in
+        let mem = Array.make 64 9 in
         Layout.init_memory l m mem;
         let base = Int32.to_int (Layout.global_address l "g") in
-        Alcotest.(check check_i32) "g[0]" 1l mem.(base);
-        Alcotest.(check check_i32) "g[1]" 2l mem.(base + 1));
+        Alcotest.(check int) "g[0]" 1 mem.(base);
+        Alcotest.(check int) "g[1]" 2 mem.(base + 1));
   ]
 
 let printer_tests =
@@ -162,6 +245,10 @@ let printer_tests =
 let suites =
   [
     ("ir:arith", arith_tests);
+    ("ir:int-operators", int_operator_tests);
+    ("ir:interp-alloc",
+      [ Alcotest.test_case "call-free loop allocates nothing per instruction"
+          `Quick alloc_guard ]);
     ("ir:verify", verify_tests);
     ("ir:layout", layout_tests);
     ("ir:printer", printer_tests);

@@ -42,7 +42,7 @@ let corpus () =
    (func, inst) access sites that reached it. *)
 let trace_sites m =
   let layout, mem = Interp.fresh_memory m in
-  let sites : (int32, (Ir.func * Ir.inst) list ref) Hashtbl.t =
+  let sites : (int, (Ir.func * Ir.inst) list ref) Hashtbl.t =
     Hashtbl.create 997
   in
   let mem_hook f i addr =
@@ -82,7 +82,7 @@ let test_oracle_conservative () =
                     if Memdep.independent md f1 i1 f2 i2 then
                       Alcotest.failf
                         "oracle claims %s#%d and %s#%d independent, but \
-                         both touched address %ld"
+                         both touched address %d"
                         f1.Ir.name i1.Ir.id f2.Ir.name i2.Ir.id addr)
                   rest;
                 pairs rest
@@ -175,11 +175,11 @@ let test_bank_table_sound () =
             match (table_of f).(i.Ir.id) with
             | None -> ()
             | Some b ->
-                let actual = Memdep.bank_of_addr p addr in
+                let actual = Memdep.bank_of_addr p (Int32.of_int addr) in
                 if actual <> b then
                   Alcotest.failf
                     "banks=%d: %s#%d statically claims bank %d but address \
-                     %ld lands in bank %d"
+                     %d lands in bank %d"
                     n f.Ir.name i.Ir.id b addr actual
           in
           ignore

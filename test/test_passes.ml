@@ -247,6 +247,31 @@ let pass_tests =
           m.Ir.funcs;
         let r0 = Twill_minic.Minic.run_reference src in
         Alcotest.(check check_i32) "semantics kept" r0.ret (Interp.run m).Interp.ret);
+    (* Shrunk from blowfish with its round loop's [i < 16] edited to [16]:
+       once [spin] is inlined, [outer]'s latch sits behind a loop with no
+       exit, and its header phi names that unreachable latch.  Inlining
+       [outer] into [main] used to fail with "use before def in copy".
+       With [g = 0] the loop is never entered and the program ends; with
+       [g = 1] it spins, and both sides run out of the same fuel. *)
+    Alcotest.test_case "inliner copies code behind an exit-less loop" `Quick
+      (fun () ->
+        let src g =
+          Printf.sprintf
+            "int g = %d;\n\
+             void spin() { for (int i = 0; 16; i++) { } }\n\
+             void outer(int n) { for (int i = 0; i < n; i += 2) spin(); }\n\
+             int main() { outer(g); print(7); return 3; }"
+            g
+        in
+        let r0 = Twill_minic.Minic.run_reference ~fuel:100_000 (src 0) in
+        let r = Interp.run ~fuel:100_000 (compile_opt (src 0)) in
+        Alcotest.(check check_i32) "ret" r0.ret r.Interp.ret;
+        Alcotest.(check (list check_i32)) "prints" r0.prints r.Interp.prints;
+        let m = compile_opt (src 1) in
+        Alcotest.check_raises "reference spins" Twill_minic.Ast_interp.Out_of_fuel
+          (fun () -> ignore (Twill_minic.Minic.run_reference ~fuel:100_000 (src 1)));
+        Alcotest.check_raises "compiled code spins" Interp.Out_of_fuel (fun () ->
+            ignore (Interp.run ~fuel:100_000 m)));
   ]
 
 (* --- property tests ----------------------------------------------------- *)
