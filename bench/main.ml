@@ -182,15 +182,14 @@ let fig_6_2 () =
 (* Figures 6.3 / 6.4: performance vs targeted partition split point    *)
 (* ------------------------------------------------------------------ *)
 
-let split_sweep name =
+let split_fractions = [ 0.05; 0.1; 0.25; 0.5; 0.75; 0.9 ]
+
+(* (split fraction, cycles, queues) per targeted split point *)
+let split_rows name =
   let b = C.find name in
-  let fractions = [ 0.05; 0.1; 0.25; 0.5; 0.75; 0.9 ] in
-  Printf.printf "%-8s | %10s %10s %8s\n" "SW split" "cycles" "norm (5%)"
-    "queues";
   (* the split target only affects partitioning: compile and profile once *)
   let m, profile = compiled b in
-  let base = ref 0 in
-  List.iter
+  List.map
     (fun f ->
       let opts =
         {
@@ -200,12 +199,20 @@ let split_sweep name =
         }
       in
       let tw = Twill.run_twill ~opts ~profile m in
-      if !base = 0 then base := tw.Twill.scenario.Twill.cycles;
-      Printf.printf "%7.0f%% | %10d %10.2f %8d\n" (f *. 100.0)
-        tw.Twill.scenario.Twill.cycles
-        (float_of_int !base /. float_of_int tw.Twill.scenario.Twill.cycles)
-        tw.Twill.nqueues)
-    fractions
+      (f, tw.Twill.scenario.Twill.cycles, tw.Twill.nqueues))
+    split_fractions
+
+let split_sweep name =
+  Printf.printf "%-8s | %10s %10s %8s\n" "SW split" "cycles" "norm (5%)"
+    "queues";
+  let base = ref 0 in
+  List.iter
+    (fun (f, cycles, nqueues) ->
+      if !base = 0 then base := cycles;
+      Printf.printf "%7.0f%% | %10d %10.2f %8d\n" (f *. 100.0) cycles
+        (float_of_int !base /. float_of_int cycles)
+        nqueues)
+    (split_rows name)
 
 let fig_6_3 () =
   header
@@ -236,35 +243,43 @@ let forced_pipeline_opts =
 let simulate_threaded (t : Twill.Dswp.threaded) config =
   (Twill.Sim.simulate_threaded ~config t).Twill.Sim.cycles
 
+let latencies = [ 2; 8; 32; 128 ]
+
+(* per kernel, its cycles at each latency *)
+let latency_rows () =
+  List.map
+    (fun (b : C.benchmark) ->
+      let opts = forced_pipeline_opts in
+      let m, profile = compiled ~opts b in
+      let t = Twill.extract ~opts ~profile m in
+      ( b.C.name,
+        List.map
+          (fun lat ->
+            simulate_threaded t
+              (Twill.sim_config { opts with Twill.queue_latency = lat }))
+          latencies ))
+    C.all
+
 let fig_6_5 () =
   header
     "Figure 6.5 — Twill speedup vs queue latency, normalised to 2-cycle \
      latency (paper: ~27% average slowdown at latency 128; 3-stage pipeline)";
-  let latencies = [ 2; 8; 32; 128 ] in
   Printf.printf "%-10s |" "benchmark";
   List.iter (fun l -> Printf.printf " %8s" (Printf.sprintf "lat=%d" l)) latencies;
   Printf.printf "\n";
   let sums = Array.make (List.length latencies) 0.0 in
   List.iter
-    (fun (b : C.benchmark) ->
-      Printf.printf "%-10s |" b.C.name;
-      let opts = forced_pipeline_opts in
-      let m, profile = compiled ~opts b in
-      let t = Twill.extract ~opts ~profile m in
-      let base = ref 0 in
+    (fun (name, cycles) ->
+      Printf.printf "%-10s |" name;
+      let base = List.hd cycles in
       List.iteri
-        (fun i lat ->
-          let config =
-            Twill.sim_config { opts with Twill.queue_latency = lat }
-          in
-          let cycles = simulate_threaded t config in
-          if i = 0 then base := cycles;
-          let norm = float_of_int !base /. float_of_int cycles in
+        (fun i c ->
+          let norm = float_of_int base /. float_of_int c in
           sums.(i) <- sums.(i) +. norm;
           Printf.printf " %8.3f" norm)
-        latencies;
+        cycles;
       Printf.printf "\n%!")
-    C.all;
+    (latency_rows ());
   Printf.printf "%-10s |" "average";
   Array.iter
     (fun s -> Printf.printf " %8.3f" (s /. float_of_int (List.length C.all)))
@@ -278,22 +293,30 @@ let fig_6_5 () =
 let simulate_with_depth (t : Twill.Dswp.threaded) opts depth =
   simulate_threaded (Twill.Dswp.with_queue_depth t depth) (Twill.sim_config opts)
 
+let depths = [ 1; 2; 8; 32 ]
+
+(* per kernel, its cycles at each queue depth *)
+let depth_rows () =
+  List.map
+    (fun (b : C.benchmark) ->
+      let opts = forced_pipeline_opts in
+      let m, profile = compiled ~opts b in
+      let t = Twill.extract ~opts ~profile m in
+      (b.C.name, List.map (fun d -> simulate_with_depth t opts d) depths))
+    C.all
+
 let fig_6_6 () =
   header
     "Figure 6.6 — Twill speedup vs queue length, normalised to length 8 \
      (paper: ~9.7% slowdown from 32 down to 8)";
-  let depths = [ 1; 2; 8; 32 ] in
   Printf.printf "%-10s |" "benchmark";
   List.iter (fun d -> Printf.printf " %8s" (Printf.sprintf "len=%d" d)) depths;
   Printf.printf "\n";
   let sums = Array.make (List.length depths) 0.0 in
   List.iter
-    (fun (b : C.benchmark) ->
-      Printf.printf "%-10s |" b.C.name;
-      let opts = forced_pipeline_opts in
-      let m, profile = compiled ~opts b in
-      let t = Twill.extract ~opts ~profile m in
-      let results = List.map (fun d -> (d, simulate_with_depth t opts d)) depths in
+    (fun (name, cycles) ->
+      Printf.printf "%-10s |" name;
+      let results = List.combine depths cycles in
       let base = match List.assoc_opt 8 results with Some c -> c | None -> 1 in
       List.iteri
         (fun i (_, c) ->
@@ -302,7 +325,7 @@ let fig_6_6 () =
           Printf.printf " %8.3f" norm)
         results;
       Printf.printf "\n%!")
-    C.all;
+    (depth_rows ());
   Printf.printf "%-10s |" "average";
   Array.iter
     (fun s -> Printf.printf " %8.3f" (s /. float_of_int (List.length C.all)))
@@ -373,14 +396,9 @@ end
 (* Ablations called out in DESIGN.md                                   *)
 (* ------------------------------------------------------------------ *)
 
-let ablation () =
-  header
-    "Ablation — Twill cycles under partitioner variants (lower is better): \
-     default (profile-guided, k=3) vs local-search refinement vs static \
-     10^depth weights vs two stages";
-  Printf.printf "%-10s | %10s %10s %10s %10s %10s\n" "benchmark" "default"
-    "refine" "static-wt" "k=2" "unroll";
-  List.iter
+(* per kernel: (default, refine, static-wt, k=2, unroll) cycles *)
+let ablation_rows () =
+  List.map
     (fun (b : C.benchmark) ->
       (* the partitioner variants share one compile + profile; only the
          unrolling variant changes compilation itself *)
@@ -418,9 +436,21 @@ let ablation () =
         let m, profile = compiled ~opts ~tag:"unroll" b in
         (Twill.run_twill ~opts ~profile m).Twill.scenario.Twill.cycles
       in
-      Printf.printf "%-10s | %10d %10d %10d %10d %10d\n%!" b.C.name base
-        refine static_wt k2 unrolled)
+      (b.C.name, (base, refine, static_wt, k2, unrolled)))
     C.all
+
+let ablation () =
+  header
+    "Ablation — Twill cycles under partitioner variants (lower is better): \
+     default (profile-guided, k=3) vs local-search refinement vs static \
+     10^depth weights vs two stages";
+  Printf.printf "%-10s | %10s %10s %10s %10s %10s\n" "benchmark" "default"
+    "refine" "static-wt" "k=2" "unroll";
+  List.iter
+    (fun (name, (base, refine, static_wt, k2, unrolled)) ->
+      Printf.printf "%-10s | %10d %10d %10d %10d %10d\n%!" name base refine
+        static_wt k2 unrolled)
+    (ablation_rows ())
 
 (* BENCH_dse.json: the committed design-space sweep — default grid,
    fixed seed, rendered by the deterministic lib/dse printer, so the
@@ -813,9 +843,11 @@ let json_mem () =
 (* BENCH_paper.json: the thesis's headline numbers per bundled kernel —
    the pure-software and pure-hardware baselines and the Twill hybrid
    (cycles, instructions executed, area, power) plus the extraction
-   shape of Table 6.1.  Every column is an integer or a fixed-precision
-   float from the simulator and models, so the file reproduces
-   byte-for-byte on any machine.  [Twill.evaluate] (through
+   shape of Table 6.1, then the rows behind Figures 6.3/6.4 (cycles and
+   queues per split point), 6.5 and 6.6 (cycles per queue latency and
+   depth) and the ablation's five columns.  Every column is an integer
+   or a fixed-precision float from the simulator and models, so the file
+   reproduces byte-for-byte on any machine.  [Twill.evaluate] (through
    [report_of]) already fails on a checksum regression or on flows that
    disagree. *)
 let json_paper () =
@@ -843,10 +875,48 @@ let json_paper () =
       tw.Twill.n_hw_threads
   in
   let rows = all_reports () in
+  let sweep axis (name, cycles) values =
+    List.map2
+      (fun v c ->
+        Printf.sprintf "    {\"benchmark\": %S, %S: %d, \"cycles\": %d}" name
+          axis v c)
+      values cycles
+  in
+  let split =
+    List.concat_map
+      (fun name ->
+        List.map
+          (fun (f, cycles, nqueues) ->
+            Printf.sprintf
+              "    {\"benchmark\": %S, \"sw_pct\": %d, \"cycles\": %d, \
+               \"nqueues\": %d}"
+              name
+              (Float.to_int (Float.round (f *. 100.0)))
+              cycles nqueues)
+          (split_rows name))
+      [ "mips"; "blowfish" ]
+  in
+  let abl (name, (base, refine, static_wt, k2, unrolled)) =
+    Printf.sprintf
+      "    {\"benchmark\": %S, \"default\": %d, \"refine\": %d, \
+       \"static_wt\": %d, \"k2\": %d, \"unroll\": %d}"
+      name base refine static_wt k2 unrolled
+  in
   Artifact.emit
     [
       ("schema", "\"twill-paper-v1\"");
       ("results", Artifact.arr (List.map row_json rows));
+      ("split_point", Artifact.arr split);
+      ( "queue_latency",
+        Artifact.arr
+          (List.concat_map
+             (fun r -> sweep "queue_latency" r latencies)
+             (latency_rows ())) );
+      ( "queue_depth",
+        Artifact.arr
+          (List.concat_map (fun r -> sweep "queue_depth" r depths) (depth_rows ()))
+      );
+      ("ablation", Artifact.arr (List.map abl (ablation_rows ())));
     ];
   Printf.eprintf "paper: %d kernels\n" (List.length rows)
 
