@@ -11,33 +11,13 @@
    full run. *)
 
 module C = Twill_chstone.Chstone
+module Dse = Twill_dse.Dse
+module Grid = Twill_dse.Grid
+module Pareto = Twill_dse.Pareto
 
 let line = String.make 78 '-'
 
 let header title = Printf.printf "\n%s\n%s\n%s\n" line title line
-
-(* Compiled modules and their block profiles, shared across artifacts:
-   simulation options (queue latency/depth, partition targets) do not
-   affect compilation, and DSWP extraction no longer mutates its input
-   module, so one compile + one instrumented profiling run per benchmark
-   serves every sweep point.  Keyed by benchmark plus a variant tag for
-   the few sweeps that change compilation itself (unrolling). *)
-let module_cache : (string, Twill.Ir.modul * int array) Hashtbl.t =
-  Hashtbl.create 16
-
-let compiled ?(opts = Twill.default_options) ?(tag = "default")
-    (b : C.benchmark) : Twill.Ir.modul * int array =
-  let key = b.C.name ^ "/" ^ tag in
-  match Hashtbl.find_opt module_cache key with
-  | Some mp -> mp
-  | None ->
-      let m = Twill.compile ~opts b.C.source in
-      let p = Twill.profile_blocks ~opts m in
-      let mp = (m, p) in
-      Hashtbl.replace module_cache key mp;
-      mp
-
-let report_cache : (string, Twill.report) Hashtbl.t = Hashtbl.create 8
 
 let compute_report (b : C.benchmark) : Twill.report =
   let r = Twill.evaluate ~name:b.C.name b.C.source in
@@ -47,23 +27,54 @@ let compute_report (b : C.benchmark) : Twill.report =
   | _ -> ());
   r
 
-let report_of (b : C.benchmark) : Twill.report =
-  match Hashtbl.find_opt report_cache b.C.name with
-  | Some r -> r
-  | None ->
-      let r = compute_report b in
-      Hashtbl.replace report_cache b.C.name r;
-      r
+(* Every kernel's report, computed in parallel on first use: reports are
+   expensive and the benchmarks are independent. *)
+let reports : (C.benchmark * Twill.report) list Lazy.t =
+  lazy (List.combine C.all (Twill.Par.map compute_report C.all))
 
-let all_reports () =
-  (* warm the cache in parallel on first use; reports are expensive and
-     the benchmarks are independent *)
-  if Hashtbl.length report_cache = 0 then
-    List.iter2
-      (fun b r -> Hashtbl.replace report_cache b.C.name r)
-      C.all
-      (Twill.Par.map compute_report C.all);
-  List.map (fun b -> (b, report_of b)) C.all
+(* ------------------------------------------------------------------ *)
+(* Figures 6.3-6.6 and the ablation as slices of the DSE grid          *)
+(* ------------------------------------------------------------------ *)
+
+(* Each sensitivity figure is a set of points of the option space that
+   lib/dse sweeps, evaluated once by [Dse.run] over a named grid slice
+   and shared by the text printer and BENCH_paper.json.  A slice pins
+   every axis [Grid.default] sweeps, so its spec reproduces the figure
+   as-is under [twillc dse --grid] or [twillc daemon dse]. *)
+let slice ?(kernels = List.map (fun (b : C.benchmark) -> b.C.name) C.all)
+    (axes : string) : Pareto.result list Lazy.t =
+  lazy
+    (match Grid.parse ("kernels=" ^ String.concat "," kernels ^ ";" ^ axes) with
+    | Ok g -> (Dse.run g).Dse.results
+    | Error e -> failwith ("bench: " ^ e))
+
+let split_point =
+  List.map
+    (fun k ->
+      ( k,
+        slice ~kernels:[ k ]
+          "unroll=false;nstages=3;queue_depth=8;queue_latency=2;\
+           sw_frac=0.05,0.1,0.25,0.5,0.75,0.9" ))
+    [ "mips"; "blowfish" ]
+
+let queue_latency =
+  slice "unroll=false;nstages=3;queue_depth=8;queue_latency=2,8,32,128"
+
+let queue_depth =
+  slice "unroll=false;nstages=3;queue_depth=1,2,8,32;queue_latency=2"
+
+let partitioner =
+  slice "unroll=false,true;nstages=2,3;queue_depth=8;queue_latency=2"
+
+let cycles (r : Pareto.result) = r.Pareto.metrics.Pareto.cycles
+
+(* a slice's points per kernel, in grid order *)
+let by_kernel (rs : Pareto.result list) : (string * Pareto.result list) list =
+  List.map
+    (fun (b : C.benchmark) ->
+      ( b.C.name,
+        List.filter (fun r -> r.Pareto.point.Grid.kernel = b.C.name) rs ))
+    C.all
 
 (* ------------------------------------------------------------------ *)
 (* Table 6.1: DSWP results — queues, semaphores, HW threads            *)
@@ -90,7 +101,7 @@ let table_6_1 () =
       Printf.printf "%-10s | %8d %6d %10d | %10d /%3d /%2d\n" b.C.name
         r.Twill.twill.Twill.nqueues r.Twill.twill.Twill.nsems
         r.Twill.twill.Twill.n_hw_threads pq ps pt)
-    (all_reports ())
+    (Lazy.force reports)
 
 (* ------------------------------------------------------------------ *)
 (* Table 6.2: LUTs — LegUp vs Twill HW threads vs Twill vs +Microblaze *)
@@ -108,7 +119,7 @@ let table_6_2 () =
   header "Table 6.2 — FPGA LUTs: pure LegUp vs Twill";
   Printf.printf "%-10s | %8s %10s %8s %8s | %s\n" "benchmark" "LegUp"
     "TwillHWT" "Twill" "Twill+MB" "LegUp/HWT Twill/HWT (paper rows)";
-  let rs = all_reports () in
+  let rs = Lazy.force reports in
   let ratio a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b in
   let acc1 = ref 0.0 and acc2 = ref 0.0 in
   List.iter
@@ -150,7 +161,7 @@ let fig_6_1 () =
         (r.Twill.hw.Twill.power_mw /. sw)
         (r.Twill.twill.Twill.scenario.Twill.power_mw /. sw)
         1.0)
-    (all_reports ())
+    (Lazy.force reports)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 6.2: speedups normalised to pure software                   *)
@@ -161,7 +172,7 @@ let fig_6_2 () =
   Printf.printf "%-10s | %12s %12s %12s\n" "benchmark" "pure HW" "Twill"
     "Twill/HW";
   let acc_sw = ref 0.0 and acc_hw = ref 0.0 and accp = ref 0.0 in
-  let rs = all_reports () in
+  let rs = Lazy.force reports in
   List.iter
     (fun ((b : C.benchmark), (r : Twill.report)) ->
       acc_sw := !acc_sw +. log r.Twill.speedup_vs_sw;
@@ -182,37 +193,20 @@ let fig_6_2 () =
 (* Figures 6.3 / 6.4: performance vs targeted partition split point    *)
 (* ------------------------------------------------------------------ *)
 
-let split_fractions = [ 0.05; 0.1; 0.25; 0.5; 0.75; 0.9 ]
-
-(* (split fraction, cycles, queues) per targeted split point *)
-let split_rows name =
-  let b = C.find name in
-  (* the split target only affects partitioning: compile and profile once *)
-  let m, profile = compiled b in
-  List.map
-    (fun f ->
-      let opts =
-        {
-          Twill.default_options with
-          partition =
-            { Twill.Partition.default_config with Twill.Partition.sw_fraction = f };
-        }
-      in
-      let tw = Twill.run_twill ~opts ~profile m in
-      (f, tw.Twill.scenario.Twill.cycles, tw.Twill.nqueues))
-    split_fractions
-
 let split_sweep name =
   Printf.printf "%-8s | %10s %10s %8s\n" "SW split" "cycles" "norm (5%)"
     "queues";
-  let base = ref 0 in
+  let rs = Lazy.force (List.assoc name split_point) in
+  let base = cycles (List.hd rs) in
   List.iter
-    (fun (f, cycles, nqueues) ->
-      if !base = 0 then base := cycles;
-      Printf.printf "%7.0f%% | %10d %10.2f %8d\n" (f *. 100.0) cycles
-        (float_of_int !base /. float_of_int cycles)
-        nqueues)
-    (split_rows name)
+    (fun (r : Pareto.result) ->
+      Printf.printf "%7.0f%% | %10d %10.2f %8d\n"
+        (r.Pareto.point.Grid.opts.Twill.partition.Twill.Partition.sw_fraction
+       *. 100.0)
+        (cycles r)
+        (float_of_int base /. float_of_int (cycles r))
+        r.Pareto.metrics.Pareto.nqueues)
+    rs
 
 let fig_6_3 () =
   header
@@ -225,112 +219,55 @@ let fig_6_4 () =
   split_sweep "blowfish"
 
 (* ------------------------------------------------------------------ *)
-(* Figure 6.5: sensitivity to queue latency                            *)
+(* Figures 6.5 / 6.6: sensitivity to queue latency and queue length    *)
 (* ------------------------------------------------------------------ *)
 
-(* the queue-sensitivity experiments force a three-stage pipeline so that
-   real cross-thread traffic exists (the auto-tuner would otherwise fall
-   back to one hardware thread on serial kernels) *)
-let forced_pipeline_opts =
-  {
-    Twill.default_options with
-    partition = { Twill.Partition.default_config with Twill.Partition.nstages = 3 };
-  }
-
-(* Replays one extraction under a different simulator configuration —
-   the latency/depth sweeps vary only the runtime, so the compile,
-   profile and extraction are shared across the sweep points. *)
-let simulate_threaded (t : Twill.Dswp.threaded) config =
-  (Twill.Sim.simulate_threaded ~config t).Twill.Sim.cycles
-
-let latencies = [ 2; 8; 32; 128 ]
-
-(* per kernel, its cycles at each latency *)
-let latency_rows () =
-  List.map
-    (fun (b : C.benchmark) ->
-      let opts = forced_pipeline_opts in
-      let m, profile = compiled ~opts b in
-      let t = Twill.extract ~opts ~profile m in
-      ( b.C.name,
-        List.map
-          (fun lat ->
-            simulate_threaded t
-              (Twill.sim_config { opts with Twill.queue_latency = lat }))
-          latencies ))
-    C.all
+(* each kernel's cycles normalised to its point at axis value [base],
+   then the column averages *)
+let normalised_table ~label ~axis ~base (rs : Pareto.result list) =
+  let rows = by_kernel rs in
+  let columns =
+    List.map (fun r -> axis r.Pareto.point.Grid.opts) (snd (List.hd rows))
+  in
+  Printf.printf "%-10s |" "benchmark";
+  List.iter
+    (fun v -> Printf.printf " %8s" (Printf.sprintf "%s=%d" label v))
+    columns;
+  Printf.printf "\n";
+  let sums = Array.make (List.length columns) 0.0 in
+  List.iter
+    (fun (name, pts) ->
+      Printf.printf "%-10s |" name;
+      let b =
+        cycles (List.find (fun r -> axis r.Pareto.point.Grid.opts = base) pts)
+      in
+      List.iteri
+        (fun i r ->
+          let norm = float_of_int b /. float_of_int (cycles r) in
+          sums.(i) <- sums.(i) +. norm;
+          Printf.printf " %8.3f" norm)
+        pts;
+      Printf.printf "\n")
+    rows;
+  Printf.printf "%-10s |" "average";
+  Array.iter
+    (fun s -> Printf.printf " %8.3f" (s /. float_of_int (List.length rows)))
+    sums;
+  Printf.printf "\n"
 
 let fig_6_5 () =
   header
     "Figure 6.5 — Twill speedup vs queue latency, normalised to 2-cycle \
      latency (paper: ~27% average slowdown at latency 128; 3-stage pipeline)";
-  Printf.printf "%-10s |" "benchmark";
-  List.iter (fun l -> Printf.printf " %8s" (Printf.sprintf "lat=%d" l)) latencies;
-  Printf.printf "\n";
-  let sums = Array.make (List.length latencies) 0.0 in
-  List.iter
-    (fun (name, cycles) ->
-      Printf.printf "%-10s |" name;
-      let base = List.hd cycles in
-      List.iteri
-        (fun i c ->
-          let norm = float_of_int base /. float_of_int c in
-          sums.(i) <- sums.(i) +. norm;
-          Printf.printf " %8.3f" norm)
-        cycles;
-      Printf.printf "\n%!")
-    (latency_rows ());
-  Printf.printf "%-10s |" "average";
-  Array.iter
-    (fun s -> Printf.printf " %8.3f" (s /. float_of_int (List.length C.all)))
-    sums;
-  Printf.printf "\n"
-
-(* ------------------------------------------------------------------ *)
-(* Figure 6.6: sensitivity to queue length                             *)
-(* ------------------------------------------------------------------ *)
-
-let simulate_with_depth (t : Twill.Dswp.threaded) opts depth =
-  simulate_threaded (Twill.Dswp.with_queue_depth t depth) (Twill.sim_config opts)
-
-let depths = [ 1; 2; 8; 32 ]
-
-(* per kernel, its cycles at each queue depth *)
-let depth_rows () =
-  List.map
-    (fun (b : C.benchmark) ->
-      let opts = forced_pipeline_opts in
-      let m, profile = compiled ~opts b in
-      let t = Twill.extract ~opts ~profile m in
-      (b.C.name, List.map (fun d -> simulate_with_depth t opts d) depths))
-    C.all
+  normalised_table ~label:"lat" ~axis:(fun o -> o.Twill.queue_latency) ~base:2
+    (Lazy.force queue_latency)
 
 let fig_6_6 () =
   header
     "Figure 6.6 — Twill speedup vs queue length, normalised to length 8 \
      (paper: ~9.7% slowdown from 32 down to 8)";
-  Printf.printf "%-10s |" "benchmark";
-  List.iter (fun d -> Printf.printf " %8s" (Printf.sprintf "len=%d" d)) depths;
-  Printf.printf "\n";
-  let sums = Array.make (List.length depths) 0.0 in
-  List.iter
-    (fun (name, cycles) ->
-      Printf.printf "%-10s |" name;
-      let results = List.combine depths cycles in
-      let base = match List.assoc_opt 8 results with Some c -> c | None -> 1 in
-      List.iteri
-        (fun i (_, c) ->
-          let norm = float_of_int base /. float_of_int c in
-          sums.(i) <- sums.(i) +. norm;
-          Printf.printf " %8.3f" norm)
-        results;
-      Printf.printf "\n%!")
-    (depth_rows ());
-  Printf.printf "%-10s |" "average";
-  Array.iter
-    (fun s -> Printf.printf " %8.3f" (s /. float_of_int (List.length C.all)))
-    sums;
-  Printf.printf "\n"
+  normalised_table ~label:"len" ~axis:(fun o -> o.Twill.queue_depth) ~base:8
+    (Lazy.force queue_depth)
 
 (* ------------------------------------------------------------------ *)
 (* RTL co-simulation: emitted Verilog vs the rtsim reference           *)
@@ -342,7 +279,7 @@ let cosim () =
      pipeline); AGREE = same return value and print trace";
   Printf.printf "%-10s | %12s %12s %8s | %s\n" "benchmark" "RTL cycles"
     "model cycles" "ratio" "verdict";
-  let opts = forced_pipeline_opts in
+  let opts = Twill.default_options in
   let rows =
     Twill.Par.map
       (fun (b : C.benchmark) ->
@@ -396,48 +333,34 @@ end
 (* Ablations called out in DESIGN.md                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* per kernel: (default, refine, static-wt, k=2, unroll) cycles *)
-let ablation_rows () =
-  List.map
-    (fun (b : C.benchmark) ->
-      (* the partitioner variants share one compile + profile; only the
-         unrolling variant changes compilation itself *)
-      let m, profile = compiled b in
-      let run opts =
-        (Twill.run_twill ~opts ~profile m).Twill.scenario.Twill.cycles
-      in
-      let base = run Twill.default_options in
-      let refine =
-        run
-          {
-            Twill.default_options with
-            partition =
-              { Twill.Partition.default_config with Twill.Partition.refine = true };
-          }
-      in
-      let static_wt =
-        let opts = Twill.default_options in
-        let t =
-          Twill.Dswp.run ~config:opts.Twill.partition
-            ~queue_depth:opts.Twill.queue_depth m
-        in
-        simulate_with_depth t opts opts.Twill.queue_depth
-      in
-      let k2 =
-        run
-          {
-            Twill.default_options with
-            partition =
-              { Twill.Partition.default_config with Twill.Partition.nstages = 2 };
-          }
-      in
-      let unrolled =
-        let opts = { Twill.default_options with unroll = true } in
-        let m, profile = compiled ~opts ~tag:"unroll" b in
-        (Twill.run_twill ~opts ~profile m).Twill.scenario.Twill.cycles
-      in
-      (b.C.name, (base, refine, static_wt, k2, unrolled)))
-    C.all
+(* Per kernel, the cycles of the five columns.  The default, k=2 and
+   unroll columns are points of the [partitioner] slice.  Local-search
+   refinement and static 10^depth weights (extraction without a profile)
+   are no option-table knob, so each is one direct run. *)
+let ablation_columns = [ "default"; "refine"; "static_wt"; "k2"; "unroll" ]
+
+let ablation_rows : (string * int list) list Lazy.t =
+  lazy
+    (let direct =
+       Twill.Par.map
+         (fun (b : C.benchmark) ->
+           let m = Twill.compile b.C.source in
+           let partition = Twill.Partition.{ default_config with refine = true } in
+           let opts = { Twill.default_options with partition } in
+           ( (Twill.run_twill ~opts m).Twill.scenario.Twill.cycles,
+             (Twill.run_twill_threaded (Twill.Dswp.run m)).Twill.scenario
+               .Twill.cycles ))
+         C.all
+     in
+     List.map2
+       (fun (name, pts) (refine, static_wt) ->
+         (* grid order: unroll=false then true, each at nstages=2 then 3 *)
+         match List.map cycles pts with
+         | [ k2; default; _; unroll ] ->
+             (name, [ default; refine; static_wt; k2; unroll ])
+         | _ -> failwith "bench: partitioner slice")
+       (by_kernel (Lazy.force partitioner))
+       direct)
 
 let ablation () =
   header
@@ -447,10 +370,11 @@ let ablation () =
   Printf.printf "%-10s | %10s %10s %10s %10s %10s\n" "benchmark" "default"
     "refine" "static-wt" "k=2" "unroll";
   List.iter
-    (fun (name, (base, refine, static_wt, k2, unrolled)) ->
-      Printf.printf "%-10s | %10d %10d %10d %10d %10d\n%!" name base refine
-        static_wt k2 unrolled)
-    (ablation_rows ())
+    (fun (name, cols) ->
+      Printf.printf "%-10s |" name;
+      List.iter (Printf.printf " %10d") cols;
+      Printf.printf "\n")
+    (Lazy.force ablation_rows)
 
 (* BENCH_dse.json: the committed design-space sweep — default grid,
    fixed seed, rendered by the deterministic lib/dse printer, so the
@@ -472,7 +396,7 @@ let json_dse () =
    nonzero if any variant changes observable behaviour or the full pass
    set regresses the aggregate cycle count. *)
 let json_comm () =
-  let opts0 = { forced_pipeline_opts with Twill.queue_depth = 2 } in
+  let opts0 = { Twill.default_options with Twill.queue_depth = 2 } in
   let variants =
     ("none", Twill.Comm.none)
     :: List.map
@@ -730,7 +654,7 @@ let json_mem () =
         (* banking is virtual (the plan is a pure function of the
            module), so one compile + extraction serves every bank count
            and backend *)
-        let opts0 = forced_pipeline_opts in
+        let opts0 = Twill.default_options in
         let m = Twill.compile ~opts:opts0 b.C.source in
         let t = Twill.extract ~opts:opts0 m in
         let per =
@@ -848,7 +772,7 @@ let json_mem () =
    depth) and the ablation's five columns.  Every column is an integer
    or a fixed-precision float from the simulator and models, so the file
    reproduces byte-for-byte on any machine.  [Twill.evaluate] (through
-   [report_of]) already fails on a checksum regression or on flows that
+   [compute_report]) already fails on a checksum regression or on flows that
    disagree. *)
 let json_paper () =
   let area (a : Twill.Area.t) =
@@ -874,49 +798,46 @@ let json_paper () =
       tw.Twill.runtime_area.Twill.Area.luts tw.Twill.nqueues tw.Twill.nsems
       tw.Twill.n_hw_threads
   in
-  let rows = all_reports () in
-  let sweep axis (name, cycles) values =
-    List.map2
-      (fun v c ->
-        Printf.sprintf "    {\"benchmark\": %S, %S: %d, \"cycles\": %d}" name
-          axis v c)
-      values cycles
+  let rows = Lazy.force reports in
+  (* the figure rows: a kernel, then named integer columns *)
+  let ints name cols =
+    Printf.sprintf "    {\"benchmark\": %S, %s}" name
+      (String.concat ", "
+         (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) cols))
   in
-  let split =
-    List.concat_map
-      (fun name ->
-        List.map
-          (fun (f, cycles, nqueues) ->
-            Printf.sprintf
-              "    {\"benchmark\": %S, \"sw_pct\": %d, \"cycles\": %d, \
-               \"nqueues\": %d}"
-              name
-              (Float.to_int (Float.round (f *. 100.0)))
-              cycles nqueues)
-          (split_rows name))
-      [ "mips"; "blowfish" ]
+  let point key axis (r : Pareto.result) =
+    ints r.Pareto.point.Grid.kernel
+      [ (key, axis r.Pareto.point.Grid.opts); ("cycles", cycles r) ]
   in
-  let abl (name, (base, refine, static_wt, k2, unrolled)) =
-    Printf.sprintf
-      "    {\"benchmark\": %S, \"default\": %d, \"refine\": %d, \
-       \"static_wt\": %d, \"k2\": %d, \"unroll\": %d}"
-      name base refine static_wt k2 unrolled
+  let split (r : Pareto.result) =
+    let f = r.Pareto.point.Grid.opts.Twill.partition.Twill.Partition.sw_fraction in
+    ints r.Pareto.point.Grid.kernel
+      [
+        ("sw_pct", Float.to_int (Float.round (f *. 100.0)));
+        ("cycles", cycles r);
+        ("nqueues", r.Pareto.metrics.Pareto.nqueues);
+      ]
   in
+  let abl (name, cols) = ints name (List.combine ablation_columns cols) in
   Artifact.emit
     [
       ("schema", "\"twill-paper-v1\"");
       ("results", Artifact.arr (List.map row_json rows));
-      ("split_point", Artifact.arr split);
+      ( "split_point",
+        Artifact.arr
+          (List.concat_map (fun (_, rs) -> List.map split (Lazy.force rs))
+             split_point) );
       ( "queue_latency",
         Artifact.arr
-          (List.concat_map
-             (fun r -> sweep "queue_latency" r latencies)
-             (latency_rows ())) );
+          (List.map
+             (point "queue_latency" (fun o -> o.Twill.queue_latency))
+             (Lazy.force queue_latency)) );
       ( "queue_depth",
         Artifact.arr
-          (List.concat_map (fun r -> sweep "queue_depth" r depths) (depth_rows ()))
-      );
-      ("ablation", Artifact.arr (List.map abl (ablation_rows ())));
+          (List.map
+             (point "queue_depth" (fun o -> o.Twill.queue_depth))
+             (Lazy.force queue_depth)) );
+      ("ablation", Artifact.arr (List.map abl (Lazy.force ablation_rows)));
     ];
   Printf.eprintf "paper: %d kernels\n" (List.length rows)
 

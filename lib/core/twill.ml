@@ -90,24 +90,18 @@ let sim_config (opts : options) : Sim.config =
    LICM happens inside extraction itself, and when the "size"/"burst"
    passes need a profile, a seed simulation of the unoptimized pipeline
    collects the per-channel occupancy/stall/burst counters first.
-   [?profile] lets callers that extract the same module repeatedly
-   (width auto-tuning, sweeps) reuse one instrumented run instead of
-   re-profiling per extraction; [?prep] additionally reuses the
-   partition-independent analyses. *)
-let extract_comm ?(opts = default_options) ?profile ?prep (m : Ir.modul) :
+   [?prep] lets callers that extract the same module repeatedly reuse
+   one instrumented run and the partition-independent analyses. *)
+let extract_comm ?(opts = default_options) ?prep (m : Ir.modul) :
     Dswp.threaded * Comm.report =
-  let licm_conds = opts.comm.Comm.licm in
-  let t =
+  let prep =
     match prep with
-    | Some _ ->
-        Dswp.run ~config:opts.partition ~queue_depth:opts.queue_depth
-          ~licm_conds ?prep m
-    | None ->
-        let profile =
-          match profile with Some p -> p | None -> profile_blocks ~opts m
-        in
-        Dswp.run ~config:opts.partition ~queue_depth:opts.queue_depth
-          ~licm_conds ~profile m
+    | Some p -> p
+    | None -> Dswp.prepare ~profile:(profile_blocks ~opts m) m
+  in
+  let t =
+    Dswp.run ~config:opts.partition ~queue_depth:opts.queue_depth
+      ~licm_conds:opts.comm.Comm.licm ~prep m
   in
   let qprofile =
     if Comm.needs_profile opts.comm then
@@ -123,8 +117,8 @@ let extract_comm ?(opts = default_options) ?profile ?prep (m : Ir.modul) :
   let report = Comm.apply ~config:opts.comm ?profile:qprofile t in
   (t, report)
 
-let extract ?opts ?profile ?prep (m : Ir.modul) : Dswp.threaded =
-  fst (extract_comm ?opts ?profile ?prep m)
+let extract ?opts ?prep (m : Ir.modul) : Dswp.threaded =
+  fst (extract_comm ?opts ?prep m)
 
 (* --- the three evaluation scenarios -------------------------------------- *)
 
@@ -317,9 +311,8 @@ let run_twill_threaded ?(opts = default_options) (t : Dswp.threaded) :
   }
 
 (* The Twill hybrid flow. *)
-let run_twill ?(opts = default_options) ?profile ?prep (m : Ir.modul) :
-    twill_result =
-  run_twill_threaded ~opts (extract ~opts ?profile ?prep m)
+let run_twill ?(opts = default_options) ?prep (m : Ir.modul) : twill_result =
+  run_twill_threaded ~opts (extract ~opts ?prep m)
 
 (* --- communication-pattern report (twillc comm-report, twilld "comm") ----- *)
 
@@ -338,11 +331,11 @@ type comm_summary = {
    — and simulates both.  One instrumented profiling run serves both
    extractions. *)
 let comm_summarize ?(opts = default_options) (m : Ir.modul) : comm_summary =
-  let profile = profile_blocks ~opts m in
+  let prep = Dswp.prepare ~profile:(profile_blocks ~opts m) m in
   let base_opts = { opts with comm = Comm.none } in
-  let tb = extract ~opts:base_opts ~profile m in
+  let tb = extract ~opts:base_opts ~prep m in
   let base = run_twill_threaded ~opts:base_opts tb in
-  let t, rep = extract_comm ~opts ~profile m in
+  let t, rep = extract_comm ~opts ~prep m in
   let r = run_twill_threaded ~opts t in
   {
     comm_rep = rep;

@@ -84,16 +84,11 @@ val compile : ?opts:options -> string -> Ir.modul
 val profile_blocks : ?opts:options -> Ir.modul -> int array
 
 (** [extract m] runs the profile-guided DSWP thread extraction on an
-    optimised module (thesis §5.2-5.3).  Pass [?profile] (from
-    {!profile_blocks}) to reuse one instrumented run across repeated
-    extractions of the same module, or [?prep] (from {!Dswp.prepare}) to
-    additionally reuse the partition-independent analyses. *)
-val extract :
-  ?opts:options ->
-  ?profile:int array ->
-  ?prep:Dswp.prep ->
-  Ir.modul ->
-  Dswp.threaded
+    optimised module (thesis §5.2-5.3).  Pass [?prep] (from
+    {!Dswp.prepare} on a {!profile_blocks} profile) to reuse one
+    instrumented run and the partition-independent analyses across
+    repeated extractions of the same module. *)
+val extract : ?opts:options -> ?prep:Dswp.prep -> Ir.modul -> Dswp.threaded
 
 (** Like {!extract}, also returning the communication optimizer's
     report: which of the [opts.comm] passes ran and what each did
@@ -101,11 +96,7 @@ val extract :
     profile-guided passes are enabled this runs one seed simulation of
     the unoptimized pipeline to collect {!Sim.queue_profile}s first. *)
 val extract_comm :
-  ?opts:options ->
-  ?profile:int array ->
-  ?prep:Dswp.prep ->
-  Ir.modul ->
-  Dswp.threaded * Comm.report
+  ?opts:options -> ?prep:Dswp.prep -> Ir.modul -> Dswp.threaded * Comm.report
 
 (** Simulator configuration corresponding to [opts]. *)
 val sim_config : options -> Sim.config
@@ -139,14 +130,9 @@ val run_pure_sw : ?opts:options -> Ir.modul -> scenario
     BRAM memory (thesis baseline 2). *)
 val run_pure_hw : ?opts:options -> Ir.modul -> scenario
 
-(** The Twill hybrid at the configured pipeline width.  [?profile] and
-    [?prep] as in {!extract}. *)
-val run_twill :
-  ?opts:options ->
-  ?profile:int array ->
-  ?prep:Dswp.prep ->
-  Ir.modul ->
-  twill_result
+(** The Twill hybrid at the configured pipeline width.  [?prep] as in
+    {!extract}. *)
+val run_twill : ?opts:options -> ?prep:Dswp.prep -> Ir.modul -> twill_result
 
 (** Simulation plus area/power accounting for an already-extracted
     pipeline (the back half of {!run_twill}); lets sweeps reuse one

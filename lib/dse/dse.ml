@@ -57,6 +57,7 @@ let eval_threaded (opts : Twill.options) (t : Twill.Dswp.threaded) :
     brams = area.Twill.Area.brams;
     power_mw = r.Twill.scenario.Twill.power_mw;
     executed = r.Twill.scenario.Twill.executed;
+    nqueues = r.Twill.nqueues;
   }
 
 (* --- the sweep ------------------------------------------------------------- *)

@@ -15,6 +15,7 @@ type metrics = {
   brams : int;
   power_mw : float;
   executed : int;
+  nqueues : int;
 }
 
 type result = { point : Grid.point; metrics : metrics }

@@ -11,6 +11,8 @@ type metrics = {
   brams : int;
   power_mw : float;  (** {!Twill_hls.Power} under measured activity *)
   executed : int;
+  nqueues : int;
+      (** extracted queues; Figures 6.3/6.4 print it, result rows do not *)
 }
 
 type result = { point : Grid.point; metrics : metrics }

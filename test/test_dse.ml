@@ -209,6 +209,7 @@ let m ?(luts = 100) ?(power = 10.0) cycles =
     brams = 0;
     power_mw = power;
     executed = 0;
+    nqueues = 0;
   }
 
 let r metrics = { Pareto.point = pt; metrics }
@@ -312,10 +313,12 @@ let test_depth_priced () =
             Twill.extract ~opts
               (Twill.compile ~opts (Dse.source_of_kernel r.Pareto.point.Grid.kernel))
           in
-          let x = (Twill.run_twill_threaded ~opts t).Twill.scenario in
+          let tw = Twill.run_twill_threaded ~opts t in
+          let x = tw.Twill.scenario in
           let m = r.Pareto.metrics in
           let label = Grid.point_label r.Pareto.point in
           Alcotest.(check int) (label ^ ": cycles") x.Twill.cycles m.Pareto.cycles;
+          Alcotest.(check int) (label ^ ": nqueues") tw.Twill.nqueues m.Pareto.nqueues;
           Alcotest.(check int) (label ^ ": luts") x.Twill.area.Twill.Area.luts m.Pareto.luts;
           Alcotest.(check int) (label ^ ": brams") x.Twill.area.Twill.Area.brams m.Pareto.brams;
           Alcotest.(check (float 0.0)) (label ^ ": power") x.Twill.power_mw m.Pareto.power_mw)
