@@ -39,8 +39,8 @@ let reports : (C.benchmark * Twill.report) list Lazy.t =
 (* Each sensitivity figure is a set of points of the option space that
    lib/dse sweeps, evaluated once by [Dse.run] over a named grid slice
    and shared by the text printer and BENCH_paper.json.  A slice pins
-   every axis [Grid.default] sweeps, so its spec reproduces the figure
-   as-is under [twillc dse --grid] or [twillc daemon dse]. *)
+   every axis [Grid.default] sweeps, so its spec, sent as-is to [twillc
+   dse --grid] or [twillc daemon dse], evaluates the same points. *)
 let slice ?(kernels = List.map (fun (b : C.benchmark) -> b.C.name) C.all)
     (axes : string) : Pareto.result list Lazy.t =
   lazy

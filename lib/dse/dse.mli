@@ -66,7 +66,7 @@ val evaluate :
 
 val eval_threaded : Twill.options -> Twill.Dswp.threaded -> Pareto.metrics
 (** Simulate one extracted design under one point's own options
-    ([point.opts]) and project the objectives.  When the comm passes
+    ([point.opts]) and project the objectives and the queue count.  When the comm passes
     are off it evaluates {!Twill.Dswp.with_queue_depth} of the design at
     the point's depth, so rtsim and the area model price the same
     queues; the design itself is never written. *)
