@@ -532,22 +532,13 @@ let json_backend () =
            only changes the replayed schedule flavour and area model *)
         let m = Twill.compile b.C.source in
         let t = Twill.extract m in
-        let hw_entries =
-          Array.to_list (Array.mapi (fun i n -> (i, n)) t.Twill.Dswp.stages)
-          |> List.filter_map (fun (i, n) ->
-                 if t.Twill.Dswp.roles.(i) = Twill.Partition.Hw then Some n
-                 else None)
-        in
-        let reach = Twill.reachable_funcs t.Twill.Dswp.modul hw_entries in
         let per =
           List.map
             (fun backend ->
               let opts = { Twill.default_options with Twill.backend } in
               let r = Twill.run_twill_threaded ~opts t in
-              let scheds =
-                Twill.schedules_for opts t.Twill.Dswp.modul
-                |> List.filter (fun (n, _) -> List.mem n reach)
-              in
+              (* the schedules rtsim replayed: hardware stages and callees *)
+              let scheds = Twill.Schedule.bindings r.Twill.schedules in
               let states =
                 List.fold_left
                   (fun acc (_, s) -> acc + s.Twill.Schedule.total_states)

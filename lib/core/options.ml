@@ -19,6 +19,8 @@ type t = {
   inline_aggressive : bool;
   inline_threshold : int;
   unroll : bool;
+  (* one legal value each (Twill.sim_config rejects any other): kept as
+     fields only because benchmark/layers.ml reads them *)
   resources : Schedule.resources;
   modulo : bool;
   fuel : int;
@@ -237,9 +239,11 @@ let mem_banks =
     ~doc:
       "Shared-memory bank count.  Provably-disjoint arrays are partitioned \
        across $(docv) banks by the dependence oracle; hardware threads then \
-       schedule with per-bank ordering chains, rtsim arbitrates one memory \
-       bus per bank, and the emitted RTL instantiates a banked memory.  \
-       $(b,1) is the single-port behaviour."
+       schedule with per-bank ordering chains (one schedule per function, \
+       which rtsim times, the area model prices and the emitted RTL \
+       thread runs), rtsim arbitrates one memory bus per bank, and the \
+       emitted RTL instantiates a banked memory.  $(b,1) is the \
+       single-port behaviour."
     (int_in 1)
     (fun o -> o.mem_banks)
     (fun v o -> { o with mem_banks = v })

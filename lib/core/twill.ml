@@ -74,11 +74,15 @@ let profile_blocks ?(opts = default_options) (m : Ir.modul) : int array =
    with Interp.Out_of_fuel | Interp.Trap _ -> ());
   counts
 
+(* [resources] and [modulo] have one legal value each: every design is
+   scheduled with the defaults (Schedule.table). *)
 let sim_config (opts : options) : Sim.config =
+  if opts.resources <> Schedule.default_resources then
+    invalid_arg "Twill.sim_config: resources must be Schedule.default_resources";
+  if not opts.modulo then
+    invalid_arg "Twill.sim_config: modulo scheduling cannot be turned off";
   {
     Sim.queue_latency = opts.queue_latency;
-    resources = opts.resources;
-    modulo = opts.modulo;
     backend = opts.backend;
     fuel = opts.fuel;
     mem_banks = opts.mem_banks;
@@ -140,15 +144,16 @@ type twill_result = {
   nqueues : int;
   nsems : int;
   stats : Sim.stats;
+  schedules : Schedule.table;
 }
 
+let all_funcs (m : Ir.modul) =
+  List.map (fun (f : Ir.func) -> f.Ir.name) m.Ir.funcs
+
 let schedules_for (opts : options) (m : Ir.modul) : (string * Schedule.t) list =
-  List.map
-    (fun (f : Ir.func) ->
-      ( f.Ir.name,
-        Schedule.cached ~res:opts.resources ~modulo:opts.modulo
-          ~backend:opts.backend f ))
-    m.Ir.funcs
+  Schedule.bindings
+    (Schedule.table ~backend:opts.backend ~mem_banks:opts.mem_banks m
+       (all_funcs m))
 
 (* Pure software: the whole program on the Microblaze. *)
 let run_pure_sw ?(opts = default_options) (m : Ir.modul) : scenario =
@@ -173,15 +178,19 @@ let run_pure_sw ?(opts = default_options) (m : Ir.modul) : scenario =
    stays on the FSM backend whatever [opts.backend] selects for the
    hybrid's partitions, and it keeps its data in local memory, so the
    shared-memory bank count does not apply: it is simulated and priced
-   on the same unbanked schedules. *)
+   on the same unbanked schedules of every function. *)
 let run_pure_hw ?(opts = default_options) (m : Ir.modul) : scenario =
   let opts = { opts with backend = Schedule.Fsm; mem_banks = 1 } in
+  let config = sim_config opts in
+  let schedules =
+    Schedule.table ~backend:Schedule.Fsm ~mem_banks:1 m (all_funcs m)
+  in
   let stats =
-    Sim.simulate ~config:(sim_config opts) m
+    Sim.simulate ~config ~schedules m
       ~threads:[| { Sim.tname = "main"; trole = Sim.Hw; local_memory = true } |]
       ~queues:[||] ~nsems:0 ()
   in
-  let area = Area.of_legup_module m ~schedules:(schedules_for opts m) in
+  let area = Area.of_legup_module m ~schedules:(Schedule.bindings schedules) in
   let busy = match stats.Sim.thread_busy with [| (_, b) |] -> b | _ -> 0 in
   let activity =
     if stats.Sim.cycles = 0 then 0.0
@@ -198,63 +207,31 @@ let run_pure_hw ?(opts = default_options) (m : Ir.modul) : scenario =
     executed = stats.Sim.executed;
   }
 
-(* Callees reachable from a set of root functions. *)
-let reachable_funcs (m : Ir.modul) (roots : string list) : string list =
-  let seen = Hashtbl.create 16 in
-  let rec go name =
-    if not (Hashtbl.mem seen name) then begin
-      Hashtbl.replace seen name ();
-      Ir.iter_insts (Ir.find_func m name) (fun i ->
-          match i.Ir.kind with Ir.Call (n, _) -> go n | _ -> ())
-    end
-  in
-  List.iter go roots;
-  Hashtbl.fold (fun k () acc -> k :: acc) seen []
+let reachable_funcs = Schedule.reachable
 
 (* Simulation + area/power accounting for an already-extracted pipeline. *)
 let run_twill_threaded ?(opts = default_options) (t : Dswp.threaded) :
     twill_result =
-  let stats = Sim.simulate_threaded ~config:(sim_config opts) t in
-  (* area: HW thread logic = LegUp translation of the hardware stages and
-     every callee reachable from them *)
-  let hw_roots =
-    Array.to_list t.Dswp.stages
-    |> List.filteri (fun s _ -> t.Dswp.roles.(s) = Partition.Hw)
+  let config = sim_config opts in
+  (* the design: the hardware stages and every callee reachable from
+     them, timed by rtsim and priced by the area model from one table
+     (banked designs also pay the extra ports / bank-select muxes) *)
+  let hw_roots = Dswp.hw_stages t in
+  let schedules =
+    Schedule.table ~backend:opts.backend ~mem_banks:opts.mem_banks t.Dswp.modul
+      hw_roots
   in
-  let hw_funcs = reachable_funcs t.Dswp.modul hw_roots in
-  (* banked designs replay banked schedules and pay the extra ports /
-     bank-select muxes in the area model *)
-  let banking_of =
-    if opts.mem_banks <= 1 then fun _ -> None
-    else begin
-      let plan =
-        lazy (Twill_ir.Memdep.plan_of_module t.Dswp.modul ~banks:opts.mem_banks)
-      in
-      fun (f : Ir.func) ->
-        let tbl = Twill_ir.Memdep.bank_table (Lazy.force plan) f in
-        Some
-          {
-            Schedule.nbanks = opts.mem_banks;
-            bank_of_id =
-              (fun id ->
-                if id >= 0 && id < Array.length tbl then tbl.(id) else None);
-          }
-    end
-  in
+  let stats = Sim.simulate_threaded ~config ~schedules t in
   let hw_threads_area =
     Area.sum
       (List.map
-         (fun name ->
+         (fun (name, s) ->
            let f = Ir.find_func t.Dswp.modul name in
-           let s =
-             Schedule.cached ~res:opts.resources ~modulo:opts.modulo
-               ~backend:opts.backend ?banking:(banking_of f) f
-           in
            match opts.backend with
            | Schedule.Fsm -> Area.of_schedule ~banks:opts.mem_banks f s
            | Schedule.Dataflow ->
                Area.of_elastic_schedule ~banks:opts.mem_banks f s)
-         hw_funcs)
+         (Schedule.bindings schedules))
   in
   let runtime_area =
     Area.of_runtime
@@ -308,6 +285,7 @@ let run_twill_threaded ?(opts = default_options) (t : Dswp.threaded) :
     nqueues = Array.length t.Dswp.queues;
     nsems = t.Dswp.nsems;
     stats;
+    schedules;
   }
 
 (* The Twill hybrid flow. *)

@@ -43,8 +43,8 @@ type options = Options.t = {
   inline_aggressive : bool;  (** inline every call before DSWP *)
   inline_threshold : int;  (** size bound for default inlining *)
   unroll : bool;  (** LegUp-style full unrolling of small counted loops *)
-  resources : Schedule.resources;  (** functional units per HW thread *)
-  modulo : bool;  (** enable the modulo scheduler *)
+  resources : Schedule.resources;  (** must stay the default *)
+  modulo : bool;  (** must stay [true] *)
   fuel : int;  (** simulation instruction budget *)
   backend : Schedule.backend;
       (** RTL lowering for the hardware partitions: the LegUp-style
@@ -98,7 +98,9 @@ val extract : ?opts:options -> ?prep:Dswp.prep -> Ir.modul -> Dswp.threaded
 val extract_comm :
   ?opts:options -> ?prep:Dswp.prep -> Ir.modul -> Dswp.threaded * Comm.report
 
-(** Simulator configuration corresponding to [opts]. *)
+(** Simulator configuration corresponding to [opts].
+    @raise Invalid_argument if [opts.resources] or [opts.modulo] is not
+    the default. *)
 val sim_config : options -> Sim.config
 
 (** One evaluated execution flow. *)
@@ -121,6 +123,8 @@ type twill_result = {
   nqueues : int;
   nsems : int;
   stats : Sim.stats;
+  schedules : Schedule.table;
+      (** what rtsim replayed and the area model priced *)
 }
 
 (** Whole program on the Microblaze model (thesis baseline 1). *)

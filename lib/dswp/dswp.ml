@@ -22,6 +22,9 @@ type threaded = {
   comm_licm_hoists : int; (* condition channels hoisted by ~licm_conds *)
 }
 
+let hw_stages (t : threaded) : string list =
+  List.filteri (fun s _ -> t.roles.(s) = Partition.Hw) (Array.to_list t.stages)
+
 (* Direct callees of a function. *)
 let callees_of (f : func) : string list =
   let acc = ref [] in

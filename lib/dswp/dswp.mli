@@ -24,6 +24,9 @@ type threaded = {
       (** condition channels hoisted to preheaders by [~licm_conds] *)
 }
 
+val hw_stages : threaded -> string list
+(** The hardware stages' entry functions, in stage order. *)
+
 val callees_of : func -> string list
 (** Direct callees of a function (deduplicated). *)
 

@@ -109,14 +109,15 @@ let order_chain_of k =
    schedule is identical to the unbanked one. *)
 type banking = { nbanks : int; bank_of_id : int -> int option }
 
-let no_banking = { nbanks = 1; bank_of_id = (fun _ -> Some 0) }
-
 let schedule ?(res = default_resources) ?(modulo = true) ?(backend = Fsm)
-    ?(banking = no_banking) (f : func) : t =
-  let nb = max 1 banking.nbanks in
-  let bank_of id = match banking.bank_of_id id with
-    | Some b when b >= 0 && b < nb -> Some b
-    | _ -> None
+    ?banking (f : func) : t =
+  let nb = match banking with Some b -> max 1 b.nbanks | None -> 1 in
+  let bank_of id = match banking with
+    | None -> Some 0
+    | Some b -> (
+        match b.bank_of_id id with
+        | Some k when k >= 0 && k < nb -> Some k
+        | _ -> None)
   in
   let start_state = Hashtbl.create 64 in
   let nstates = Array.make (Vec.length f.blocks) 1 in
@@ -405,77 +406,57 @@ let schedule ?(res = default_resources) ?(modulo = true) ?(backend = Fsm)
     total_states;
   }
 
-(* --- cross-run schedule cache ------------------------------------------- *)
+(* --- a design's schedule table ---------------------------------------- *)
 
-(* [schedule] is a pure function of the IR at call time, but the IR is
-   mutable, so the cache is keyed by *function identity* (physical
-   equality): a transform produces fresh [func] values (see
-   [Ir.copy_func]), never reuses an instance it already scheduled, so a
-   physical key can never serve a stale schedule for mutated code — the
-   invalidation rule is simply "schedule only after the function stopped
-   changing", which every caller (simulator, area accounting, RTL
-   emission) already satisfies.  Guarded by a mutex: scenario evaluation
-   runs in parallel domains. *)
-module Func_key = struct
-  type t = func
+module Memdep = Twill_ir.Memdep
+module Smap = Map.Make (String)
 
-  let equal = ( == )
-  let hash (f : func) = Hashtbl.hash f.name
-end
+(* The one place a [banking] is built from a plan. *)
+let banking_of_plan (plan : Memdep.plan) (f : func) : banking =
+  let tbl = Memdep.bank_table plan f in
+  {
+    nbanks = plan.Memdep.pn;
+    bank_of_id =
+      (fun id -> if id >= 0 && id < Array.length tbl then tbl.(id) else None);
+  }
 
-module Func_tbl = Hashtbl.Make (Func_key)
-
-type cache_entry = {
-  eres : resources;
-  emodulo : bool;
-  ebackend : backend;
-  (* bank count only: the bank map is a pure function of the module and
-     the count, and the physical [func] key pins the module version, so
-     two [banking] values with equal [nbanks] yield equal schedules.
-     0 = scheduled without banking. *)
-  ebanks : int;
-  esched : t;
-}
-
-let cache : cache_entry list ref Func_tbl.t = Func_tbl.create 256
-let cache_mutex = Mutex.create ()
-
-(* Modules are small (tens of functions); the bound only protects
-   pathological long-running sweeps from unbounded growth. *)
-let cache_bound = 4096
-
-let clear_cache () =
-  Mutex.lock cache_mutex;
-  Func_tbl.reset cache;
-  Mutex.unlock cache_mutex
-
-let cached ?(res = default_resources) ?(modulo = true) ?(backend = Fsm)
-    ?banking (f : func) : t =
-  let ebanks = match banking with None -> 0 | Some b -> max 1 b.nbanks in
-  Mutex.lock cache_mutex;
-  let entries = Func_tbl.find_opt cache f in
-  let hit =
-    match entries with
-    | None -> None
-    | Some l ->
-        List.find_opt
-          (fun e ->
-            e.eres = res && e.emodulo = modulo && e.ebackend = backend
-            && e.ebanks = ebanks)
-          !l
+(* Roots first, then callees in depth-first call order. *)
+let reachable (m : modul) (roots : string list) : string list =
+  let seen = Hashtbl.create 16 in
+  let order = ref [] in
+  let rec go name =
+    if not (Hashtbl.mem seen name) then begin
+      Hashtbl.replace seen name ();
+      order := name :: !order;
+      iter_insts (find_func m name) (fun i ->
+          match i.kind with Call (n, _) -> go n | _ -> ())
+    end
   in
-  Mutex.unlock cache_mutex;
-  match hit with
-  | Some e -> e.esched
-  | None ->
-      (* compute outside the lock: schedules are pure, so two domains
-         racing on the same function at worst duplicate work *)
-      let s = schedule ~res ~modulo ~backend ?banking f in
-      let e = { eres = res; emodulo = modulo; ebackend = backend; ebanks; esched = s } in
-      Mutex.lock cache_mutex;
-      (if Func_tbl.length cache > cache_bound then Func_tbl.reset cache);
-      (match Func_tbl.find_opt cache f with
-      | Some l -> l := e :: !l
-      | None -> Func_tbl.replace cache f (ref [ e ]));
-      Mutex.unlock cache_mutex;
-      s
+  List.iter go roots;
+  List.rev !order
+
+(* Immutable once built, so parallel domains may share one. *)
+type table = t Smap.t
+
+let table ~backend ~mem_banks (m : modul) (roots : string list) : table =
+  let banking =
+    if mem_banks <= 1 then fun _ -> None
+    else
+      let plan = Memdep.plan_of_module m ~banks:mem_banks in
+      fun f -> Some (banking_of_plan plan f)
+  in
+  List.fold_left
+    (fun acc name ->
+      let f = find_func m name in
+      Smap.add name (schedule ~backend ?banking:(banking f) f) acc)
+    Smap.empty (reachable m roots)
+
+let find (tbl : table) name =
+  try Smap.find name tbl
+  with Not_found -> invalid_arg ("Schedule.find: no schedule for " ^ name)
+
+let bindings : table -> (string * t) list = Smap.bindings
+
+(* Kept only for benchmark/layers.ml: nothing is memoised any more. *)
+let cached = schedule
+let clear_cache () = ()

@@ -8,9 +8,9 @@
     busy for its full latency) and loop-carried recurrences (scalar chains
     through phis and same-cell memory updates).
 
-    The runtime simulator replays these schedules for hardware-thread
-    timing; {!Twill_hls.Area} derives functional-unit counts from the same
-    schedule; {!Twill_vgen.Vemit} emits the corresponding RTL. *)
+    One {!table} per design holds the schedules the runtime simulator
+    replays for hardware-thread timing, {!Twill_hls.Area} derives
+    functional-unit counts from, and {!Twill_vgen.Vemit} emits as RTL. *)
 
 open Twill_ir.Ir
 
@@ -65,10 +65,9 @@ val order_chain_of : kind -> order_chain
     [bank_of_id] is the static bank of each access
     ({!Twill_ir.Memdep.bank_table}): [Some b] chains only against bank
     [b]; [None] joins every bank's chain and occupies a port in every
-    bank.  With [nbanks = 1] schedules are identical to unbanked. *)
+    bank.  With [nbanks = 1] schedules are identical to unbanked (no
+    [?banking]). *)
 type banking = { nbanks : int; bank_of_id : int -> int option }
-
-val no_banking : banking
 
 type t = {
   nstates : int array;  (** per block: FSM states (>= 1) *)
@@ -85,19 +84,33 @@ val schedule :
   ?res:resources -> ?modulo:bool -> ?backend:backend -> ?banking:banking ->
   func -> t
 
+(** {1 A design's schedules} *)
+
+val banking_of_plan : Twill_ir.Memdep.plan -> func -> banking
+(** [f]'s accesses under the plan's {!Twill_ir.Memdep.bank_table}. *)
+
+val reachable : modul -> string list -> string list
+(** The roots, then every function they reach through calls. *)
+
+type table
+(** One design's schedules by function name; immutable. *)
+
+val table : backend:backend -> mem_banks:int -> modul -> string list -> table
+(** [table ~backend ~mem_banks m roots] schedules {!reachable}[ m roots]
+    with the default resources, banked when [mem_banks > 1]: the design
+    rtsim times, the area model prices and the RTL emitter lowers.
+    Build it once the module is no longer mutated. *)
+
+val find : table -> string -> t
+(** @raise Invalid_argument if the function is not in the table. *)
+
+val bindings : table -> (string * t) list
+(** In function-name order. *)
+
 val cached :
   ?res:resources -> ?modulo:bool -> ?backend:backend -> ?banking:banking ->
   func -> t
-(** Like {!schedule}, but memoized across calls in a process-wide,
-    mutex-guarded cache keyed by function *identity* (physical equality)
-    and the scheduling configuration.  Safe because transforms produce
-    fresh [func] values rather than reusing scheduled instances; callers
-    must only schedule functions that are done being mutated.  Banking
-    is keyed by its bank count alone — the bank map is a pure function
-    of the module and the count, and the physical key pins the module
-    version.  Used by the runtime simulator, the area accounting and the
-    driver so one function is scheduled once per configuration instead
-    of once per consumer. *)
+(** {!schedule}, kept only for [benchmark/layers.ml]. *)
 
 val clear_cache : unit -> unit
-(** Drops every memoized schedule (tests / long-running sweeps). *)
+(** Does nothing; kept only for [benchmark/layers.ml]. *)

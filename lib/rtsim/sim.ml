@@ -35,8 +35,8 @@
 
    - [Interpreted] (the oracle): the original spin scheduler.  Each
      channel's handler calls an operation dispatching on the channel id
-     over get/set clock closures, hardware block costs resolve their
-     schedule through a name-keyed hashtable, and every blocked fiber is
+     over get/set clock closures, hardware block costs look their
+     schedule up in the design's schedule table, and every blocked fiber is
      resumed once per scheduler round just to re-check its wait
      condition.
    - [Compiled] (default): one handler builder and one fiber body serve
@@ -89,8 +89,6 @@ type thread_spec = {
 
 type config = {
   queue_latency : int;
-  resources : Schedule.resources;
-  modulo : bool;
   backend : Schedule.backend; (* RTL lowering whose timing hw threads replay *)
   fuel : int;
   (* memory banks (Memdep.plan): each bank gets its own bus arbiter, and
@@ -105,8 +103,6 @@ type config = {
 let default_config =
   {
     queue_latency = 2;
-    resources = Schedule.default_resources;
-    modulo = true;
     backend = Schedule.Fsm;
     fuel = 300_000_000;
     mem_banks = 1;
@@ -358,7 +354,7 @@ let profile_of (st : queue_state) : queue_profile =
   }
 
 let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
-    (m : modul) ~(threads : thread_spec array)
+    ?schedules (m : modul) ~(threads : thread_spec array)
     ~(queues : Threadgen.queue_info array) ~(nsems : int) () : stats =
   let layout, mem = Interp.fresh_memory m in
   let module_bus = Bus.create "module" in
@@ -370,9 +366,7 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
         Bus.create (if k = 0 then "memory" else Printf.sprintf "memory.%d" k))
   in
   let memory_bus = mem_buses.(0) in
-  (* memory disambiguation: built on demand (banked sim or checker on).
-     The plan is a pure function of (module, nbanks), so it is safe to
-     key caches on the bank count alone. *)
+  (* memory disambiguation: built on demand (banked sim or checker on) *)
   let banking_plan = lazy (Memdep.plan_of_module m ~banks:nbanks) in
   let bank_tables : (string, int option array) Hashtbl.t = Hashtbl.create 16 in
   let bank_table_of (f : func) : int option array =
@@ -393,34 +387,19 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
     Array.init (max 1 nsems) (fun _ ->
         { count = 1; free_at = 0; wl_sem = ref [] })
   in
-  (* schedules for hardware threads: resolved through the process-wide
-     cache (shared with area accounting and the driver), memoized by name
-     here to avoid the find_func scan and cache lock on the hot path *)
-  let schedules : (string, Schedule.t) Hashtbl.t = Hashtbl.create 16 in
-  let schedule_of (fname : string) : Schedule.t =
-    match Hashtbl.find_opt schedules fname with
-    | Some s -> s
+  (* the design's schedules: every hardware thread and its callees *)
+  let schedules =
+    match schedules with
+    | Some tbl -> tbl
     | None ->
-        let f = find_func m fname in
-        let banking =
-          if nbanks = 1 then None
-          else
-            let tbl = bank_table_of f in
-            Some
-              {
-                Schedule.nbanks;
-                bank_of_id =
-                  (fun id ->
-                    if id >= 0 && id < Array.length tbl then tbl.(id) else None);
-              }
+        let hw =
+          List.filter_map
+            (fun t -> if t.trole = Hw then Some t.tname else None)
+            (Array.to_list threads)
         in
-        let s =
-          Schedule.cached ~res:config.resources ~modulo:config.modulo
-            ~backend:config.backend ?banking f
-        in
-        Hashtbl.replace schedules fname s;
-        s
+        Schedule.table ~backend:config.backend ~mem_banks:nbanks m hw
   in
+  let schedule_of = Schedule.find schedules in
   (* decoded code shared by every thread of this simulation *)
   let ictx = Interp.make_context ~layout m in
   (* per-thread execution contexts *)
@@ -859,9 +838,9 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
         }
       in
       (* A hardware thread's block costs over flat per-function arrays,
-         resolved once at first entry (the schedule itself comes from
-         the process-wide cache); steady state is one physical-equality
-         check and two array reads per block exit.  The interpreter
+         resolved from the schedule table once at first entry; steady
+         state is one physical-equality check and two array reads per
+         block exit.  The interpreter
          charges the answer into the thread's [cell]. *)
       let make_block_cost () : func -> block -> int =
         let cur_f : func option ref = ref None in
@@ -1126,6 +1105,8 @@ let thread_specs (t : Twill_dswp.Dswp.threaded) : thread_spec array =
       })
     t.stages
 
-let simulate_threaded ?config ?engine (t : Twill_dswp.Dswp.threaded) : stats =
-  simulate ?config ~master:t.master ?engine t.modul ~threads:(thread_specs t)
+let simulate_threaded ?config ?engine ?schedules (t : Twill_dswp.Dswp.threaded)
+    : stats =
+  simulate ?config ~master:t.master ?engine ?schedules t.modul
+    ~threads:(thread_specs t)
     ~queues:t.queues ~nsems:t.nsems ()

@@ -56,8 +56,6 @@ type thread_spec = {
 
 type config = {
   queue_latency : int;
-  resources : Twill_hls.Schedule.resources;
-  modulo : bool;
   backend : Twill_hls.Schedule.backend;
       (** which RTL lowering's block timing (nstates/II) the hardware
           threads replay: the FSM list schedule or the elastic dataflow
@@ -65,7 +63,7 @@ type config = {
   fuel : int;  (** per-thread instruction budget *)
   mem_banks : int;
       (** shared-memory banks ({!Twill_ir.Memdep.plan}): each bank gets
-          its own bus arbiter and hardware threads replay schedules with
+          its own bus arbiter, and the default schedule table carries
           per-bank ordering chains.  1 (the default) keeps the single
           shared memory port and is bit-identical to the unbanked
           simulator. *)
@@ -121,6 +119,7 @@ val simulate :
   ?config:config ->
   ?master:int ->
   ?engine:engine ->
+  ?schedules:Twill_hls.Schedule.table ->
   modul ->
   threads:thread_spec array ->
   queues:Threadgen.queue_info array ->
@@ -130,7 +129,9 @@ val simulate :
 (** Runs every thread to completion over one shared memory image and
     returns the timing/behaviour statistics.  [master] selects the thread
     whose return value is the program result (default 0).  [engine]
-    defaults to [Compiled]; [Interpreted] is the oracle.
+    defaults to [Compiled]; [Interpreted] is the oracle.  Hardware
+    threads replay [schedules] (default: {!Twill_hls.Schedule.table} of
+    the hardware threads at [config.backend] and [config.mem_banks]).
     @raise Deadlock when no thread can make progress.
     @raise Out_of_fuel when a thread exceeds [config.fuel]. *)
 
@@ -157,6 +158,10 @@ val thread_specs : Twill_dswp.Dswp.threaded -> thread_spec array
     partition role. *)
 
 val simulate_threaded :
-  ?config:config -> ?engine:engine -> Twill_dswp.Dswp.threaded -> stats
+  ?config:config ->
+  ?engine:engine ->
+  ?schedules:Twill_hls.Schedule.table ->
+  Twill_dswp.Dswp.threaded ->
+  stats
 (** {!simulate} of an extraction: its module, stage threads, queues and
     semaphores, with the master stage's return value as the result. *)

@@ -32,8 +32,9 @@ open Twill_ir.Ir
 module Vec = Twill_ir.Vec
 
 (* Emits one hardware-thread module under the elastic template. *)
-let emit_hw_thread (layout : Twill_ir.Layout.t) (f : func) : string =
-  let th = Vemit.begin_thread ~backend:Twill_hls.Schedule.Dataflow layout f in
+let emit_hw_thread (layout : Twill_ir.Layout.t) (f : func)
+    (s : Twill_hls.Schedule.t) : string =
+  let th = Vemit.begin_thread ~backend:Twill_hls.Schedule.Dataflow layout f s in
   let pr fmt = Vemit.pr th fmt in
   let micros = th.Vemit.micros in
   let term_step bid = Array.length micros.(bid) - 1 in

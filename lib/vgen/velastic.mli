@@ -6,10 +6,11 @@
     registers, callee sub-threads and every micro-op's statements come
     from {!Twill_vgen.Vemit}'s shared thread body, so the runtime system
     and the cosim harness drive either backend unchanged; the schedule is
-    {!Twill_hls.Schedule.schedule} under [~backend:Dataflow]
-    (resource-free ASAP). *)
+    the design's [Dataflow] schedule (resource-free ASAP) from
+    {!Twill_hls.Schedule.table}, banked like the one rtsim times. *)
 
 open Twill_ir.Ir
 
-val emit_hw_thread : Twill_ir.Layout.t -> func -> string
-(** One [module twill_thread_<name> (...)] under the elastic template. *)
+val emit_hw_thread : Twill_ir.Layout.t -> func -> Twill_hls.Schedule.t -> string
+(** One [module twill_thread_<name> (...)] under the elastic template,
+    from a [Dataflow] schedule of the function. *)

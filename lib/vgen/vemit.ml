@@ -136,9 +136,8 @@ let callee_of (f : func) id =
   | Call (c, cargs) -> (c, cargs)
   | _ -> assert false
 
-let begin_thread ~backend (layout : Twill_ir.Layout.t) (f : func) : thread =
-  recompute_cfg f;
-  let s = Schedule.schedule ~backend f in
+let begin_thread ~backend (layout : Twill_ir.Layout.t) (f : func)
+    (s : Schedule.t) : thread =
   let micros = Array.make (Vec.length f.blocks) [||] in
   Vec.iter
     (fun (b : block) -> micros.(b.bid) <- Array.of_list (micros_of_block f s b))
@@ -331,8 +330,9 @@ let emit_micro th ~ind ~label ~advance ~term m =
 
 (* Emits one hardware-thread module under the FSM template: a central
    [state] register numbering every block's micro-states contiguously. *)
-let emit_hw_thread (layout : Twill_ir.Layout.t) (f : func) : string =
-  let th = begin_thread ~backend:Schedule.Fsm layout f in
+let emit_hw_thread (layout : Twill_ir.Layout.t) (f : func) (s : Schedule.t) :
+    string =
+  let th = begin_thread ~backend:Schedule.Fsm layout f s in
   let pr fmt = pr th fmt in
   let base = Array.make (Vec.length f.blocks) 0 in
   let next = ref 1 (* state 0 = idle/start *) in

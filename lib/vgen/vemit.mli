@@ -54,9 +54,15 @@ val callee_of : func -> int -> string * operand array
 (** Callee and arguments of a [Call] instruction. *)
 
 val begin_thread :
-  backend:Twill_hls.Schedule.backend -> Twill_ir.Layout.t -> func -> thread
-(** Schedules [f] under [backend], linearises its blocks and emits the
-    module header and port list. *)
+  backend:Twill_hls.Schedule.backend ->
+  Twill_ir.Layout.t ->
+  func ->
+  Twill_hls.Schedule.t ->
+  thread
+(** Linearises the blocks of [f] under its schedule, which must be a
+    [backend] schedule of [f] (from the design's
+    {!Twill_hls.Schedule.table}), and emits the module header and port
+    list. *)
 
 val emit_datapath : thread -> unit
 (** The result registers, one sub-thread instance per callee and the
@@ -85,5 +91,6 @@ val emit_micro :
     non-terminator micro-op followed by the [advance] statement, or
     [term ()] for [Term]. *)
 
-val emit_hw_thread : Twill_ir.Layout.t -> func -> string
-(** One [module twill_thread_<name> (...)] under the FSM template. *)
+val emit_hw_thread : Twill_ir.Layout.t -> func -> Twill_hls.Schedule.t -> string
+(** One [module twill_thread_<name> (...)] under the FSM template, from
+    an [Fsm] schedule of the function. *)

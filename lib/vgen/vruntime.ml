@@ -352,10 +352,7 @@ let emit_banked_memory (p : Memdep.plan) : string =
 let emit_system ?plan (t : Dswp.threaded) : string =
   let buf = Buffer.create 16384 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let hw_stages =
-    Array.to_list t.Dswp.stages
-    |> List.filteri (fun s _ -> t.Dswp.roles.(s) = Twill_dswp.Partition.Hw)
-  in
+  let hw_stages = Dswp.hw_stages t in
   let physical =
     Array.to_list t.Dswp.queues
     |> List.filter (fun (q : Threadgen.queue_info) ->
@@ -492,6 +489,13 @@ let emit_design ?(backend = Twill_hls.Schedule.Fsm) ?(mem_banks = 1)
     if mem_banks <= 1 then None
     else Some (Memdep.plan_of_module t.Dswp.modul ~banks:mem_banks)
   in
+  (* hardware threads plus the transitive closure of their callees, each
+     lowered from the schedule rtsim times: each non-inlined callee
+     becomes a sub-thread module the parent instantiates *)
+  let hw_roots = Dswp.hw_stages t in
+  let schedules =
+    Twill_hls.Schedule.table ~backend ~mem_banks t.Dswp.modul hw_roots
+  in
   let buf = Buffer.create 65536 in
   Buffer.add_string buf queue_module;
   Buffer.add_string buf "\n";
@@ -508,25 +512,21 @@ let emit_design ?(backend = Twill_hls.Schedule.Fsm) ?(mem_banks = 1)
       Buffer.add_string buf (emit_banked_memory p);
       Buffer.add_string buf "\n"
   | None -> ());
-  (* hardware threads plus the transitive closure of their callees: each
-     non-inlined callee becomes a sub-FSM module the parent instantiates *)
   let emitted = Hashtbl.create 16 in
   let rec emit_thread name =
     if not (Hashtbl.mem emitted name) then begin
       Hashtbl.replace emitted name ();
       let f = Twill_ir.Ir.find_func t.Dswp.modul name in
       List.iter emit_thread (Dswp.callees_of f);
+      let s = Twill_hls.Schedule.find schedules name in
       (match backend with
       | Twill_hls.Schedule.Fsm ->
-          Buffer.add_string buf (Vemit.emit_hw_thread layout f)
+          Buffer.add_string buf (Vemit.emit_hw_thread layout f s)
       | Twill_hls.Schedule.Dataflow ->
-          Buffer.add_string buf (Velastic.emit_hw_thread layout f));
+          Buffer.add_string buf (Velastic.emit_hw_thread layout f s));
       Buffer.add_string buf "\n"
     end
   in
-  Array.iteri
-    (fun s name ->
-      if t.Dswp.roles.(s) = Twill_dswp.Partition.Hw then emit_thread name)
-    t.Dswp.stages;
+  List.iter emit_thread hw_roots;
   Buffer.add_string buf (emit_system ?plan t);
   Buffer.contents buf

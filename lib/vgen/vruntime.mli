@@ -52,7 +52,10 @@ val emit_design :
     module per hardware thread — the monolithic FSM of
     {!Vemit.emit_hw_thread} or, under [~backend:Dataflow], the elastic
     stage pipeline of {!Velastic.emit_hw_thread} — and the system top.
-    Callees follow the selected backend recursively.  [mem_banks > 1]
-    additionally computes the banking plan and emits the banked memory
-    subsystem ({!emit_banked_memory}); the thread modules and their
-    call-port protocol are identical at every bank count. *)
+    Callees follow the selected backend recursively.  Every thread
+    module lowers its schedule from {!Twill_hls.Schedule.table} at
+    [backend] and [mem_banks] — the schedules rtsim times for the same
+    design.  [mem_banks > 1] additionally computes the banking plan, gives
+    the threads per-bank ordering chains and emits the banked memory
+    subsystem ({!emit_banked_memory}); the call-port protocol is the same
+    at every bank count. *)

@@ -191,11 +191,7 @@ let test_bank_table_sound () =
 (* --- banked schedules --------------------------------------------------- *)
 
 let banking_of m layout n =
-  let md = Memdep.build m in
-  let p = Memdep.plan md layout ~banks:n in
-  fun (f : Ir.func) ->
-    let tbl = Memdep.bank_table p f in
-    { Schedule.nbanks = n; bank_of_id = (fun id -> tbl.(id)) }
+  Schedule.banking_of_plan (Memdep.plan (Memdep.build m) layout ~banks:n)
 
 (* With one bank the banked scheduler must be the identity; with more,
    relaxing the single ordering chain can only shorten blocks, same-bank

@@ -158,6 +158,21 @@ let timing_tests =
         Array.iter
           (fun p -> Alcotest.(check bool) "peak <= depth" true (p <= 4))
           s.Sim.queue_peaks);
+    Alcotest.test_case "sim_config rejects non-default resources and modulo"
+      `Quick (fun () ->
+        let rejects what (opts : Twill.options) =
+          match Twill.sim_config opts with
+          | _ -> Alcotest.failf "%s: accepted" what
+          | exception Invalid_argument _ -> ()
+        in
+        let d = Twill.default_options in
+        rejects "resources"
+          {
+            d with
+            resources = { Twill.Schedule.default_resources with alu = 8 };
+          };
+        rejects "modulo" { d with modulo = false };
+        ignore (Twill.sim_config d));
   ]
 
 (* the headline property: the timed simulation observes sequential

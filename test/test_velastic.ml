@@ -46,13 +46,15 @@ let check_ok name (src : string) =
   | Error (msg, line) -> Alcotest.failf "%s: line %d: %s" name line msg
 
 (* Compile [src] and emit main (unpartitioned) under the elastic
-   template; returns the function (CFG recomputed by the emitter) and
+   template; returns the function (CFG recomputed by the scheduler) and
    the Verilog text. *)
 let elastic_main src =
   let m = Twill.compile src in
   let f = Twill.Ir.find_func m "main" in
   let layout = Twill_ir.Layout.build m in
-  let v = Velastic.emit_hw_thread layout f in
+  let v =
+    Velastic.emit_hw_thread layout f (S.schedule ~backend:S.Dataflow f)
+  in
   (f, v)
 
 (* --- structural shape of the handshake fabric --------------------------- *)
@@ -109,8 +111,10 @@ let structure_tests =
         let m = Twill.compile branchy in
         let f = Twill.Ir.find_func m "main" in
         let layout = Twill_ir.Layout.build m in
-        let fsm = Vemit.emit_hw_thread layout f in
-        let df = Velastic.emit_hw_thread layout f in
+        let fsm = Vemit.emit_hw_thread layout f (S.schedule f) in
+        let df =
+          Velastic.emit_hw_thread layout f (S.schedule ~backend:S.Dataflow f)
+        in
         List.iter
           (fun port ->
             Alcotest.(check bool) ("fsm has " ^ port) true (contains fsm port);

@@ -84,7 +84,8 @@ let thread_tests =
              return s; }"
         in
         let layout = Twill_ir.Layout.build m in
-        let v = Vemit.emit_hw_thread layout (Twill.Ir.find_func m "main") in
+        let f = Twill.Ir.find_func m "main" in
+        let v = Vemit.emit_hw_thread layout f (Twill.Schedule.schedule f) in
         check_ok "main" v;
         Alcotest.(check bool) "module name" true
           (contains v "module twill_thread_main");
@@ -135,9 +136,9 @@ let design_digests =
     ("gsm", "dataflow", 1, "71355a0e671bbc101dacc531cb5e0421");
     ("gsm", "dataflow", 4, "fcc6b4541587b068c2f58634c89862dc");
     ("jpeg", "fsm", 1, "d458805ce3a5b0868c926e5125700472");
-    ("jpeg", "fsm", 4, "2fd2ab5c899c2ec15c4828e462265cc8");
+    ("jpeg", "fsm", 4, "9dd4c5177ac00bab97c48a2aea5ce18d");
     ("jpeg", "dataflow", 1, "6bf083227ede81dd3fc7e5f55304cf63");
-    ("jpeg", "dataflow", 4, "633b97dd378be97d8e976bd551bebdca");
+    ("jpeg", "dataflow", 4, "f3bc8b0f4359f8a8a9864fc67c12da08");
     ("mips", "fsm", 1, "5be4c3a4b6b317bb628c01fbad465804");
     ("mips", "fsm", 4, "adb7aeaf221e8d4969c41fa7570526ad");
     ("mips", "dataflow", 1, "58d1e81c148b62506cba03058b19b79d");
