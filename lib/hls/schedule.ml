@@ -420,7 +420,7 @@ let banking_of_plan (plan : Memdep.plan) (f : func) : banking =
       (fun id -> if id >= 0 && id < Array.length tbl then tbl.(id) else None);
   }
 
-(* Roots first, then callees in depth-first call order. *)
+(* Depth-first from each root in turn, each function once. *)
 let reachable (m : modul) (roots : string list) : string list =
   let seen = Hashtbl.create 16 in
   let order = ref [] in
