@@ -69,6 +69,12 @@ let flow_knobs =
 
 let flow_opts = opts_term flow_knobs
 
+(* Above one memory bank the runtime alias checker is armed, so
+   dependence-oracle optimism traps instead of corrupting silently
+   ([cosim] and [fuzz]). *)
+let arm_checker (opts : Twill.options) =
+  { opts with Twill.check_memdep = opts.Twill.mem_banks > 1 }
+
 let no_auto =
   Arg.(
     value & flag
@@ -234,6 +240,7 @@ let cosim_cmd =
           ~doc:"Dump one VCD waveform per RTL instance under $(docv).")
   in
   let run opts vcd name =
+    let opts = arm_checker opts in
     let m = Twill.compile ~opts (source_of name) in
     let t = Twill.extract ~opts m in
     let r = Twill.cosim ~opts ?vcd t in
@@ -256,7 +263,8 @@ let cosim_cmd =
     (Cmd.info "cosim"
        ~doc:
          "Co-simulate the emitted RTL of a benchmark or mini-C file against \
-          the rtsim reference")
+          the rtsim reference.  Above one memory bank the runtime alias \
+          checker is armed in the rtsim reference")
     Term.(const run $ flow_opts $ vcd $ what)
 
 let comm_report_cmd =
@@ -346,8 +354,8 @@ let fuzz_cmd =
       value & flag
       & info [ "strict" ]
           ~doc:
-            "Exit nonzero if any divergence is found (or, with \
-             $(b,--replay), if any repro went stale).")
+            "Exit nonzero if any divergence is found or the alias checker \
+             trapped (or, with $(b,--replay), if any repro went stale).")
   in
   let fuzz_backend =
     Arg.(
@@ -382,7 +390,7 @@ let fuzz_cmd =
           (List.length stale);
         if strict && stale <> [] then exit 1
     | None ->
-        let opts = { opts with Twill.check_memdep = opts.Twill.mem_banks > 1 } in
+        let opts = arm_checker opts in
         let t0 = Unix.gettimeofday () in
         let s = F.Campaign.run ~opts ~limit ~backends ~seed ~cases () in
         let dt = Unix.gettimeofday () -. t0 in
@@ -395,7 +403,7 @@ let fuzz_cmd =
         (* timing goes to stderr so stdout stays reproducible *)
         Fmt.epr "fuzz: %d cases in %.1fs (%.1f cases/sec)@." cases dt
           (float_of_int cases /. dt);
-        if strict && s.F.Campaign.s_repros <> [] then exit 1
+        if strict && F.Campaign.failed s then exit 1
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -405,7 +413,8 @@ let fuzz_cmd =
           prefix, rtsim, RTL co-simulation), with shrinking and pass \
           bisection of any divergence.  Above one memory bank the runtime \
           alias checker is armed, so dependence-oracle optimism surfaces \
-          as a divergence instead of silent corruption")
+          as a trap (which fails $(b,--strict)) instead of silent \
+          corruption")
     Term.(
       const run $ seed $ cases $ max_stage $ fuzz_backend $ out $ replay
       $ opts_term O.[ pipeline_break; mem_banks ]

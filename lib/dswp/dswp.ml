@@ -6,7 +6,6 @@
 
 open Twill_ir.Ir
 module Vec = Twill_ir.Vec
-module Alias = Twill_pdg.Alias
 module Effects = Twill_pdg.Effects
 module Pdg = Twill_pdg.Pdg
 
@@ -54,17 +53,16 @@ let protect_calls (f : func) (callee : string) (sid : int) : unit =
       b.insts <- List.rev !out)
     f.blocks
 
-(* The width- and split-independent front half of the pipeline: alias
-   analysis, effects, the PDG of [main] and the node weights all depend
-   only on the module and the profile, so drivers sweeping partition
+(* The width- and split-independent front half of the pipeline: the
+   points-to analysis ([Memdep.build], the one banking also rests on),
+   effects, the PDG of [main] and the node weights all depend only on
+   the module and the profile, so drivers sweeping partition
    configurations compute them once. *)
 type prep = { pmodul : modul; pgraph : Pdg.t; pweights : Weights.t }
 
 let prepare ?profile (m : modul) : prep =
-  let alias = Alias.build m in
-  let eff = Effects.build alias m in
-  let main = find_func m "main" in
-  let g = Pdg.build alias eff m main in
+  let eff = Effects.build (Twill_ir.Memdep.build m) m in
+  let g = Pdg.build eff (find_func m "main") in
   let w = Weights.compute ?profile ~modul:m g in
   { pmodul = m; pgraph = g; pweights = w }
 

@@ -38,6 +38,8 @@ type summary = {
   s_repros : repro list;  (** in case order *)
   s_stage_skips : (string * int) list;  (** per-stage skip tally, sorted *)
   s_stage_errors : (string * int) list;
+  s_traps : (int * string * string) list;
+      (** case index, stage, alias-checker message; in case order *)
 }
 
 let tally (assoc : (string * int) list) (key : string) =
@@ -46,7 +48,7 @@ let tally (assoc : (string * int) list) (key : string) =
   | None -> (key, 1) :: assoc
 
 let run_case ~opts ~limit ~backends ~shrink_tests ~seed index :
-    case_outcome * (string * string) list * (string * string) list =
+    case_outcome * Oracle.result =
   let prog = Gen.program ~seed ~index in
   let src = Twill_minic.Ast_pp.program_to_string prog in
   let res = Oracle.check ~opts ~limit ~backends src in
@@ -89,7 +91,7 @@ let run_case ~opts ~limit ~backends ~shrink_tests ~seed index :
             r_shrink_tests = sstats.Shrink.tests;
           }
   in
-  (outcome, res.Oracle.skips, res.Oracle.errors)
+  (outcome, res)
 
 let run ?(opts = default_options) ?(limit = Oracle.L_vsim)
     ?(backends = Oracle.B_both) ?(shrink_tests = 3000) ~seed ~cases () :
@@ -105,12 +107,20 @@ let run ?(opts = default_options) ?(limit = Oracle.L_vsim)
   let repros = ref [] in
   let stage_skips = ref [] in
   let stage_errors = ref [] in
+  let traps = ref [] in
   List.iteri
-    (fun i (outcome, skips, errors) ->
-      List.iter (fun (st, _) -> stage_skips := tally !stage_skips st) skips;
-      List.iter (fun (st, _) -> stage_errors := tally !stage_errors st) errors;
+    (fun i (outcome, (res : Oracle.result)) ->
+      List.iter
+        (fun (st, _) -> stage_skips := tally !stage_skips st)
+        res.Oracle.skips;
+      List.iter
+        (fun (st, _) -> stage_errors := tally !stage_errors st)
+        res.Oracle.errors;
+      List.iter
+        (fun (st, msg) -> traps := (i, st, msg) :: !traps)
+        res.Oracle.traps;
       match outcome with
-      | C_agree -> incr agreed
+      | C_agree -> if res.Oracle.traps = [] then incr agreed
       | C_skip r -> skipped := (i, r) :: !skipped
       | C_diverge r -> repros := r :: !repros)
     results;
@@ -124,7 +134,11 @@ let run ?(opts = default_options) ?(limit = Oracle.L_vsim)
     s_repros = List.rev !repros;
     s_stage_skips = sorted !stage_skips;
     s_stage_errors = sorted !stage_errors;
+    s_traps = List.rev !traps;
   }
+
+(* What fails a strict campaign: a divergence or an alias-checker trap. *)
+let failed (s : summary) = s.s_repros <> [] || s.s_traps <> []
 
 (* --- reporting ---------------------------------------------------------- *)
 
@@ -162,6 +176,11 @@ let summary_to_string (s : summary) : string =
            | Some p -> Printf.sprintf ", first bad pass: %s" p
            | None -> "")))
     s.s_repros;
+  List.iter
+    (fun (case, stage, msg) ->
+      Buffer.add_string b
+        (Printf.sprintf "  case %d: TRAPS at %s (%s)\n" case stage msg))
+    s.s_traps;
   Buffer.contents b
 
 (* --- corpus persistence ------------------------------------------------- *)

@@ -10,7 +10,10 @@
    treated as divergences: the fuzzer hunts miscompilations, not
    harness coverage gaps, and an error-class outcome would otherwise
    drown the signal.  The skip/error tallies still surface in the
-   campaign summary so a harness regression is visible. *)
+   campaign summary so a harness regression is visible.  A runtime
+   alias-checker trap is neither: it convicts the dependence oracle or
+   the banked arbitration, so it is a verdict of its own that fails a
+   strict campaign like a divergence. *)
 
 open Twill
 
@@ -40,6 +43,7 @@ type outcome =
   | Obs_ok of observation
   | Obs_skip of string  (* ran out of budget; not a verdict *)
   | Obs_error of string  (* the stage failed outright *)
+  | Obs_trap of string  (* the runtime alias checker fired *)
 
 let engine_suffix = function Interp.Decoded -> "" | Interp.Tree -> "-tree"
 
@@ -63,8 +67,9 @@ let all_stages : stage list =
   @ [ Obs_opt (Pipeline.nstages, Interp.Tree); Obs_rtsim; Obs_vsim;
       Obs_velastic ]
 
-(* Runs one observation.  Out-of-fuel runs are skips; traps, deadlocks
-   and harness failures are errors; no exception escapes. *)
+(* Runs one observation.  Out-of-fuel runs are skips; an alias-checker
+   trap is a trap; interpreter traps, deadlocks and harness failures are
+   errors; no exception escapes. *)
 let outcome (run : unit -> observation) : outcome =
   match run () with
   | o -> Obs_ok o
@@ -75,6 +80,7 @@ let outcome (run : unit -> observation) : outcome =
   | exception (Twill_minic.Ast_interp.Trap msg | Interp.Trap msg) ->
       Obs_error ("trap: " ^ msg)
   | exception Sim.Deadlock msg -> Obs_error ("deadlock: " ^ msg)
+  | exception Sim.Alias_violation msg -> Obs_trap msg
   | exception Cosim.Cosim_error msg ->
       (* the harness's cycle budget, not a verdict *)
       if String.starts_with ~prefix:"co-simulation out of fuel" msg then
@@ -247,6 +253,7 @@ type result = {
   verdict : verdict;
   skips : (string * string) list;  (** stage name, reason *)
   errors : (string * string) list;
+  traps : (string * string) list;  (** stage name, alias-checker message *)
 }
 
 let obs_equal (a : observation) (b : observation) =
@@ -258,30 +265,37 @@ let obs_equal (a : observation) (b : observation) =
    the AST reference (always the walk's first stage). *)
 let check ?(opts = default_options) ?(limit = L_vsim) ?(backends = B_both)
     (src : string) : result =
-  let agree = { verdict = Agree; skips = []; errors = [] } in
+  let agree = { verdict = Agree; skips = []; errors = []; traps = [] } in
   match walk ~opts (stages_for ~backends limit) src () with
   | Seq.Nil -> agree
-  | Seq.Cons ((_, (Obs_skip r | Obs_error r)), _) ->
+  | Seq.Cons ((_, (Obs_skip r | Obs_error r | Obs_trap r)), _) ->
       { agree with verdict = Skipped ("ast: " ^ r) }
   | Seq.Cons ((_, Obs_ok baseline), rest) ->
-      let rec scan skips errors rest =
+      let rec scan skips errors traps rest =
         let result verdict =
-          { verdict; skips = List.rev skips; errors = List.rev errors }
+          {
+            verdict;
+            skips = List.rev skips;
+            errors = List.rev errors;
+            traps = List.rev traps;
+          }
         in
         match rest () with
         | Seq.Nil -> result Agree
         | Seq.Cons ((stage, o), rest) -> (
             let name = stage_name stage in
             match o with
-            | Obs_ok o when obs_equal baseline o -> scan skips errors rest
+            | Obs_ok o when obs_equal baseline o ->
+                scan skips errors traps rest
             | Obs_ok o ->
                 result
                   (Diverge
                      { div_stage = name; div_expected = baseline; div_got = o })
-            | Obs_skip r -> scan ((name, r) :: skips) errors rest
-            | Obs_error r -> scan skips ((name, r) :: errors) rest)
+            | Obs_skip r -> scan ((name, r) :: skips) errors traps rest
+            | Obs_error r -> scan skips ((name, r) :: errors) traps rest
+            | Obs_trap r -> scan skips errors ((name, r) :: traps) rest)
       in
-      scan [] [] rest
+      scan [] [] [] rest
 
 (* The shrinker predicate: does this source still expose a divergence
    (anywhere in the stack, up to [limit])? *)

@@ -1,14 +1,20 @@
-(* Memory disambiguation and array banking.
+(* Points-to analysis, memory disambiguation and array banking.
+
+   One flow-insensitive interprocedural points-to analysis serves every
+   consumer of memory dependences: the PDG's memory edges and the
+   per-function effect summaries (lib/pdg), and the banking below.
+   Mini-C addresses flow only through globals, allocas, geps and array
+   arguments (no casts, no address-of on scalars, no pointer phis from
+   the front end), so a simple points-to computation over the acyclic
+   call graph gives precise per-object disambiguation, the
+   "basicaa"-level precision the thesis relies on.
 
    Twill's hardware threads serialize every load/store through the one
    module-shared memory port, so the scheduler chains all memory traffic
    into a single total order.  This module proves independence between
    accesses so that order can be split per bank:
 
-   - base-object separation: Mini-C addresses flow only through globals,
-     allocas, geps and array arguments (no casts, no address-of on
-     scalars), so a flow-insensitive interprocedural points-to gives
-     precise per-object disambiguation;
+   - base-object separation from the points-to sets;
    - affine offset analysis: a gep chain's offset relative to its root
      is tracked as the residue class [c + g*Z] (g = 0 means exactly c);
      two accesses to the same object are independent when their residue
@@ -36,10 +42,16 @@ type baseset =
   | Known of base list (* may point to any of these objects *)
   | Unknown (* may point anywhere *)
 
-let union_bases a b =
+let union a b =
   match (a, b) with
   | Unknown, _ | _, Unknown -> Unknown
   | Known xs, Known ys -> Known (List.sort_uniq compare (xs @ ys))
+
+(* May the two sets share an object? *)
+let overlap a b =
+  match (a, b) with
+  | Unknown, _ | _, Unknown -> true
+  | Known xs, Known ys -> List.exists (fun x -> List.mem x ys) xs
 
 (* --- affine residue classes --------------------------------------------- *)
 
@@ -83,9 +95,20 @@ let aff_collide a b =
 
 type t = {
   m : modul;
-  (* function name -> per-argument (points-to, offset vs object base) *)
-  argpt : (string, (baseset * affine) array) Hashtbl.t;
+  (* function name -> per-argument (points-to, offset vs object base);
+     None until a call site reaches the argument *)
+  argpt : (string, (baseset * affine) option array) Hashtbl.t;
+  (* globals that are never written anywhere in the module *)
+  read_only : (string, unit) Hashtbl.t;
 }
+
+(* An argument no call site reaches points nowhere: its function never
+   runs with it. *)
+let arg_info t (f : func) i =
+  match Hashtbl.find_opt t.argpt f.name with
+  | Some sets when i < Array.length sets ->
+      Option.value sets.(i) ~default:(Known [], aff_const 0l)
+  | _ -> (Unknown, aff_top)
 
 (* Affine value of an operand used as an integer (gep index).  Walks the
    defining chain depth-limited, with a visiting set so phi cycles join
@@ -130,16 +153,26 @@ let affine_of (f : func) (o : operand) : affine =
   in
   go 0 o
 
+(* Base objects of an address operand inside [f]: [fst (addr_info …)]
+   without the affine walk, for the PDG's pairwise queries. *)
+let rec base_of t (f : func) (o : operand) : baseset =
+  match o with
+  | Glob g -> Known [ Bglobal g ]
+  | Cst _ -> Known [] (* a literal address never arises from the front end *)
+  | Argv i -> fst (arg_info t f i)
+  | Reg r -> (
+      match (inst f r).kind with
+      | Alloca _ -> Known [ Balloca (f.name, r) ]
+      | Gep (b, _) -> base_of t f b
+      | _ -> Unknown)
+
 (* Base objects and affine offset (relative to each object's base) of an
    address operand inside [f]. *)
 let rec addr_info t (f : func) (o : operand) : baseset * affine =
   match o with
   | Glob g -> (Known [ Bglobal g ], aff_const 0l)
   | Cst _ -> (Known [], aff_top) (* never front-end-generated *)
-  | Argv i -> (
-      match Hashtbl.find_opt t.argpt f.name with
-      | Some sets when i < Array.length sets -> sets.(i)
-      | _ -> (Unknown, aff_top))
+  | Argv i -> arg_info t f i
   | Reg r -> (
       match (inst f r).kind with
       | Alloca _ -> (Known [ Balloca (f.name, r) ], aff_const 0l)
@@ -149,21 +182,18 @@ let rec addr_info t (f : func) (o : operand) : baseset * affine =
       | _ -> (Unknown, aff_top))
 
 (* Fixpoint over call sites: each argument's (points-to, offset) is the
-   join over every call site of the actual's address info.  Widening is
-   built into the lattice (baseset union, affine union), and both are
-   finite-height for a fixed module, so this terminates. *)
+   join over every call site of the actual's address info.  Joins start
+   from None (no call site yet) and only grow, and base sets and residue
+   classes both have finite height, so the loop converges; a round cap
+   would stop a deep call chain with its deepest arguments unreached. *)
 let build (m : modul) : t =
-  let t = { m; argpt = Hashtbl.create 16 } in
+  let t = { m; argpt = Hashtbl.create 16; read_only = Hashtbl.create 16 } in
   List.iter
-    (fun f ->
-      Hashtbl.replace t.argpt f.name
-        (Array.make f.nparams (Known [], aff_const 0l)))
+    (fun f -> Hashtbl.replace t.argpt f.name (Array.make f.nparams None))
     m.funcs;
   let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < 64 do
+  while !changed do
     changed := false;
-    incr rounds;
     List.iter
       (fun f ->
         iter_insts f (fun i ->
@@ -176,24 +206,82 @@ let build (m : modul) : t =
                       (fun k a ->
                         if k < Array.length sets then begin
                           let bs, off = addr_info t f a in
-                          let obs, ooff = sets.(k) in
-                          let nbs = union_bases obs bs in
-                          let noff =
-                            (* first contribution replaces the empty
-                               seed exactly; later ones join *)
-                            if obs = Known [] then off else aff_union ooff off
+                          let s =
+                            match sets.(k) with
+                            | None -> Some (bs, off)
+                            | Some (obs, ooff) ->
+                                Some (union obs bs, aff_union ooff off)
                           in
-                          if (nbs, noff) <> sets.(k) then begin
-                            sets.(k) <- (nbs, noff);
+                          if s <> sets.(k) then begin
+                            sets.(k) <- s;
                             changed := true
                           end
                         end)
-                      args
-                | exception _ -> ())
+                      args)
             | _ -> ()))
       m.funcs
   done;
+  (* read-only globals: no store's base set may include them *)
+  let written = Hashtbl.create 16 in
+  let clobber_all = ref false in
+  List.iter
+    (fun f ->
+      iter_insts f (fun i ->
+          match i.kind with
+          | Store (addr, _) -> (
+              match base_of t f addr with
+              | Unknown -> clobber_all := true
+              | Known bs ->
+                  List.iter
+                    (function
+                      | Bglobal g -> Hashtbl.replace written g ()
+                      | Balloca _ -> ())
+                    bs)
+          | _ -> ()))
+    m.funcs;
+  if not !clobber_all then
+    List.iter
+      (fun g ->
+        if not (Hashtbl.mem written g.gname) then
+          Hashtbl.replace t.read_only g.gname ())
+      m.globals;
   t
+
+let is_read_only t g = Hashtbl.mem t.read_only g
+
+(* Is a load from address [a] known to read only never-written globals? *)
+let loads_read_only t (f : func) (a : operand) : bool =
+  match base_of t f a with
+  | Known bs ->
+      bs <> []
+      && List.for_all
+           (function Bglobal g -> is_read_only t g | Balloca _ -> false)
+           bs
+  | Unknown -> false
+
+(* --- the PDG's pairwise test -------------------------------------------- *)
+
+(* Constant byte-offset of an address relative to its gep chain root, when
+   every step is a constant. *)
+let rec const_offset (f : func) (o : operand) : (operand * int32) option =
+  match o with
+  | Reg r -> (
+      match (inst f r).kind with
+      | Gep (b, Cst k) -> (
+          match const_offset f b with
+          | Some (root, off) -> Some (root, Int32.add off k)
+          | None -> Some (Reg r, 0l))
+      | _ -> Some (o, 0l))
+  | _ -> Some (o, 0l)
+
+(* May the two addresses refer to the same word?  Overlapping objects,
+   then constant-offset disambiguation from a shared root. *)
+let may_alias t (f : func) (a : operand) (b : operand) : bool =
+  overlap (base_of t f a) (base_of t f b)
+  &&
+  match (const_offset f a, const_offset f b) with
+  | Some (ra, oa), Some (rb, ob) when ra = rb -> oa = ob
+  | _ -> true
 
 (* --- the independence oracle -------------------------------------------- *)
 
@@ -208,10 +296,10 @@ let may_same_address t (fa : func) (ia : inst) (fb : func) (ib : inst) : bool =
   | Some a, Some b -> (
       let ba, offa = addr_info t fa a in
       let bb, offb = addr_info t fb b in
-      match (ba, bb) with
-      | Unknown, _ | _, Unknown -> true
-      | Known xs, Known ys ->
-          List.exists (fun x -> List.mem x ys) xs && aff_collide offa offb)
+      overlap ba bb
+      && match (ba, bb) with
+         | Known _, Known _ -> aff_collide offa offb
+         | _ -> true)
   | _ -> false
 
 let independent t fa ia fb ib = not (may_same_address t fa ia fb ib)

@@ -1,21 +1,35 @@
-(** Memory disambiguation and array banking.
+(** Points-to analysis, memory disambiguation and array banking.
 
-    The dependence oracle proves two memory accesses can never touch the
-    same word (base-object separation from allocas/globals plus affine
-    gep-offset residue classes, conservative everywhere else).  On top
-    of it, {!plan} computes a *virtual* banking of the flat memory
-    space: a bijection [addr <-> (bank, local)] plus a static
-    per-instruction bank table.  Nothing in the IR or layout is mutated
-    — consumers (per-bank scheduler chains, rtsim bus arbitration, RTL
-    memory decode) apply the map themselves, so program semantics are
-    banking-invariant by construction and the bank count keys only
-    simulation-level caches. *)
+    One flow-insensitive interprocedural points-to analysis ({!build})
+    serves every consumer of memory dependences: the PDG's memory edges
+    and effect summaries ({!base_of}, {!may_alias}, {!loads_read_only}),
+    and the banking dependence oracle ({!addr_info}, {!independent}).
+    Mini-C keeps pointer structure trivial by construction — addresses
+    flow only through globals, allocas, geps and array arguments — so
+    the call-site fixpoint over the acyclic call graph gives precise
+    per-object disambiguation, and it runs to convergence.
+
+    The banking oracle proves two memory accesses can never touch the
+    same word (base-object separation plus affine gep-offset residue
+    classes, conservative everywhere else).  On top of it, {!plan}
+    computes a *virtual* banking of the flat memory space: a bijection
+    [addr <-> (bank, local)] plus a static per-instruction bank table.
+    Nothing in the IR or layout is mutated — consumers (per-bank
+    scheduler chains, rtsim bus arbitration, RTL memory decode) apply
+    the map themselves, so program semantics are banking-invariant by
+    construction and the bank count keys only simulation-level caches. *)
 
 open Ir
 
+(** Canonical memory objects. *)
 type base = Bglobal of string | Balloca of string * int  (** func, inst id *)
 
 type baseset = Known of base list | Unknown
+
+val union : baseset -> baseset -> baseset
+
+val overlap : baseset -> baseset -> bool
+(** May the two sets share an object? *)
 
 (** The residue class [{ aconst + agcd * k | k in Z }]; [agcd = 0] means
     exactly [aconst], [agcd = 1] any value. *)
@@ -29,9 +43,26 @@ type t
 
 val build : modul -> t
 
+val base_of : t -> func -> operand -> baseset
+(** Possible objects an address operand points into:
+    [fst (addr_info t f o)]. *)
+
 val addr_info : t -> func -> operand -> baseset * affine
 (** Objects an address operand may point into, and its affine offset
     relative to the object base. *)
+
+val is_read_only : t -> string -> bool
+(** Is the global never written anywhere in the module? *)
+
+val loads_read_only : t -> func -> operand -> bool
+(** Does a load from this address only ever read never-written globals? *)
+
+val may_alias : t -> func -> operand -> operand -> bool
+(** The PDG's test: may the two addresses of [f] refer to the same word?
+    Distinct objects never alias; same-object accesses disambiguate by
+    constant offsets from a shared gep root.  Neither this nor
+    {!may_same_address} subsumes the other: the root test separates
+    [p[i]] from [p[i+1]], the affine test [a[2i]] from [a[2i+1]]. *)
 
 val may_same_address : t -> func -> inst -> func -> inst -> bool
 (** May the two accesses (Load/Store) touch the same word?  True for

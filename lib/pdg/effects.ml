@@ -5,18 +5,20 @@
    collapsing every call into a clobber-everything barrier. *)
 
 open Twill_ir.Ir
+module Memdep = Twill_ir.Memdep
 
 type summary = {
-  reads : Alias.baseset;
-  writes : Alias.baseset;
+  reads : Memdep.baseset;
+  writes : Memdep.baseset;
   prints : bool;
 }
 
-type t = { alias : Alias.t; table : (string, summary) Hashtbl.t }
+type t = { alias : Memdep.t; table : (string, summary) Hashtbl.t }
 
-let empty_summary = { reads = Alias.Known []; writes = Alias.Known []; prints = false }
+let empty_summary =
+  { reads = Memdep.Known []; writes = Memdep.Known []; prints = false }
 
-let build (alias : Alias.t) (m : modul) : t =
+let build (alias : Memdep.t) (m : modul) : t =
   let t = { alias; table = Hashtbl.create 16 } in
   (* A function's own allocas are invisible to its callers (addresses never
      flow upward in mini-C), and calls cannot observe each other's scratch
@@ -24,13 +26,13 @@ let build (alias : Alias.t) (m : modul) : t =
      them keeps independent calls decoupled; the DSWP stage serialises
      *concurrent* access to the shared static frames with semaphores. *)
   let drop_private fname = function
-    | Alias.Unknown -> Alias.Unknown
-    | Alias.Known bs ->
-        Alias.Known
+    | Memdep.Unknown -> Memdep.Unknown
+    | Memdep.Known bs ->
+        Memdep.Known
           (List.filter
              (function
-               | Alias.Balloca (owner, _) -> owner <> fname
-               | Alias.Bglobal _ -> true)
+               | Memdep.Balloca (owner, _) -> owner <> fname
+               | Memdep.Bglobal _ -> true)
              bs)
   in
   let rec summary_of (name : string) : summary =
@@ -42,29 +44,29 @@ let build (alias : Alias.t) (m : modul) : t =
         iter_insts f (fun i ->
             match i.kind with
             | Load a ->
-                if not (Alias.loads_read_only alias f a) then
+                if not (Memdep.loads_read_only alias f a) then
                   s :=
                     {
                       !s with
                       reads =
-                        Alias.union !s.reads
-                          (drop_private f.name (Alias.base_of alias f a));
+                        Memdep.union !s.reads
+                          (drop_private f.name (Memdep.base_of alias f a));
                     }
             | Store (a, _) ->
                 s :=
                   {
                     !s with
                     writes =
-                      Alias.union !s.writes
-                        (drop_private f.name (Alias.base_of alias f a));
+                      Memdep.union !s.writes
+                        (drop_private f.name (Memdep.base_of alias f a));
                   }
             | Print _ -> s := { !s with prints = true }
             | Call (callee, _) ->
                 let cs = summary_of callee in
                 s :=
                   {
-                    reads = Alias.union !s.reads cs.reads;
-                    writes = Alias.union !s.writes cs.writes;
+                    reads = Memdep.union !s.reads cs.reads;
+                    writes = Memdep.union !s.writes cs.writes;
                     prints = !s.prints || cs.prints;
                   }
             | _ -> ());
@@ -78,15 +80,3 @@ let summary t name =
   match Hashtbl.find_opt t.table name with
   | Some s -> s
   | None -> empty_summary
-
-(* Overlap between a region set and a concrete address. *)
-let set_touches_addr (alias : Alias.t) (f : func) (set : Alias.baseset)
-    (addr : operand) : bool =
-  match (set, Alias.base_of alias f addr) with
-  | Alias.Unknown, _ | _, Alias.Unknown -> true
-  | Alias.Known xs, Alias.Known ys -> List.exists (fun x -> List.mem x ys) xs
-
-let sets_overlap (a : Alias.baseset) (b : Alias.baseset) : bool =
-  match (a, b) with
-  | Alias.Unknown, _ | _, Alias.Unknown -> true
-  | Alias.Known xs, Alias.Known ys -> List.exists (fun x -> List.mem x ys) xs

@@ -6,19 +6,16 @@
     cannot observe each other's scratch (concurrent access to the shared
     static frames is serialised by the DSWP stage's semaphores). *)
 
+open Twill_ir
+
 type summary = {
-  reads : Alias.baseset;
-  writes : Alias.baseset;
+  reads : Memdep.baseset;
+  writes : Memdep.baseset;
   prints : bool;
 }
 
-type t = { alias : Alias.t; table : (string, summary) Hashtbl.t }
+type t = { alias : Memdep.t; table : (string, summary) Hashtbl.t }
 
 val empty_summary : summary
-val build : Alias.t -> Twill_ir.Ir.modul -> t
+val build : Memdep.t -> Twill_ir.Ir.modul -> t
 val summary : t -> string -> summary
-
-val set_touches_addr :
-  Alias.t -> Twill_ir.Ir.func -> Alias.baseset -> Twill_ir.Ir.operand -> bool
-
-val sets_overlap : Alias.baseset -> Alias.baseset -> bool

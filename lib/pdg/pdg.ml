@@ -22,6 +22,7 @@ open Twill_ir.Ir
 module Vec = Twill_ir.Vec
 module Loops = Twill_passes.Loops
 module Dom = Twill_passes.Dom
+module Memdep = Twill_ir.Memdep
 
 type ekind = Data | Mem | Ctrl | Pin
 
@@ -53,11 +54,12 @@ type memop = {
   mblock : int;
   mpos : int; (* position within block for same-block ordering *)
   addr : operand option; (* None for calls *)
-  reads : Alias.baseset;
-  writes : Alias.baseset;
+  reads : Memdep.baseset;
+  writes : Memdep.baseset;
 }
 
-let build (alias : Alias.t) (effects : Effects.t) (_m : modul) (f : func) : t =
+let build (effects : Effects.t) (f : func) : t =
+  let alias = effects.Effects.alias in
   recompute_cfg f;
   let ninsts = Vec.length f.insts in
   let nblocks = Vec.length f.blocks in
@@ -101,49 +103,25 @@ let build (alias : Alias.t) (effects : Effects.t) (_m : modul) (f : func) : t =
   let forest = Loops.analyze f in
   let dom = Dom.dominators f in
   let memops = ref [] in
+  let none = Memdep.Known [] in
   Vec.iter
     (fun (b : block) ->
       List.iteri
         (fun pos id ->
-          let i = inst f id in
-          match i.kind with
+          let push addr reads writes =
+            memops :=
+              { node = id; mblock = b.bid; mpos = pos; addr; reads; writes }
+              :: !memops
+          in
+          match (inst f id).kind with
           | Load a ->
-              if not (Alias.loads_read_only alias f a) then
-                memops :=
-                  {
-                    node = id;
-                    mblock = b.bid;
-                    mpos = pos;
-                    addr = Some a;
-                    reads = Alias.base_of alias f a;
-                    writes = Alias.Known [];
-                  }
-                  :: !memops
-          | Store (a, _) ->
-              memops :=
-                {
-                  node = id;
-                  mblock = b.bid;
-                  mpos = pos;
-                  addr = Some a;
-                  reads = Alias.Known [];
-                  writes = Alias.base_of alias f a;
-                }
-                :: !memops
+              if not (Memdep.loads_read_only alias f a) then
+                push (Some a) (Memdep.base_of alias f a) none
+          | Store (a, _) -> push (Some a) none (Memdep.base_of alias f a)
           | Call (callee, _) ->
               let s = Effects.summary effects callee in
-              if s.Effects.reads <> Alias.Known [] || s.Effects.writes <> Alias.Known []
-              then
-                memops :=
-                  {
-                    node = id;
-                    mblock = b.bid;
-                    mpos = pos;
-                    addr = None;
-                    reads = s.Effects.reads;
-                    writes = s.Effects.writes;
-                  }
-                  :: !memops
+              if s.Effects.reads <> none || s.Effects.writes <> none then
+                push None s.Effects.reads s.Effects.writes
           | _ -> ())
         b.insts)
     f.blocks;
@@ -162,19 +140,14 @@ let build (alias : Alias.t) (effects : Effects.t) (_m : modul) (f : func) : t =
   let conflict a b =
     (* at least one write; regions overlap (with same-object constant-index
        disambiguation when both are plain addresses) *)
-    let rw =
-      match (a.addr, b.addr) with
-      | Some x, Some y ->
-          (* precise pairwise test *)
-          let a_writes = a.writes <> Alias.Known [] in
-          let b_writes = b.writes <> Alias.Known [] in
-          (a_writes || b_writes) && Alias.may_alias alias f x y
-      | _ ->
-          Effects.sets_overlap a.writes b.writes
-          || Effects.sets_overlap a.writes b.reads
-          || Effects.sets_overlap a.reads b.writes
-    in
-    rw
+    match (a.addr, b.addr) with
+    | Some x, Some y ->
+        (* precise pairwise test *)
+        (a.writes <> none || b.writes <> none) && Memdep.may_alias alias f x y
+    | _ ->
+        Memdep.overlap a.writes b.writes
+        || Memdep.overlap a.writes b.reads
+        || Memdep.overlap a.reads b.writes
   in
   let nmem = Array.length memops in
   for x = 0 to nmem - 1 do

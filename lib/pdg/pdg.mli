@@ -31,7 +31,9 @@ val term_block : t -> int -> int
 val add_edge : t -> from:int -> to_:int -> ekind -> unit
 val pin_together : t -> int -> int -> unit
 
-val build : Alias.t -> Effects.t -> modul -> func -> t
+val build : Effects.t -> func -> t
+(** The PDG of [f], its memory edges from the points-to analysis the
+    summaries carry. *)
 
 val live_nodes : t -> int list
 (** Instructions present in blocks plus all terminator nodes. *)

@@ -73,6 +73,7 @@ type _ Effect.t += Yield : unit Effect.t
 
 exception Deadlock of string
 exception Out_of_fuel of string
+exception Alias_violation of string
 
 type role = Sw | Hw
 
@@ -452,11 +453,12 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
               | Some b ->
                   let actual = Memdep.bank_of_addr plan (Int32.of_int addr) in
                   if actual <> b then
-                    failwith
-                      (Printf.sprintf
+                    raise
+                      (Alias_violation
+                        (Printf.sprintf
                          "check_memdep: %s#%d claims bank %d but address %d \
                           is in bank %d"
-                         f.name i.id b addr actual)
+                         f.name i.id b addr actual))
               | None -> ());
               let t = now () in
               Array.iter
@@ -465,12 +467,13 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
                     when addr' = addr
                          && abs (t - t') <= 2
                          && Memdep.independent md f i f' i' ->
-                      failwith
-                        (Printf.sprintf
+                      raise
+                        (Alias_violation
+                          (Printf.sprintf
                            "check_memdep: %s#%d and %s#%d were declared \
                             independent but both touched address %d (cycles \
                             %d and %d)"
-                           f.name i.id f'.name i'.id addr t t')
+                           f.name i.id f'.name i'.id addr t t'))
                   | _ -> ())
                 window;
               window.(!wpos) <- Some (f, i, addr, t);

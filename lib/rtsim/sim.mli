@@ -39,6 +39,11 @@ exception Deadlock of string
 exception Out_of_fuel of string
 (** A thread exhausted [config.fuel]; the message names the thread. *)
 
+exception Alias_violation of string
+(** The runtime alias checker ([config.check_memdep]) saw an access
+    break a static bank claim, or two accesses the dependence oracle
+    declared independent touch one address; the message names both. *)
+
 type role = Sw  (** software on the Microblaze *) | Hw  (** FPGA thread *)
 
 type engine =
@@ -69,10 +74,10 @@ type config = {
           simulator. *)
   check_memdep : bool;
       (** debug: observe the evaluated address of every shared-memory
-          access and trap ([Failure]) if two accesses the dependence
-          oracle declared independent touch the same address within a
-          2-cycle window, or a static bank claim is violated.  Pure
-          observation — never changes timing. *)
+          access and trap ({!Alias_violation}) if two accesses the
+          dependence oracle declared independent touch the same address
+          within a 2-cycle window, or a static bank claim is violated.
+          Pure observation — never changes timing. *)
 }
 
 val default_config : config

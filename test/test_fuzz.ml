@@ -124,7 +124,7 @@ let test_walk_matches_fresh () =
                   Alcotest.(check int32) (name ^ " ret") ret o.Oracle.obs_ret;
                   Alcotest.(check (list int32))
                     (name ^ " prints") prints o.Oracle.obs_prints
-              | Oracle.Obs_skip m | Oracle.Obs_error m ->
+              | Oracle.Obs_skip m | Oracle.Obs_error m | Oracle.Obs_trap m ->
                   Alcotest.failf "%s observation failed: %s" name m)
             (Oracle.walk ~opts Oracle.all_stages src))
         srcs)
@@ -308,6 +308,32 @@ let test_repro_is_parseable () =
       | Oracle.Skipped m | Oracle.Diverge { Oracle.div_stage = m; _ } ->
           Alcotest.failf "repro text does not stand alone: %s" m)
 
+(* An alias-checker trap is its own verdict: not a harness error, and
+   it fails a strict campaign (the exit rule [twillc fuzz --strict]
+   applies) even when every case agreed. *)
+let test_trap_fails_strict () =
+  let msg = "check_memdep: f#2 claims bank 0 but address 18 is in bank 2" in
+  Alcotest.(check bool)
+    "a checker trap is a trap" true
+    (Oracle.outcome (fun () -> raise (Twill.Sim.Alias_violation msg))
+    = Oracle.Obs_trap msg);
+  Alcotest.(check bool)
+    "a harness failure stays an error" true
+    (Oracle.outcome (fun () -> failwith "x") = Oracle.Obs_error "failure: x");
+  let clean = Campaign.run ~limit:Oracle.L_ast ~seed:11 ~cases:2 () in
+  Alcotest.(check bool) "a clean campaign passes" false (Campaign.failed clean);
+  let trapped = { clean with Campaign.s_traps = [ (1, "rtsim", msg) ] } in
+  Alcotest.(check bool) "a trap fails it" true (Campaign.failed trapped);
+  let line = "  case 1: TRAPS at rtsim (" ^ msg ^ ")\n" in
+  Alcotest.(check bool)
+    "the summary names the trap" true
+    (match
+       Str.search_forward (Str.regexp_string line)
+         (Campaign.summary_to_string trapped) 0
+     with
+    | _ -> true
+    | exception Not_found -> false)
+
 let suites =
   [
     ( "fuzz",
@@ -336,5 +362,7 @@ let suites =
           test_corpus_replay;
         Alcotest.test_case "repro files stand alone" `Quick
           test_repro_is_parseable;
+        Alcotest.test_case "a checker trap fails a strict campaign" `Quick
+          test_trap_fails_strict;
       ] );
   ]

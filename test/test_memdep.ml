@@ -398,7 +398,7 @@ let test_checker_live_clock () =
           in
           (match simulate_checked ~near:true ~threads engine with
           | _ -> Alcotest.failf "%s: back-to-back alias not trapped" what
-          | exception Failure msg ->
+          | exception Sim.Alias_violation msg ->
               let re = Str.regexp ".*(cycles \\([0-9]+\\) and \\([0-9]+\\))" in
               if not (Str.string_match re msg 0) then
                 Alcotest.failf "%s: unexpected trap %s" what msg;
@@ -410,6 +410,55 @@ let test_checker_live_clock () =
           Alcotest.(check check_i32) (what ^ ": far apart, no trap") 40432l s.Sim.ret)
         [ [| "main"; "idle" |]; [| "main" |] ])
     [ Sim.Interpreted; Sim.Compiled ]
+
+(* --- a call chain deeper than any round cap ------------------------------ *)
+
+(* [f70] down to [f0], each passing its array argument one level down
+   from two call sites and too large to inline, so the global [g] reaches
+   [f0] only after the call-site fixpoint has walked all 71 levels.  A
+   fixpoint stopped early leaves the deep arguments pointing nowhere:
+   their accesses then claim a static bank that is not [g]'s, which the
+   armed checker traps. *)
+let deep_chain_src depth =
+  let b = Buffer.create 65536 in
+  Buffer.add_string b "int g[16];\n";
+  for k = 0 to depth do
+    Printf.bprintf b "void f%d(int a[], int n) {\n" k;
+    for j = 0 to 13 do
+      Printf.bprintf b "  a[%d] = (a[%d] ^ (n * %d)) + a[%d];\n"
+        ((j mod 7) + 1) ((j mod 5) + 2) (j + 3) ((j mod 3) + 4)
+    done;
+    if k = 0 then Buffer.add_string b "  a[0] = a[0] + n;\n"
+    else
+      Printf.bprintf b
+        "  if (n > 1000) f%d(a, n - 1); else f%d(a, n + 1);\n" (k - 1) (k - 1);
+    Buffer.add_string b "}\n"
+  done;
+  Printf.bprintf b "int main() { f%d(g, 0); return g[0]; }\n" depth;
+  Buffer.contents b
+
+let test_deep_chain () =
+  let src = deep_chain_src 70 in
+  let opts = { Twill.default_options with mem_banks = 4; check_memdep = true } in
+  let m = Twill.compile ~opts src in
+  let r = Twill.run_twill_threaded ~opts (Twill.extract ~opts m) in
+  Alcotest.(check check_i32)
+    "4 banks, checker armed: the reference value"
+    (Twill_minic.Minic.run_reference src).Twill_minic.Ast_interp.ret
+    r.Twill.scenario.Twill.ret;
+  let md = Memdep.build m in
+  let f0 = Ir.find_func m "f0" in
+  let accesses = ref 0 in
+  Ir.iter_insts f0 (fun i ->
+      match i.Ir.kind with
+      | Ir.Load a | Ir.Store (a, _) ->
+          incr accesses;
+          Alcotest.(check bool)
+            (Printf.sprintf "f0#%d points into g" i.Ir.id)
+            true
+            (fst (Memdep.addr_info md f0 a) = Memdep.Known [ Memdep.Bglobal "g" ])
+      | _ -> ());
+  Alcotest.(check bool) "f0 survives with its accesses" true (!accesses > 0)
 
 (* --- banked fuzz soak ---------------------------------------------------- *)
 
@@ -452,6 +501,8 @@ let suites =
           test_pure_hw_unbanked;
         Alcotest.test_case "alias checker stamps software accesses live"
           `Quick test_checker_live_clock;
+        Alcotest.test_case "call-site fixpoint reaches a 71-level chain"
+          `Quick test_deep_chain;
         Alcotest.test_case "banked stack preserves behaviour (100-case soak)"
           `Slow test_banked_fuzz_soak;
       ] );

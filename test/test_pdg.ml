@@ -26,14 +26,14 @@ let alias_tests =
             "int a[4];\nint b[4];\n\
              int main() { a[1] = 1; b[1] = 2; return a[1] + b[1]; }"
         in
-        let al = Alias.build m in
+        let al = Memdep.build m in
         let f = Ir.find_func m "main" in
         let store_a =
           find_inst f (fun i ->
               match i.Ir.kind with
               | Ir.Store (addr, _) -> (
-                  match Alias.base_of al f addr with
-                  | Alias.Known [ Alias.Bglobal "a" ] -> true
+                  match Memdep.base_of al f addr with
+                  | Memdep.Known [ Memdep.Bglobal "a" ] -> true
                   | _ -> false)
               | _ -> false)
         in
@@ -41,8 +41,8 @@ let alias_tests =
           find_inst f (fun i ->
               match i.Ir.kind with
               | Ir.Store (addr, _) -> (
-                  match Alias.base_of al f addr with
-                  | Alias.Known [ Alias.Bglobal "b" ] -> true
+                  match Memdep.base_of al f addr with
+                  | Memdep.Known [ Memdep.Bglobal "b" ] -> true
                   | _ -> false)
               | _ -> false)
         in
@@ -50,13 +50,13 @@ let alias_tests =
           match i.Ir.kind with Ir.Store (a, _) -> a | _ -> assert false
         in
         Alcotest.(check bool) "no alias" false
-          (Alias.may_alias al f (addr_of store_a) (addr_of store_b)));
+          (Memdep.may_alias al f (addr_of store_a) (addr_of store_b)));
     Alcotest.test_case "constant indices into one array disambiguate" `Quick
       (fun () ->
         let m =
           compile "int a[8];\nint main() { a[1] = 1; a[2] = 2; return a[1]; }"
         in
-        let al = Alias.build m in
+        let al = Memdep.build m in
         let f = Ir.find_func m "main" in
         let stores = ref [] in
         Ir.iter_insts f (fun i ->
@@ -65,7 +65,7 @@ let alias_tests =
             | _ -> ());
         match !stores with
         | [ s1; s2 ] ->
-            Alcotest.(check bool) "a[1] vs a[2]" false (Alias.may_alias al f s1 s2)
+            Alcotest.(check bool) "a[1] vs a[2]" false (Memdep.may_alias al f s1 s2)
         | _ -> Alcotest.fail "expected two stores");
     Alcotest.test_case "array arguments point to the caller's object" `Quick
       (fun () ->
@@ -75,18 +75,18 @@ let alias_tests =
              void fill(int a[], int v) { a[0] = v; }\n\
              int main() { fill(buf, 3); fill(buf, 4); return buf[0]; }"
         in
-        let al = Alias.build m in
+        let al = Memdep.build m in
         let fill = Ir.find_func m "fill" in
         let st =
           find_inst fill (fun i ->
               match i.Ir.kind with Ir.Store _ -> true | _ -> false)
         in
         let addr = match st.Ir.kind with Ir.Store (a, _) -> a | _ -> assert false in
-        (match Alias.base_of al fill addr with
-        | Alias.Known [ Alias.Bglobal "buf" ] -> ()
-        | Alias.Known bs ->
+        (match Memdep.base_of al fill addr with
+        | Memdep.Known [ Memdep.Bglobal "buf" ] -> ()
+        | Memdep.Known bs ->
             Alcotest.failf "unexpected bases (%d)" (List.length bs)
-        | Alias.Unknown -> Alcotest.fail "unknown base"));
+        | Memdep.Unknown -> Alcotest.fail "unknown base"));
     Alcotest.test_case "never-written globals are read-only" `Quick (fun () ->
         let m =
           compile
@@ -94,9 +94,9 @@ let alias_tests =
              int main() { for (int i = 0; i < 4; i++) out[i] = tbl[i]; return \
              out[3]; }"
         in
-        let al = Alias.build m in
-        Alcotest.(check bool) "tbl read-only" true (Alias.is_read_only al "tbl");
-        Alcotest.(check bool) "out written" false (Alias.is_read_only al "out"));
+        let al = Memdep.build m in
+        Alcotest.(check bool) "tbl read-only" true (Memdep.is_read_only al "tbl");
+        Alcotest.(check bool) "out written" false (Memdep.is_read_only al "out"));
   ]
 
 let effects_tests =
@@ -109,14 +109,14 @@ let effects_tests =
              void outer(int v) { inner(v + 1); inner(v + 2); }\n\
              int main() { outer(5); outer(6); return g; }"
         in
-        let al = Alias.build m in
+        let al = Memdep.build m in
         let eff = Effects.build al m in
         let s = Effects.summary eff "outer" in
         (match s.Effects.writes with
-        | Alias.Known bs ->
+        | Memdep.Known bs ->
             Alcotest.(check bool) "writes g" true
-              (List.mem (Alias.Bglobal "g") bs)
-        | Alias.Unknown -> Alcotest.fail "unexpected unknown"));
+              (List.mem (Memdep.Bglobal "g") bs)
+        | Memdep.Unknown -> Alcotest.fail "unexpected unknown"));
     Alcotest.test_case "private scratch is excluded from summaries" `Quick
       (fun () ->
         let m =
@@ -125,18 +125,18 @@ let effects_tests =
              return tmp[0] + tmp[1]; }\n\
              int main() { return helper(3); }"
         in
-        let al = Alias.build m in
+        let al = Memdep.build m in
         let eff = Effects.build al m in
         let s = Effects.summary eff "helper" in
         Alcotest.(check bool) "no visible writes" true
-          (s.Effects.writes = Alias.Known []));
+          (s.Effects.writes = Memdep.Known []));
     Alcotest.test_case "print taints the summary" `Quick (fun () ->
         let m =
           compile
             "void chat(int v) { print(v); }\n\
              int main() { chat(1); chat(2); return 0; }"
         in
-        let al = Alias.build m in
+        let al = Memdep.build m in
         let eff = Effects.build al m in
         Alcotest.(check bool) "prints" true (Effects.summary eff "chat").Effects.prints);
   ]
@@ -149,10 +149,10 @@ let pdg_tests =
             "int main() { int a = 0; for (int i = 0; i < 4; i++) a += i; int \
              b = a * 7; return b + a; }"
         in
-        let al = Alias.build m in
+        let al = Memdep.build m in
         let eff = Effects.build al m in
         let f = Ir.find_func m "main" in
-        let g = Pdg.build al eff m f in
+        let g = Pdg.build eff f in
         let mul =
           find_inst f (fun i ->
               match i.Ir.kind with Ir.Binop (Ir.Mul, _, _) -> true | _ -> false)
@@ -167,10 +167,10 @@ let pdg_tests =
             "int g[4];\nint main() { for (int i = 0; i < 4; i++) g[i] = i * \
              3; return g[2]; }"
         in
-        let al = Alias.build m in
+        let al = Memdep.build m in
         let eff = Effects.build al m in
         let f = Ir.find_func m "main" in
-        let g' = Pdg.build al eff m f in
+        let g' = Pdg.build eff f in
         let st =
           find_inst f (fun i ->
               match i.Ir.kind with Ir.Store _ -> true | _ -> false)
@@ -184,15 +184,15 @@ let pdg_tests =
             "const int tbl[4] = {1,2,3,4};\nint out;\n\
              int main() { out = 5; int x = tbl[2]; return x + out; }"
         in
-        let al = Alias.build m in
+        let al = Memdep.build m in
         let eff = Effects.build al m in
         let f = Ir.find_func m "main" in
-        let g' = Pdg.build al eff m f in
+        let g' = Pdg.build eff f in
         (* the tbl load must have no Mem predecessor *)
         let ok = ref true in
         Ir.iter_insts f (fun i ->
             match i.Ir.kind with
-            | Ir.Load a when Alias.loads_read_only al f a ->
+            | Ir.Load a when Memdep.loads_read_only al f a ->
                 if List.exists (fun (_, k) -> k = Pdg.Mem) g'.Pdg.preds.(i.Ir.id)
                 then ok := false
             | _ -> ());
@@ -203,10 +203,10 @@ let pdg_tests =
             "int main() { for (int i = 0; i < 3; i++) print(i); print(99); \
              return 0; }"
         in
-        let al = Alias.build m in
+        let al = Memdep.build m in
         let eff = Effects.build al m in
         let f = Ir.find_func m "main" in
-        let g' = Pdg.build al eff m f in
+        let g' = Pdg.build eff f in
         let prints = ref [] in
         Ir.iter_insts f (fun i ->
             match i.Ir.kind with Ir.Print _ -> prints := i.Ir.id :: !prints | _ -> ());
