@@ -664,7 +664,8 @@ let json_mem () =
                   let r = Twill.run_twill_threaded ~opts t in
                   let si =
                     Twill.Sim.simulate_threaded ~engine:Twill.Sim.Interpreted
-                      ~config:(Twill.sim_config opts) t
+                      ~config:(Twill.sim_config opts)
+                      ~schedules:r.Twill.schedules t
                   in
                   (backend, banks, r, si = r.Twill.stats))
                 banks_axis)

@@ -208,8 +208,10 @@ let emit_verilog_cmd =
     let m = Twill.compile ~opts (source_of what) in
     let t = Twill.extract ~opts m in
     let design =
-      Twill_vgen.Vruntime.emit_design ~backend:opts.Twill.backend
-        ~mem_banks:opts.Twill.mem_banks t
+      Twill_vgen.Vruntime.emit
+        (Twill.Schedule.of_threaded ~backend:opts.Twill.backend
+           ~mem_banks:opts.Twill.mem_banks t)
+        t
     in
     (match output with
     | None -> print_string design
@@ -243,8 +245,13 @@ let cosim_cmd =
     let opts = arm_checker opts in
     let m = Twill.compile ~opts (source_of name) in
     let t = Twill.extract ~opts m in
-    let r = Twill.cosim ~opts ?vcd t in
     Fmt.pr "== cosim %s ==@." (Filename.basename name);
+    let r =
+      try Twill.cosim ~opts ?vcd t
+      with Twill.Sim.Alias_violation msg ->
+        Fmt.pr "verdict        : TRAP %s@." msg;
+        exit 1
+    in
     Fmt.pr "engine         : %s@." r.Twill.Cosim.rtl_engine;
     Fmt.pr "RTL (vsim)     : ret=%ld  %8d harness cycles@."
       r.Twill.Cosim.rtl_ret r.Twill.Cosim.rtl_cycles;

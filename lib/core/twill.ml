@@ -110,7 +110,12 @@ let extract_comm ?(opts = default_options) ?prep (m : Ir.modul) :
   let qprofile =
     if Comm.needs_profile opts.comm then
       try
-        let stats = Sim.simulate_threaded ~config:(sim_config opts) t in
+        let stats =
+          Sim.simulate_threaded ~config:(sim_config opts) t
+            ~schedules:
+              (Schedule.of_threaded ~backend:opts.backend
+                 ~mem_banks:opts.mem_banks t)
+        in
         Some stats.Sim.queue_profiles
       with Sim.Deadlock _ | Sim.Out_of_fuel _ ->
         (* the profile-guided passes degrade gracefully without a seed
@@ -155,10 +160,14 @@ let schedules_for (opts : options) (m : Ir.modul) : (string * Schedule.t) list =
     (Schedule.table ~backend:opts.backend ~mem_banks:opts.mem_banks m
        (all_funcs m))
 
-(* Pure software: the whole program on the Microblaze. *)
+(* Pure software: the whole program on the Microblaze (no hardware
+   function in its table). *)
 let run_pure_sw ?(opts = default_options) (m : Ir.modul) : scenario =
+  let schedules =
+    Schedule.table ~backend:opts.backend ~mem_banks:opts.mem_banks m []
+  in
   let stats =
-    Sim.simulate ~config:(sim_config opts) m
+    Sim.simulate ~config:(sim_config opts) ~schedules m
       ~threads:[| { Sim.tname = "main"; trole = Sim.Sw; local_memory = false } |]
       ~queues:[||] ~nsems:0 ()
   in
@@ -190,7 +199,7 @@ let run_pure_hw ?(opts = default_options) (m : Ir.modul) : scenario =
       ~threads:[| { Sim.tname = "main"; trole = Sim.Hw; local_memory = true } |]
       ~queues:[||] ~nsems:0 ()
   in
-  let area = Area.of_legup_module m ~schedules:(Schedule.bindings schedules) in
+  let area = Area.of_legup_module m schedules in
   let busy = match stats.Sim.thread_busy with [| (_, b) |] -> b | _ -> 0 in
   let activity =
     if stats.Sim.cycles = 0 then 0.0
@@ -216,23 +225,12 @@ let run_twill_threaded ?(opts = default_options) (t : Dswp.threaded) :
   (* the design: the hardware stages and every callee reachable from
      them, timed by rtsim and priced by the area model from one table
      (banked designs also pay the extra ports / bank-select muxes) *)
-  let hw_roots = Dswp.hw_stages t in
   let schedules =
-    Schedule.table ~backend:opts.backend ~mem_banks:opts.mem_banks t.Dswp.modul
-      hw_roots
+    Schedule.of_threaded ~backend:opts.backend ~mem_banks:opts.mem_banks t
   in
   let stats = Sim.simulate_threaded ~config ~schedules t in
-  let hw_threads_area =
-    Area.sum
-      (List.map
-         (fun (name, s) ->
-           let f = Ir.find_func t.Dswp.modul name in
-           match opts.backend with
-           | Schedule.Fsm -> Area.of_schedule ~banks:opts.mem_banks f s
-           | Schedule.Dataflow ->
-               Area.of_elastic_schedule ~banks:opts.mem_banks f s)
-         (Schedule.bindings schedules))
-  in
+  let n_hw_threads = List.length (Dswp.hw_stages t) in
+  let hw_threads_area = Area.of_threads t.Dswp.modul schedules in
   let runtime_area =
     Area.of_runtime
       ~queues:
@@ -243,7 +241,7 @@ let run_twill_threaded ?(opts = default_options) (t : Dswp.threaded) :
                q.Threadgen.merged_into = None)
         |> List.map (fun (q : Threadgen.queue_info) ->
                (q.Threadgen.width_bits, q.Threadgen.depth)))
-      ~nsems:t.Dswp.nsems ~n_hw_threads:(List.length hw_roots)
+      ~nsems:t.Dswp.nsems ~n_hw_threads
   in
   let area = Area.add hw_threads_area runtime_area in
   (* activities *)
@@ -281,7 +279,7 @@ let run_twill_threaded ?(opts = default_options) (t : Dswp.threaded) :
     threaded = t;
     hw_threads_area;
     runtime_area;
-    n_hw_threads = List.length hw_roots;
+    n_hw_threads;
     nqueues = Array.length t.Dswp.queues;
     nsems = t.Dswp.nsems;
     stats;
@@ -323,14 +321,19 @@ let comm_summarize ?(opts = default_options) (m : Ir.modul) : comm_summary =
     comm_opt_cycles = r.scenario.cycles;
   }
 
-(* RTL co-simulation of an extracted design against the rtsim reference. *)
-let cosim ?(opts = default_options) ?engine ?vcd (t : Dswp.threaded) :
-    Cosim.report =
-  let design =
-    Vparse.parse
-      (Vruntime.emit_design ~backend:opts.backend ~mem_banks:opts.mem_banks t)
+(* RTL co-simulation of an extracted design against the rtsim reference:
+   its one table is emitted as RTL and timed by rtsim. *)
+let cosim_table ?(opts = default_options) ?engine ?vcd ?trace
+    (t : Dswp.threaded) : Schedule.table * Cosim.report =
+  let schedules =
+    Schedule.of_threaded ~backend:opts.backend ~mem_banks:opts.mem_banks t
   in
-  Cosim.run_threaded ~config:(sim_config opts) ?engine ?vcd ~design t
+  let design = Vparse.parse (Vruntime.emit schedules t) in
+  ( schedules,
+    Cosim.run ~config:(sim_config opts) ?engine ?vcd ?trace ~schedules ~design t
+  )
+
+let cosim ?opts ?engine ?vcd t = snd (cosim_table ?opts ?engine ?vcd t)
 
 (* Three-way differential co-simulation: the rtsim reference against
    BOTH RTL lowerings of the same extraction.  Each backend's cosim
@@ -349,43 +352,35 @@ type backends_report = {
 
 let cosim_backends ?(opts = default_options) (t : Dswp.threaded) :
     backends_report =
-  let run backend =
-    let opts = { opts with backend } in
-    let design =
-      Vparse.parse
-        (Vruntime.emit_design ~backend ~mem_banks:opts.mem_banks t)
-    in
-    Cosim.run_threaded ~config:(sim_config opts) ~trace:true ~design t
-  in
-  let bk_fsm = run Schedule.Fsm in
-  let bk_dataflow = run Schedule.Dataflow in
+  (* one table per backend: emitted, timed and bank-routed *)
+  let run backend = cosim_table ~opts:{ opts with backend } ~trace:true t in
+  let fsm, bk_fsm = run Schedule.Fsm in
+  let _, bk_dataflow = run Schedule.Dataflow in
   let bk_ops_match =
-    if opts.mem_banks <= 1 then bk_fsm.Cosim.rtl_ops = bk_dataflow.Cosim.rtl_ops
-    else begin
-      (* Under banking the two schedules may legally interleave requests
-         to DIFFERENT banks differently — each bank port is an
-         independent ordering domain.  What must still agree per stage
-         is every per-bank memory stream plus the non-memory (queue/
-         semaphore/print) stream. *)
-      let plan =
-        Twill_ir.Memdep.plan_of_module t.Dswp.modul ~banks:opts.mem_banks
-      in
-      let project ops =
-        let streams = Array.make (opts.mem_banks + 1) [] in
-        List.iter
-          (fun ((code, _, _, addr) as op) ->
-            let k =
-              if Twill_vgen.Vemit.(code = fc_load || code = fc_store) then
-                Twill_ir.Memdep.bank_of_addr plan (Int32.of_int addr)
-              else opts.mem_banks
-            in
-            streams.(k) <- op :: streams.(k))
-          ops;
-        Array.map List.rev streams
-      in
-      Array.map project bk_fsm.Cosim.rtl_ops
-      = Array.map project bk_dataflow.Cosim.rtl_ops
-    end
+    match Schedule.plan fsm with
+    | None -> bk_fsm.Cosim.rtl_ops = bk_dataflow.Cosim.rtl_ops
+    | Some plan ->
+        (* Under banking the two schedules may legally interleave
+           requests to DIFFERENT banks differently — each bank port is an
+           independent ordering domain.  What must still agree per stage
+           is every per-bank memory stream plus the non-memory (queue/
+           semaphore/print) stream.  The plan depends only on the module
+           and the bank count, so the FSM table's serves both. *)
+        let project ops =
+          let streams = Array.make (opts.mem_banks + 1) [] in
+          List.iter
+            (fun ((code, _, _, addr) as op) ->
+              let k =
+                if Twill_vgen.Vemit.(code = fc_load || code = fc_store) then
+                  Twill_ir.Memdep.bank_of_addr plan (Int32.of_int addr)
+                else opts.mem_banks
+              in
+              streams.(k) <- op :: streams.(k))
+            ops;
+          Array.map List.rev streams
+        in
+        Array.map project bk_fsm.Cosim.rtl_ops
+        = Array.map project bk_dataflow.Cosim.rtl_ops
   in
   let bk_agree =
     bk_fsm.Cosim.agree && bk_dataflow.Cosim.agree

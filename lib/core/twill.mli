@@ -161,7 +161,8 @@ val comm_summarize : ?opts:options -> Ir.modul -> comm_summary
 (** Co-simulates the emitted RTL of an extracted design (hardware threads
     and runtime primitives elaborated under {!Vsim}) against the
     cycle-accurate [rtsim] reference, checking that both observe the same
-    return value and print trace.  [engine] forces the Vsim scheduling
+    return value and print trace.  Both sides read the design's one
+    {!Schedule.table}.  [engine] forces the Vsim scheduling
     engine (default: levelized with automatic fixpoint fallback); tests
     pass [Fixpoint] to run the oracle.  [vcd]
     dumps one waveform per RTL instance under that path prefix.
@@ -191,8 +192,8 @@ type backends_report = {
           and the call-port streams match *)
 }
 
-(** Runs rtsim + FSM-RTL + dataflow-RTL over one extracted design and
-    cross-checks all three (final state, print traces, and per-stage
+(** Runs rtsim + FSM-RTL + dataflow-RTL over one extracted design, with
+    one {!Schedule.table} per backend, and cross-checks all three (final state, print traces, and per-stage
     call-port issue streams between the RTL backends).
     @raise Twill_vsim.Cosim.Cosim_error on a stuck co-simulation. *)
 val cosim_backends :

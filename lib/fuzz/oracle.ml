@@ -137,18 +137,23 @@ let walk ?(opts = default_options) (stages : stage list) (src : string) :
     { obs_ret = r.Interp.ret; obs_prints = r.Interp.prints }
   in
   let t = lazy (extract ~opts (advance Pipeline.nstages)) in
+  (* one design per backend: rtsim and the cosim of [opts.backend] read
+     the same table *)
+  let design backend =
+    lazy
+      (Schedule.of_threaded ~backend ~mem_banks:opts.mem_banks (Lazy.force t))
+  in
+  let own = design opts.backend and df = design Schedule.Dataflow in
+  let table backend = Lazy.force (if backend = opts.backend then own else df) in
   let cosim backend =
-    let t = Lazy.force t in
-    let design =
-      Vparse.parse
-        (Vruntime.emit_design ~backend ~mem_banks:opts.mem_banks t)
-    in
+    let t = Lazy.force t and schedules = table backend in
+    let design = Vparse.parse (Vruntime.emit schedules t) in
     (* [~model:false]: every stage is compared against the AST
        reference, and rtsim is its own observation point *)
     let r =
-      Cosim.run_threaded
+      Cosim.run
         ~config:(sim_config { opts with backend })
-        ~model:false ~design t
+        ~model:false ~schedules ~design t
     in
     { obs_ret = r.Cosim.rtl_ret; obs_prints = r.Cosim.rtl_prints }
   in
@@ -163,7 +168,8 @@ let walk ?(opts = default_options) (stages : stage list) (src : string) :
     | Obs_opt (k, engine) -> interp k engine
     | Obs_rtsim ->
         let s =
-          Sim.simulate_threaded ~config:(sim_config opts) (Lazy.force t)
+          Sim.simulate_threaded ~config:(sim_config opts)
+            ~schedules:(table opts.backend) (Lazy.force t)
         in
         { obs_ret = s.Sim.ret; obs_prints = s.Sim.prints }
     | Obs_vsim -> cosim opts.backend

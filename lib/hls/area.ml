@@ -41,65 +41,58 @@ let banking_cost ~banks : t =
       brams = 0;
     }
 
-(* Area of one hardware thread (one scheduled function): bound functional
-   units + FSM control + datapath registers/routing.  Per-state control
-   cost grows with the machine's size: a monolithic FSM needs wider state
-   encoding, deeper next-state logic and larger operand-sharing muxes —
-   the structural reason the thesis's pure-LegUp translations are larger
-   than the sum of Twill's small per-thread machines (§6.2). *)
-let of_schedule ?(banks = 1) (f : func) (s : Schedule.t) : t =
-  let fu =
-    sum
-      (List.map
-         (fun (cls, peak) ->
-           let u = unit_cost cls in
-           { luts = u.luts * peak; dsps = u.dsps * peak; brams = 0 })
-         s.Schedule.peak)
-  in
-  let nstates = s.Schedule.total_states in
-  let per_state = Costmodel.fsm_state_luts + (nstates / 24) in
-  let fsm =
-    { luts = Costmodel.fsm_base_luts + (per_state * nstates); dsps = 0; brams = 0 }
-  in
-  let datapath = { luts = 2 * num_live_insts f; dsps = 0; brams = 0 } in
-  add (banking_cost ~banks) (add fu (add fsm datapath))
+(* Functional units bound from the schedule's peak per-class concurrency. *)
+let bound_units (s : Schedule.t) : t =
+  sum
+    (List.map
+       (fun (cls, peak) ->
+         let u = unit_cost cls in
+         { luts = u.luts * peak; dsps = u.dsps * peak; brams = 0 })
+       s.Schedule.peak)
 
-(* Area of one hardware thread lowered through the elastic dataflow
-   backend: the same bound functional units and datapath, but distributed
-   one-hot control — a constant-cost stage controller per basic block and
-   a valid/ready channel per CFG edge — instead of the monolithic FSM's
-   superlinear per-state term.  Feed it a [Schedule.Dataflow] schedule:
-   its ASAP peaks may bind more units than the resource-constrained list
-   schedule, which is exactly the control-vs-compute trade the backend
-   axis exposes to the DSE. *)
-let of_elastic_schedule ?(banks = 1) (f : func) (s : Schedule.t) : t =
-  let fu =
-    sum
-      (List.map
-         (fun (cls, peak) ->
-           let u = unit_cost cls in
-           { luts = u.luts * peak; dsps = u.dsps * peak; brams = 0 })
-         s.Schedule.peak)
-  in
-  let nblocks = Vec.length f.blocks in
-  let nedges =
-    Vec.fold_left
-      (fun acc (b : block) ->
-        acc + List.length (List.sort_uniq compare (succs_of_term b.term)))
-      0 f.blocks
-  in
+(* Area of one hardware thread (one scheduled function): bound functional
+   units + control + datapath registers/routing + the banking cost.
+   Under the monolithic FSM backend the per-state control cost grows with
+   the machine's size: a monolithic FSM needs wider state encoding,
+   deeper next-state logic and larger operand-sharing muxes — the
+   structural reason the thesis's pure-LegUp translations are larger than
+   the sum of Twill's small per-thread machines (§6.2).  The elastic
+   dataflow backend distributes one-hot control instead — a constant-cost
+   stage controller per basic block and a valid/ready channel per CFG
+   edge.  Its ASAP schedule's peaks may bind more units than the
+   resource-constrained list schedule, which is exactly the
+   control-vs-compute trade the backend axis exposes to the DSE. *)
+let of_schedule ?(banks = 1) ?(backend = Schedule.Fsm) (f : func)
+    (s : Schedule.t) : t =
   let control =
-    {
-      luts =
+    match backend with
+    | Schedule.Fsm ->
+        let nstates = s.Schedule.total_states in
+        let per_state = Costmodel.fsm_state_luts + (nstates / 24) in
+        Costmodel.fsm_base_luts + (per_state * nstates)
+    | Schedule.Dataflow ->
+        let nedges =
+          Vec.fold_left
+            (fun acc (b : block) ->
+              acc + List.length (List.sort_uniq compare (succs_of_term b.term)))
+            0 f.blocks
+        in
         Costmodel.fsm_base_luts
-        + (Costmodel.elastic_stage_luts * nblocks)
-        + (Costmodel.elastic_channel_luts * nedges);
-      dsps = 0;
-      brams = 0;
-    }
+        + (Costmodel.elastic_stage_luts * Vec.length f.blocks)
+        + (Costmodel.elastic_channel_luts * nedges)
   in
-  let datapath = { luts = 2 * num_live_insts f; dsps = 0; brams = 0 } in
-  add (banking_cost ~banks) (add fu (add control datapath))
+  let datapath = 2 * num_live_insts f in
+  add (banking_cost ~banks)
+    (add (bound_units s) { luts = control + datapath; dsps = 0; brams = 0 })
+
+(* A design's hardware threads: every function of the table, priced
+   under the table's backend at its bank count. *)
+let of_threads (m : modul) (tbl : Schedule.table) : t =
+  let banks = Schedule.mem_banks tbl and backend = Schedule.backend tbl in
+  sum
+    (List.map
+       (fun (name, s) -> of_schedule ~banks ~backend (find_func m name) s)
+       (Schedule.bindings tbl))
 
 (* BRAM blocks for locally stored data (pure-LegUp flow keeps globals and
    arrays in FPGA memories; 18 kb BRAM ~ 512 words of 32 bits usable). *)
@@ -109,7 +102,8 @@ let brams_for_words (words : int) : int = (words + 511) / 512
    function becomes a sub-FSM of one monolithic design, so the per-state
    control term scales with the design's TOTAL state count; all data lives
    in BRAMs. *)
-let of_legup_module (m : modul) ~(schedules : (string * Schedule.t) list) : t =
+let of_legup_module (m : modul) (tbl : Schedule.table) : t =
+  let schedules = Schedule.bindings tbl in
   let total_states =
     List.fold_left
       (fun acc (_, s) -> acc + s.Schedule.total_states)
@@ -119,28 +113,17 @@ let of_legup_module (m : modul) ~(schedules : (string * Schedule.t) list) : t =
   let logic =
     sum
       (List.map
-         (fun (f : func) ->
-           match List.assoc_opt f.name schedules with
-           | Some s ->
-               let fu =
-                 sum
-                   (List.map
-                      (fun (cls, peak) ->
-                        let u = unit_cost cls in
-                        { luts = u.luts * peak; dsps = u.dsps * peak; brams = 0 })
-                      s.Schedule.peak)
-               in
-               add fu
-                 {
-                   luts =
-                     Costmodel.fsm_base_luts
-                     + (per_state * s.Schedule.total_states)
-                     + (2 * num_live_insts f);
-                   dsps = 0;
-                   brams = 0;
-                 }
-           | None -> zero)
-         m.funcs)
+         (fun (name, s) ->
+           add (bound_units s)
+             {
+               luts =
+                 Costmodel.fsm_base_luts
+                 + (per_state * s.Schedule.total_states)
+                 + (2 * num_live_insts (find_func m name));
+               dsps = 0;
+               brams = 0;
+             })
+         schedules)
   in
   let words =
     List.fold_left (fun acc g -> acc + g.size) 0 m.globals

@@ -15,29 +15,19 @@ val zero : t
 val add : t -> t -> t
 val sum : t list -> t
 
-val unit_cost : Schedule.res_class -> t
-(** Cost of one bound functional unit of the class. *)
+val of_schedule : ?banks:int -> ?backend:Schedule.backend -> func -> Schedule.t -> t
+(** Area of one hardware thread under [backend] (default [Fsm]): the
+    monolithic FSM, or the elastic dataflow template with the same
+    functional-unit binding and datapath but distributed per-stage and
+    per-channel control instead of the FSM's superlinear per-state term.
+    [banks] (default 1) adds the extra port interfaces, the bank-select
+    decode and the read-data return mux. *)
 
-val banking_cost : banks:int -> t
-(** Per-thread cost of reaching [banks] memory banks: the extra port
-    interfaces, the bank-select decode and the read-data return mux.
-    {!zero} at [banks <= 1]. *)
+val of_threads : modul -> Schedule.table -> t
+(** Area of a design's hardware threads: {!of_schedule} of every
+    function of the table at its backend and bank count. *)
 
-val of_schedule : ?banks:int -> func -> Schedule.t -> t
-(** Area of one hardware thread under the monolithic FSM backend.
-    [banks] (default 1) adds {!banking_cost}. *)
-
-val of_elastic_schedule : ?banks:int -> func -> Schedule.t -> t
-(** Area of one hardware thread under the elastic dataflow backend: same
-    functional-unit binding and datapath, distributed per-stage/per-channel
-    control instead of the FSM's superlinear per-state term.  Expects a
-    [Schedule.Dataflow] schedule.  [banks] (default 1) adds
-    {!banking_cost}. *)
-
-val brams_for_words : int -> int
-(** 18 kb BRAMs needed for [words] 32-bit words. *)
-
-val of_legup_module : modul -> schedules:(string * Schedule.t) list -> t
+val of_legup_module : modul -> Schedule.table -> t
 (** Area of the monolithic pure-LegUp translation of a whole module: one
     design whose control cost scales with the total state count, plus
     BRAMs for every global and static array. *)

@@ -435,27 +435,41 @@ let reachable (m : modul) (roots : string list) : string list =
   List.iter go roots;
   List.rev !order
 
-(* Immutable once built, so parallel domains may share one. *)
-type table = t Smap.t
+(* The design value: its schedules, the backend and bank count they were
+   built for and, when banked, the one plan they were banked by.  Built
+   eagerly and immutable, so parallel domains may share one. *)
+type table = {
+  backend : backend;
+  mem_banks : int;
+  plan : Memdep.plan option;
+  scheds : t Smap.t;
+}
 
 let table ~backend ~mem_banks (m : modul) (roots : string list) : table =
-  let banking =
-    if mem_banks <= 1 then fun _ -> None
-    else
-      let plan = Memdep.plan_of_module m ~banks:mem_banks in
-      fun f -> Some (banking_of_plan plan f)
+  let mem_banks = max 1 mem_banks in
+  let plan =
+    if mem_banks = 1 then None
+    else Some (Memdep.plan_of_module m ~banks:mem_banks)
   in
-  List.fold_left
-    (fun acc name ->
-      let f = find_func m name in
-      Smap.add name (schedule ~backend ?banking:(banking f) f) acc)
-    Smap.empty (reachable m roots)
+  let add acc name =
+    let f = find_func m name in
+    let banking = Option.map (fun p -> banking_of_plan p f) plan in
+    Smap.add name (schedule ~backend ?banking f) acc
+  in
+  let scheds = List.fold_left add Smap.empty (reachable m roots) in
+  { backend; mem_banks; plan; scheds }
+
+let of_threaded ~backend ~mem_banks (t : Twill_dswp.Dswp.threaded) : table =
+  table ~backend ~mem_banks t.Twill_dswp.Dswp.modul (Twill_dswp.Dswp.hw_stages t)
 
 let find (tbl : table) name =
-  try Smap.find name tbl
+  try Smap.find name tbl.scheds
   with Not_found -> invalid_arg ("Schedule.find: no schedule for " ^ name)
 
-let bindings : table -> (string * t) list = Smap.bindings
+let bindings (tbl : table) : (string * t) list = Smap.bindings tbl.scheds
+let backend (tbl : table) = tbl.backend
+let mem_banks (tbl : table) = tbl.mem_banks
+let plan (tbl : table) = tbl.plan
 
 (* Kept only for benchmark/layers.ml: nothing is memoised any more. *)
 let cached = schedule

@@ -53,13 +53,6 @@ val chainable : kind -> bool
 
 val max_chain_depth : int
 
-(** Ordering domains for side-effecting operations: memory operations
-    serialise against memory operations, runtime-interface calls against
-    runtime-interface calls, calls against both. *)
-type order_chain = Omem | Oqueue | Oboth | Onone
-
-val order_chain_of : kind -> order_chain
-
 (** Memory banking: one ordering chain and one set of [res.mem] ports
     per bank instead of a single module-wide memory domain.
     [bank_of_id] is the static bank of each access
@@ -93,19 +86,34 @@ val reachable : modul -> string list -> string list
 (** The roots, then every function they reach through calls. *)
 
 type table
-(** One design's schedules by function name; immutable. *)
+(** One design: its schedules by function name and the backend, bank
+    count and banking plan they were built with — what rtsim times, the
+    area model prices, the RTL emitter lowers and cosim routes.
+    Immutable, so domains may share one. *)
 
 val table : backend:backend -> mem_banks:int -> modul -> string list -> table
 (** [table ~backend ~mem_banks m roots] schedules {!reachable}[ m roots]
-    with the default resources, banked when [mem_banks > 1]: the design
-    rtsim times, the area model prices and the RTL emitter lowers.
-    Build it once the module is no longer mutated. *)
+    with the default resources, banked by one
+    {!Twill_ir.Memdep.plan_of_module} when [mem_banks > 1] (unbanked, it
+    runs no points-to analysis).  Build it once the module is no longer
+    mutated. *)
+
+val of_threaded :
+  backend:backend -> mem_banks:int -> Twill_dswp.Dswp.threaded -> table
+(** The table of an extraction: its {!Twill_dswp.Dswp.hw_stages} and
+    every callee they reach. *)
 
 val find : table -> string -> t
 (** @raise Invalid_argument if the function is not in the table. *)
 
 val bindings : table -> (string * t) list
 (** In function-name order. *)
+
+val backend : table -> backend
+val mem_banks : table -> int
+
+val plan : table -> Twill_ir.Memdep.plan option
+(** [Some] exactly when [mem_banks > 1]. *)
 
 val cached :
   ?res:resources -> ?modulo:bool -> ?backend:backend -> ?banking:banking ->

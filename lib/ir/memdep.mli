@@ -35,9 +35,6 @@ val overlap : baseset -> baseset -> bool
     exactly [aconst], [agcd = 1] any value. *)
 type affine = { aconst : int32; agcd : int }
 
-val aff_collide : affine -> affine -> bool
-(** May the two residue classes share an element? *)
-
 type t
 (** Flow-insensitive interprocedural analysis of one module. *)
 
@@ -61,15 +58,12 @@ val may_alias : t -> func -> operand -> operand -> bool
 (** The PDG's test: may the two addresses of [f] refer to the same word?
     Distinct objects never alias; same-object accesses disambiguate by
     constant offsets from a shared gep root.  Neither this nor
-    {!may_same_address} subsumes the other: the root test separates
+    {!independent}'s affine test subsumes the other: the root test separates
     [p[i]] from [p[i+1]], the affine test [a[2i]] from [a[2i+1]]. *)
 
-val may_same_address : t -> func -> inst -> func -> inst -> bool
-(** May the two accesses (Load/Store) touch the same word?  True for
-    any non-access instruction pair. *)
-
 val independent : t -> func -> inst -> func -> inst -> bool
-(** [not may_same_address] — answers true only on proof. *)
+(** Can the two accesses (Load/Store) never touch the same word?  True
+    only on proof; false for any pair with a non-access. *)
 
 (* --- banking ------------------------------------------------------------ *)
 
@@ -110,12 +104,9 @@ val local_of_addr : plan -> int32 -> int
 (** Total over the whole address space and jointly injective:
     [addr <-> (bank_of_addr a, local_of_addr a)] is a bijection. *)
 
-val bank_of_inst : plan -> func -> inst -> int option
-(** Static bank of an access: [Some b] iff every object the address may
-    point to, combined with the affine offset, lands in bank [b] for
-    every dynamic index.  [None] means the access takes the all-banks
-    conservative path. *)
-
 val bank_table : plan -> func -> int option array
-(** {!bank_of_inst} for every instruction of [f], indexed by id
-    ([None] for non-accesses). *)
+(** The static bank of every instruction of [f], indexed by id: [Some b]
+    iff every object the access's address may point to, combined with
+    the affine offset, lands in bank [b] for every dynamic index.
+    [None] for non-accesses and for accesses that take the all-banks
+    conservative path. *)

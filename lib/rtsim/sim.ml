@@ -355,11 +355,15 @@ let profile_of (st : queue_state) : queue_profile =
   }
 
 let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
-    ?schedules (m : modul) ~(threads : thread_spec array)
+    ~schedules (m : modul) ~(threads : thread_spec array)
     ~(queues : Threadgen.queue_info array) ~(nsems : int) () : stats =
+  let nbanks = Schedule.mem_banks schedules in
+  if
+    (config.backend, max 1 config.mem_banks)
+    <> (Schedule.backend schedules, nbanks)
+  then invalid_arg "Sim.simulate: the table is for another backend or bank count";
   let layout, mem = Interp.fresh_memory m in
   let module_bus = Bus.create "module" in
-  let nbanks = max 1 config.mem_banks in
   (* one arbiter per bank; bank 0 keeps the historic "memory" label so
      the unbanked configuration is bit-identical to the single-bus code *)
   let mem_buses =
@@ -367,14 +371,14 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
         Bus.create (if k = 0 then "memory" else Printf.sprintf "memory.%d" k))
   in
   let memory_bus = mem_buses.(0) in
-  (* memory disambiguation: built on demand (banked sim or checker on) *)
-  let banking_plan = lazy (Memdep.plan_of_module m ~banks:nbanks) in
+  (* the design's banking plan, [Some] exactly when banked *)
+  let plan = Schedule.plan schedules in
   let bank_tables : (string, int option array) Hashtbl.t = Hashtbl.create 16 in
   let bank_table_of (f : func) : int option array =
     match Hashtbl.find_opt bank_tables f.name with
     | Some t -> t
     | None ->
-        let t = Memdep.bank_table (Lazy.force banking_plan) f in
+        let t = Memdep.bank_table (Option.get plan) f in
         Hashtbl.replace bank_tables f.name t;
         t
   in
@@ -387,18 +391,6 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
   let sems =
     Array.init (max 1 nsems) (fun _ ->
         { count = 1; free_at = 0; wl_sem = ref [] })
-  in
-  (* the design's schedules: every hardware thread and its callees *)
-  let schedules =
-    match schedules with
-    | Some tbl -> tbl
-    | None ->
-        let hw =
-          List.filter_map
-            (fun t -> if t.trole = Hw then Some t.tname else None)
-            (Array.to_list threads)
-        in
-        Schedule.table ~backend:config.backend ~mem_banks:nbanks m hw
   in
   let schedule_of = Schedule.find schedules in
   (* decoded code shared by every thread of this simulation *)
@@ -437,8 +429,10 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
       thread_spec -> (unit -> int) -> (func -> inst -> int -> unit) option =
     if not config.check_memdep then fun _ _ -> None
     else begin
-      let plan = Lazy.force banking_plan in
-      let md = plan.Memdep.pt in
+      (* unbanked, every claim is bank 0: only independence is checked *)
+      let md =
+        match plan with Some p -> p.Memdep.pt | None -> Memdep.build m
+      in
       let wsize = 64 in
       let window : (func * inst * int * int) option array =
         Array.make wsize None
@@ -449,17 +443,19 @@ let simulate ?(config = default_config) ?(master = 0) ?(engine = Compiled)
         else
           Some
             (fun f i addr ->
-              (match bank_of_access f i with
-              | Some b ->
+              Option.iter
+                (fun plan ->
                   let actual = Memdep.bank_of_addr plan (Int32.of_int addr) in
-                  if actual <> b then
-                    raise
-                      (Alias_violation
-                        (Printf.sprintf
-                         "check_memdep: %s#%d claims bank %d but address %d \
-                          is in bank %d"
-                         f.name i.id b addr actual))
-              | None -> ());
+                  match bank_of_access f i with
+                  | Some b when b <> actual ->
+                      raise
+                        (Alias_violation
+                          (Printf.sprintf
+                           "check_memdep: %s#%d claims bank %d but address %d \
+                            is in bank %d"
+                           f.name i.id b addr actual))
+                  | _ -> ())
+                plan;
               let t = now () in
               Array.iter
                 (function
@@ -1077,14 +1073,14 @@ let stats_mismatch (a : stats) (b : stats) : string option =
               (Array.to_list t)))
        a.thread_busy b.thread_busy
 
-let diff_engines ?config ?master (m : modul) ~(threads : thread_spec array)
-    ~(queues : Threadgen.queue_info array) ~(nsems : int) () : stats =
-  let interp =
-    simulate ?config ?master ~engine:Interpreted m ~threads ~queues ~nsems ()
+let diff_engines ?config ?master ~schedules (m : modul)
+    ~(threads : thread_spec array) ~(queues : Threadgen.queue_info array)
+    ~(nsems : int) () : stats =
+  let run engine =
+    simulate ?config ?master ~engine ~schedules m ~threads ~queues ~nsems ()
   in
-  let compiled =
-    simulate ?config ?master ~engine:Compiled m ~threads ~queues ~nsems ()
-  in
+  let interp = run Interpreted in
+  let compiled = run Compiled in
   (match stats_mismatch interp compiled with
   | None -> ()
   | Some d ->
@@ -1108,8 +1104,8 @@ let thread_specs (t : Twill_dswp.Dswp.threaded) : thread_spec array =
       })
     t.stages
 
-let simulate_threaded ?config ?engine ?schedules (t : Twill_dswp.Dswp.threaded)
+let simulate_threaded ?config ?engine ~schedules (t : Twill_dswp.Dswp.threaded)
     : stats =
-  simulate ?config ~master:t.master ?engine ?schedules t.modul
+  simulate ?config ~master:t.master ?engine ~schedules t.modul
     ~threads:(thread_specs t)
     ~queues:t.queues ~nsems:t.nsems ()

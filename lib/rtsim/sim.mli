@@ -124,7 +124,7 @@ val simulate :
   ?config:config ->
   ?master:int ->
   ?engine:engine ->
-  ?schedules:Twill_hls.Schedule.table ->
+  schedules:Twill_hls.Schedule.table ->
   modul ->
   threads:thread_spec array ->
   queues:Threadgen.queue_info array ->
@@ -135,8 +135,10 @@ val simulate :
     returns the timing/behaviour statistics.  [master] selects the thread
     whose return value is the program result (default 0).  [engine]
     defaults to [Compiled]; [Interpreted] is the oracle.  Hardware
-    threads replay [schedules] (default: {!Twill_hls.Schedule.table} of
-    the hardware threads at [config.backend] and [config.mem_banks]).
+    threads replay the design's [schedules]; its plan routes the memory
+    buses, one per bank.
+    @raise Invalid_argument when [config.backend] or [config.mem_banks]
+    differs from the table's.
     @raise Deadlock when no thread can make progress.
     @raise Out_of_fuel when a thread exceeds [config.fuel]. *)
 
@@ -146,14 +148,15 @@ exception Engine_mismatch of string
 val diff_engines :
   ?config:config ->
   ?master:int ->
+  schedules:Twill_hls.Schedule.table ->
   modul ->
   threads:thread_spec array ->
   queues:Threadgen.queue_info array ->
   nsems:int ->
   unit ->
   stats
-(** Runs both engines and checks the full {!stats} records for
-    equality; returns the compiled engine's stats.
+(** Runs both engines on the one table and checks the full {!stats}
+    records for equality; returns the compiled engine's stats.
     @raise Engine_mismatch on any difference. *)
 
 (** {1 Simulating a DSWP extraction} *)
@@ -165,7 +168,7 @@ val thread_specs : Twill_dswp.Dswp.threaded -> thread_spec array
 val simulate_threaded :
   ?config:config ->
   ?engine:engine ->
-  ?schedules:Twill_hls.Schedule.table ->
+  schedules:Twill_hls.Schedule.table ->
   Twill_dswp.Dswp.threaded ->
   stats
 (** {!simulate} of an extraction: its module, stage threads, queues and

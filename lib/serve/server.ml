@@ -204,7 +204,11 @@ let source_of_req (j : Json.t) : string =
 (* --- command handlers ----------------------------------------------------- *)
 
 let simulate (opts : Twill.options) (e : elab) : Sim.stats =
-  Sim.simulate_threaded ~config:(Twill.sim_config opts) e.e_threaded
+  let t = e.e_threaded in
+  Sim.simulate_threaded ~config:(Twill.sim_config opts) t
+    ~schedules:
+      (Twill.Schedule.of_threaded ~backend:opts.backend
+         ~mem_banks:opts.mem_banks t)
 
 (* A response-level cache lookup: [tbl]'s entry for [key], counted under
    [kind ^ ":sim"]; [body] runs on a miss. *)

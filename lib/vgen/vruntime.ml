@@ -481,52 +481,43 @@ let emit_system ?plan (t : Dswp.threaded) : string =
   Buffer.contents buf
 
 (* Everything needed to synthesise the extracted design: runtime
-   primitives + one module per hardware thread + the system top. *)
-let emit_design ?(backend = Twill_hls.Schedule.Fsm) ?(mem_banks = 1)
-    (t : Dswp.threaded) : string =
+   primitives + one module per hardware thread + the system top.  The
+   hardware threads and the transitive closure of their callees are each
+   lowered from the table's schedule — the one rtsim times — and each
+   non-inlined callee becomes a sub-thread module the parent
+   instantiates. *)
+let emit (schedules : Twill_hls.Schedule.table) (t : Dswp.threaded) : string =
   let layout = Twill_ir.Layout.build t.Dswp.modul in
-  let plan =
-    if mem_banks <= 1 then None
-    else Some (Memdep.plan_of_module t.Dswp.modul ~banks:mem_banks)
-  in
-  (* hardware threads plus the transitive closure of their callees, each
-     lowered from the schedule rtsim times: each non-inlined callee
-     becomes a sub-thread module the parent instantiates *)
+  let plan = Twill_hls.Schedule.plan schedules in
   let hw_roots = Dswp.hw_stages t in
-  let schedules =
-    Twill_hls.Schedule.table ~backend ~mem_banks t.Dswp.modul hw_roots
-  in
   let buf = Buffer.create 65536 in
-  Buffer.add_string buf queue_module;
-  Buffer.add_string buf "\n";
-  Buffer.add_string buf semaphore_module;
-  Buffer.add_string buf "\n";
-  Buffer.add_string buf arbiter_module;
-  Buffer.add_string buf "\n";
-  Buffer.add_string buf hw_interface_module;
-  Buffer.add_string buf "\n";
-  Buffer.add_string buf scheduler_module;
-  Buffer.add_string buf "\n";
-  (match plan with
-  | Some p ->
-      Buffer.add_string buf (emit_banked_memory p);
-      Buffer.add_string buf "\n"
-  | None -> ());
+  let add_module text =
+    Buffer.add_string buf text;
+    Buffer.add_string buf "\n"
+  in
+  List.iter add_module
+    ([ queue_module; semaphore_module; arbiter_module; hw_interface_module;
+       scheduler_module ]
+    @ Option.to_list (Option.map emit_banked_memory plan));
+  let emit_hw_thread =
+    match Twill_hls.Schedule.backend schedules with
+    | Twill_hls.Schedule.Fsm -> Vemit.emit_hw_thread
+    | Twill_hls.Schedule.Dataflow -> Velastic.emit_hw_thread
+  in
   let emitted = Hashtbl.create 16 in
   let rec emit_thread name =
     if not (Hashtbl.mem emitted name) then begin
       Hashtbl.replace emitted name ();
       let f = Twill_ir.Ir.find_func t.Dswp.modul name in
       List.iter emit_thread (Dswp.callees_of f);
-      let s = Twill_hls.Schedule.find schedules name in
-      (match backend with
-      | Twill_hls.Schedule.Fsm ->
-          Buffer.add_string buf (Vemit.emit_hw_thread layout f s)
-      | Twill_hls.Schedule.Dataflow ->
-          Buffer.add_string buf (Velastic.emit_hw_thread layout f s));
-      Buffer.add_string buf "\n"
+      add_module
+        (emit_hw_thread layout f (Twill_hls.Schedule.find schedules name))
     end
   in
   List.iter emit_thread hw_roots;
   Buffer.add_string buf (emit_system ?plan t);
   Buffer.contents buf
+
+(* Kept only for benchmark/layers.ml. *)
+let emit_design ?(backend = Twill_hls.Schedule.Fsm) ?(mem_banks = 1) t =
+  emit (Twill_hls.Schedule.of_threaded ~backend ~mem_banks t) t

@@ -29,33 +29,28 @@ val scheduler_module : string
     scheduler that interrupts the processor with the next software-thread
     id (§4.4). *)
 
-val emit_banked_memory : Twill_ir.Memdep.plan -> string
-(** [twill_banked_mem] — generated per design from a banking plan: one
-    independent single-port RAM bank per plan bank, each speaking the
-    §4.4 memory-port protocol (request/write/addr/wdata in,
-    rdata/rvalid out) — byte-compatible per bank with the unbanked
-    memory port of {!hw_interface_module}.  The per-port decode chain
-    maps the global word address to the bank-local address using the
-    plan's region table. *)
-
 val emit_system : ?plan:Twill_ir.Memdep.plan -> Dswp.threaded -> string
 (** The top-level [twill_system] module: queue/semaphore/thread-interface
     instances for one extracted design.  With [?plan] (more than one
     bank), also one memory-bus arbiter per bank and the banked memory. *)
+
+val emit : Twill_hls.Schedule.table -> Dswp.threaded -> string
+(** Everything needed to synthesise the design: runtime primitives, one
+    module per hardware thread — the monolithic FSM of
+    {!Vemit.emit_hw_thread} or, when the table's backend is [Dataflow],
+    the elastic stage pipeline of {!Velastic.emit_hw_thread} — and the
+    system top.  Callees follow the backend recursively.  Every thread
+    module lowers its schedule from the table — the schedules rtsim
+    times for the same design.  A banked table's plan gives the threads
+    per-bank ordering chains and the design its banked memory: one
+    single-port RAM bank per plan bank, each speaking the unbanked §4.4
+    memory-port protocol; the call-port protocol is the same at every
+    bank count. *)
 
 val emit_design :
   ?backend:Twill_hls.Schedule.backend ->
   ?mem_banks:int ->
   Dswp.threaded ->
   string
-(** Everything needed to synthesise the design: runtime primitives, one
-    module per hardware thread — the monolithic FSM of
-    {!Vemit.emit_hw_thread} or, under [~backend:Dataflow], the elastic
-    stage pipeline of {!Velastic.emit_hw_thread} — and the system top.
-    Callees follow the selected backend recursively.  Every thread
-    module lowers its schedule from {!Twill_hls.Schedule.table} at
-    [backend] and [mem_banks] — the schedules rtsim times for the same
-    design.  [mem_banks > 1] additionally computes the banking plan, gives
-    the threads per-bank ordering chains and emits the banked memory
-    subsystem ({!emit_banked_memory}); the call-port protocol is the same
-    at every bank count. *)
+(** {!emit} of {!Twill_hls.Schedule.of_threaded} (default: [Fsm], one
+    bank); kept only for [benchmark/layers.ml]. *)

@@ -6,7 +6,7 @@
    give-ack, §4.2 counting semaphore with a registered (two-cycle)
    lower acknowledgement, §4.1 processor-first arbitration.
 
-   [run_threaded] closes the loop on whole designs: every hardware
+   [run] closes the loop on whole designs: every hardware
    stage is an elaborated Vsim instance of its emitted module, queues
    and semaphores are RTL instances, and the harness stands in for the
    remaining blocks of Figure 4.1 — module bus (one op/cycle, processor
@@ -29,6 +29,7 @@ open Effect.Deep
 module Sim = Twill_rtsim.Sim
 module Interp = Twill_ir.Interp
 module Memdep = Twill_ir.Memdep
+module Schedule = Twill_hls.Schedule
 module Dswp = Twill_dswp.Dswp
 module Partition = Twill_dswp.Partition
 module Threadgen = Twill_dswp.Threadgen
@@ -383,15 +384,15 @@ type th = {
 (* harness clock cycles before a whole-design co-simulation gives up *)
 let fuel_cycles = 2_000_000
 
-let run_threaded ~config ?engine ?vcd ?(model = true) ?(trace = false) ~design
-    (t : Dswp.threaded) : report =
-  (* --- the reference: cycle-accurate rtsim hybrid simulation.
+let run ~config ?engine ?vcd ?(model = true) ?(trace = false) ~schedules
+    ~design (t : Dswp.threaded) : report =
+  (* --- the reference: rtsim of the table the RTL was emitted from.
      [~model:false] skips it for callers that own the comparison
      themselves (the fuzz oracle checks every stage against the AST
      reference); the report's model_* fields then mirror the RTL run
      and [agree] is vacuously true. --- *)
   let stats =
-    if model then Some (Sim.simulate_threaded ~config t) else None
+    if model then Some (Sim.simulate_threaded ~config ~schedules t) else None
   in
   (* --- the RTL side: instantiation only reads the parsed [design], so
      callers share one parse across runs --- *)
@@ -402,13 +403,9 @@ let run_threaded ~config ?engine ?vcd ?(model = true) ?(trace = false) ~design
   (* banked memory: one load/store slot per bank per cycle instead of
      one for the whole memory — the same per-bank arbitration rtsim
      models and the per-bank RTL memory ports provide *)
-  let nbanks = max 1 config.Sim.mem_banks in
-  let bank_plan =
-    if nbanks = 1 then None
-    else Some (Memdep.plan_of_module t.Dswp.modul ~banks:nbanks)
-  in
+  let nbanks = Schedule.mem_banks schedules in
   let bank_of_addr (a : int) : int =
-    match bank_plan with
+    match Schedule.plan schedules with
     | None -> 0
     | Some p -> Memdep.bank_of_addr p (Int32.of_int a)
   in
@@ -861,28 +858,30 @@ let run_threaded ~config ?engine ?vcd ?(model = true) ?(trace = false) ~design
     | _ -> fail "cosim: prints scattered across threads"
   in
   let rtl_ops = Array.map (fun r -> List.rev !r) ops_rev in
-  (match stats with
-  | Some stats ->
-      {
-        rtl_ret;
-        rtl_prints;
-        rtl_cycles = !cycle;
-        rtl_engine;
-        model_ret = stats.Sim.ret;
-        model_prints = stats.Sim.prints;
-        model_cycles = stats.Sim.cycles;
-        agree = rtl_ret = stats.Sim.ret && rtl_prints = stats.Sim.prints;
-        rtl_ops;
-      }
-  | None ->
-      {
-        rtl_ret;
-        rtl_prints;
-        rtl_cycles = !cycle;
-        rtl_engine;
-        model_ret = rtl_ret;
-        model_prints = rtl_prints;
-        model_cycles = !cycle;
-        agree = true;
-        rtl_ops;
-      })
+  let model_ret, model_prints, model_cycles, agree =
+    match stats with
+    | Some s ->
+        ( s.Sim.ret,
+          s.Sim.prints,
+          s.Sim.cycles,
+          rtl_ret = s.Sim.ret && rtl_prints = s.Sim.prints )
+    | None -> (rtl_ret, rtl_prints, !cycle, true)
+  in
+  {
+    rtl_ret;
+    rtl_prints;
+    rtl_cycles = !cycle;
+    rtl_engine;
+    model_ret;
+    model_prints;
+    model_cycles;
+    agree;
+    rtl_ops;
+  }
+
+(* Kept only for benchmark/layers.ml. *)
+let run_threaded ~config ?engine ?vcd ?model ?trace ~design t =
+  run ~config ?engine ?vcd ?model ?trace ~design t
+    ~schedules:
+      (Schedule.of_threaded ~backend:config.Sim.backend
+         ~mem_banks:config.Sim.mem_banks t)

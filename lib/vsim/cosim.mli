@@ -91,6 +91,38 @@ type report = {
           the three-way differential oracle compares them. *)
 }
 
+val run :
+  config:Twill_rtsim.Sim.config ->
+  ?engine:Vsim.engine ->
+  ?vcd:string ->
+  ?model:bool ->
+  ?trace:bool ->
+  schedules:Twill_hls.Schedule.table ->
+  design:Vparse.design ->
+  Twill_dswp.Dswp.threaded ->
+  report
+(** Runs the rtsim hybrid simulation (software/hardware roles from the
+    partition) and the RTL co-simulation of one design, and compares
+    them.  Both read [schedules]: rtsim replays it, and the harness gives
+    the RTL one load/store slot per bank, routed by its plan.  [design]
+    is the parsed {!Twill_vgen.Vruntime.emit} of it; elaboration only
+    reads it, so one parse can serve several runs.  [engine] forces the
+    {!Vsim} scheduling engine for every RTL instance (default:
+    levelized, with automatic comb-loop fallback); tests pass [Fixpoint]
+    to run the oracle.  [vcd], when given, dumps one waveform file per
+    RTL instance under that path prefix.
+    [model] (default true) controls the rtsim reference run: with
+    [~model:false] only the RTL side executes — for callers that
+    compare the result against their own reference (the fuzz oracle
+    checks every stage against the AST interpreter) — and the report's
+    [model_*] fields mirror the RTL run with [agree] vacuously true.
+    [trace] (default false) records every hardware stage's call-port
+    issue stream in the report's [rtl_ops] — the per-cycle observation
+    points of the cross-backend differential oracle.
+    @raise Invalid_argument as {!Twill_rtsim.Sim.simulate} does.
+    @raise Cosim_error if the co-simulation gets stuck (no progress) or
+    runs 2,000,000 harness cycles. *)
+
 val run_threaded :
   config:Twill_rtsim.Sim.config ->
   ?engine:Vsim.engine ->
@@ -100,23 +132,5 @@ val run_threaded :
   design:Vparse.design ->
   Twill_dswp.Dswp.threaded ->
   report
-(** Runs the rtsim hybrid simulation (software/hardware roles from the
-    partition) and the RTL co-simulation of the same design, and
-    compares them.  [engine] forces the {!Vsim} scheduling engine for
-    every RTL instance (default: levelized, with automatic comb-loop
-    fallback); tests pass [Fixpoint] to run the oracle.  [vcd], when
-    given, dumps
-    one waveform file per RTL instance under that path prefix.
-    [model] (default true) controls the rtsim reference run: with
-    [~model:false] only the RTL side executes — for callers that
-    compare the result against their own reference (the fuzz oracle
-    checks every stage against the AST interpreter) — and the report's
-    [model_*] fields mirror the RTL run with [agree] vacuously true.
-    [trace] (default false) records every hardware stage's call-port
-    issue stream in the report's [rtl_ops] — the per-cycle observation
-    points of the cross-backend differential oracle.
-    [design] is the parsed emitted Verilog of [t] under
-    [config.backend] and [config.mem_banks]; elaboration only reads it,
-    so one parse can serve several runs.
-    @raise Cosim_error if the co-simulation gets stuck (no progress) or
-    runs 2,000,000 harness cycles. *)
+(** {!run} on {!Twill_hls.Schedule.of_threaded} at [config.backend] and
+    [config.mem_banks]; kept only for [benchmark/layers.ml]. *)

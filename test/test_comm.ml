@@ -169,7 +169,13 @@ let pass_tests =
         let opts0 = with_comm "none" in
         let m0 = Twill.compile ~opts:opts0 sha_src in
         let t0, _ = Twill.extract_comm ~opts:opts0 m0 in
-        let seed = Sim.simulate_threaded ~config:(Twill.sim_config opts0) t0 in
+        let seed =
+          Sim.simulate_threaded ~config:(Twill.sim_config opts0)
+            ~schedules:
+              (Twill.Schedule.of_threaded ~backend:opts0.backend
+                 ~mem_banks:opts0.mem_banks t0)
+            t0
+        in
         let prof = seed.Sim.queue_profiles in
         let _, (t, rep) = extract_sha "merge,size" in
         Alcotest.(check bool) "sha re-sizes after merging" true
@@ -300,6 +306,9 @@ let engine_tests =
           let s =
             Sim.diff_engines
               ~config:(Twill.sim_config opts)
+              ~schedules:
+                (Twill.Schedule.of_threaded ~backend:opts.backend
+                   ~mem_banks:opts.mem_banks t)
               ~master:t.Twill.Dswp.master t.Twill.Dswp.modul
               ~threads:(Sim.thread_specs t) ~queues:t.Twill.Dswp.queues
               ~nsems:t.Twill.Dswp.nsems ()

@@ -186,7 +186,24 @@ let structure_tests =
         let t = assert_parallel_matches src in
         Alcotest.(check bool)
           "uses semaphores when a callee is shared" true
-          (t.Dswp.nsems >= 0));
+          (t.Dswp.nsems >= 1);
+        (* the semaphore path through both RTL backends, with the alias
+           checker armed when banked *)
+        List.iter
+          (fun mem_banks ->
+            let opts =
+              {
+                Twill.default_options with
+                mem_banks;
+                check_memdep = mem_banks > 1;
+              }
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "FSM, dataflow and rtsim agree at %d bank(s)"
+                 mem_banks)
+              true
+              (Twill.cosim_backends ~opts t).Twill.bk_agree)
+          [ 1; 4 ]);
   ]
 
 (* --- the headline property ---------------------------------------------- *)

@@ -291,6 +291,8 @@ let diff_banked (b : Chstone.benchmark) banks =
   in
   Sim.diff_engines
     ~config:(Twill.sim_config opts)
+    ~schedules:
+      (Twill.Schedule.of_threaded ~backend:opts.backend ~mem_banks:banks t)
     ~master:t.Twill.Dswp.master t.Twill.Dswp.modul ~threads
     ~queues:t.Twill.Dswp.queues ~nsems:t.Twill.Dswp.nsems ()
 
@@ -383,6 +385,7 @@ let simulate_checked ~near ~threads engine =
     (Layout.global_address layout "b");
   Sim.simulate
     ~config:{ Sim.default_config with Sim.check_memdep = true }
+    ~schedules:(Twill.Schedule.table ~backend:Twill.Schedule.Fsm ~mem_banks:1 m [])
     ~engine m
     ~threads:(Array.map spec threads)
     ~queues:[||] ~nsems:0 ()

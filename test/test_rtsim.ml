@@ -18,10 +18,15 @@ let twill_of ?(nstages = 3) src =
   let m = Twill.compile ~opts src in
   (opts, m, Twill.extract ~opts m)
 
+(* the design [config] asks for: [t]'s table at its backend and banks *)
+let table_of (config : Sim.config) (t : Twill.Dswp.threaded) =
+  Twill.Schedule.of_threaded ~backend:config.Sim.backend
+    ~mem_banks:config.Sim.mem_banks t
+
 let simulate ?config ?depth (opts : Twill.options) (t : Twill.Dswp.threaded) =
   let config = Option.value config ~default:(Twill.sim_config opts) in
   let t = match depth with Some d -> Twill.Dswp.with_queue_depth t d | None -> t in
-  Sim.simulate_threaded ~config t
+  Sim.simulate_threaded ~config ~schedules:(table_of config t) t
 
 let pipeline_src =
   "int main() { int acc = 0; for (int i = 0; i < 200; i++) { int a = (i * \
@@ -173,6 +178,26 @@ let timing_tests =
           };
         rejects "modulo" { d with modulo = false };
         ignore (Twill.sim_config d));
+    Alcotest.test_case "simulate rejects a table built for another design"
+      `Quick (fun () ->
+        let opts, _, t = twill_of pipeline_src in
+        let config = Twill.sim_config opts in
+        let run schedules =
+          Sim.simulate ~config ~schedules t.Twill.Dswp.modul
+            ~threads:(Sim.thread_specs t) ~queues:t.Twill.Dswp.queues
+            ~nsems:t.Twill.Dswp.nsems ()
+        in
+        let rejects what schedules =
+          match run schedules with
+          | _ -> Alcotest.failf "%s: accepted" what
+          | exception Invalid_argument _ -> ()
+        in
+        let table backend mem_banks =
+          Twill.Schedule.of_threaded ~backend ~mem_banks t
+        in
+        rejects "bank count" (table config.Sim.backend 4);
+        rejects "backend" (table Twill.Schedule.Dataflow config.Sim.mem_banks);
+        ignore (run (table_of config t)));
   ]
 
 (* the headline property: the timed simulation observes sequential
@@ -212,7 +237,8 @@ let diff_engines ?config (opts : Twill.options) (t : Twill.Dswp.threaded) =
   let config =
     match config with Some c -> c | None -> Twill.sim_config opts
   in
-  Sim.diff_engines ~config ~master:t.Twill.Dswp.master t.Twill.Dswp.modul
+  Sim.diff_engines ~config ~master:t.Twill.Dswp.master
+    ~schedules:(table_of config t) t.Twill.Dswp.modul
     ~threads:(Sim.thread_specs t) ~queues:t.Twill.Dswp.queues
     ~nsems:t.Twill.Dswp.nsems ()
 
@@ -238,10 +264,14 @@ let engines_tests =
           (* the two baselines of Twill.run_pure_sw / run_pure_hw: the
              whole program as one software thread, and as one hardware
              thread over local memory *)
+          let schedules =
+            Twill.Schedule.table ~backend:opts.backend
+              ~mem_banks:opts.mem_banks m [ "main" ]
+          in
           List.iter
             (fun (trole, local_memory) ->
               ignore
-                (Sim.diff_engines ~config:(Twill.sim_config opts) m
+                (Sim.diff_engines ~config:(Twill.sim_config opts) ~schedules m
                    ~threads:[| { Sim.tname = "main"; trole; local_memory } |]
                    ~queues:[||] ~nsems:0 ()))
             [ (Sim.Sw, false); (Sim.Hw, true) ]))
@@ -299,10 +329,14 @@ let engines_tests =
             |]
           in
           let expected = [ 1l; 2l; 100l; 101l; 100l; 101l ] in
+          let schedules =
+            Twill.Schedule.table ~backend:Twill.Schedule.Fsm ~mem_banks:1 m []
+          in
           List.iter
             (fun engine ->
               let s =
-                Sim.simulate ~engine m ~threads ~queues:[||] ~nsems:0 ()
+                Sim.simulate ~engine ~schedules m ~threads ~queues:[||]
+                  ~nsems:0 ()
               in
               Alcotest.(check (list check_i32))
                 ("merged prints, " ^ Sim.engine_name engine)
@@ -318,8 +352,9 @@ let engines_tests =
           let specs = Sim.thread_specs t in
           let lone = [| specs.(Array.length specs - 1) |] in
           let msg_of engine =
+            let config = Twill.sim_config opts in
             match
-              Sim.simulate ~config:(Twill.sim_config opts) ~engine
+              Sim.simulate ~config ~engine ~schedules:(table_of config t)
                 t.Twill.Dswp.modul ~threads:lone ~queues:t.Twill.Dswp.queues
                 ~nsems:t.Twill.Dswp.nsems ()
             with

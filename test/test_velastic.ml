@@ -314,7 +314,7 @@ let engine_tests =
         let t = Twill.extract ~opts:opts_df m in
         let d =
           Vparse.parse
-            (Twill.Vruntime.emit_design ~backend:Twill.Schedule.Dataflow t)
+            (Twill.Vruntime.emit (S.of_threaded ~backend:S.Dataflow ~mem_banks:1 t) t)
         in
         List.iter
           (fun (md : Vparse.modul) ->

@@ -10,6 +10,10 @@ let contains hay needle =
     true
   with Not_found -> false
 
+(* the design of [t]'s table at [backend] and [mem_banks] *)
+let emit ?(backend = Twill.Schedule.Fsm) ?(mem_banks = 1) t =
+  Vruntime.emit (Twill.Schedule.of_threaded ~backend ~mem_banks t) t
+
 let check_ok name (src : string) =
   match Twill_vsim.Vsim.check src with
   | Ok () -> ()
@@ -105,7 +109,7 @@ let thread_tests =
              = i * 7; int b = (a ^ 3) * 5; acc += b; } return acc; }"
         in
         let t = Twill.extract ~opts m in
-        let design = Vruntime.emit_design t in
+        let design = emit t in
         check_ok "design" design;
         Alcotest.(check bool) "instantiates queues" true
           (count design "twill_queue #(" >= 1);
@@ -167,7 +171,7 @@ let system_tests =
           in
           let m = Twill.compile ~opts b.Twill_chstone.Chstone.source in
           let t = Twill.extract ~opts m in
-          let design = Vruntime.emit_design t in
+          let design = emit t in
           check_ok b.Twill_chstone.Chstone.name design;
           let pinned =
             List.filter
@@ -187,7 +191,7 @@ let system_tests =
                 want
                 (Digest.to_hex
                    (Digest.string
-                      (Vruntime.emit_design ~backend ~mem_banks:banks t))))
+                      (emit ~backend ~mem_banks:banks t))))
             pinned;
           (* one queue instance per extracted queue (+1: the primitive's
              own module header) *)
@@ -234,7 +238,7 @@ let cli_tests =
     (out, Unix.close_process_in ic)
   in
   [
-    Alcotest.test_case "twillc emit-verilog = Vruntime.emit_design" `Quick
+    Alcotest.test_case "twillc emit-verilog = Vruntime.emit" `Quick
       (fun () ->
         let out, status = run "emit-verilog sha --backend dataflow" in
         Alcotest.(check bool) "exits 0" true (status = Unix.WEXITED 0);
@@ -247,7 +251,7 @@ let cli_tests =
             (Twill.compile ~opts sha.Twill_chstone.Chstone.source)
         in
         Alcotest.(check bool) "same design" true
-          (out = Vruntime.emit_design ~backend:Twill.Schedule.Dataflow t));
+          (out = emit ~backend:Twill.Schedule.Dataflow t));
     Alcotest.test_case "twillc emit-verilog has no --no-auto" `Quick (fun () ->
         let _, status = run "emit-verilog sha --no-auto 2>/dev/null" in
         Alcotest.(check bool) "exits nonzero" true (status <> Unix.WEXITED 0));

@@ -12,6 +12,12 @@ let opts3 =
       { Twill.Partition.default_config with Twill.Partition.nstages = 3 };
   }
 
+(* the unbanked FSM design of [t] *)
+let emit t =
+  Twill.Vruntime.emit
+    (Twill.Schedule.of_threaded ~backend:Twill.Schedule.Fsm ~mem_banks:1 t)
+    t
+
 (* Parsing must fail, and the diagnostic must point at [line]. *)
 let expect_parse_error ~line src =
   match Vparse.parse src with
@@ -258,7 +264,7 @@ let diff_tests =
 let emitted_design src =
   let m = Twill.compile ~opts:opts3 src in
   let t = Twill.extract ~opts:opts3 m in
-  Vparse.parse (Twill.Vruntime.emit_design t)
+  Vparse.parse (emit t)
 
 let diff_all_modules ?(cycles = 200) ~seed (d : Vparse.design) =
   List.iter
@@ -407,7 +413,7 @@ let cosim_tests =
              helper(i); int b = helper(a ^ 5); acc += a + b; } return acc; }"
         in
         let t = Twill.extract ~opts m in
-        let design = Twill.Vruntime.emit_design t in
+        let design = emit t in
         let hw_calls =
           Array.exists
             (fun s ->
@@ -447,7 +453,7 @@ let cosim_tests =
              * i; return acc; }"
         in
         let t = Twill.extract ~opts:opts3 m in
-        let d = Vparse.parse (Twill.Vruntime.emit_design t) in
+        let d = Vparse.parse (emit t) in
         let sys = Vsim.instantiate d "twill_system" in
         Vsim.poke sys "rst" 1;
         Vsim.step sys;
