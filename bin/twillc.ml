@@ -69,12 +69,6 @@ let flow_knobs =
 
 let flow_opts = opts_term flow_knobs
 
-(* Above one memory bank the runtime alias checker is armed, so
-   dependence-oracle optimism traps instead of corrupting silently
-   ([cosim] and [fuzz]). *)
-let arm_checker (opts : Twill.options) =
-  { opts with Twill.check_memdep = opts.Twill.mem_banks > 1 }
-
 let no_auto =
   Arg.(
     value & flag
@@ -242,7 +236,7 @@ let cosim_cmd =
           ~doc:"Dump one VCD waveform per RTL instance under $(docv).")
   in
   let run opts vcd name =
-    let opts = arm_checker opts in
+    let opts = Twill.arm_checker opts in
     let m = Twill.compile ~opts (source_of name) in
     let t = Twill.extract ~opts m in
     Fmt.pr "== cosim %s ==@." (Filename.basename name);
@@ -277,7 +271,10 @@ let cosim_cmd =
 let comm_report_cmd =
   let run opts name =
     let m = Twill.compile ~opts (source_of name) in
-    let s = Twill.comm_summarize ~opts m in
+    (* one instrumented profiling run serves both extractions *)
+    let prep = Twill.Dswp.prepare ~profile:(Twill.profile_blocks ~opts m) m in
+    let base = Twill.extract ~opts:{ opts with comm = Twill.Comm.none } ~prep m in
+    let s = Twill.comm_summarize ~opts ~base (Twill.extract_comm ~opts ~prep m) in
     Fmt.pr "== comm-report %s ==@." (Filename.basename name);
     List.iter (Fmt.pr "%s@.") (Twill.Comm.report_lines s.Twill.comm_rep);
     Fmt.pr "seed profile (unoptimized extraction):@.";
@@ -397,14 +394,14 @@ let fuzz_cmd =
           (List.length stale);
         if strict && stale <> [] then exit 1
     | None ->
-        let opts = arm_checker opts in
+        let opts = Twill.arm_checker opts in
         let t0 = Unix.gettimeofday () in
         let s = F.Campaign.run ~opts ~limit ~backends ~seed ~cases () in
         let dt = Unix.gettimeofday () -. t0 in
         print_string (F.Campaign.summary_to_string s);
         (match out with
         | Some dir ->
-            let files = F.Campaign.write_corpus ?break_pass:opts.Twill.pipeline_break ~dir s in
+            let files = F.Campaign.write_corpus ~opts ~dir s in
             Fmt.pr "  corpus: %d file(s) in %s@." (List.length files) dir
         | None -> ());
         (* timing goes to stderr so stdout stays reproducible *)

@@ -2,9 +2,9 @@
 
    Serves the line-delimited JSON protocol of [Twill_serve.Server] over
    a Unix-domain socket: parse/elaborate/schedule/simulate requests with
-   content-hash-keyed caches and a persistent worker pool, so repeated
-   compiles of the same kernel amortise elaboration across requests
-   instead of paying it per process.  Clients: `twillc daemon ...`, or
+   content-hash-keyed caches and a persistent worker pool for dse
+   sweeps, so repeated compiles of the same kernel amortise elaboration
+   across requests instead of paying it per process.  Clients: `twillc daemon ...`, or
    anything that can write JSON lines to a socket. *)
 
 open Cmdliner
@@ -21,8 +21,8 @@ let workers =
     & opt (some int) None
     & info [ "workers" ]
         ~doc:
-          "Worker domains for the request pool (default: the machine's \
-           spare cores).")
+          "Worker domains for the extraction groups of a dse sweep \
+           (default: the machine's spare cores).")
 
 let serve_cmd =
   let run socket workers =

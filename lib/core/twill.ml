@@ -43,6 +43,12 @@ type options = Options.t = {
 
 let default_options = Options.default
 
+(* Above one memory bank the runtime alias checker is armed, so
+   dependence-oracle optimism traps instead of corrupting silently
+   ([twillc cosim], fuzz campaigns and their replay). *)
+let arm_checker (opts : options) =
+  { opts with check_memdep = opts.mem_banks > 1 }
+
 (* --- compilation -------------------------------------------------------- *)
 
 let pipeline_options (opts : options) : Pipeline.options =
@@ -178,7 +184,7 @@ let run_pure_sw ?(opts = default_options) (m : Ir.modul) : scenario =
     area = Area.zero; (* no fabric logic; the soft core itself reported separately *)
     power_mw =
       Power.power ~with_microblaze:true ~mb_activity:1.0 ~area:Area.microblaze
-        ~logic_activity:0.0 ();
+        ~logic_activity:0.0;
     executed = stats.Sim.executed;
   }
 
@@ -212,7 +218,7 @@ let run_pure_hw ?(opts = default_options) (m : Ir.modul) : scenario =
     area;
     power_mw =
       Power.power ~with_microblaze:false ~mb_activity:0.0 ~area
-        ~logic_activity:activity ();
+        ~logic_activity:activity;
     executed = stats.Sim.executed;
   }
 
@@ -273,7 +279,7 @@ let run_twill_threaded ?(opts = default_options) (t : Dswp.threaded) :
         area;
         power_mw =
           Power.power ~with_microblaze:true ~mb_activity ~area
-            ~logic_activity ();
+            ~logic_activity;
         executed = stats.Sim.executed;
       };
     threaded = t;
@@ -300,18 +306,17 @@ type comm_summary = {
   comm_queues : Threadgen.queue_info array;  (* post-optimization channels *)
   comm_base_cycles : int;  (* unoptimized pipeline *)
   comm_opt_cycles : int;  (* with [opts.comm] applied *)
+  comm_base_ret : int32;
+  comm_opt_ret : int32;
 }
 
-(* Extracts [m] twice — once with every comm pass off (the baseline whose
-   profile and cycle count anchor the report) and once under [opts.comm]
-   — and simulates both.  One instrumented profiling run serves both
-   extractions. *)
-let comm_summarize ?(opts = default_options) (m : Ir.modul) : comm_summary =
-  let prep = Dswp.prepare ~profile:(profile_blocks ~opts m) m in
-  let base_opts = { opts with comm = Comm.none } in
-  let tb = extract ~opts:base_opts ~prep m in
-  let base = run_twill_threaded ~opts:base_opts tb in
-  let t, rep = extract_comm ~opts ~prep m in
+(* Simulates two extractions of one module — [base] with every comm pass
+   off (the baseline whose profile and cycle count anchor the report) and
+   [t] under [opts.comm], whose pass actions are [rep] — and reports
+   them side by side. *)
+let comm_summarize ?(opts = default_options) ~(base : Dswp.threaded)
+    ((t, rep) : Dswp.threaded * Comm.report) : comm_summary =
+  let base = run_twill_threaded ~opts:{ opts with comm = Comm.none } base in
   let r = run_twill_threaded ~opts t in
   {
     comm_rep = rep;
@@ -319,6 +324,8 @@ let comm_summarize ?(opts = default_options) (m : Ir.modul) : comm_summary =
     comm_queues = t.Dswp.queues;
     comm_base_cycles = base.scenario.cycles;
     comm_opt_cycles = r.scenario.cycles;
+    comm_base_ret = base.scenario.ret;
+    comm_opt_ret = r.scenario.ret;
   }
 
 (* RTL co-simulation of an extracted design against the rtsim reference:
@@ -405,10 +412,9 @@ type report = {
 exception Self_check_failed of string
 
 (* Like the thesis's iterated partitioning (§5.2: the DSWP algorithm is
-   re-run with adjusted targets), the driver tries several pipeline widths
+   re-run with adjusted targets), the driver tries pipeline widths 2 to 5
    and keeps the best-performing extraction. *)
-let run_twill_auto ?(opts = default_options) ?(widths = [ 2; 3; 4; 5 ])
-    (m : Ir.modul) : twill_result =
+let run_twill_auto ?(opts = default_options) (m : Ir.modul) : twill_result =
   (* one instrumented profiling run and one PDG/weights analysis serve
      every width; widths whose partitions coincide (common on serial
      kernels, where the partitioner cannot fill the requested stages)
@@ -431,7 +437,7 @@ let run_twill_auto ?(opts = default_options) ?(widths = [ 2; 3; 4; 5 ])
                [])
         in
         (key, k, t))
-      widths
+      [ 2; 3; 4; 5 ]
   in
   let distinct =
     List.fold_left

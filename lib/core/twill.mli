@@ -74,6 +74,11 @@ type options = Options.t = {
 
 val default_options : options
 
+(** [opts] with the runtime alias checker armed exactly when
+    [opts.mem_banks > 1] — the rule of [twillc cosim], [twillc fuzz]
+    and corpus replay. *)
+val arm_checker : options -> options
+
 (** [compile src] parses, type-checks and optimises a mini-C program
     through the standard pass pipeline (thesis §5.1). *)
 val compile : ?opts:options -> string -> Ir.modul
@@ -143,10 +148,10 @@ val run_twill : ?opts:options -> ?prep:Dswp.prep -> Ir.modul -> twill_result
     extraction across simulator configurations. *)
 val run_twill_threaded : ?opts:options -> Dswp.threaded -> twill_result
 
-(** Everything [twillc comm-report] (and the [twilld] "comm" request)
-    shows: the unoptimized extraction's per-channel profile, the pass
+(** Everything [twillc comm-report] and the [twilld] "comm" request
+    show: the unoptimized extraction's per-channel profile, the pass
     report under [opts.comm], the post-optimization channel table and
-    the base-vs-optimized cycle counts. *)
+    the base-vs-optimized cycle counts and return values. *)
 type comm_summary = {
   comm_rep : Comm.report;
   comm_profile : Sim.queue_profile array;
@@ -154,9 +159,17 @@ type comm_summary = {
   comm_queues : Threadgen.queue_info array;  (** post-optimization *)
   comm_base_cycles : int;
   comm_opt_cycles : int;
+  comm_base_ret : int32;
+  comm_opt_ret : int32;
 }
 
-val comm_summarize : ?opts:options -> Ir.modul -> comm_summary
+(** [comm_summarize ~opts ~base (t, rep)] simulates two extractions of
+    one module: [base] with every comm pass off and [t] under
+    [opts.comm], whose pass report is [rep] (both as {!extract_comm}
+    returns them). *)
+val comm_summarize :
+  ?opts:options -> base:Dswp.threaded -> Dswp.threaded * Comm.report ->
+  comm_summary
 
 (** Co-simulates the emitted RTL of an extracted design (hardware threads
     and runtime primitives elaborated under {!Vsim}) against the
@@ -199,9 +212,9 @@ type backends_report = {
 val cosim_backends :
   ?opts:options -> Dswp.threaded -> backends_report
 
-(** Tries several pipeline widths and keeps the best (the analogue of the
+(** Tries pipeline widths 2 to 5 and keeps the best (the analogue of the
     thesis's iterated partitioning, §5.2); ties go to deeper pipelines. *)
-val run_twill_auto : ?opts:options -> ?widths:int list -> Ir.modul -> twill_result
+val run_twill_auto : ?opts:options -> Ir.modul -> twill_result
 
 (** Full report over the three flows. *)
 type report = {

@@ -191,13 +191,20 @@ let rec mkdir_p dir =
     (try Sys.mkdir dir 0o755 with Sys_error _ -> ())
   end
 
+(* The options a repro header records, as [flag=value] through the
+   option table's printer and only where they differ from the default,
+   so a corpus found at default options records none of them. *)
+let header_knobs = Options.[ pipeline_break; mem_banks ]
+
+let header_key (k : Options.knob) = Option.get k.Options.flag
+
 let repro_filename (r : repro) =
   Printf.sprintf "repro-%d-%03d.c" r.r_seed r.r_case
 
 (* A repro file is a valid mini-C program: the metadata rides in [//]
    comments, which the lexer skips, so the file body feeds straight
    back into the oracle on replay. *)
-let repro_to_string ?(break_pass : string option) (r : repro) : string =
+let repro_to_string ?(opts = default_options) (r : repro) : string =
   let b = Buffer.create 256 in
   Buffer.add_string b
     (Printf.sprintf "// twill-fuzz repro seed=%d case=%d limit=%s\n" r.r_seed
@@ -211,9 +218,12 @@ let repro_to_string ?(break_pass : string option) (r : repro) : string =
   (match r.r_first_bad_pass with
   | Some p -> Buffer.add_string b (Printf.sprintf "// first-bad-pass=%s\n" p)
   | None -> ());
-  (match break_pass with
-  | Some p -> Buffer.add_string b (Printf.sprintf "// break-pass=%s\n" p)
-  | None -> ());
+  List.iter
+    (fun (k : Options.knob) ->
+      let v = k.Options.print opts in
+      if v <> k.Options.print default_options then
+        Buffer.add_string b (Printf.sprintf "// %s=%s\n" (header_key k) v))
+    header_knobs;
   Buffer.add_char b '\n';
   Buffer.add_string b r.r_shrunk_src;
   Buffer.contents b
@@ -225,16 +235,15 @@ let write_file path content =
 
 (* Writes minimized repros plus a MANIFEST into [dir]; returns the file
    names written (MANIFEST first).  Deterministic: contents depend only
-   on the summary. *)
-let write_corpus ?(break_pass : string option) ~dir (s : summary) :
-    string list =
+   on the summary and the campaign's [opts]. *)
+let write_corpus ?opts ~dir (s : summary) : string list =
   mkdir_p dir;
   let files =
     List.map
       (fun r ->
         let name = repro_filename r in
         write_file (Filename.concat dir name)
-          (repro_to_string ?break_pass r);
+          (repro_to_string ?opts r);
         name)
       s.s_repros
   in
@@ -289,11 +298,22 @@ let header_field src key =
   | v :: _ -> Some v
   | [] -> None
 
+(* The options a repro was found at: each header knob from its header
+   line (the default where there is none), with the alias checker armed
+   above one bank as in the campaign. *)
+let options_of_repro (src : string) : options =
+  List.fold_left
+    (fun o (k : Options.knob) ->
+      match header_field src (header_key k) with
+      | None -> o
+      | Some v -> Result.fold ~ok:Fun.id ~error:failwith (k.Options.parse v o))
+    default_options header_knobs
+  |> arm_checker
+
 (* Re-runs every repro of a corpus directory through the oracle at its
-   recorded limit (and planted break-pass, if any).  A healthy corpus
-   still diverges everywhere; a fixed bug shows up as
-   [rp_still_diverges = false]. *)
-let replay ?(opts = default_options) ~dir () : replay_result list =
+   recorded limit and options.  A healthy corpus still diverges
+   everywhere; a fixed bug shows up as [rp_still_diverges = false]. *)
+let replay ~dir () : replay_result list =
   let files =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".c")
@@ -307,12 +327,7 @@ let replay ?(opts = default_options) ~dir () : replay_result list =
         | Some l -> Option.value (Oracle.limit_of_string l) ~default:Oracle.L_vsim
         | None -> Oracle.L_vsim
       in
-      let opts =
-        match header_field src "break-pass" with
-        | Some p -> { opts with pipeline_break = Some p }
-        | None -> opts
-      in
-      match Oracle.diverges ~opts ~limit src with
+      match Oracle.diverges ~opts:(options_of_repro src) ~limit src with
       | Some d ->
           {
             rp_file = f;

@@ -27,8 +27,9 @@ let default =
 (* Power of a deployed design.  [mb_activity] is the Microblaze busy
    fraction over the run (0 when no processor is instantiated);
    [logic_activity] likewise for the FPGA logic. *)
-let power ?(p = default) ~(with_microblaze : bool) ~(mb_activity : float)
-    ~(area : Area.t) ~(logic_activity : float) () : float =
+let power ~(with_microblaze : bool) ~(mb_activity : float)
+    ~(area : Area.t) ~(logic_activity : float) : float =
+  let p = default in
   let mb =
     if with_microblaze then
       p.mb_static_mw +. p.mb_pll_mw +. (p.mb_dynamic_mw *. mb_activity)

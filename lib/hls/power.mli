@@ -5,23 +5,12 @@
     is what makes Figure 6.1's ordering (pure HW < Twill < pure SW) fall
     out mechanistically. *)
 
-type params = {
-  mb_static_mw : float;
-  mb_pll_mw : float;
-  mb_dynamic_mw : float;
-  lut_static_uw : float;
-  lut_dynamic_uw : float;
-  dsp_mw : float;
-  bram_mw : float;
-}
-
-val default : params
-
 val power :
-  ?p:params ->
   with_microblaze:bool ->
   mb_activity:float ->
   area:Area.t ->
   logic_activity:float ->
-  unit ->
   float
+(** Milliwatts of a deployed design.  [mb_activity] is the Microblaze
+    busy fraction over the run (0 when no processor is instantiated);
+    [logic_activity] likewise for the FPGA logic. *)

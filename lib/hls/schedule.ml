@@ -78,7 +78,6 @@ let max_chain_depth = 4
 
 type t = {
   nstates : int array; (* per block: schedule length (>= 1) *)
-  start_state : (int, int) Hashtbl.t; (* inst id -> start state *)
   start_arr : int array; (* inst id -> start state; -1 = unscheduled *)
   ii : int array; (* per block: initiation interval, 0 = not pipelined *)
   (* peak per-class concurrency across the whole function, for binding *)
@@ -119,7 +118,7 @@ let schedule ?(res = default_resources) ?(modulo = true) ?(backend = Fsm)
         | Some k when k >= 0 && k < nb -> Some k
         | _ -> None)
   in
-  let start_state = Hashtbl.create 64 in
+  let start_arr = Array.make (Vec.length f.insts) (-1) in
   let nstates = Array.make (Vec.length f.blocks) 1 in
   let ii = Array.make (Vec.length f.blocks) 0 in
   (* global peak concurrency bookkeeping *)
@@ -132,7 +131,6 @@ let schedule ?(res = default_resources) ?(modulo = true) ?(backend = Fsm)
   Vec.iter
     (fun (b : block) ->
       let ids = Array.of_list b.insts in
-      ignore (Array.length ids);
       (* usage.(state) per (class, bank), growable; non-memory classes
          always use bank 0 *)
       let usage : (res_class * int, int array ref) Hashtbl.t =
@@ -252,7 +250,7 @@ let schedule ?(res = default_resources) ?(modulo = true) ?(backend = Fsm)
                  done
              | Cmem, Some b -> use Cmem b !s
              | _ -> use cls 0 !s);
-          Hashtbl.replace start_state id !s;
+          start_arr.(id) <- !s;
           Hashtbl.replace avail id
             (if chain then (!s, !level + 1) else (!s + lat, 0));
           (match oc with
@@ -340,13 +338,9 @@ let schedule ?(res = default_resources) ?(modulo = true) ?(backend = Fsm)
                     (fun lid ->
                       match (inst f lid).kind with
                       | Load la when la = sa ->
-                          let ss =
-                            try Hashtbl.find start_state sid with Not_found -> 0
-                          in
-                          let ls =
-                            try Hashtbl.find start_state lid with Not_found -> 0
-                          in
-                          mem_mii := max !mem_mii (ss - ls + 1)
+                          (* both are in this block, so both are scheduled *)
+                          mem_mii :=
+                            max !mem_mii (start_arr.(sid) - start_arr.(lid) + 1)
                       | _ -> ())
                     ids
               | _ -> ())
@@ -395,11 +389,8 @@ let schedule ?(res = default_resources) ?(modulo = true) ?(backend = Fsm)
       end)
     f.blocks;
   let total_states = Array.fold_left ( + ) 0 nstates in
-  let start_arr = Array.make (Vec.length f.insts) (-1) in
-  Hashtbl.iter (fun id s -> if id >= 0 then start_arr.(id) <- s) start_state;
   {
     nstates;
-    start_state;
     start_arr;
     ii;
     peak = Hashtbl.fold (fun k v acc -> (k, v) :: acc) peak [];

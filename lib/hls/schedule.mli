@@ -64,10 +64,8 @@ type banking = { nbanks : int; bank_of_id : int -> int option }
 
 type t = {
   nstates : int array;  (** per block: FSM states (>= 1) *)
-  start_state : (int, int) Hashtbl.t;  (** instruction id -> start state *)
   start_arr : int array;
-      (** instruction id -> start state, [-1] if unscheduled; array twin
-          of [start_state] for the simulator's per-memory-op hot path *)
+      (** instruction id -> start state, [-1] if unscheduled *)
   ii : int array;  (** per block: initiation interval; 0 = not pipelined *)
   peak : (res_class * int) list;  (** peak concurrency, for binding *)
   total_states : int;

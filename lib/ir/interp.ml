@@ -790,7 +790,7 @@ let run_shared ?(fuel = -1) ~(layout : Layout.t) ~(mem : int array)
     prints = List.rev_map Int32.of_int st.prints;
   }
 
-(* Default memory: the static image (globals + allocas) rounded up with
+(* Memory size: the static image (globals + allocas) rounded up with
    power-of-two headroom, capped at the historical 4 MB.  The emitted C
    runtime sizes its memory to the image exactly (cemit.ml) and every
    flow is cross-checked bit-identically against it, so no legitimate
@@ -799,24 +799,23 @@ let run_shared ?(fuel = -1) ~(layout : Layout.t) ~(mem : int array)
    to the program matters because every simulation run zeroes a fresh
    image: at a fixed 4 MB the memset dominated whole fuzz-oracle
    observations of small programs. *)
-let default_mem_words (layout : Layout.t) : int =
+let mem_words (layout : Layout.t) : int =
   let cap = 1 lsl 20 in
   let rec up n = if n >= layout.words_used * 4 || n >= cap then n else up (n * 2) in
   up (1 lsl 14)
 
-let fresh_memory ?mem_words (m : modul) : Layout.t * int array =
+let fresh_memory (m : modul) : Layout.t * int array =
   let layout = Layout.build m in
-  let mem_words =
-    match mem_words with Some w -> w | None -> default_mem_words layout
-  in
-  if layout.words_used > mem_words then
+  let words = mem_words layout in
+  (* the cap is 2^20 words: a larger image does not fit *)
+  if layout.words_used > words then
     raise (Trap "memory image larger than memory");
-  let mem = Array.make mem_words 0 in
+  let mem = Array.make words 0 in
   Layout.init_memory layout m mem;
   (layout, mem)
 
-let run ?(fuel = -1) ?mem_words ?handlers ?block_cost ?(engine = Decoded)
-    (m : modul) : result =
-  let layout, mem = fresh_memory ?mem_words m in
+let run ?(fuel = -1) ?handlers ?block_cost ?(engine = Decoded) (m : modul) :
+    result =
+  let layout, mem = fresh_memory m in
   run_shared ~fuel ~layout ~mem ?handlers ?block_cost ~engine m ~entry:"main"
     ~args:[||]

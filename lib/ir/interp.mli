@@ -79,13 +79,13 @@ type result = {
   prints : int32 list;  (** program order *)
 }
 
-val fresh_memory : ?mem_words:int -> modul -> Layout.t * int array
+val fresh_memory : modul -> Layout.t * int array
 (** Builds the static layout and a zeroed, initialised memory image, one
-    sign-extended native [int] per 32-bit word.
-    [mem_words] defaults to the image size rounded up with power-of-two
-    headroom (capped at the historical 4 MB) — every simulation flow
-    shares this default, so out-of-image behaviour stays consistent
-    across them. *)
+    sign-extended native [int] per 32-bit word, sized to the image
+    rounded up with power-of-two headroom (capped at the historical
+    4 MB) — every simulation flow shares this size, so out-of-image
+    behaviour stays consistent across them.
+    @raise Trap if the image is larger than the cap. *)
 
 val run_shared :
   ?fuel:int ->
@@ -122,7 +122,7 @@ val run_shared :
     @raise Invalid_argument if [ctx] was built for a different module. *)
 
 val run :
-  ?fuel:int -> ?mem_words:int -> ?handlers:handlers ->
+  ?fuel:int -> ?handlers:handlers ->
   ?block_cost:(func -> block -> int) -> ?engine:engine -> modul -> result
 (** [run m] executes [main] on a fresh memory image. *)
 

@@ -10,8 +10,9 @@
 open Twill_ir.Ir
 module Vec = Twill_ir.Vec
 
-let default_max_trip = 8
-let default_max_size = 30
+(* the largest trip count and loop size (instructions) peeled *)
+let max_trip = 8
+let max_size = 30
 
 (* Computes the trip count of a canonical top-tested counted loop:
    header: i = phi(preheader: c0, latch: inext); cond = icmp op i, n;
@@ -254,8 +255,7 @@ let peel_once (f : func) (l : Loops.loop) (ph : int) : unit =
     body;
   recompute_cfg f
 
-let run ?(max_trip = default_max_trip) ?(max_size = default_max_size)
-    (f : func) : bool =
+let run (f : func) : bool =
   let changed = ref false in
   let continue_ = ref true in
   while !continue_ do

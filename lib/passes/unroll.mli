@@ -5,12 +5,9 @@
     LegUp unrolls comparable loops before scheduling; here the pass is
     off by default (see the `ablation` bench artifact). *)
 
-val default_max_trip : int
-val default_max_size : int
-
 val trip_count :
   Twill_ir.Ir.func -> Loops.forest -> Loops.loop -> int option
 
-val run : ?max_trip:int -> ?max_size:int -> Twill_ir.Ir.func -> bool
+val run : Twill_ir.Ir.func -> bool
 val peel_once : Twill_ir.Ir.func -> Loops.loop -> int -> unit
 val lcssa_single_exit : Twill_ir.Ir.func -> Loops.loop -> bool

@@ -2,7 +2,7 @@
    connect-with-retry helper the CLI uses right after forking the
    daemon (the socket appears asynchronously). *)
 
-type t = { fd : Unix.file_descr; mutable buf : Buffer.t }
+type t = { fd : Unix.file_descr; buf : Buffer.t }
 
 let connect ?(retries = 0) ?(retry_delay = 0.05) (socket : string) : t =
   let rec go attempt =
@@ -56,8 +56,3 @@ let request (c : t) (req : Json.t) : Json.t =
   send_line c (Json.to_string req);
   Json.of_string (recv_line c)
 
-(* Pipelined round-trip: send every request before reading any response
-   (the server's reader drains the backlog as one implicit batch). *)
-let request_many (c : t) (reqs : Json.t list) : Json.t list =
-  List.iter (fun r -> send_line c (Json.to_string r)) reqs;
-  List.map (fun _ -> Json.of_string (recv_line c)) reqs

@@ -34,15 +34,19 @@
    comm-off point is evaluated on the group's design (extracted at the
    default depth) re-stamped to the point's depth, so points that differ
    only in depth share an elaboration but never a point result.
-   Cache hits and misses are also counted per request kind *and cache
-   level* — "simulate:elab" vs "simulate:sim" — so `stats` shows which
-   level a request kind actually hit instead of lumping both bumps under
-   one key (a repeated simulate request that misses elaboration once and
-   then hits the response cache reads as 1 elab miss + N sim hits).
-   Batching: the per-connection reader drains every complete line
-   already buffered on the socket and processes them as one batch over
-   the {!Par.pool} workers, so a client that pipelines N requests
-   without waiting gets pool parallelism for free. *)
+   Every read of the three caches (elaborations, responses, dse points)
+   goes through one function, [lookup], which counts the hit or miss per
+   request kind *and cache level* — "simulate:elab" vs "simulate:sim" —
+   so `stats` shows which level a request kind actually hit instead of
+   lumping both bumps under one key (a repeated simulate request that
+   misses elaboration once and then hits the response cache reads as
+   1 elab miss + N sim hits); the stats totals are sums over those
+   counters.  The comm report is {!Twill.comm_summarize} over the two
+   cached elaborations.
+   Each connection is answered one line at a time, in order: a client
+   that writes several requests before reading gets their responses in
+   the order it sent them.  The worker pool serves the groups of one
+   `dse` sweep. *)
 
 module Sim = Twill_rtsim.Sim
 
@@ -59,9 +63,7 @@ type t = {
   sims : (string, Json.t) Hashtbl.t; (* digest+options -> response body *)
   points : (string, Pareto.metrics) Hashtbl.t; (* digest+options -> dse point *)
   mutable requests : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  kind_hits : (string, int) Hashtbl.t; (* request kind -> cache hits *)
+  kind_hits : (string, int) Hashtbl.t; (* "kind:level" -> cache hits *)
   kind_misses : (string, int) Hashtbl.t;
   mutable stopping : bool;
   pool : Twill.Par.pool;
@@ -76,8 +78,6 @@ let create ?workers () : t =
     sims = Hashtbl.create 64;
     points = Hashtbl.create 64;
     requests = 0;
-    cache_hits = 0;
-    cache_misses = 0;
     kind_hits = Hashtbl.create 8;
     kind_misses = Hashtbl.create 8;
     stopping = false;
@@ -94,15 +94,28 @@ let bump tbl kind =
   Hashtbl.replace tbl kind
     (1 + Option.value (Hashtbl.find_opt tbl kind) ~default:0)
 
-let cache_hit t ~kind =
-  locked t (fun () ->
-      t.cache_hits <- t.cache_hits + 1;
-      bump t.kind_hits kind)
-
-let cache_miss t ~kind =
-  locked t (fun () ->
-      t.cache_misses <- t.cache_misses + 1;
-      bump t.kind_misses kind)
+(* [tbl]'s entry for [key], counted as a hit or a miss of [kind] (a
+   request kind and cache level, "simulate:elab"); [body] runs on a
+   miss.  A concurrent request may have raced us to the same key: the
+   first entry stays, so every later request shares one value. *)
+let lookup (t : t) tbl ~(kind : string) (key : string) (body : unit -> 'a) :
+    'a =
+  let found =
+    locked t (fun () ->
+        let v = Hashtbl.find_opt tbl key in
+        bump (if Option.is_some v then t.kind_hits else t.kind_misses) kind;
+        v)
+  in
+  match found with
+  | Some v -> v
+  | None ->
+      let v = body () in
+      locked t (fun () ->
+          match Hashtbl.find_opt tbl key with
+          | Some v0 -> v0
+          | None ->
+              Hashtbl.replace tbl key v;
+              v)
 
 (* --- request decoding ---------------------------------------------------- *)
 
@@ -169,32 +182,11 @@ let elab_digest (src : string) (opts : Twill.options) : string =
 let sim_key (digest : string) (opts : Twill.options) : string =
   digest ^ ":" ^ O.key opts
 
-(* The design extracted from [src] under [opts], its digest, and whether
-   the lookup hit. *)
-let elaborate_src (t : t) ~(kind : string) ~(src : string)
-    ~(opts : Twill.options) : string * elab * bool =
-  let digest = elab_digest src opts in
-  (* the per-kind counter names the cache level too: an elaboration
-     hit/miss for a simulate request is "simulate:elab", distinct from
-     the response-level "simulate:sim" bump *)
-  let kind = kind ^ ":elab" in
-  match locked t (fun () -> Hashtbl.find_opt t.elabs digest) with
-  | Some e ->
-      cache_hit t ~kind;
-      (digest, e, true)
-  | None ->
-      cache_miss t ~kind;
-      let threaded, report =
-        Twill.extract_comm ~opts (Twill.compile ~opts src)
-      in
-      let e = { e_threaded = threaded; e_comm = report } in
-      locked t (fun () ->
-          (* a concurrent request may have raced us here; keep the first
-             entry so every later request shares one design *)
-          match Hashtbl.find_opt t.elabs digest with
-          | Some e0 -> Hashtbl.replace t.elabs digest e0
-          | None -> Hashtbl.replace t.elabs digest e);
-      (digest, locked t (fun () -> Hashtbl.find t.elabs digest), false)
+(* The design extracted from [src] under [opts]: the body of an
+   [elabs] lookup under [elab_digest src opts]. *)
+let elab_of (src : string) (opts : Twill.options) () : elab =
+  let e_threaded, e_comm = Twill.extract_comm ~opts (Twill.compile ~opts src) in
+  { e_threaded; e_comm }
 
 let source_of_req (j : Json.t) : string =
   match Json.str_field "src" j with
@@ -210,28 +202,14 @@ let simulate (opts : Twill.options) (e : elab) : Sim.stats =
       (Twill.Schedule.of_threaded ~backend:opts.backend
          ~mem_banks:opts.mem_banks t)
 
-(* A response-level cache lookup: [tbl]'s entry for [key], counted under
-   [kind ^ ":sim"]; [body] runs on a miss. *)
-let cached (t : t) tbl ~(kind : string) (key : string) (body : unit -> 'a) : 'a
-    =
-  match locked t (fun () -> Hashtbl.find_opt tbl key) with
-  | Some v ->
-      cache_hit t ~kind:(kind ^ ":sim");
-      v
-  | None ->
-      cache_miss t ~kind:(kind ^ ":sim");
-      let v = body () in
-      locked t (fun () -> Hashtbl.replace tbl key v);
-      v
-
 let handle_simulate (t : t) (j : Json.t) : Json.t =
   (* sim-level options come from *this* request, not from whichever
      request first elaborated the design *)
   let opts = options_of_req j in
-  let digest, e, _ =
-    elaborate_src t ~kind:"simulate" ~src:(source_of_req j) ~opts
-  in
-  cached t t.sims ~kind:"simulate" (sim_key digest opts) (fun () ->
+  let src = source_of_req j in
+  let digest = elab_digest src opts in
+  let e = lookup t t.elabs ~kind:"simulate:elab" digest (elab_of src opts) in
+  lookup t t.sims ~kind:"simulate:sim" (sim_key digest opts) (fun () ->
       let s = simulate opts e in
       Json.Obj
         [
@@ -251,27 +229,30 @@ let handle_simulate (t : t) (j : Json.t) : Json.t =
           ("memory_bus_waits", Json.Int s.Sim.memory_bus_waits);
         ])
 
-(* The communication-optimizer report: elaborates the design twice
-   through the persistent cache — once with every pass off (the
-   baseline) and once under the request's "comm" spec (default: all
-   passes) — simulates both, and reports the pass actions next to the
-   base-vs-optimized cycle counts.  Both elaborations and the response
-   are digest-keyed, so a repeated report (or a simulate request for the
-   same design) is a pure cache hit. *)
+(* The communication-optimizer report: {!Twill.comm_summarize} over two
+   elaborations from the persistent cache — one with every pass off (the
+   baseline) and one under the request's "comm" spec (default: all
+   passes).  Both elaborations and the response are digest-keyed, so a
+   repeated report (or a simulate request for the same design) is a pure
+   cache hit. *)
 let handle_comm (t : t) (j : Json.t) : Json.t =
   let opts =
     options_of_req ~base:{ Twill.default_options with comm = Twill.Comm.all } j
   in
   let src = source_of_req j in
   let base_opts = { opts with comm = Twill.Comm.none } in
-  let digest, e, _ = elaborate_src t ~kind:"comm" ~src ~opts in
-  let base_digest, base_e, _ =
-    elaborate_src t ~kind:"comm" ~src ~opts:base_opts
+  let digest = elab_digest src opts in
+  let base_digest = elab_digest src base_opts in
+  let e = lookup t t.elabs ~kind:"comm:elab" digest (elab_of src opts) in
+  let base_e =
+    lookup t t.elabs ~kind:"comm:elab" base_digest (elab_of src base_opts)
   in
-  cached t t.sims ~kind:"comm" ("comm:" ^ sim_key digest opts) (fun () ->
-      let sb = simulate base_opts base_e in
-      let so = simulate opts e in
-      let r = e.e_comm in
+  lookup t t.sims ~kind:"comm:sim" ("comm:" ^ sim_key digest opts) (fun () ->
+      let s =
+        Twill.comm_summarize ~opts ~base:base_e.e_threaded
+          (e.e_threaded, e.e_comm)
+      in
+      let r = s.Twill.comm_rep in
       Json.Obj
         [
           ("ok", Json.Bool true);
@@ -283,11 +264,12 @@ let handle_comm (t : t) (j : Json.t) : Json.t =
           ("merged", Json.Int (List.length r.Twill.Comm.merges));
           ("resized", Json.Int (List.length r.Twill.Comm.resizes));
           ("bursts", Json.Int (List.length r.Twill.Comm.burst_qids));
-          ("ret", Json.Int (Int32.to_int so.Sim.ret));
-          ("base_ret", Json.Int (Int32.to_int sb.Sim.ret));
-          ("base_cycles", Json.Int sb.Sim.cycles);
-          ("cycles", Json.Int so.Sim.cycles);
-          ("delta", Json.Int (so.Sim.cycles - sb.Sim.cycles));
+          ("ret", Json.Int (Int32.to_int s.Twill.comm_opt_ret));
+          ("base_ret", Json.Int (Int32.to_int s.Twill.comm_base_ret));
+          ("base_cycles", Json.Int s.Twill.comm_base_cycles);
+          ("cycles", Json.Int s.Twill.comm_opt_cycles);
+          ( "delta",
+            Json.Int (s.Twill.comm_opt_cycles - s.Twill.comm_base_cycles) );
         ])
 
 (* --- dse: a design-space sweep over the daemon's caches ------------------- *)
@@ -326,16 +308,21 @@ let handle_dse (t : t) (j : Json.t) : Json.t =
   let reused = Atomic.make 0 in
   let extract (p : Grid.point) =
     let src = Dse.source_of_kernel p.Grid.kernel in
-    let digest, e, hit =
-      elaborate_src t ~kind:"dse" ~src ~opts:(Dse.opts_of_point p)
+    let opts = Dse.opts_of_point p in
+    let digest = elab_digest src opts in
+    let hit = ref true in
+    let e =
+      lookup t t.elabs ~kind:"dse:elab" digest (fun () ->
+          hit := false;
+          elab_of src opts ())
     in
-    if hit then Atomic.incr reused;
+    if !hit then Atomic.incr reused;
     (* every point of the group shares [p]'s extraction key, so
        [digest] is also the point's own [elab_digest]; the point's own
        options, its depth included, complete the key *)
     fun (q : Grid.point) ->
       let opts = q.Grid.opts in
-      cached t t.points ~kind:"dse" ("dse:" ^ sim_key digest opts) (fun () ->
+      lookup t t.points ~kind:"dse:sim" ("dse:" ^ sim_key digest opts) (fun () ->
           Dse.eval_threaded opts e.e_threaded)
   in
   let s =
@@ -363,12 +350,13 @@ let handle_stats (t : t) : Json.t =
         |> List.sort_uniq compare
       in
       let count tbl k = Option.value (Hashtbl.find_opt tbl k) ~default:0 in
+      let total tbl = Hashtbl.fold (fun _ n acc -> acc + n) tbl 0 in
       Json.Obj
         [
           ("ok", Json.Bool true);
           ("requests", Json.Int t.requests);
-          ("cache_hits", Json.Int t.cache_hits);
-          ("cache_misses", Json.Int t.cache_misses);
+          ("cache_hits", Json.Int (total t.kind_hits));
+          ("cache_misses", Json.Int (total t.kind_misses));
           ( "by_kind",
             Json.Obj
               (List.map
@@ -433,59 +421,14 @@ let handle_line (t : t) (line : string) : string =
 
 (* --- connection loop ------------------------------------------------------ *)
 
-let write_all fd (s : string) =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    off := !off + Unix.write fd b !off (n - !off)
-  done
-
-(* Reads from [fd] into a private buffer and returns all complete lines
-   it can: one blocking read, then everything already buffered.  This is
-   the implicit batch — a pipelining client's backlog arrives as one
-   list.  Returns [] on EOF. *)
-let read_lines =
-  let chunk_len = 65536 in
-  fun (buf : Buffer.t) fd ->
-    let chunk = Bytes.create chunk_len in
-    let split_complete () =
-      let s = Buffer.contents buf in
-      match String.rindex_opt s '\n' with
-      | None -> []
-      | Some last ->
-          Buffer.clear buf;
-          Buffer.add_string buf
-            (String.sub s (last + 1) (String.length s - last - 1));
-          String.split_on_char '\n' (String.sub s 0 last)
-          |> List.filter (fun l -> String.trim l <> "")
-    in
-    let rec go () =
-      match split_complete () with
-      | _ :: _ as lines -> lines
-      | [] -> (
-          match Unix.read fd chunk 0 chunk_len with
-          | 0 -> []
-          | n ->
-              Buffer.add_subbytes buf chunk 0 n;
-              go ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
-    in
-    go ()
-
+(* Requests are read and answered one line at a time, with the client's
+   line reader: a backlog of several lines is answered in order. *)
 let serve_connection (t : t) fd =
-  let buf = Buffer.create 4096 in
+  let c = { Client.fd; buf = Buffer.create 4096 } in
   let rec loop () =
-    match read_lines buf fd with
-    | [] -> () (* EOF *)
-    | [ line ] ->
-        write_all fd (handle_line t line ^ "\n");
-        if not t.stopping then loop ()
-    | lines ->
-        (* implicit batch: fan the backlog over the pool, answer in order *)
-        let resps = Twill.Par.pool_map t.pool (handle_line t) lines in
-        write_all fd (String.concat "\n" resps ^ "\n");
-        if not t.stopping then loop ()
+    let line = Client.recv_line c in
+    if String.trim line <> "" then Client.send_line c (handle_line t line);
+    if not t.stopping then loop ()
   in
   (try loop () with _ -> ());
   (try Unix.close fd with _ -> ());

@@ -51,7 +51,7 @@ let is_call = function Call _ -> true | _ -> false
 
 (* Linearise a block into micro-states. *)
 let micros_of_block (f : func) (s : Schedule.t) (b : block) : micro list =
-  let slot id = try Hashtbl.find s.Schedule.start_state id with Not_found -> 0 in
+  let slot id = max 0 s.Schedule.start_arr.(id) in
   let rec go acc cur cur_slot = function
     | [] ->
         let acc = if cur = [] then acc else Comb (List.rev cur) :: acc in

@@ -48,8 +48,8 @@ let test_campaign_deterministic () =
       (Printf.sprintf "twill-fuzz-det-%d-%s" (Unix.getpid ()) tag)
   in
   let d1 = dir "a" and d2 = dir "b" in
-  let f1 = Campaign.write_corpus ~break_pass:"inline" ~dir:d1 s1 in
-  let f2 = Campaign.write_corpus ~break_pass:"inline" ~dir:d2 s2 in
+  let f1 = Campaign.write_corpus ~opts:(broken "inline") ~dir:d1 s1 in
+  let f2 = Campaign.write_corpus ~opts:(broken "inline") ~dir:d2 s2 in
   Alcotest.(check (list string)) "same corpus files" f1 f2;
   List.iter
     (fun name ->
@@ -270,7 +270,7 @@ let test_corpus_replay () =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "twill-fuzz-replay-%d" (Unix.getpid ()))
   in
-  let files = Campaign.write_corpus ~break_pass:"mem2reg" ~dir s in
+  let files = Campaign.write_corpus ~opts ~dir s in
   Alcotest.(check bool) "manifest + repros written" true
     (List.length files = 1 + List.length s.Campaign.s_repros);
   (* replay re-reads limit and break-pass from the repro headers *)
@@ -302,11 +302,32 @@ let test_repro_is_parseable () =
   match s.Campaign.s_repros with
   | [] -> Alcotest.fail "expected a repro"
   | r :: _ -> (
-      let text = Campaign.repro_to_string ~break_pass:"inline" r in
+      let text = Campaign.repro_to_string ~opts r in
       match (Oracle.check ~limit:Oracle.L_ast text).Oracle.verdict with
       | Oracle.Agree -> ()
       | Oracle.Skipped m | Oracle.Diverge { Oracle.div_stage = m; _ } ->
           Alcotest.failf "repro text does not stand alone: %s" m)
+
+(* A repro found above one bank replays at its bank count with the
+   alias checker armed; one found at the default records no bank count
+   and replays unbanked. *)
+let test_repro_records_banks () =
+  let opts = broken "inline" in
+  let s = Campaign.run ~opts ~limit:Oracle.L_opt ~seed:7 ~cases:1 () in
+  match s.Campaign.s_repros with
+  | [] -> Alcotest.fail "expected a repro"
+  | r :: _ ->
+      let replayed opts =
+        let text = Campaign.repro_to_string ~opts r in
+        let o = Campaign.options_of_repro text in
+        ( Campaign.header_field text "mem-banks",
+          (o.Twill.mem_banks, o.Twill.check_memdep, o.Twill.pipeline_break) )
+      in
+      let pinned = Alcotest.(pair (option string) (triple int bool (option string))) in
+      Alcotest.check pinned "4 banks" (Some "4", (4, true, Some "inline"))
+        (replayed { opts with Twill.mem_banks = 4 });
+      Alcotest.check pinned "default banks" (None, (1, false, Some "inline"))
+        (replayed opts)
 
 (* An alias-checker trap is its own verdict: not a harness error, and
    it fails a strict campaign (the exit rule [twillc fuzz --strict]
@@ -362,6 +383,8 @@ let suites =
           test_corpus_replay;
         Alcotest.test_case "repro files stand alone" `Quick
           test_repro_is_parseable;
+        Alcotest.test_case "repros replay at their bank count" `Quick
+          test_repro_records_banks;
         Alcotest.test_case "a checker trap fails a strict campaign" `Quick
           test_trap_fails_strict;
       ] );

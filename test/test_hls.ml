@@ -15,7 +15,7 @@ let straight_line (kinds : Ir.kind list) : Ir.func * int list =
   Ir.recompute_cfg f;
   (f, ids)
 
-let state_of (s : Schedule.t) id = Hashtbl.find s.Schedule.start_state id
+let state_of (s : Schedule.t) id = s.Schedule.start_arr.(id)
 
 let schedule_tests =
   [
@@ -155,18 +155,18 @@ let power_tests =
         let hw =
           Power.power ~with_microblaze:false ~mb_activity:0.0
             ~area:{ Area.luts = 5000; dsps = 4; brams = 4 }
-            ~logic_activity:1.0 ()
+            ~logic_activity:1.0
         in
         let sw =
           Power.power ~with_microblaze:true ~mb_activity:1.0
-            ~area:Area.microblaze ~logic_activity:0.0 ()
+            ~area:Area.microblaze ~logic_activity:0.0
         in
         Alcotest.(check bool) "hw < sw" true (hw < sw));
     Alcotest.test_case "activity increases power" `Quick (fun () ->
         let p a =
           Power.power ~with_microblaze:false ~mb_activity:0.0
             ~area:{ Area.luts = 3000; dsps = 0; brams = 0 }
-            ~logic_activity:a ()
+            ~logic_activity:a
         in
         Alcotest.(check bool) "monotone" true (p 0.2 < p 0.9));
   ]
@@ -182,14 +182,12 @@ let prop_schedule_legality =
           let s = Schedule.schedule f in
           let ok = ref true in
           Ir.iter_insts f (fun i ->
-              let si = try Hashtbl.find s.Schedule.start_state i.Ir.id with Not_found -> 0 in
+              let si = max 0 s.Schedule.start_arr.(i.Ir.id) in
               if not (Ir.is_phi i) then
               List.iter
                 (function
                   | Ir.Reg r when (Ir.inst f r).Ir.block = i.Ir.block && not (Ir.is_phi (Ir.inst f r)) ->
-                      let sr =
-                        try Hashtbl.find s.Schedule.start_state r with Not_found -> 0
-                      in
+                      let sr = max 0 s.Schedule.start_arr.(r) in
                       (* a user never starts before its in-block operand *)
                       if si < sr then ok := false
                   | _ -> ())

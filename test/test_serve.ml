@@ -1,8 +1,9 @@
 (* twilld through the option table: cache keys that cover every knob
    extraction reads, table-checked request values and field names,
    table-rendered dse points, a dse point cache whose answers equal a
-   fresh server's, and a [stop] request that really ends
-   [Server.serve]. *)
+   fresh server's, a comm report that is the library's, stats totals
+   that are the per-kind sums, a backlog answered in order, and a
+   [stop] request that really ends [Server.serve]. *)
 
 module Server = Twill_serve.Server
 module Client = Twill_serve.Client
@@ -34,6 +35,56 @@ let test_warm_equals_fresh () =
   let body t = Json.to_string (Server.handle t (comm_req 128)) in
   Alcotest.(check string)
     "warm = fresh" (body (Server.create ~workers:0 ())) (body warm)
+
+(* twilld's comm report is [Twill.comm_summarize] over its two cached
+   elaborations *)
+let test_comm_is_library_summary () =
+  let r = Server.handle (Server.create ~workers:0 ()) (comm_req 2) in
+  let opts =
+    { Twill.default_options with queue_depth = 2; comm = Twill.Comm.all }
+  in
+  let m = Twill.compile ~opts sha in
+  let base = Twill.extract ~opts:{ opts with comm = Twill.Comm.none } m in
+  let s = Twill.comm_summarize ~opts ~base (Twill.extract_comm ~opts m) in
+  let rep = s.Twill.comm_rep in
+  List.iter
+    (fun (field, v) ->
+      Alcotest.(check (option int)) field (Some v) (Json.int_field field r))
+    [
+      ("cycles", s.Twill.comm_opt_cycles);
+      ("base_cycles", s.Twill.comm_base_cycles);
+      ("ret", Int32.to_int s.Twill.comm_opt_ret);
+      ("base_ret", Int32.to_int s.Twill.comm_base_ret);
+      ("merged", List.length rep.Twill.Comm.merges);
+      ("resized", List.length rep.Twill.Comm.resizes);
+      ("bursts", List.length rep.Twill.Comm.burst_qids);
+      ("licm_hoists", rep.Twill.Comm.licm_hoists);
+    ]
+
+(* the stats totals are the sums of the per-kind counters *)
+let test_stats_totals () =
+  let t = Server.create ~workers:0 () in
+  let tiny =
+    Json.Obj
+      [ ("cmd", Json.Str "simulate"); ("src", Json.Str "int main() { return 1; }") ]
+  in
+  List.iter
+    (fun req -> ignore (Server.handle t req))
+    [ tiny; tiny; comm_req 2; comm_req 2 ];
+  let stats = Server.handle t (Json.Obj [ ("cmd", Json.Str "stats") ]) in
+  let sum field =
+    match Json.find "by_kind" stats with
+    | Some (Json.Obj kinds) ->
+        List.fold_left
+          (fun acc (_, k) -> acc + Option.value (Json.int_field field k) ~default:0)
+          0 kinds
+    | _ -> Alcotest.failf "no by_kind: %s" (Json.to_string stats)
+  in
+  Alcotest.(check (option int)) "cache_hits" (Some (sum "hits"))
+    (Json.int_field "cache_hits" stats);
+  Alcotest.(check (option int)) "cache_misses" (Some (sum "misses"))
+    (Json.int_field "cache_misses" stats);
+  Alcotest.(check (pair int int)) "hits, misses" (5, 5) (sum "hits", sum "misses")
 
 let range_message = Result.get_error (O.mem_banks.parse "0" Twill.default_options)
 
@@ -241,7 +292,9 @@ let test_concurrent_elabs_reused () =
         (Json.int_field "elabs_reused" (Json.of_string r)))
     rs
 
-let test_stop_ends_serve () =
+(* Runs [f] on a connection to a [Server.serve] on a fresh socket, then
+   sends [stop]; checks that serve returns within 1 s of it. *)
+let with_serve (f : Client.t -> unit) =
   (* next to the test binary, i.e. under _build *)
   let socket =
     Filename.concat
@@ -258,6 +311,7 @@ let test_stop_ends_serve () =
       ()
   in
   let c = Client.connect ~retries:200 ~retry_delay:0.005 socket in
+  f c;
   Client.send_line c {|{"cmd":"stop"}|};
   ignore (Client.recv_line c);
   Client.close c;
@@ -266,6 +320,24 @@ let test_stop_ends_serve () =
     Thread.delay 0.01
   done;
   Alcotest.(check bool) "serve returned within 1 s" true (Atomic.get returned)
+
+let test_stop_ends_serve () = with_serve ignore
+
+(* two request lines in one write come back in the order they were sent *)
+let test_backlog_in_order () =
+  with_serve (fun c ->
+      Client.send_line c
+        ({|{"cmd":"simulate","id":1,"src":"int main() { return 3; }"}|} ^ "\n"
+       ^ {|{"cmd":"stats","id":2}|});
+      let first = Json.of_string (Client.recv_line c) in
+      let second = Json.of_string (Client.recv_line c) in
+      Alcotest.(check (list (option int)))
+        "ids in order" [ Some 1; Some 2 ]
+        [ Json.int_field "id" first; Json.int_field "id" second ];
+      Alcotest.(check (option int)) "simulate answered" (Some 3)
+        (Json.int_field "ret" first);
+      Alcotest.(check (option int)) "stats after it" (Some 2)
+        (Json.int_field "requests" second))
 
 let suites =
   [
@@ -282,6 +354,12 @@ let suites =
         Alcotest.test_case "dse frontier names the backend" `Quick
           test_dse_names_backend;
         Alcotest.test_case "stop ends serve" `Quick test_stop_ends_serve;
+        Alcotest.test_case "a backlog is answered in order" `Quick
+          test_backlog_in_order;
+        Alcotest.test_case "comm is Twill.comm_summarize" `Quick
+          test_comm_is_library_summary;
+        Alcotest.test_case "stats totals are per-kind sums" `Quick
+          test_stats_totals;
       ] );
     ( "serve.dse",
       [

@@ -382,9 +382,9 @@ let check_func_invariants (f : Ir.func) =
   let fsm = S.schedule ~backend:S.Fsm f in
   let df = S.schedule ~backend:S.Dataflow f in
   let get (s : S.t) id =
-    match Hashtbl.find_opt s.S.start_state id with
-    | Some v -> v
-    | None -> fail "%s: op %d unscheduled" f.Ir.name id
+    match s.S.start_arr.(id) with
+    | -1 -> fail "%s: op %d unscheduled" f.Ir.name id
+    | v -> v
   in
   List.iter
     (fun (which, (s : S.t)) ->
