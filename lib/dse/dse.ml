@@ -106,8 +106,7 @@ let extraction_groups (pts : Grid.point list) : (int * Grid.point) list list =
 
 (* the evaluated points: the whole grid, or a deterministic sample *)
 let points ~seed ?sample (g : Grid.t) : Grid.point list =
-  let all = Grid.points g in
-  match sample with None -> all | Some n -> Grid.sample ~seed n all
+  match sample with None -> Grid.points g | Some n -> Grid.sample ~seed n g
 
 let sweep_of g ~seed ?sample ~extractions results =
   let n = List.length results in

@@ -44,6 +44,23 @@ let points (g : t) : point list =
   in
   List.concat_map (fun kernel -> List.map (fun opts -> { kernel; opts }) opts) g.kernels
 
+(* The [i]th element of [points g] alone: [i] read as a mixed-radix
+   number, kernel most significant and the last axis least, with the
+   knobs applied outermost first as [points] applies them. *)
+let point_at (g : t) (i : int) : point =
+  if i < 0 || i >= npoints g then invalid_arg "Grid.point_at";
+  let k, coords =
+    List.fold_right
+      (fun (knob, vs) (i, acc) ->
+        let n = List.length vs in
+        (i / n, (knob, List.nth vs (i mod n)) :: acc))
+      g.axes (i, [])
+  in
+  {
+    kernel = List.nth g.kernels k;
+    opts = List.fold_left (fun o (knob, v) -> set knob v o) Twill.default_options coords;
+  }
+
 (* --- spec strings -------------------------------------------------------- *)
 
 (* "kernels=mips,sha;nstages=2,3;queue_latency=2,8,32" — unnamed axes
@@ -142,10 +159,11 @@ let parse ?(base = default) spec = parse_with ~base spec
 
 (* Fisher-Yates over the index space with an explicit PRNG state, then
    re-sorted, so a sampled grid is a grid-order-preserving subset that
-   depends only on (seed, n, length). *)
-let sample ~seed n (ps : point list) : point list =
-  let len = List.length ps in
-  if n >= len then ps
+   depends only on (seed, n, [npoints g]); only the drawn points are
+   built. *)
+let sample ~seed n (g : t) : point list =
+  let len = npoints g in
+  if n >= len then points g
   else begin
     let st = Random.State.make [| 0x75EED; seed |] in
     let idx = Array.init len (fun i -> i) in
@@ -157,8 +175,7 @@ let sample ~seed n (ps : point list) : point list =
     done;
     let keep = Array.sub idx 0 n in
     Array.sort compare keep;
-    let arr = Array.of_list ps in
-    Array.to_list (Array.map (fun i -> arr.(i)) keep)
+    Array.to_list (Array.map (point_at g) keep)
   end
 
 (* --- rendering ------------------------------------------------------------ *)

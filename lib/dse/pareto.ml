@@ -73,53 +73,59 @@ let axes =
     [ queue_latency; queue_depth; nstages; unroll; comm; backend; mem_banks ]
 
 let sensitivities (g : Grid.t) (rs : result list) : sensitivity list =
+  (* each result's coordinates, printed once: (knob, value) per
+     [Grid.knobs] entry *)
+  let coords =
+    List.map
+      (fun r ->
+        (r, List.map (fun (k : Twill.Options.knob) -> (k, k.print r.point.opts)) Grid.knobs))
+      rs
+  in
   List.concat_map
     (fun (k : Twill.Options.knob) ->
-      let axis = k.grid in
-      let value_of (pt : Grid.point) = k.print pt.opts in
-      (* the remaining coordinates *)
-      let group_of (pt : Grid.point) =
-        String.concat "|"
-          (pt.kernel
-          :: List.filter_map
-               (fun (k' : Twill.Options.knob) ->
-                 if k'.name = k.name then None else Some (k'.print pt.opts))
-               Grid.knobs)
-      in
       match Grid.values g k with
       | [] | [ _ ] -> [] (* nothing swept on this axis *)
       | baseline :: _ as values ->
+          (* per result: its value on this axis, the group of points
+             that agree with it on every other coordinate, its cycles *)
+          let rows =
+            List.map
+              (fun (r, cs) ->
+                let on_axis ((k' : Twill.Options.knob), _) = k'.name = k.name in
+                let others = List.filter (fun kc -> not (on_axis kc)) cs in
+                ( snd (List.find on_axis cs),
+                  String.concat "|" (r.point.kernel :: List.map snd others),
+                  r.metrics.cycles ))
+              coords
+          in
           (* cycles of each group's baseline point *)
           let base : (string, int) Hashtbl.t = Hashtbl.create 64 in
           List.iter
-            (fun r ->
-              if value_of r.point = baseline then
-                Hashtbl.replace base (group_of r.point) r.metrics.cycles)
-            rs;
+            (fun (v, group, cycles) ->
+              if v = baseline then Hashtbl.replace base group cycles)
+            rows;
           (* per-value aggregation, in the grid's value order *)
           List.filter_map
             (fun v ->
               let n = ref 0 and sum = ref 0.0 in
               let mn = ref infinity and mx = ref neg_infinity in
               List.iter
-                (fun r ->
-                  if value_of r.point = v then
-                    match Hashtbl.find_opt base (group_of r.point) with
+                (fun (v', group, cycles) ->
+                  if v' = v then
+                    match Hashtbl.find_opt base group with
                     | Some c0 when c0 > 0 ->
-                        let ratio =
-                          float_of_int r.metrics.cycles /. float_of_int c0
-                        in
+                        let ratio = float_of_int cycles /. float_of_int c0 in
                         incr n;
                         sum := !sum +. ratio;
                         if ratio < !mn then mn := ratio;
                         if ratio > !mx then mx := ratio
                     | _ -> ())
-                rs;
+                rows;
               if !n = 0 then None
               else
                 Some
                   {
-                    axis;
+                    axis = k.grid;
                     value = v;
                     n = !n;
                     mean_slowdown = !sum /. float_of_int !n;

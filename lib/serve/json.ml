@@ -21,20 +21,29 @@ exception Parse_error of string
 
 (* --- printing ----------------------------------------------------------- *)
 
+(* the escape of a character the printer may not write as-is *)
+let escape = function
+  | '"' -> "\\\""
+  | '\\' -> "\\\\"
+  | '\n' -> "\\n"
+  | '\r' -> "\\r"
+  | '\t' -> "\\t"
+  | c -> Printf.sprintf "\\u%04x" (Char.code c)
+
+(* runs of plain characters are copied whole; only escapes go one
+   character at a time *)
 let escape_to buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let run = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = s.[i] in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      Buffer.add_substring buf s !run (i - !run);
+      Buffer.add_string buf (escape c);
+      run := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !run (String.length s - !run);
   Buffer.add_char buf '"'
 
 let rec emit buf = function
@@ -101,17 +110,25 @@ let lit c word v =
   end
   else fail c ("expected " ^ word)
 
+(* runs of plain characters are copied whole; only escapes go one
+   character at a time *)
 let parse_string c =
   expect c '"';
+  let n = String.length c.s in
   let buf = Buffer.create 16 in
   let rec go () =
-    if c.i >= String.length c.s then fail c "unterminated string";
+    let run = c.i in
+    while c.i < n && c.s.[c.i] <> '"' && c.s.[c.i] <> '\\' do
+      c.i <- c.i + 1
+    done;
+    Buffer.add_substring buf c.s run (c.i - run);
+    if c.i >= n then fail c "unterminated string";
     let ch = c.s.[c.i] in
     c.i <- c.i + 1;
     match ch with
     | '"' -> Buffer.contents buf
-    | '\\' -> (
-        if c.i >= String.length c.s then fail c "dangling escape";
+    | _ -> (
+        if c.i >= n then fail c "dangling escape";
         let e = c.s.[c.i] in
         c.i <- c.i + 1;
         match e with
@@ -156,9 +173,6 @@ let parse_string c =
             end;
             go ()
         | _ -> fail c "unknown escape")
-    | c ->
-        Buffer.add_char buf c;
-        go ()
   in
   go ()
 

@@ -45,8 +45,10 @@
    cached elaborations.
    Each connection is answered one line at a time, in order: a client
    that writes several requests before reading gets their responses in
-   the order it sent them.  The worker pool serves the groups of one
-   `dse` sweep. *)
+   the order it sent them.  Lines are read by {!Client.recv_line}, the
+   one reader both ends of the socket use, through the one read chunk
+   (4 KiB) the connection owns for its life.  The worker pool serves the
+   groups of one `dse` sweep. *)
 
 module Sim = Twill_rtsim.Sim
 
@@ -422,9 +424,10 @@ let handle_line (t : t) (line : string) : string =
 (* --- connection loop ------------------------------------------------------ *)
 
 (* Requests are read and answered one line at a time, with the client's
-   line reader: a backlog of several lines is answered in order. *)
+   line reader and its one read chunk per connection: a backlog of
+   several lines is answered in order. *)
 let serve_connection (t : t) fd =
-  let c = { Client.fd; buf = Buffer.create 4096 } in
+  let c = Client.of_fd fd in
   let rec loop () =
     let line = Client.recv_line c in
     if String.trim line <> "" then Client.send_line c (handle_line t line);

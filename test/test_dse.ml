@@ -184,11 +184,11 @@ let test_sim_knobs_under_profile =
 
 let test_sample_deterministic () =
   let pts = Grid.points Grid.default in
-  let a = Grid.sample ~seed:7 50 pts in
-  let b = Grid.sample ~seed:7 50 pts in
+  let a = Grid.sample ~seed:7 50 Grid.default in
+  let b = Grid.sample ~seed:7 50 Grid.default in
   Alcotest.(check int) "size" 50 (List.length a);
   Alcotest.(check bool) "same seed, same sample" true (a = b);
-  let c = Grid.sample ~seed:8 50 pts in
+  let c = Grid.sample ~seed:8 50 Grid.default in
   Alcotest.(check bool) "different seed differs" true (a <> c);
   (* order-preserving subset: filtering the full list by membership
      reproduces the sample *)
@@ -196,8 +196,55 @@ let test_sample_deterministic () =
     "grid order preserved" true
     (List.filter (fun p -> List.mem p a) pts = a);
   Alcotest.(check bool)
-    "n >= len is identity" true
-    (Grid.sample ~seed:7 10_000 pts == pts)
+    "n >= len is the whole grid" true
+    (Grid.sample ~seed:7 10_000 Grid.default = pts)
+
+(* The list-taking sampler [Grid.sample] replaced, as the reference:
+   the same Fisher-Yates draw over the index space, then the drawn
+   positions of the built point list, in grid order. *)
+let sample_of_list ~seed n (ps : Grid.point list) : Grid.point list =
+  let len = List.length ps in
+  if n >= len then ps
+  else begin
+    let st = Random.State.make [| 0x75EED; seed |] in
+    let idx = Array.init len (fun i -> i) in
+    for i = 0 to n - 1 do
+      let j = i + Random.State.int st (len - i) in
+      let t = idx.(i) in
+      idx.(i) <- idx.(j);
+      idx.(j) <- t
+    done;
+    let keep = Array.sub idx 0 n in
+    List.filteri (fun i _ -> Array.mem i keep) ps
+  end
+
+(* [sample] and [point_at] build points from indices alone; both must
+   give exactly the points [points] enumerates *)
+let test_sample_builds_drawn_points () =
+  List.iter
+    (fun g ->
+      let pts = Grid.points g in
+      let spec = Grid.to_spec g in
+      List.iteri
+        (fun i p ->
+          Alcotest.(check bool) (Printf.sprintf "%s: point_at %d" spec i) true
+            (Grid.point_at g i = p))
+        pts;
+      List.iter
+        (fun (seed, n) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: seed %d, %d points" spec seed n)
+            true
+            (Grid.sample ~seed n g = sample_of_list ~seed n pts))
+        [ (1, 8); (5, 8); (42, 8); (7, 50); (9, 1); (3, Grid.npoints g - 1) ];
+      Alcotest.(check bool) (spec ^ ": n >= npoints") true
+        (Grid.sample ~seed:1 (Grid.npoints g) g = pts))
+    [
+      Grid.default;
+      grid
+        "kernels=mips,sha;nstages=2,3;comm=none,merge+size,all;\
+         backend=fsm,dataflow;banks=1,2,4;queue_latency=2,32";
+    ]
 
 (* --- pareto --------------------------------------------------------------- *)
 
@@ -496,6 +543,8 @@ let suites =
         Alcotest.test_case "comm axis parsing" `Quick test_parse_comm_axis;
         Alcotest.test_case "comm extract key" `Quick test_comm_extract_key;
         Alcotest.test_case "sampling" `Quick test_sample_deterministic;
+        Alcotest.test_case "sampling builds only the drawn points" `Quick
+          test_sample_builds_drawn_points;
       ] );
     ( "dse.options",
       [

@@ -2,8 +2,9 @@
    extraction reads, table-checked request values and field names,
    table-rendered dse points, a dse point cache whose answers equal a
    fresh server's, a comm report that is the library's, stats totals
-   that are the per-kind sums, a backlog answered in order, and a
-   [stop] request that really ends [Server.serve]. *)
+   that are the per-kind sums, a backlog answered in order, a
+   [stop] request that really ends [Server.serve], the line reader's
+   framing and the JSON string codec. *)
 
 module Server = Twill_serve.Server
 module Client = Twill_serve.Client
@@ -250,7 +251,7 @@ let test_point_cache_repeat () =
    simulates once *)
 let test_point_cache_overlap () =
   let grid = Result.get_ok (Twill_dse.Grid.parse point_grid) in
-  let sampled seed = Twill_dse.Grid.sample ~seed 8 (Twill_dse.Grid.points grid) in
+  let sampled seed = Twill_dse.Grid.sample ~seed 8 grid in
   let warm = Server.create ~workers:0 () in
   ignore (Server.handle warm (dse_req ~sample:8 ~seed:1 point_grid));
   List.iter
@@ -339,6 +340,98 @@ let test_backlog_in_order () =
       Alcotest.(check (option int)) "stats after it" (Some 2)
         (Json.int_field "requests" second))
 
+(* [Client.recv_line] over a socket pair, with pieces written from
+   another thread: the reader keeps one 4 KiB chunk per connection, so
+   the first line spans more than three reads, and the bytes after a
+   newline wait in the chunk for the next call *)
+let test_recv_line_framing () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let long = String.init ((3 * 4096) + 1234) (fun i -> Char.chr (97 + (i mod 26))) in
+  let pieces =
+    [
+      String.sub long 0 1; String.sub long 1 4096; String.sub long 4097 5000;
+      String.sub long 9097 (String.length long - 9097) ^ "\n";
+      "one\ntwo\nthree\n"; "\n"; "x\ny"; "z\n"; "partial";
+    ]
+  in
+  let writer =
+    Thread.create
+      (fun () ->
+        List.iter
+          (fun p ->
+            let n = String.length p and off = ref 0 in
+            while !off < n do
+              off := !off + Unix.write_substring b p !off (n - !off)
+            done;
+            Thread.delay 0.002)
+          pieces;
+        Unix.shutdown b Unix.SHUTDOWN_SEND)
+      ()
+  in
+  let r = Client.of_fd a in
+  Alcotest.(check bool) "a line longer than three chunks" true (Client.recv_line r = long);
+  Alcotest.(check (list string))
+    "several lines in one write, an empty line, a tail kept for the next call"
+    [ "one"; "two"; "three"; ""; "x"; "yz" ]
+    (List.init 6 (fun _ -> Client.recv_line r));
+  Alcotest.check_raises "EOF inside a line" Client.Closed (fun () ->
+      ignore (Client.recv_line r));
+  Thread.join writer;
+  Unix.close a;
+  Unix.close b
+
+(* the printer's wire format, one character at a time *)
+let escape_reference (s : string) : string =
+  let b = Buffer.create 16 in
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+(* strings survive a print/parse round trip, as keys and as values, and
+   print exactly as the char-by-char reference does *)
+let test_json_strings () =
+  let strings =
+    List.init 256 (fun i -> String.make 1 (Char.chr i))
+    @ [
+        String.init 256 Char.chr; ""; "\"start"; "end\n"; "\\"; "\ttab\t";
+        "\n\n\"\\\001\031\r\t"; "a\r\nb"; String.make 10_000 'x';
+        String.make 5000 'a' ^ "\n" ^ String.make 5000 'b'; sha;
+      ]
+  in
+  List.iter
+    (fun s ->
+      let label = String.escaped (if String.length s > 40 then String.sub s 0 40 else s) in
+      Alcotest.(check string) ("printed: " ^ label) (escape_reference s)
+        (Json.to_string (Json.Str s));
+      Alcotest.(check bool) ("round trip: " ^ label) true
+        (Json.of_string (Json.to_string (Json.Obj [ (s, Json.Str s) ]))
+        = Json.Obj [ (s, Json.Str s) ]))
+    strings;
+  Alcotest.(check bool) "\\u, \\b, \\f and \\/ on input" true
+    (Json.of_string {|"\u0041\u00e9\u20ac\u0000x\b\f\/\u0041"|}
+    = Json.Str "A\xc3\xa9\xe2\x82\xac\000x\b\012/A");
+  List.iter
+    (fun (text, msg) ->
+      Alcotest.check_raises text (Json.Parse_error msg) (fun () ->
+          ignore (Json.of_string text)))
+    [
+      ({|"abc|}, "unterminated string at offset 4");
+      ({|"ab\|}, "dangling escape at offset 4");
+      ({|"a\q"|}, "unknown escape at offset 4");
+    ]
+
 let suites =
   [
     ( "serve.options",
@@ -360,6 +453,10 @@ let suites =
           test_comm_is_library_summary;
         Alcotest.test_case "stats totals are per-kind sums" `Quick
           test_stats_totals;
+        Alcotest.test_case "recv_line framing over a socket pair" `Quick
+          test_recv_line_framing;
+        Alcotest.test_case "JSON strings round-trip and print as before" `Quick
+          test_json_strings;
       ] );
     ( "serve.dse",
       [
