@@ -35,20 +35,10 @@ let npoints (g : t) : int =
     (fun n (_, vs) -> n * List.length vs)
     (List.length g.kernels) g.axes
 
-let points (g : t) : point list =
-  let opts =
-    List.fold_left
-      (fun acc (k, vs) ->
-        List.concat_map (fun o -> List.map (fun v -> set k v o) vs) acc)
-      [ Twill.default_options ] g.axes
-  in
-  List.concat_map (fun kernel -> List.map (fun opts -> { kernel; opts }) opts) g.kernels
-
-(* The [i]th element of [points g] alone: [i] read as a mixed-radix
-   number, kernel most significant and the last axis least, with the
-   knobs applied outermost first as [points] applies them. *)
+(* The [i]th point of the grid: [i] read as a mixed-radix number, kernel
+   most significant and the last axis least, with the knobs applied
+   outermost first.  The one place the nesting order is written. *)
 let point_at (g : t) (i : int) : point =
-  if i < 0 || i >= npoints g then invalid_arg "Grid.point_at";
   let k, coords =
     List.fold_right
       (fun (knob, vs) (i, acc) ->
@@ -60,6 +50,8 @@ let point_at (g : t) (i : int) : point =
     kernel = List.nth g.kernels k;
     opts = List.fold_left (fun o (knob, v) -> set knob v o) Twill.default_options coords;
   }
+
+let points (g : t) : point list = List.init (npoints g) (point_at g)
 
 (* --- spec strings -------------------------------------------------------- *)
 

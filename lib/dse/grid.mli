@@ -33,10 +33,6 @@ val npoints : t -> int
 val points : t -> point list
 (** Cartesian enumeration, kernels outermost / banks innermost. *)
 
-val point_at : t -> int -> point
-(** [point_at g i] is the [i]th element of [points g], built alone.
-    Raises [Invalid_argument] unless [0 <= i < npoints g]. *)
-
 val parse : ?base:t -> string -> (t, string) result
 (** ["kernels=mips,sha;queue_latency=2,8,32"] — axes absent from the
     spec keep their [base] (default: {!default}) values.  An axis is
@@ -54,8 +50,7 @@ val to_spec : t -> string
 val sample : seed:int -> int -> t -> point list
 (** Deterministic grid-order-preserving subset of [points g] of size
     [n] ([points g] when [n >= npoints g]), drawn over the index space
-    and built with {!point_at}, so only the [n] drawn points are
-    built. *)
+    so only the [n] drawn points are built. *)
 
 val fields : point -> (string * string) list
 (** Each coordinate's field name and JSON literal, kernel first: the

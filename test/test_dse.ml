@@ -218,18 +218,35 @@ let sample_of_list ~seed n (ps : Grid.point list) : Grid.point list =
     List.filteri (fun i _ -> Array.mem i keep) ps
   end
 
-(* [sample] and [point_at] build points from indices alone; both must
-   give exactly the points [points] enumerates *)
+(* The cartesian enumeration [Grid.points] replaced, as the reference
+   for its order: each axis's values folded in outermost first over the
+   default options, then kernels outermost. *)
+let points_by_fold (g : Grid.t) : Grid.point list =
+  let set (k : O.knob) v o =
+    match k.parse v o with Ok o -> o | Error e -> failwith e
+  in
+  let opts =
+    List.fold_left
+      (fun acc (k, vs) ->
+        List.concat_map (fun o -> List.map (fun v -> set k v o) vs) acc)
+      [ Twill.default_options ] g.axes
+  in
+  List.concat_map
+    (fun kernel -> List.map (fun opts -> { Grid.kernel; opts }) opts)
+    g.kernels
+
+(* [points] and [sample] build points from indices alone; both must
+   give exactly the points, in the order, of the fold enumeration *)
 let test_sample_builds_drawn_points () =
   List.iter
     (fun g ->
-      let pts = Grid.points g in
+      let pts = points_by_fold g in
       let spec = Grid.to_spec g in
+      Alcotest.(check int) (spec ^ ": npoints") (List.length pts) (Grid.npoints g);
       List.iteri
-        (fun i p ->
-          Alcotest.(check bool) (Printf.sprintf "%s: point_at %d" spec i) true
-            (Grid.point_at g i = p))
-        pts;
+        (fun i (p, q) ->
+          Alcotest.(check bool) (Printf.sprintf "%s: point %d" spec i) true (p = q))
+        (List.combine (Grid.points g) pts);
       List.iter
         (fun (seed, n) ->
           Alcotest.(check bool)
