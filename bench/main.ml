@@ -376,16 +376,6 @@ let ablation () =
       Printf.printf "\n")
     (Lazy.force ablation_rows)
 
-(* BENCH_dse.json: the committed design-space sweep — default grid,
-   fixed seed, rendered by the deterministic lib/dse printer, so the
-   file must reproduce byte-for-byte on any machine. *)
-let json_dse () =
-  let s = Twill_dse.Dse.run Twill_dse.Grid.default in
-  print_string (Twill_dse.Dse.json_of_sweep s);
-  let r = s.Twill_dse.Dse.reuse in
-  Printf.eprintf "dse: %d points, %d extractions\n" r.Twill_dse.Dse.points
-    r.Twill_dse.Dse.extractions
-
 (* BENCH_comm.json: the committed communication-optimizer study — every
    bundled kernel at the paper's queue-sensitivity operating point
    (3-stage pipeline, 2-deep queues), comparing the unoptimized pipeline
@@ -524,7 +514,7 @@ let json_comm () =
    disagree on behaviour, any call-port stream differs, or no kernel is
    Pareto-dominated by the dataflow lowering on (cycles, LUTs). *)
 let json_backend () =
-  let backends = [ Twill.Schedule.Fsm; Twill.Schedule.Dataflow ] in
+  let backends = Twill.Schedule.all_backends in
   let rows =
     Twill.Par.map
       (fun (b : C.benchmark) ->
@@ -638,7 +628,7 @@ let json_backend () =
    kernel's cycle count improves at 4 banks. *)
 let json_mem () =
   let banks_axis = [ 1; 2; 4 ] in
-  let backends = [ Twill.Schedule.Fsm; Twill.Schedule.Dataflow ] in
+  let backends = Twill.Schedule.all_backends in
   let rows =
     Twill.Par.map
       (fun (b : C.benchmark) ->
@@ -850,7 +840,6 @@ let artifacts =
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   match args with
-  | [ "--json-dse" ] -> json_dse ()
   | [ "--json-comm" ] -> json_comm ()
   | [ "--json-backend" ] -> json_backend ()
   | [ "--json-mem" ] -> json_mem ()

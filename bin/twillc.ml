@@ -361,23 +361,7 @@ let fuzz_cmd =
             "Exit nonzero if any divergence is found or the alias checker \
              trapped (or, with $(b,--replay), if any repro went stale).")
   in
-  let fuzz_backend =
-    Arg.(
-      value
-      & opt
-          (enum
-             (List.map
-                (fun b -> (F.Oracle.backends_to_string b, b))
-                F.Oracle.all_backends))
-          F.Oracle.B_both
-      & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:
-            "RTL lowering(s) the vsim observation points exercise: \
-             $(b,fsm), $(b,dataflow) or $(b,both) (the default: every \
-             RTL-reaching case co-simulates both backends and any \
-             disagreement is a divergence).")
-  in
-  let run seed cases limit backends out replay opts strict =
+  let run seed cases limit out replay opts strict =
     match replay with
     | Some dir ->
         let rs = F.Campaign.replay ~dir () in
@@ -396,7 +380,7 @@ let fuzz_cmd =
     | None ->
         let opts = Twill.arm_checker opts in
         let t0 = Unix.gettimeofday () in
-        let s = F.Campaign.run ~opts ~limit ~backends ~seed ~cases () in
+        let s = F.Campaign.run ~opts ~limit ~seed ~cases () in
         let dt = Unix.gettimeofday () -. t0 in
         print_string (F.Campaign.summary_to_string s);
         (match out with
@@ -414,15 +398,15 @@ let fuzz_cmd =
        ~doc:
          "Differentially fuzz the whole stack: random mini-C programs \
           through every observation point (AST, IR, each optimisation \
-          prefix, rtsim, RTL co-simulation), with shrinking and pass \
-          bisection of any divergence.  Above one memory bank the runtime \
-          alias checker is armed, so dependence-oracle optimism surfaces \
-          as a trap (which fails $(b,--strict)) instead of silent \
-          corruption")
+          prefix, rtsim, RTL co-simulation of every lowering), with \
+          shrinking and pass bisection of any divergence.  rtsim replays \
+          the $(b,--backend) lowering's schedules.  Above one memory bank \
+          the runtime alias checker is armed, so dependence-oracle \
+          optimism surfaces as a trap (which fails $(b,--strict)) instead \
+          of silent corruption")
     Term.(
-      const run $ seed $ cases $ max_stage $ fuzz_backend $ out $ replay
-      $ opts_term O.[ pipeline_break; mem_banks ]
-      $ strict)
+      const run $ seed $ cases $ max_stage $ out $ replay
+      $ opts_term F.Campaign.knobs $ strict)
 
 (* --- twilld client: `twillc daemon ...` --------------------------------- *)
 
@@ -453,7 +437,7 @@ let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Sampling seed.")
 
 let dse_cmd =
-  let run grid_spec sample seed json out cold =
+  let run grid_spec sample seed json cold =
     let grid =
       if grid_spec = "" then Dse_grid.default
       else
@@ -485,16 +469,7 @@ let dse_cmd =
         (if same then "identical" else "DIVERGED");
       if not same then exit 1
     end;
-    if json then begin
-      let body = Dse.json_of_sweep s in
-      match out with
-      | None -> print_string body
-      | Some path ->
-          let oc = open_out path in
-          output_string oc body;
-          close_out oc;
-          Fmt.epr "wrote %s@." path
-    end
+    if json then print_string (Dse.json_of_sweep s)
     else begin
       Fmt.pr "Pareto frontier (%d of %d points):@." (List.length s.Dse.frontier)
         (List.length s.Dse.results);
@@ -525,10 +500,6 @@ let dse_cmd =
     Term.(
       const run $ grid_arg $ sample_arg $ seed_arg
       $ Arg.(value & flag & info [ "json" ] ~doc:"Emit the sweep as JSON.")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "out" ] ~docv:"FILE" ~doc:"Write the JSON to FILE.")
       $ Arg.(
           value & flag
           & info [ "cold" ]

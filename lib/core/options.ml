@@ -264,9 +264,6 @@ let find (knobs : knob list) (spelling : string) : knob option =
 let key ?(knobs = table) (o : t) : string =
   String.concat ";" (List.map (fun k -> k.name ^ "=" ^ k.print o) knobs)
 
-let compile_key (o : t) : string =
-  key ~knobs:(List.filter (fun k -> k.level = Compile) table) o
-
 (* The profile-guided comm passes simulate the unoptimized pipeline during
    extraction, so under them every Sim knob shapes the extracted design. *)
 let extract_key (o : t) : string =

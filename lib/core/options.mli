@@ -75,10 +75,6 @@ val find : knob list -> string -> knob option
 val key : ?knobs:knob list -> t -> string
 (** ["name=value;..."] over [knobs] (default: the whole table). *)
 
-val compile_key : t -> string
-(** {!key} over the Compile knobs: options sharing it share one pass
-    pipeline run. *)
-
 val extract_key : t -> string
 (** {!key} over the Compile and Extract knobs, plus every Sim knob when
     the comm passes need a profile ({!Comm.needs_profile}): the seed

@@ -3,6 +3,12 @@
    shrink and bisect every divergence, and persist minimized repros as
    a replayable corpus.
 
+   A campaign's options are the option table's knobs in [knobs]: the
+   planted pass break, the backend whose schedules rtsim replays (the
+   RTL rank co-simulates every lowering regardless) and the bank count.
+   A repro records each of them that differs from the default and
+   replays at it.
+
    Everything observable about a campaign is a pure function of
    (seed, cases, limit, options): each case derives its own RNG from
    [Gen.case_state], [Par.map] preserves input order, and the summary
@@ -47,19 +53,21 @@ let tally (assoc : (string * int) list) (key : string) =
   | Some n -> (key, n + 1) :: List.remove_assoc key assoc
   | None -> (key, 1) :: assoc
 
-let run_case ~opts ~limit ~backends ~shrink_tests ~seed index :
+(* the shrinker's predicate-evaluation budget per divergence *)
+let shrink_tests = 3000
+
+let run_case ~opts ~limit ~seed index :
     case_outcome * Oracle.result =
   let prog = Gen.program ~seed ~index in
   let src = Twill_minic.Ast_pp.program_to_string prog in
-  let res = Oracle.check ~opts ~limit ~backends src in
+  let res = Oracle.check ~opts ~limit src in
   let outcome =
     match res.Oracle.verdict with
     | Oracle.Agree -> C_agree
     | Oracle.Skipped r -> C_skip r
     | Oracle.Diverge d ->
         let pred p =
-          Oracle.diverges ~opts ~limit ~backends
-            (Twill_minic.Ast_pp.program_to_string p)
+          Oracle.diverges ~opts ~limit (Twill_minic.Ast_pp.program_to_string p)
           <> None
         in
         let shrunk, sstats = Shrink.shrink ~max_tests:shrink_tests ~pred prog in
@@ -68,7 +76,7 @@ let run_case ~opts ~limit ~backends ~shrink_tests ~seed index :
            this re-check is total; it refreshes the divergence details
            for the minimized program *)
         let d' =
-          match Oracle.diverges ~opts ~limit ~backends shrunk_src with
+          match Oracle.diverges ~opts ~limit shrunk_src with
           | Some d' -> d'
           | None -> d
         in
@@ -93,15 +101,10 @@ let run_case ~opts ~limit ~backends ~shrink_tests ~seed index :
   in
   (outcome, res)
 
-let run ?(opts = default_options) ?(limit = Oracle.L_vsim)
-    ?(backends = Oracle.B_both) ?(shrink_tests = 3000) ~seed ~cases () :
+let run ?(opts = default_options) ?(limit = Oracle.L_vsim) ~seed ~cases () :
     summary =
   let indices = List.init cases (fun i -> i) in
-  let results =
-    Par.map
-      (fun i -> run_case ~opts ~limit ~backends ~shrink_tests ~seed i)
-      indices
-  in
+  let results = Par.map (fun i -> run_case ~opts ~limit ~seed i) indices in
   let agreed = ref 0 in
   let skipped = ref [] in
   let repros = ref [] in
@@ -191,10 +194,11 @@ let rec mkdir_p dir =
     (try Sys.mkdir dir 0o755 with Sys_error _ -> ())
   end
 
-(* The options a repro header records, as [flag=value] through the
-   option table's printer and only where they differ from the default,
-   so a corpus found at default options records none of them. *)
-let header_knobs = Options.[ pipeline_break; mem_banks ]
+(* The option-table knobs a campaign takes ([twillc fuzz] exposes
+   exactly these) and a repro header records, as [flag=value] through
+   the table's printer and only where they differ from the default, so
+   a corpus found at default options records none of them. *)
+let knobs = Options.[ pipeline_break; backend; mem_banks ]
 
 let header_key (k : Options.knob) = Option.get k.Options.flag
 
@@ -223,7 +227,7 @@ let repro_to_string ?(opts = default_options) (r : repro) : string =
       let v = k.Options.print opts in
       if v <> k.Options.print default_options then
         Buffer.add_string b (Printf.sprintf "// %s=%s\n" (header_key k) v))
-    header_knobs;
+    knobs;
   Buffer.add_char b '\n';
   Buffer.add_string b r.r_shrunk_src;
   Buffer.contents b
@@ -298,7 +302,7 @@ let header_field src key =
   | v :: _ -> Some v
   | [] -> None
 
-(* The options a repro was found at: each header knob from its header
+(* The options a repro was found at: each of [knobs] from its header
    line (the default where there is none), with the alias checker armed
    above one bank as in the campaign. *)
 let options_of_repro (src : string) : options =
@@ -307,7 +311,7 @@ let options_of_repro (src : string) : options =
       match header_field src (header_key k) with
       | None -> o
       | Some v -> Result.fold ~ok:Fun.id ~error:failwith (k.Options.parse v o))
-    default_options header_knobs
+    default_options knobs
   |> arm_checker
 
 (* Re-runs every repro of a corpus directory through the oracle at its

@@ -1,8 +1,10 @@
 (* The differential oracle: run one program through every observation
    point of the stack (AST interpreter, raw IR, each optimisation
-   prefix, partitioned rtsim execution, vsim RTL co-simulation) and
-   compare the observable behaviour — return value plus print trace —
-   against the AST reference interpreter.
+   prefix, partitioned rtsim execution, vsim RTL co-simulation of every
+   RTL lowering) and compare the observable behaviour — return value
+   plus print trace — against the AST reference interpreter.  rtsim
+   replays the schedules of [opts.backend]; the RTL rank co-simulates
+   every lowering whatever that option says.
 
    Only an Ok-vs-Ok mismatch is a divergence.  Out-of-fuel runs are
    skips (no verdict either way) and stage errors (simulator harness
@@ -34,10 +36,10 @@ type stage =
   | Obs_ir of Interp.engine  (* raw (unoptimised) IR *)
   | Obs_opt of int * Interp.engine  (* after the first k pipeline stages *)
   | Obs_rtsim  (* partitioned cycle-accurate simulation *)
-  | Obs_vsim  (* RTL co-simulation of the emitted design *)
-  | Obs_velastic
-    (* RTL co-simulation of the elastic dataflow lowering of the same
-       pipeline (the cross-backend differential observation point) *)
+  | Obs_rtl of Schedule.backend
+    (* RTL co-simulation of this lowering of the pipeline; with one
+       point per lowering, every RTL-reaching case is also a
+       cross-backend differential *)
 
 type outcome =
   | Obs_ok of observation
@@ -57,15 +59,15 @@ let stage_name = function
       in
       Printf.sprintf "opt[%s]%s" pass (engine_suffix e)
   | Obs_rtsim -> "rtsim"
-  | Obs_vsim -> "vsim"
-  | Obs_velastic -> "vsim-df"
+  | Obs_rtl Schedule.Fsm -> "vsim"
+  | Obs_rtl Schedule.Dataflow -> "vsim-df"
 
 (* Every observation point, in stack order. *)
 let all_stages : stage list =
   [ Obs_ast; Obs_ir Interp.Tree; Obs_ir Interp.Decoded ]
   @ List.init Pipeline.nstages (fun k -> Obs_opt (k + 1, Interp.Decoded))
-  @ [ Obs_opt (Pipeline.nstages, Interp.Tree); Obs_rtsim; Obs_vsim;
-      Obs_velastic ]
+  @ [ Obs_opt (Pipeline.nstages, Interp.Tree); Obs_rtsim ]
+  @ List.map (fun b -> Obs_rtl b) Schedule.all_backends
 
 (* Runs one observation.  Out-of-fuel runs are skips; an alias-checker
    trap is a trap; interpreter traps, deadlocks and harness failures are
@@ -101,7 +103,7 @@ let outcome (run : unit -> observation) : outcome =
    interpreter result is reused until a pass changes the module:
    interpretation is deterministic and [Interp.run] does not mutate the
    module.  The fully optimised module is extracted once for rtsim and
-   both cosims. *)
+   every cosim. *)
 let walk ?(opts = default_options) (stages : stage list) (src : string) :
     (stage * outcome) Seq.t =
   let popts = pipeline_options opts in
@@ -139,12 +141,16 @@ let walk ?(opts = default_options) (stages : stage list) (src : string) :
   let t = lazy (extract ~opts (advance Pipeline.nstages)) in
   (* one design per backend: rtsim and the cosim of [opts.backend] read
      the same table *)
-  let design backend =
-    lazy
-      (Schedule.of_threaded ~backend ~mem_banks:opts.mem_banks (Lazy.force t))
+  let tables =
+    List.map
+      (fun backend ->
+        ( backend,
+          lazy
+            (Schedule.of_threaded ~backend ~mem_banks:opts.mem_banks
+               (Lazy.force t)) ))
+      Schedule.all_backends
   in
-  let own = design opts.backend and df = design Schedule.Dataflow in
-  let table backend = Lazy.force (if backend = opts.backend then own else df) in
+  let table backend = Lazy.force (List.assoc backend tables) in
   let cosim backend =
     let t = Lazy.force t and schedules = table backend in
     let design = Vparse.parse (Vruntime.emit schedules t) in
@@ -172,13 +178,12 @@ let walk ?(opts = default_options) (stages : stage list) (src : string) :
             ~schedules:(table opts.backend) (Lazy.force t)
         in
         { obs_ret = s.Sim.ret; obs_prints = s.Sim.prints }
-    | Obs_vsim -> cosim opts.backend
-    | Obs_velastic -> cosim Schedule.Dataflow
+    | Obs_rtl backend -> cosim backend
   in
   Seq.map (fun s -> (s, outcome (fun () -> observe s))) (List.to_seq stages)
 
 (* How far down the stack to go.  Later stages are much slower (vsim
-   co-simulation elaborates and simulates the emitted RTL of each
+   co-simulation elaborates and simulates the emitted RTL of every
    backend), so the campaign driver exposes this as [--max-stage]. *)
 type limit = L_ast | L_ir | L_opt | L_rtsim | L_vsim
 
@@ -199,32 +204,12 @@ let limit_of_string = function
 
 let all_limits = [ L_ast; L_ir; L_opt; L_rtsim; L_vsim ]
 
-(* Which RTL lowerings the vsim-rank stages exercise.  [B_both] (the
-   default) makes every RTL-reaching case a cross-backend differential:
-   the FSM cosims and the elastic dataflow cosim all observe the same
-   program and any disagreement with the AST reference is a divergence
-   attributed to its stage name ("vsim" vs "vsim-df"). *)
-type backends = B_fsm | B_dataflow | B_both
-
-let backends_to_string = function
-  | B_fsm -> "fsm"
-  | B_dataflow -> "dataflow"
-  | B_both -> "both"
-
-let backends_of_string = function
-  | "fsm" -> Some B_fsm
-  | "dataflow" -> Some B_dataflow
-  | "both" -> Some B_both
-  | _ -> None
-
-let all_backends = [ B_fsm; B_dataflow; B_both ]
-
 let rank_of_stage = function
   | Obs_ast -> 0
   | Obs_ir _ -> 1
   | Obs_opt _ -> 2
   | Obs_rtsim -> 3
-  | Obs_vsim | Obs_velastic -> 4
+  | Obs_rtl _ -> 4
 
 let rank_of_limit = function
   | L_ast -> 0
@@ -233,15 +218,8 @@ let rank_of_limit = function
   | L_rtsim -> 3
   | L_vsim -> 4
 
-let stages_for ?(backends = B_both) (limit : limit) : stage list =
-  let wanted = function
-    | Obs_vsim -> backends <> B_dataflow
-    | Obs_velastic -> backends <> B_fsm
-    | _ -> true
-  in
-  List.filter
-    (fun s -> wanted s && rank_of_stage s <= rank_of_limit limit)
-    all_stages
+let stages_for (limit : limit) : stage list =
+  List.filter (fun s -> rank_of_stage s <= rank_of_limit limit) all_stages
 
 type divergence = {
   div_stage : string;  (** first diverging observation point *)
@@ -269,10 +247,9 @@ let obs_equal (a : observation) (b : observation) =
 
 (* Folds the walk up to [limit], stopping at the first divergence from
    the AST reference (always the walk's first stage). *)
-let check ?(opts = default_options) ?(limit = L_vsim) ?(backends = B_both)
-    (src : string) : result =
+let check ?(opts = default_options) ?(limit = L_vsim) (src : string) : result =
   let agree = { verdict = Agree; skips = []; errors = []; traps = [] } in
-  match walk ~opts (stages_for ~backends limit) src () with
+  match walk ~opts (stages_for limit) src () with
   | Seq.Nil -> agree
   | Seq.Cons ((_, (Obs_skip r | Obs_error r | Obs_trap r)), _) ->
       { agree with verdict = Skipped ("ast: " ^ r) }
@@ -305,8 +282,8 @@ let check ?(opts = default_options) ?(limit = L_vsim) ?(backends = B_both)
 
 (* The shrinker predicate: does this source still expose a divergence
    (anywhere in the stack, up to [limit])? *)
-let diverges ?opts ?limit ?backends (src : string) : divergence option =
-  match (check ?opts ?limit ?backends src).verdict with
+let diverges ?opts ?limit (src : string) : divergence option =
+  match (check ?opts ?limit src).verdict with
   | Diverge d -> Some d
   | Agree | Skipped _ -> None
 

@@ -35,12 +35,6 @@ type backend = Fsm | Dataflow
 let backend_name = function Fsm -> "fsm" | Dataflow -> "dataflow"
 let all_backends = [ Fsm; Dataflow ]
 
-let backend_of_string = function
-  | "fsm" -> Ok Fsm
-  | "dataflow" -> Ok Dataflow
-  | other ->
-      Error (Printf.sprintf "unknown backend %S (valid: fsm, dataflow)" other)
-
 type res_class = Calu | Cmul | Cdiv | Cshift | Cmem | Cqueue | Cfree
 
 let class_of_kind = function

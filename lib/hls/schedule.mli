@@ -38,9 +38,6 @@ type backend = Fsm | Dataflow
 val backend_name : backend -> string
 val all_backends : backend list
 
-val backend_of_string : string -> (backend, string) result
-(** [Error] carries a message listing the valid spellings. *)
-
 (** Resource class of an operation. *)
 type res_class = Calu | Cmul | Cdiv | Cshift | Cmem | Cqueue | Cfree
 

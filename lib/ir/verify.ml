@@ -114,6 +114,3 @@ let check_modul ?(require_main = true) (m : modul) =
   if require_main && not (List.exists (fun f -> f.name = "main") m.funcs) then
     fail "no main function";
   List.iter (fun f -> check_func m f) m.funcs
-
-let is_valid m =
-  match check_modul m with () -> true | exception Invalid _ -> false

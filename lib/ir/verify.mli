@@ -10,4 +10,3 @@ exception Invalid of string
 
 val check_func : modul -> func -> unit
 val check_modul : ?require_main:bool -> modul -> unit
-val is_valid : modul -> bool

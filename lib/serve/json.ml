@@ -110,6 +110,30 @@ let lit c word v =
   end
   else fail c ("expected " ^ word)
 
+let hex_digit = function
+  | '0' .. '9' as ch -> Some (Char.code ch - Char.code '0')
+  | 'a' .. 'f' as ch -> Some (Char.code ch - Char.code 'a' + 10)
+  | 'A' .. 'F' as ch -> Some (Char.code ch - Char.code 'A' + 10)
+  | _ -> None
+
+(* the code unit of a \u escape: exactly four hex digits *)
+let hex4 c =
+  if c.i + 4 > String.length c.s then fail c "short \\u escape";
+  let digits = String.sub c.s c.i 4 in
+  c.i <- c.i + 4;
+  String.fold_left
+    (fun acc ch ->
+      match (acc, hex_digit ch) with
+      | Some a, Some d -> Some ((a * 16) + d)
+      | _ -> None)
+    (Some 0) digits
+  |> function
+  | Some u -> u
+  | None -> fail c "bad \\u escape"
+
+let is_high u = u >= 0xD800 && u <= 0xDBFF
+let is_low u = u >= 0xDC00 && u <= 0xDFFF
+
 (* runs of plain characters are copied whole; only escapes go one
    character at a time *)
 let parse_string c =
@@ -151,26 +175,22 @@ let parse_string c =
             Buffer.add_char buf '\012';
             go ()
         | 'u' ->
-            if c.i + 4 > String.length c.s then fail c "short \\u escape";
-            let hex = String.sub c.s c.i 4 in
-            c.i <- c.i + 4;
-            let code =
-              try int_of_string ("0x" ^ hex)
-              with _ -> fail c "bad \\u escape"
+            (* a scalar outside the BMP arrives as a high+low surrogate
+               pair; an unpaired surrogate is no scalar at all *)
+            let u = hex4 c in
+            let scalar =
+              if is_high u then begin
+                if not (c.i + 2 <= n && c.s.[c.i] = '\\' && c.s.[c.i + 1] = 'u')
+                then fail c "bad \\u escape";
+                c.i <- c.i + 2;
+                let lo = hex4 c in
+                if not (is_low lo) then fail c "bad \\u escape";
+                0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00)
+              end
+              else if is_low u then fail c "bad \\u escape"
+              else u
             in
-            (* encode the scalar as UTF-8; the protocol only ever sees
-               ASCII in practice but round-tripping must not corrupt *)
-            if code < 0x80 then Buffer.add_char buf (Char.chr code)
-            else if code < 0x800 then begin
-              Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end
-            else begin
-              Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-              Buffer.add_char buf
-                (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end;
+            Buffer.add_utf_8_uchar buf (Uchar.of_int scalar);
             go ()
         | _ -> fail c "unknown escape")
   in

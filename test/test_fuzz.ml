@@ -78,8 +78,9 @@ let test_generator_valid () =
    of its observations must equal the from-scratch run it stands for:
    compile + run_prefix + interpret for the IR points, compile +
    extract + simulate for rtsim, and [Twill.cosim] for each backend's
-   RTL — on a clean build and with a planted bug, whose sabotage must
-   invalidate the reuse. *)
+   RTL — on a clean build, with a planted bug, whose sabotage must
+   invalidate the reuse, and at the dataflow backend, where rtsim
+   replays the dataflow table the dataflow cosim shares. *)
 let test_walk_matches_fresh () =
   let srcs =
     List.map
@@ -112,8 +113,7 @@ let test_walk_matches_fresh () =
             | Oracle.Obs_rtsim ->
                 let r = Twill.run_twill_threaded ~opts (threaded ()) in
                 (r.Twill.scenario.ret, r.Twill.scenario.prints)
-            | Oracle.Obs_vsim -> cosim opts.Twill.backend
-            | Oracle.Obs_velastic -> cosim Twill.Schedule.Dataflow
+            | Oracle.Obs_rtl backend -> cosim backend
           in
           Seq.iter
             (fun (stage, outcome) ->
@@ -128,7 +128,11 @@ let test_walk_matches_fresh () =
                   Alcotest.failf "%s observation failed: %s" name m)
             (Oracle.walk ~opts Oracle.all_stages src))
         srcs)
-    [ Twill.default_options; broken "cleanup" ]
+    [
+      Twill.default_options;
+      broken "cleanup";
+      { Twill.default_options with Twill.backend = Twill.Schedule.Dataflow };
+    ]
 
 let test_stack_agrees () =
   let s = Campaign.run ~limit:Oracle.L_rtsim ~seed:23 ~cases:15 () in
@@ -141,16 +145,38 @@ let test_stack_agrees () =
     "most cases produced a verdict" true
     (2 * List.length s.Campaign.s_skipped <= s.Campaign.s_cases)
 
-(* one vsim observation point per RTL backend: a case elaborates each
-   backend's emitted design once *)
+(* one vsim observation point per RTL backend, whichever backend rtsim
+   replays, and each of them agrees with the reference *)
 let test_one_vsim_point_per_backend () =
-  let names backends =
-    List.map Oracle.stage_name (Oracle.stages_for ~backends Oracle.L_vsim)
-    |> List.filter (fun n -> String.starts_with ~prefix:"vsim" n)
+  let src =
+    "int main(){int s=0;for(int i=1;i<=10;i++){s=s+i*i;print(s);}return s;}"
   in
-  Alcotest.(check (list string)) "both" [ "vsim"; "vsim-df" ] (names Oracle.B_both);
-  Alcotest.(check (list string)) "fsm" [ "vsim" ] (names Oracle.B_fsm);
-  Alcotest.(check (list string)) "dataflow" [ "vsim-df" ] (names Oracle.B_dataflow)
+  List.iter
+    (fun backend ->
+      let opts = { Twill.default_options with Twill.backend } in
+      let rtl =
+        Oracle.walk ~opts (Oracle.stages_for Oracle.L_vsim) src
+        |> Seq.filter_map (function
+             | (Oracle.Obs_rtl b as st), o -> Some (b, Oracle.stage_name st, o)
+             | _ -> None)
+        |> List.of_seq
+      in
+      let at = Twill.Schedule.backend_name backend in
+      Alcotest.(check bool)
+        (at ^ ": one point per backend") true
+        (List.map (fun (b, _, _) -> b) rtl = Twill.Schedule.all_backends);
+      Alcotest.(check (list string))
+        (at ^ ": names") [ "vsim"; "vsim-df" ]
+        (List.map (fun (_, n, _) -> n) rtl);
+      List.iter
+        (fun (_, n, o) ->
+          match o with
+          | Oracle.Obs_ok o ->
+              Alcotest.(check int32) (at ^ ": " ^ n ^ " ret") 385l o.Oracle.obs_ret
+          | Oracle.Obs_skip m | Oracle.Obs_error m | Oracle.Obs_trap m ->
+              Alcotest.failf "%s: %s observation failed: %s" at n m)
+        rtl)
+    Twill.Schedule.all_backends
 
 (* --- communication-optimizer soak --------------------------------------- *)
 
@@ -309,8 +335,9 @@ let test_repro_is_parseable () =
           Alcotest.failf "repro text does not stand alone: %s" m)
 
 (* A repro found above one bank replays at its bank count with the
-   alias checker armed; one found at the default records no bank count
-   and replays unbanked. *)
+   alias checker armed, one found at the dataflow backend replays
+   there; one found at the default records neither and replays
+   unbanked at FSM. *)
 let test_repro_records_banks () =
   let opts = broken "inline" in
   let s = Campaign.run ~opts ~limit:Oracle.L_opt ~seed:7 ~cases:1 () in
@@ -320,13 +347,26 @@ let test_repro_records_banks () =
       let replayed opts =
         let text = Campaign.repro_to_string ~opts r in
         let o = Campaign.options_of_repro text in
-        ( Campaign.header_field text "mem-banks",
-          (o.Twill.mem_banks, o.Twill.check_memdep, o.Twill.pipeline_break) )
+        ( ( Campaign.header_field text "mem-banks",
+            Campaign.header_field text "backend" ),
+          (o.Twill.mem_banks, o.Twill.check_memdep, o.Twill.pipeline_break),
+          Twill.Schedule.backend_name o.Twill.backend )
       in
-      let pinned = Alcotest.(pair (option string) (triple int bool (option string))) in
-      Alcotest.check pinned "4 banks" (Some "4", (4, true, Some "inline"))
+      let pinned =
+        Alcotest.(
+          triple
+            (pair (option string) (option string))
+            (triple int bool (option string))
+            string)
+      in
+      Alcotest.check pinned "4 banks"
+        ((Some "4", None), (4, true, Some "inline"), "fsm")
         (replayed { opts with Twill.mem_banks = 4 });
-      Alcotest.check pinned "default banks" (None, (1, false, Some "inline"))
+      Alcotest.check pinned "dataflow"
+        ((None, Some "dataflow"), (1, false, Some "inline"), "dataflow")
+        (replayed { opts with Twill.backend = Twill.Schedule.Dataflow });
+      Alcotest.check pinned "default"
+        ((None, None), (1, false, Some "inline"), "fsm")
         (replayed opts)
 
 (* An alias-checker trap is its own verdict: not a harness error, and

@@ -422,6 +422,16 @@ let test_json_strings () =
   Alcotest.(check bool) "\\u, \\b, \\f and \\/ on input" true
     (Json.of_string {|"\u0041\u00e9\u20ac\u0000x\b\f\/\u0041"|}
     = Json.Str "A\xc3\xa9\xe2\x82\xac\000x\b\012/A");
+  (* what Python's json.dumps sends for a character outside the BMP *)
+  List.iter
+    (fun (text, utf8) ->
+      Alcotest.(check string) ("surrogate pair " ^ text) utf8
+        (match Json.of_string text with Json.Str s -> s | _ -> ""))
+    [
+      ({|"\ud83d\ude00"|}, "\xf0\x9f\x98\x80");
+      ({|"\uD83D\uDE00!"|}, "\xf0\x9f\x98\x80!");
+      ({|"\ud800\udc00\udbff\udfff"|}, "\xf0\x90\x80\x80\xf4\x8f\xbf\xbf");
+    ];
   List.iter
     (fun (text, msg) ->
       Alcotest.check_raises text (Json.Parse_error msg) (fun () ->
@@ -430,6 +440,13 @@ let test_json_strings () =
       ({|"abc|}, "unterminated string at offset 4");
       ({|"ab\|}, "dangling escape at offset 4");
       ({|"a\q"|}, "unknown escape at offset 4");
+      (* exactly four hex digits, no OCaml digit separator *)
+      ({|"\u1_23"|}, "bad \\u escape at offset 7");
+      (* unpaired surrogates *)
+      ({|"\ud83d"|}, "bad \\u escape at offset 7");
+      ({|"\ud83dx"|}, "bad \\u escape at offset 7");
+      ({|"\ud83d\u0041"|}, "bad \\u escape at offset 13");
+      ({|"\ude00"|}, "bad \\u escape at offset 7");
     ]
 
 let suites =

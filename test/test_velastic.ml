@@ -516,9 +516,10 @@ let property_tests =
 
 let negative_tests =
   [
-    Alcotest.test_case "backend_of_string lists the valid values" `Quick
+    Alcotest.test_case "the backend knob lists the valid values" `Quick
       (fun () ->
-        (match Twill.Schedule.backend_of_string "verilator" with
+        let parse v = Twill.Options.backend.parse v Twill.default_options in
+        (match parse "verilator" with
         | Error e ->
             Alcotest.(check bool) "names the offender" true
               (contains e "verilator");
@@ -527,23 +528,10 @@ let negative_tests =
         | Ok _ -> Alcotest.fail "unknown backend accepted");
         List.iter
           (fun b ->
-            match Twill.Schedule.backend_of_string (S.backend_name b) with
-            | Ok b' -> Alcotest.(check bool) "round-trips" true (b = b')
+            match parse (S.backend_name b) with
+            | Ok o -> Alcotest.(check bool) "round-trips" true (o.Twill.backend = b)
             | Error e -> Alcotest.fail e)
           Twill.Schedule.all_backends);
-    Alcotest.test_case "fuzz backends spelling round-trips and rejects" `Quick
-      (fun () ->
-        List.iter
-          (fun b ->
-            match
-              Twill_fuzz.Oracle.backends_of_string
-                (Twill_fuzz.Oracle.backends_to_string b)
-            with
-            | Some b' -> Alcotest.(check bool) "round-trips" true (b = b')
-            | None -> Alcotest.fail "spelling did not round-trip")
-          Twill_fuzz.Oracle.all_backends;
-        Alcotest.(check bool) "rejects unknown" true
-          (Twill_fuzz.Oracle.backends_of_string "verilator" = None));
     Alcotest.test_case "dse grid rejects unknown backend and engine" `Quick
       (fun () ->
         let module Grid = Twill_dse.Grid in
