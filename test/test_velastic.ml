@@ -532,6 +532,26 @@ let negative_tests =
             | Ok o -> Alcotest.(check bool) "round-trips" true (o.Twill.backend = b)
             | Error e -> Alcotest.fail e)
           Twill.Schedule.all_backends);
+    (* the fuzzer spells a backend through the table's knob: a repro
+       header round-trips each backend, and the old private [both] is
+       rejected like any unknown value *)
+    Alcotest.test_case "fuzz backends spelling round-trips and rejects" `Quick
+      (fun () ->
+        let module C = Twill_fuzz.Campaign in
+        let header v = Printf.sprintf "// backend=%s\n\nint main(){return 0;}\n" v in
+        List.iter
+          (fun b ->
+            let o = C.options_of_repro (header (S.backend_name b)) in
+            Alcotest.(check bool) "round-trips" true (o.Twill.backend = b))
+          Twill.Schedule.all_backends;
+        List.iter
+          (fun v ->
+            match C.options_of_repro (header v) with
+            | exception Failure e ->
+                Alcotest.(check bool) ("names " ^ v) true (contains e v);
+                Alcotest.(check bool) "lists dataflow" true (contains e "dataflow")
+            | _ -> Alcotest.failf "fuzz backend %s accepted" v)
+          [ "both"; "verilator" ]);
     Alcotest.test_case "dse grid rejects unknown backend and engine" `Quick
       (fun () ->
         let module Grid = Twill_dse.Grid in
